@@ -47,7 +47,11 @@ class DegenerateSystemError(NanoshellError):
 
 
 class QuadratureError(NanoshellError):
-    """Absorption quadrature failed to reach its tolerance."""
+    """Absorption quadrature failed to reach its tolerance.
+
+    The engine's Ohmic rate is a closed form and no longer raises this; it
+    stays for callers and cross-check quadratures that do.
+    """
 
     def __init__(self, shell_index, achieved, requested):
         self.shell_index = shell_index

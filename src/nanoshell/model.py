@@ -127,6 +127,11 @@ class DipoleSource:
     wavelength_nm: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.radial_position_nm) and math.isfinite(self.wavelength_nm)):
+            raise DomainError(
+                f"dipole radius and wavelength must be finite, got "
+                f"{self.radial_position_nm!r} nm and {self.wavelength_nm!r} nm"
+            )
         if self.radial_position_nm < 0:
             raise GeometryError("dipole radius must be >= 0")
         if self.orientation not in ORIENTATIONS:
@@ -181,16 +186,6 @@ class SpectroResult:
     shift_tail: float
     quad_rel_err: float
     orientation: str
-
-
-def sphere_signature(sphere, wavelength_nm):
-    """Hashable description used for caching layer contexts."""
-    mats = tuple(
-        (s.outer_radius_nm, materials.refractive_index(s.material, wavelength_nm), s.material.mu)
-        for s in sphere.shells
-    )
-    amb = (materials.refractive_index(sphere.ambient, wavelength_nm), sphere.ambient.mu)
-    return (mats, amb, wavelength_nm)
 
 
 def interface_margin_nm(sphere, r_nm, absorbing_only=False, wavelength_nm=None):

@@ -9,9 +9,11 @@ sphere gives g = 0):
 * total rate        W_t / W_h   = 1 + Im(g)
 * frequency shift   (w - w0)/W_h = -Re(g) / 2
 * radiative rate    from the ambient outgoing amplitudes (multipole power sum)
-* Ohmic rate        volume integral of eps'' |E|^2 over absorbing shells,
-                    angular part folded analytically, radial part by
-                    adaptive Gauss-Legendre panels.
+* Ohmic rate        eps'' |E|^2 integrated over absorbing shells, angular
+                    part folded analytically, radial part in closed form
+                    from the channel profiles at the shell's two surfaces
+                    (net Poynting flux, Mackowski et al. 1990); see
+                    :func:`ohmic_rate_per_l`.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import model, transfer
 from . import scaledmath as sm
-from .errors import DomainError, QuadratureError, RangeError
+from .errors import DomainError, RangeError
 from .specfun import riccati_scaled
 
 # dipole closer than this (times outer radius) to a metal interface is
@@ -36,6 +38,13 @@ _WOHM_SPREAD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Settings of the former adaptive Ohmic quadrature.
+
+    No longer used by the engine: the Ohmic rate is a closed form over
+    boundary values (see :func:`ohmic_rate_per_l`).  Still accepted wherever
+    a ``quad`` argument is, so existing callers keep working.
+    """
+
     rtol: float = 1e-7
     metal_offset_nm: float = 1.0
     max_panels: int = 400
@@ -116,13 +125,6 @@ def frequency_shift(sphere, dipole, l_max=60):
     return -0.5 * self_field(sphere, dipole, l_max).g.real
 
 
-def radiative_rate(sphere, dipole, l_max=60):
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    _, rad_terms, ambient = _per_l_arrays(coeffs)
-    total = float(np.sum(rad_terms))
-    return 1.0 + total if ambient else _medium_ratio(coeffs) * total
-
-
 def fluorescence_yield(wt_norm, wrad_norm):
     """wrad/wt; an upper bound on the yield actually realized, since only
     the Ohmic channel of the nonradiative decay is modeled."""
@@ -158,16 +160,7 @@ def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):
 
 
 # ---------------------------------------------------------------------------
-# Ohmic loss quadrature
-
-
-_GL_CACHE = {}
-
-
-def _gl_nodes(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+# Ohmic loss from boundary values
 
 
 def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
@@ -184,132 +177,104 @@ def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
     return f
 
 
-def _region_integrand(coeffs, region):
-    """Vector integrand: per-order angular-folded |E|^2 density in one region.
-
-    Angular integrals are done analytically (the vector-wave families are
-    orthogonal over the sphere), leaving a 1D radial integral of Riccati
-    bilinears.
-    """
-    ctx = coeffs.ctx
-    k = ctx.k[region - 1]
-    abs_k2 = abs(k) ** 2
+def _region_channels(coeffs, region):
+    """Per-polarization (regular, outgoing) scaled amplitudes over l = 1..l_max
+    in one region away from the dipole, with the channel weights."""
     l_max = coeffs.l_max
-    ls = np.arange(1, l_max + 1, dtype=float)
     parts = {}
-    for pol in (transfer.TM, transfer.TE):
-        parts[pol] = {
-            "c1m": np.zeros(l_max, dtype=complex),
-            "c1e": np.zeros(l_max),
-            "c2m": np.zeros(l_max, dtype=complex),
-            "c2e": np.zeros(l_max),
-            "w": np.zeros(l_max),
-        }
     for ch in coeffs.channels:
+        p = parts.get(ch.pol)
+        if p is None:
+            p = parts[ch.pol] = {
+                "c1m": np.zeros(l_max, dtype=complex),
+                "c1e": np.zeros(l_max),
+                "c2m": np.zeros(l_max, dtype=complex),
+                "c2e": np.zeros(l_max),
+                "w": np.zeros(l_max),
+            }
         st = ch.states[region - 1][1]  # inner/outer only differ in the host
-        p = parts[ch.pol]
         p["c1m"][ch.l - 1], p["c1e"][ch.l - 1] = st[0]
         p["c2m"][ch.l - 1], p["c2e"][ch.l - 1] = st[1]
         p["w"][ch.l - 1] = ch.weight
-
-    def integrand(r):
-        tab = riccati_scaled(l_max, k * r)
-        out = np.zeros(l_max)
-        for pol, p in parts.items():
-            if not p["w"].any():
-                continue
-            f = _scaled_field_sum(
-                p["c1m"], p["c1e"], tab.psi[1:], tab.psi_e[1:],
-                p["c2m"], p["c2e"], tab.xi[1:], tab.xi_e[1:],
-            )
-            if pol == transfer.TM:
-                fd = _scaled_field_sum(
-                    p["c1m"], p["c1e"], tab.dpsi[1:], tab.dpsi_e[1:],
-                    p["c2m"], p["c2e"], tab.dxi[1:], tab.dxi_e[1:],
-                )
-                out += p["w"] * (
-                    ls * (ls + 1.0) * np.abs(f) ** 2 / (abs_k2 * r * r) + np.abs(fd) ** 2
-                ) / abs_k2
-            else:
-                out += p["w"] * np.abs(f) ** 2 / abs_k2
-        return out
-
-    return integrand
+    return parts
 
 
-def _adaptive_region_integral(fn, a, b, breakpoints, rtol, max_panels):
-    """Adaptive bisection with embedded GL(10)/GL(20) error estimates.
+def _radial_profiles(p, tab):
+    """Radial profile f and its argument-derivative at one Riccati table."""
+    f = _scaled_field_sum(
+        p["c1m"], p["c1e"], tab.psi[1:], tab.psi_e[1:],
+        p["c2m"], p["c2e"], tab.xi[1:], tab.xi_e[1:],
+    )
+    fd = _scaled_field_sum(
+        p["c1m"], p["c1e"], tab.dpsi[1:], tab.dpsi_e[1:],
+        p["c2m"], p["c2e"], tab.dxi[1:], tab.dxi_e[1:],
+    )
+    return f, fd
 
-    Deterministic: the worst panel (ties broken by position) is split until
-    the summed per-order discrepancy meets the tolerance.
-    """
-    x10, w10 = _gl_nodes(10)
-    x20, w20 = _gl_nodes(20)
 
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        i10 = sum(w * fn(mid + half * x) for x, w in zip(x10, w10)) * half
-        i20 = sum(w * fn(mid + half * x) for x, w in zip(x20, w20)) * half
-        return [lo, hi, i20, float(np.sum(np.abs(i20 - i10)))]
-
-    edges = sorted({a, b, *[p for p in breakpoints if a < p < b]})
-    panels = [panel(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    while True:
-        total = np.sum([p[2] for p in panels], axis=0)
-        err = sum(p[3] for p in panels)
-        norm = float(np.sum(np.abs(total)))
-        if norm == 0.0 or err <= rtol * norm:
-            return total, (err / norm if norm else 0.0)
-        if len(panels) >= max_panels:
-            return total, err / norm
-        worst = max(panels, key=lambda p: (p[3], -p[0]))
-        panels.remove(worst)
-        mid = 0.5 * (worst[0] + worst[1])
-        panels.append(panel(worst[0], mid))
-        panels.append(panel(mid, worst[1]))
+def _wronskians(parts, k, r, l_max):
+    """conj(f) df/dr per polarization at radius r (zero at the origin)."""
+    if r == 0.0:
+        return {pol: 0.0 for pol in parts}
+    tab = riccati_scaled(l_max, k * r)
+    out = {}
+    for pol, p in parts.items():
+        f, fd = _radial_profiles(p, tab)
+        out[pol] = np.conj(f) * k * fd
+    return out
 
 
 def ohmic_rate_per_l(coeffs, quad=None):
     """Per-order normalized Ohmic rate contributions (summed gives the rate).
 
-    Returns (per_l array indexed 1..l_max, achieved relative error).
+    In a source-free shell each channel's radial profile f solves
+    f'' + (k^2 - l(l+1)/r^2) f = 0, so with W = conj(f) f' the radial
+    integrals of the angular-folded eps''|E|^2 are boundary values:
+
+        int |f|^2 dr                       = -Im[W]_a^b / Im(k^2)
+        int |f'|^2 + l(l+1)|f|^2/r^2 dr    =  Re[W]_a^b + Re(k^2) int |f|^2 dr
+
+    i.e. the net Poynting flux through the shell's two surfaces (Mackowski,
+    Altenkirch & Menguc, Appl. Opt. 29, 1551 (1990)).  ``quad`` is accepted
+    for compatibility and ignored.
+
+    Returns (per_l array indexed 1..l_max, (0.0, None)); the second entry
+    keeps the (relative error, region) shape of the former quadrature.
     """
-    quad = quad or QuadratureConfig()
     ctx = coeffs.ctx
-    per_l = np.zeros(coeffs.l_max)
-    worst = (0.0, None)
+    l_max = coeffs.l_max
+    per_l = np.zeros(l_max)
     for region in range(1, ctx.n_regions):
         if not ctx.absorbing[region - 1]:
             continue
         if region == coeffs.host_region:
             raise DomainError("dipole inside an absorbing shell")
+        k = ctx.k[region - 1]
+        k2 = k * k
+        abs_k2 = abs(k) ** 2
         a = ctx.radii[region - 2] if region >= 2 else 0.0
         b = ctx.radii[region - 1]
-        a = max(a, 1e-6 * b)  # keep the 1/r^2 factor finite; j_l kills it anyway
-        breaks = [a + quad.metal_offset_nm, b - quad.metal_offset_nm]
-        fn = _region_integrand(coeffs, region)
-        integral, rel = _adaptive_region_integral(
-            fn, a, b, breaks, quad.rtol, quad.max_panels
-        )
-        per_l += ctx.eps[region - 1].imag * integral
-        if rel > worst[0]:
-            worst = (rel, region)
+        parts = _region_channels(coeffs, region)
+        w_b = _wronskians(parts, k, b, l_max)
+        w_a = _wronskians(parts, k, a, l_max)
+        for pol, p in parts.items():
+            dw = w_b[pol] - w_a[pol]
+            f2 = -dw.imag / k2.imag
+            if pol == transfer.TM:
+                integral = (dw.real + k2.real * f2) / (abs_k2 * abs_k2)
+            else:
+                integral = f2 / abs_k2
+            per_l += ctx.eps[region - 1].imag * p["w"] * integral
 
     n = coeffs.host_region
     pref = ctx.k0**3 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
-    return pref * per_l, worst
+    return pref * per_l, (0.0, None)
 
 
 def ohmic_rate(sphere, dipole, l_max=60, quad=None):
     """Normalized rate of decay into absorption inside lossy shells."""
-    quad = quad or QuadratureConfig()
     coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    per_l, (rel, region) = ohmic_rate_per_l(coeffs, quad)
-    if region is not None and rel > quad.rtol:
-        near = _near_metal(coeffs)
-        if not near:
-            raise QuadratureError(region, rel, quad.rtol)
+    per_l, _ = ohmic_rate_per_l(coeffs)
     return float(np.sum(per_l))
 
 
@@ -325,7 +290,6 @@ def _near_metal(coeffs):
 
 def evaluate_from_coefficients(coeffs, quad=None):
     """Full normalized result set from solved channel coefficients."""
-    quad = quad or QuadratureConfig()
     g_terms, rad_terms, ambient = _per_l_arrays(coeffs)
     g_partial = np.cumsum(g_terms[1:])
     wt_partial = 1.0 + np.imag(g_partial)
@@ -339,16 +303,11 @@ def evaluate_from_coefficients(coeffs, quad=None):
     wrad = float(wrad_partial[-1])
 
     any_absorbing = any(coeffs.ctx.absorbing[:-1])
-    quad_rel = 0.0
     wohm_spread = 0.0
     if any_absorbing:
-        per_l, (rel, region) = ohmic_rate_per_l(coeffs, quad)
+        per_l, _ = ohmic_rate_per_l(coeffs)
         wohm = float(np.sum(per_l))
-        wohm_partial = np.cumsum(per_l)
-        wohm_spread = _spread(wohm_partial)
-        quad_rel = rel
-        if region is not None and rel > quad.rtol and not _near_metal(coeffs):
-            raise QuadratureError(region, rel, quad.rtol)
+        wohm_spread = _spread(np.cumsum(per_l))
     else:
         wohm = 0.0
 
@@ -358,7 +317,7 @@ def evaluate_from_coefficients(coeffs, quad=None):
     converged = (
         wt_spread < _WT_SPREAD_TOL
         and wrad_spread < _WRAD_SPREAD_TOL
-        and (not any_absorbing or (wohm_spread < _WOHM_SPREAD_TOL and quad_rel <= quad.rtol))
+        and (not any_absorbing or wohm_spread < _WOHM_SPREAD_TOL)
         and not (any_absorbing and _near_metal(coeffs))
     )
     y = fluorescence_yield(wt, wrad)
@@ -375,7 +334,7 @@ def evaluate_from_coefficients(coeffs, quad=None):
         wrad_spread=wrad_spread,
         wohm_spread=wohm_spread,
         shift_tail=shift_tail,
-        quad_rel_err=quad_rel,
+        quad_rel_err=0.0,
         orientation=coeffs.dipole.orientation,
     )
 
@@ -413,7 +372,6 @@ def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60, quad=None):
         wrad_spread=max(ra.wrad_spread, ta.wrad_spread),
         wohm_spread=max(ra.wohm_spread, ta.wohm_spread),
         shift_tail=max(ra.shift_tail, ta.shift_tail),
-        quad_rel_err=max(ra.quad_rel_err, ta.quad_rel_err),
         orientation="average",
     )
     return results

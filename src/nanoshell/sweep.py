@@ -6,6 +6,7 @@ worker counts.  Output is only written once the whole sweep has succeeded.
 """
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import materials, model, spectro
-from .errors import ConfigError, NanoshellError, annotate
+from .errors import ConfigError, DomainError, NanoshellError, annotate
 
 CSV_COLUMNS = (
     "r_over_rs",
@@ -49,7 +50,7 @@ class SweepConfig:
     r_over_rs: float | None = None
     wavelengths_nm: tuple = ()
     l_max: int = 60
-    quadrature_rtol: float = 1e-7
+    quadrature_rtol: float = 1e-7  # accepted, no longer used by the engine
     interface_margin: float = MARGIN_FRACTION
     out: str | None = None
     format: str = "csv"
@@ -121,9 +122,38 @@ def config_from_dict(raw):
         raise ConfigError(f"malformed config value: {exc}") from exc
     if cfg.l_max < 1:
         raise ConfigError("l_max must be >= 1")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    _require_finite("wavelength_nm", cfg.wavelength_nm, *cfg.wavelengths_nm)
+    if cfg.r_over_rs is not None:
+        _require_finite("r_over_rs", cfg.r_over_rs)
+    if isinstance(cfg.grid, dict) and "linspace" in cfg.grid:
+        _check_linspace(cfg.grid["linspace"])
+    elif isinstance(cfg.grid, (list, tuple)):
+        _require_finite("grid", *cfg.grid)
     if cfg.format not in ("csv", "plot"):
         raise ConfigError(f"format must be 'csv' or 'plot', got {cfg.format!r}")
     return cfg
+
+
+def _require_finite(name, *values):
+    """Positions and wavelengths must be finite numbers before any row runs."""
+    for v in values:
+        try:
+            ok = math.isfinite(float(v))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} must be numeric, got {v!r}") from exc
+        if not ok:
+            raise DomainError(f"{name} must be finite, got {v!r}")
+
+
+def _check_linspace(spec):
+    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
+        raise ConfigError(f"linspace grid needs [lo, hi, n], got {spec!r}")
+    lo, hi, n = spec
+    _require_finite("linspace bound", lo, hi)
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer() or n < 1:
+        raise ConfigError(f"linspace point count must be an integer >= 1, got {n!r}")
 
 
 def load_config(path):
@@ -246,15 +276,14 @@ def _fmt(x):
 
 # module-level worker so tasks pickle cleanly into a process pool
 def _eval_task(args):
-    sphere_spec, r_nm, wavelength_nm, need, l_max, rtol = args
+    sphere_spec, r_nm, wavelength_nm, need, l_max = args
     sphere = sphere_from_spec(sphere_spec)
-    quad = spectro.QuadratureConfig(rtol=rtol)
     try:
         if need == "both":
-            res = spectro.evaluate_orientations(sphere, r_nm, wavelength_nm, l_max, quad)
+            res = spectro.evaluate_orientations(sphere, r_nm, wavelength_nm, l_max)
             return {k: res[k] for k in (*model.ORIENTATIONS, "average")}
         dip = model.DipoleSource(r_nm, need, wavelength_nm)
-        return {need: spectro.evaluate(sphere, dip, l_max, quad)}
+        return {need: spectro.evaluate(sphere, dip, l_max)}
     except NanoshellError as exc:
         raise annotate(
             exc, f"while evaluating row r={r_nm:.6g} nm, lambda={wavelength_nm:.6g} nm"
@@ -266,7 +295,7 @@ def _run_points(cfg, points):
     need = "both" if ("average" in cfg.orientations or
                       set(model.ORIENTATIONS) <= set(cfg.orientations)) else cfg.orientations[0]
     tasks = [
-        (cfg.sphere_spec, r_nm, wl, need, cfg.l_max, cfg.quadrature_rtol)
+        (cfg.sphere_spec, r_nm, wl, need, cfg.l_max)
         for (_, r_nm, wl) in points
     ]
     if cfg.workers > 1:

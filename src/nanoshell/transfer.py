@@ -189,12 +189,6 @@ class MultipoleCoefficients:
     channels: list
     at_center: bool
 
-    def channel(self, l, pol):
-        for ch in self.channels:
-            if ch.l == l and ch.pol == pol:
-                return ch
-        raise KeyError((l, pol))
-
 
 def _channel_plan(orientation, dip_table, rho):
     """(pol, weight(l), s_reg(l), s_out(l)) generators for one orientation.
@@ -383,17 +377,3 @@ def ambient_far_field(coeffs):
     """Per-(l, pol) outgoing amplitudes in the ambient; together with the
     channel weights these fully determine the radiated power."""
     return {(ch.l, ch.pol): ch.b_out for ch in coeffs.channels}
-
-
-def region_amplitudes(coeffs, region, side="outer"):
-    """Collapsed (regular, outgoing) amplitudes of every channel in one
-    region; side picks the sub- or super-source part of the host region."""
-    idx = 0 if side == "inner" else 1
-    out = {}
-    for ch in coeffs.channels:
-        st = ch.states[region - 1][idx]
-        out[(ch.l, ch.pol)] = (
-            sm.collapse(st[0], f"region {region} amplitude at l={ch.l}"),
-            sm.collapse(st[1], f"region {region} amplitude at l={ch.l}"),
-        )
-    return out

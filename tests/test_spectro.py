@@ -108,9 +108,35 @@ def test_quadrature_failure_reports_shell():
     sph = model.preset("A")
     dip = model.DipoleSource(0.45 * 157.0, "radial", LAM)
     with pytest.raises(QuadratureError) as err:
-        spectro.ohmic_rate(sph, dip, quad=spectro.QuadratureConfig(rtol=1e-15, max_panels=3))
+        oracles.quadrature_ohmic_rate(sph, dip, rtol=1e-15, max_panels=3)
     assert err.value.shell_index in (2, 4)
     assert err.value.achieved > 1e-15
+
+
+def test_closed_form_ohmic_matches_quadrature_oracle():
+    # (preset, r [nm] in a lossless host, r [nm] within 0.005 r_s of gold)
+    cases = [
+        ("A", 0.8 * 157.0, 107.0 + 0.004 * 157.0),
+        ("B", 1.35 * 145.0, 1.004 * 145.0),
+        ("C", 0.45 * 693.0, 418.0 + 0.004 * 693.0),
+        ("E", 1.10 * 693.0, 1.004 * 693.0),
+        ("F", 1.50 * 150.0, 1.004 * 150.0),
+    ]
+    queries = []
+    for name, r_far, r_near in cases:
+        for orientation in model.ORIENTATIONS:
+            queries += [(name, r_far, orientation, lam) for lam in (LAM, 850.0)]
+            queries.append((name, r_near, orientation, LAM))
+    queries += [("A", 0.0, "radial", LAM), ("C", 0.0, "radial", LAM)]
+    for name, r_nm, orientation, lam in queries:
+        dip = model.DipoleSource(r_nm, orientation, lam)
+        coeffs = transfer.solve_dipole_fields(model.preset(name), dip, 60)
+        got, _ = spectro.ohmic_rate_per_l(coeffs)
+        ref, (rel, _) = oracles.quadrature_ohmic_per_l(coeffs, rtol=1e-11)
+        total = abs(np.sum(ref))
+        assert rel <= 1e-11
+        assert abs(np.sum(got) - np.sum(ref)) <= 1e-9 * total, (name, r_nm, orientation, lam)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * total, (name, r_nm, orientation, lam)
 
 
 def test_quasistatic_shift_operation():

@@ -10,6 +10,7 @@ from nanoshell import cli, model, sweep
 from nanoshell.errors import (
     ConfigError,
     DegenerateSystemError,
+    DomainError,
     GeometryError,
     MaterialRangeError,
     QuadratureError,
@@ -310,6 +311,56 @@ def test_cli_material_range_exit_code(tmp_path):
     )
     proc = _run_cli("run", str(cfg_path))
     assert proc.returncode == 3
+
+
+def _run_config(tmp_path, **overrides):
+    out = tmp_path / "out.csv"
+    raw = {"sphere": "D", "grid": [0.0, 0.497562], "out": str(out)}
+    raw.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    return _run_cli("run", str(cfg_path)), out
+
+
+def test_nonfinite_wavelength_or_position_rejected_up_front(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        {"wavelength_nm": nan},
+        {"wavelength_nm": inf},
+        {"grid": [0.5, nan]},
+        {"grid": {"linspace": [0.1, inf, 5]}},
+        {"sweep": "wavelength", "r_over_rs": nan, "wavelengths_nm": [600.0]},
+        {"sweep": "wavelength", "r_over_rs": 1.2, "wavelengths_nm": [600.0, -inf]},
+    ]
+    for overrides in bad:
+        with pytest.raises(DomainError):
+            sweep.config_from_dict({"sphere": "D", **overrides})
+    with pytest.raises(DomainError):
+        model.DipoleSource(nan, "radial", LAM)
+    with pytest.raises(DomainError):
+        model.DipoleSource(10.0, "radial", inf)
+    proc, out = _run_config(tmp_path, wavelength_nm=nan)
+    assert proc.returncode == 2, proc.stderr
+    assert "finite" in proc.stderr
+    assert not out.exists()
+
+
+def test_workers_below_one_rejected(tmp_path):
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            sweep.config_from_dict({"sphere": "D", "workers": workers})
+    proc, out = _run_config(tmp_path, workers=0)
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
+
+
+def test_linspace_without_points_rejected(tmp_path):
+    for n in (0, -3, 2.5):
+        with pytest.raises(ConfigError, match="linspace"):
+            sweep.config_from_dict({"sphere": "D", "grid": {"linspace": [0.1, 0.5, n]}})
+    proc, out = _run_config(tmp_path, grid={"linspace": [0.1, 0.5, 0]})
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
 
 
 def test_cli_converge_runs():
