@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
 )
 from .model import DipoleSource, SpectroResult, StratifiedSphere, build_sphere, preset
-from .spectro import QuadratureConfig, evaluate, evaluate_orientations
+from .spectro import evaluate, evaluate_orientations
 
 __all__ = [
     "ConfigError",
@@ -33,7 +33,6 @@ __all__ = [
     "GeometryError",
     "MaterialRangeError",
     "NanoshellError",
-    "QuadratureConfig",
     "QuadratureError",
     "RangeError",
     "SpectroResult",

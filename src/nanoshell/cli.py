@@ -49,11 +49,6 @@ def _build_parser():
             "stratified sphere."
         ),
     )
-    p.add_argument(
-        "--preset-regression",
-        action="store_true",
-        help="run the built-in benchmark table and exit",
-    )
     sub = p.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="execute a JSON sweep config")
@@ -140,7 +135,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.preset_regression or args.command == "regress":
+        if args.command == "regress":
             return _cmd_regress()
         if args.command == "run":
             return _cmd_run(args)

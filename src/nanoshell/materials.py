@@ -185,25 +185,6 @@ def size_corrected_permittivity(eps_b, omega, omega_p, tau_b, v_f, size, geometr
     return eps
 
 
-def homogeneous_rate_factor(n, eps):
-    """Radiative-rate factor n^3/eps of an unbounded lossless medium
-    relative to vacuum (reduces to n for mu = 1)."""
-    n = complex(n)
-    if abs(n.imag) > 1e-12 * max(1.0, abs(n)):
-        raise DomainError("rate normalization requires a lossless medium")
-    return n.real**3 / eps
-
-
-def homogeneous_dispersive_ldos(n_of_omega, omega):
-    """Photon density of states in a dispersive homogeneous medium:
-    n^2 d(omega n)/domega * omega^2/(c^3 pi^2); derivative by central
-    difference with relative step 1e-6."""
-    h = 1e-6 * omega
-    d = ((omega + h) * n_of_omega(omega + h) - (omega - h) * n_of_omega(omega - h)) / (2 * h)
-    rho0 = omega**2 / (C_M_PER_S**3 * math.pi**2)
-    return n_of_omega(omega) ** 2 * d * rho0
-
-
 _BUILTIN_CACHE = {}
 
 

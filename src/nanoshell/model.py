@@ -142,6 +142,13 @@ class DipoleSource:
             raise DomainError("wavelength must be positive")
 
 
+def region_absorbs(sphere, region, wavelength_nm):
+    """Whether a region's medium absorbs at the wavelength, which rules it
+    out as an emitter host."""
+    n = materials.refractive_index(sphere.region_material(region), wavelength_nm)
+    return abs(n.imag) > 1e-9 * max(1.0, abs(n))
+
+
 def validate_dipole(sphere, dipole):
     """Host region of the dipole; rejects interface hits and absorbing hosts.
 
@@ -153,9 +160,7 @@ def validate_dipole(sphere, dipole):
         region = 1
     else:
         region = locate_region(sphere, dipole.radial_position_nm)
-    host = sphere.region_material(region)
-    n_host = materials.refractive_index(host, dipole.wavelength_nm)
-    if abs(n_host.imag) > 1e-9 * max(1.0, abs(n_host)):
+    if region_absorbs(sphere, region, dipole.wavelength_nm):
         raise GeometryError(
             f"dipole host region {region} is absorbing at {dipole.wavelength_nm} nm; "
             "rate normalization is undefined there"

@@ -9,10 +9,10 @@ sphere gives g = 0):
 * total rate        W_t / W_h   = 1 + Im(g)
 * frequency shift   (w - w0)/W_h = -Re(g) / 2
 * radiative rate    from the ambient outgoing amplitudes (multipole power sum)
-* Ohmic rate        eps'' |E|^2 integrated over absorbing shells, angular
-                    part folded analytically, radial part in closed form
-                    from the channel profiles at the shell's two surfaces
-                    (net Poynting flux, Mackowski et al. 1990); see
+* Ohmic rate        eps'' |E|^2 integrated over absorbing shells: by
+                    Poynting's theorem the net radial flux through each
+                    shell's two surfaces, read per channel from the
+                    solver's own interface fields; see
                     :func:`ohmic_rate_per_l`.
 """
 
@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model, transfer
-from . import scaledmath as sm
-from .errors import DomainError, RangeError
-from .specfun import riccati_scaled
+from .errors import DomainError
+
+# unused here; perfbench/tracing.py patches spectro.riccati_scaled by name
+from .specfun import riccati_scaled  # noqa: F401
 
 # dipole closer than this (times outer radius) to a metal interface is
 # reported as unconverged rather than silently inaccurate
@@ -34,20 +35,6 @@ _SPREAD_ORDERS = 10
 _WT_SPREAD_TOL = 1e-8
 _WRAD_SPREAD_TOL = 1e-8
 _WOHM_SPREAD_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings of the former adaptive Ohmic quadrature.
-
-    No longer used by the engine: the Ohmic rate is a closed form over
-    boundary values (see :func:`ohmic_rate_per_l`).  Still accepted wherever
-    a ``quad`` argument is, so existing callers keep working.
-    """
-
-    rtol: float = 1e-7
-    metal_offset_nm: float = 1.0
-    max_panels: int = 400
 
 
 @dataclass(frozen=True)
@@ -85,6 +72,20 @@ def _medium_ratio(coeffs):
     mu_n = ctx.mu[n - 1]
     mu_h = ctx.mu[-1]
     return math.sqrt(eps_n / eps_h) * (mu_n / mu_h) ** 1.5
+
+
+def _partial_sums(coeffs):
+    """Per-order partial sums of wt, shift and wrad over l = 1..l_max, and
+    the per-order complex self-coupling terms (index by l)."""
+    g_terms, rad_terms, ambient = _per_l_arrays(coeffs)
+    g_partial = np.cumsum(g_terms[1:])
+    wt_partial = 1.0 + np.imag(g_partial)
+    shift_partial = -0.5 * np.real(g_partial)
+    if ambient:
+        wrad_partial = 1.0 + np.cumsum(rad_terms[1:])
+    else:
+        wrad_partial = _medium_ratio(coeffs) * np.cumsum(rad_terms[1:])
+    return wt_partial, shift_partial, wrad_partial, g_terms
 
 
 def _spread(partial):
@@ -160,118 +161,39 @@ def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):
 
 
 # ---------------------------------------------------------------------------
-# Ohmic loss from boundary values
+# Ohmic loss from interface fluxes
 
 
-def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
-    """c1*t1 + c2*t2 for (mantissa, log) arrays, collapsed to plain complex.
-
-    Individual products may dwarf the physical sum (growing/decaying wave
-    pairs), so exponents are clipped and genuine overflow is flagged.
-    """
-    e1 = np.clip(c1e + t1e, sm.LOG_TINY, sm.LOG_HUGE)
-    e2 = np.clip(c2e + t2e, sm.LOG_TINY, sm.LOG_HUGE)
-    f = c1m * t1m * np.exp(e1) + c2m * t2m * np.exp(e2)
-    if not np.all(np.isfinite(f)):
-        raise RangeError("field amplitude overflows double precision in absorption integrand")
-    return f
-
-
-def _region_channels(coeffs, region):
-    """Per-polarization (regular, outgoing) scaled amplitudes over l = 1..l_max
-    in one region away from the dipole, with the channel weights."""
-    l_max = coeffs.l_max
-    parts = {}
-    for ch in coeffs.channels:
-        p = parts.get(ch.pol)
-        if p is None:
-            p = parts[ch.pol] = {
-                "c1m": np.zeros(l_max, dtype=complex),
-                "c1e": np.zeros(l_max),
-                "c2m": np.zeros(l_max, dtype=complex),
-                "c2e": np.zeros(l_max),
-                "w": np.zeros(l_max),
-            }
-        st = ch.states[region - 1][1]  # inner/outer only differ in the host
-        p["c1m"][ch.l - 1], p["c1e"][ch.l - 1] = st[0]
-        p["c2m"][ch.l - 1], p["c2e"][ch.l - 1] = st[1]
-        p["w"][ch.l - 1] = ch.weight
-    return parts
-
-
-def _radial_profiles(p, tab):
-    """Radial profile f and its argument-derivative at one Riccati table."""
-    f = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.psi[1:], tab.psi_e[1:],
-        p["c2m"], p["c2e"], tab.xi[1:], tab.xi_e[1:],
-    )
-    fd = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.dpsi[1:], tab.dpsi_e[1:],
-        p["c2m"], p["c2e"], tab.dxi[1:], tab.dxi_e[1:],
-    )
-    return f, fd
-
-
-def _wronskians(parts, k, r, l_max):
-    """conj(f) df/dr per polarization at radius r (zero at the origin)."""
-    if r == 0.0:
-        return {pol: 0.0 for pol in parts}
-    tab = riccati_scaled(l_max, k * r)
-    out = {}
-    for pol, p in parts.items():
-        f, fd = _radial_profiles(p, tab)
-        out[pol] = np.conj(f) * k * fd
-    return out
-
-
-def ohmic_rate_per_l(coeffs, quad=None):
+def ohmic_rate_per_l(coeffs):
     """Per-order normalized Ohmic rate contributions (summed gives the rate).
 
-    In a source-free shell each channel's radial profile f solves
-    f'' + (k^2 - l(l+1)/r^2) f = 0, so with W = conj(f) f' the radial
-    integrals of the angular-folded eps''|E|^2 are boundary values:
-
-        int |f|^2 dr                       = -Im[W]_a^b / Im(k^2)
-        int |f'|^2 + l(l+1)|f|^2/r^2 dr    =  Re[W]_a^b + Re(k^2) int |f|^2 dr
-
-    i.e. the net Poynting flux through the shell's two surfaces (Mackowski,
-    Altenkirch & Menguc, Appl. Opt. 29, 1551 (1990)).  ``quad`` is accepted
-    for compatibility and ignored.
+    By Poynting's theorem the power a source-free shell takes out of the
+    field is the net radial flux through its two surfaces (Mackowski,
+    Altenkirch & Menguc, Appl. Opt. 29, 1551 (1990)): with the solver's own
+    continuity rows, eps'' int |E|^2 over the shell between interfaces j-1
+    and j is flux(j-1) - flux(j) per channel (see
+    :meth:`transfer.ChannelSolution.flux`), and the region's k, mu and eps''
+    cancel.
 
     Returns (per_l array indexed 1..l_max, (0.0, None)); the second entry
     keeps the (relative error, region) shape of the former quadrature.
     """
     ctx = coeffs.ctx
-    l_max = coeffs.l_max
-    per_l = np.zeros(l_max)
+    per_l = np.zeros(coeffs.l_max)
     for region in range(1, ctx.n_regions):
         if not ctx.absorbing[region - 1]:
             continue
         if region == coeffs.host_region:
             raise DomainError("dipole inside an absorbing shell")
-        k = ctx.k[region - 1]
-        k2 = k * k
-        abs_k2 = abs(k) ** 2
-        a = ctx.radii[region - 2] if region >= 2 else 0.0
-        b = ctx.radii[region - 1]
-        parts = _region_channels(coeffs, region)
-        w_b = _wronskians(parts, k, b, l_max)
-        w_a = _wronskians(parts, k, a, l_max)
-        for pol, p in parts.items():
-            dw = w_b[pol] - w_a[pol]
-            f2 = -dw.imag / k2.imag
-            if pol == transfer.TM:
-                integral = (dw.real + k2.real * f2) / (abs_k2 * abs_k2)
-            else:
-                integral = f2 / abs_k2
-            per_l += ctx.eps[region - 1].imag * p["w"] * integral
+        for ch in coeffs.channels:
+            per_l[ch.l - 1] += ch.weight * (ch.flux(region - 1) - ch.flux(region))
 
     n = coeffs.host_region
-    pref = ctx.k0**3 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
+    pref = ctx.k0 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
     return pref * per_l, (0.0, None)
 
 
-def ohmic_rate(sphere, dipole, l_max=60, quad=None):
+def ohmic_rate(sphere, dipole, l_max=60):
     """Normalized rate of decay into absorption inside lossy shells."""
     coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
     per_l, _ = ohmic_rate_per_l(coeffs)
@@ -288,16 +210,9 @@ def _near_metal(coeffs):
     return margin < NEAR_METAL_FRACTION * coeffs.sphere.outer_radius_nm
 
 
-def evaluate_from_coefficients(coeffs, quad=None):
+def evaluate_from_coefficients(coeffs):
     """Full normalized result set from solved channel coefficients."""
-    g_terms, rad_terms, ambient = _per_l_arrays(coeffs)
-    g_partial = np.cumsum(g_terms[1:])
-    wt_partial = 1.0 + np.imag(g_partial)
-    shift_partial = -0.5 * np.real(g_partial)
-    if ambient:
-        wrad_partial = 1.0 + np.cumsum(rad_terms[1:])
-    else:
-        wrad_partial = _medium_ratio(coeffs) * np.cumsum(rad_terms[1:])
+    wt_partial, shift_partial, wrad_partial, g_terms = _partial_sums(coeffs)
     wt = float(wt_partial[-1])
     shift = float(shift_partial[-1])
     wrad = float(wrad_partial[-1])
@@ -339,13 +254,13 @@ def evaluate_from_coefficients(coeffs, quad=None):
     )
 
 
-def evaluate(sphere, dipole, l_max=60, quad=None):
+def evaluate(sphere, dipole, l_max=60):
     """One-stop evaluation of every normalized output for one query."""
     coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    return evaluate_from_coefficients(coeffs, quad)
+    return evaluate_from_coefficients(coeffs)
 
 
-def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60, quad=None):
+def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
     """Radial, tangential, and orientation-averaged results at one radius.
 
     The averaged entry averages the rates (physical ensembles average rates,
@@ -354,7 +269,7 @@ def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60, quad=None):
     results = {}
     for orientation in model.ORIENTATIONS:
         dip = model.DipoleSource(r_nm, orientation, wavelength_nm)
-        results[orientation] = evaluate(sphere, dip, l_max, quad)
+        results[orientation] = evaluate(sphere, dip, l_max)
     ra, ta = results[model.RADIAL], results[model.TANGENTIAL]
     wt = orientation_average(ra.wt_norm, ta.wt_norm)
     wrad = orientation_average(ra.wrad_norm, ta.wrad_norm)

@@ -8,12 +8,13 @@ worker counts.  Output is only written once the whole sweep has succeeded.
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import materials, model, spectro
+from . import materials, model, spectro, transfer
 from .errors import ConfigError, DomainError, NanoshellError, annotate
 
 CSV_COLUMNS = (
@@ -50,7 +51,6 @@ class SweepConfig:
     r_over_rs: float | None = None
     wavelengths_nm: tuple = ()
     l_max: int = 60
-    quadrature_rtol: float = 1e-7  # accepted, no longer used by the engine
     interface_margin: float = MARGIN_FRACTION
     out: str | None = None
     format: str = "csv"
@@ -111,7 +111,6 @@ def config_from_dict(raw):
             r_over_rs=raw.get("r_over_rs"),
             wavelengths_nm=tuple(float(w) for w in raw.get("wavelengths_nm", ())),
             l_max=int(raw.get("l_max", 60)),
-            quadrature_rtol=float(raw.get("quadrature_rtol", 1e-7)),
             interface_margin=float(raw.get("interface_margin", MARGIN_FRACTION)),
             out=raw.get("out"),
             format=raw.get("format", "csv"),
@@ -125,6 +124,8 @@ def config_from_dict(raw):
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     _require_finite("wavelength_nm", cfg.wavelength_nm, *cfg.wavelengths_nm)
+    if "quadrature_rtol" in raw:  # accepted for older configs; the engine has no quadrature
+        _require_finite("quadrature_rtol", raw["quadrature_rtol"])
     if cfg.r_over_rs is not None:
         _require_finite("r_over_rs", cfg.r_over_rs)
     if isinstance(cfg.grid, dict) and "linspace" in cfg.grid:
@@ -212,14 +213,38 @@ def default_grid(sphere, n_points=DEFAULT_GRID_POINTS, r_max=DEFAULT_GRID_MAX,
     return _nudge(list(np.linspace(0.0, r_max, n_points)), sphere, margin)
 
 
+def _lossless_hosts(vals, sphere, wavelength_nm):
+    """Drop the points of an implicit grid whose host region absorbs at the
+    sweep wavelength (no emitter rate is defined there); report the count."""
+    rs = sphere.outer_radius_nm
+    kept = [
+        g for g in vals
+        if not model.region_absorbs(sphere, model.locate_region(sphere, g * rs), wavelength_nm)
+    ]
+    if len(kept) < len(vals):
+        print(
+            f"note: skipped {len(vals) - len(kept)} of {len(vals)} grid points whose "
+            f"host region absorbs at {wavelength_nm:g} nm",
+            file=sys.stderr,
+        )
+    return kept
+
+
 def resolve_grid(cfg, sphere):
+    """r/r_s values of a radial sweep, every one checked before any row runs.
+
+    Default and linspace grids skip points inside absorbing shells; an
+    explicit grid is taken as written and any invalid point is an error.
+    """
     grid = cfg.grid
     if grid == "default" or grid is None:
-        return default_grid(sphere, margin=cfg.interface_margin)
+        vals = default_grid(sphere, margin=cfg.interface_margin)
+        return _lossless_hosts(vals, sphere, cfg.wavelength_nm)
     if isinstance(grid, dict) and "linspace" in grid:
         lo, hi, n = grid["linspace"]
         vals = [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-        return _nudge(vals, sphere, cfg.interface_margin)
+        vals = _nudge(vals, sphere, cfg.interface_margin)
+        return _lossless_hosts(vals, sphere, cfg.wavelength_nm)
     if isinstance(grid, (list, tuple)):
         vals = [float(v) for v in grid]
         rs = sphere.outer_radius_nm
@@ -232,6 +257,8 @@ def resolve_grid(cfg, sphere):
                     f"grid point r/r_s = {v} violates the interface-exclusion "
                     f"margin of {cfg.interface_margin} * r_s"
                 )
+            dip = model.DipoleSource(v * rs, model.RADIAL, cfg.wavelength_nm)
+            model.validate_dipole(sphere, dip)
         return vals
     raise ConfigError(f"cannot interpret grid {grid!r}")
 
@@ -421,17 +448,8 @@ def _settle_order(partial, tol=1e-8):
 
 def convergence_report(sphere, dipole, l_max=60):
     """Per-order partial sums of the normalized rates and shift."""
-    from . import transfer
-
     coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    g_terms, rad_terms, ambient = spectro._per_l_arrays(coeffs)
-    gp = np.cumsum(g_terms[1:])
-    wt = 1.0 + np.imag(gp)
-    shift = -0.5 * np.real(gp)
-    if ambient:
-        wrad = 1.0 + np.cumsum(rad_terms[1:])
-    else:
-        wrad = spectro._medium_ratio(coeffs) * np.cumsum(rad_terms[1:])
+    wt, shift, wrad, _ = spectro._partial_sums(coeffs)
     return ConvergenceReport(
         l_values=list(range(1, l_max + 1)),
         wt_partial=[float(v) for v in wt],

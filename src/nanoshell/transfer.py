@@ -9,6 +9,10 @@ functions; the solution composes ordered matrix products from the core
 outward and from the ambient inward and closes them with a single 2x2 solve
 per channel.  No large block system is ever formed.
 
+Each channel keeps the (E_t, H_t) row its matching step formed at every
+interface; the net radial Poynting flux through an interface, and so a
+shell's Ohmic absorption, is read from it (:meth:`ChannelSolution.flux`).
+
 Azimuthal sums are folded analytically: a radial dipole drives only
 electric-type (TM) waves, a tangential dipole drives TM and TE, and each
 channel carries an m-summed scalar weight.  Amplitudes are propagated as
@@ -30,6 +34,8 @@ TE = "TE"
 
 # relative log-magnitude loss at which the 2x2 closure is declared singular
 _DEGENERACY_LOG = math.log(1e-13)
+
+_ONE = (1.0 + 0j, 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,11 @@ def _entries(tables, ctx, region, interface, l, pol):
 
 
 def _cross(state, tables, ctx, interface, from_region, to_region, l, pol):
-    """Carry a (regular, outgoing) amplitude pair across one interface."""
+    """Carry a (regular, outgoing) amplitude pair across one interface.
+
+    Returns the pair on the far side and the (E_t, H_t) continuity row the
+    pair forms at the interface; the row is the same on either side.
+    """
     c1, c2 = state
     e_p, e_x, h_p, h_x, _ = _entries(tables, ctx, from_region, interface, l, pol)
     y_e = sm.add(sm.mul(c1, e_p), sm.mul(c2, e_x))
@@ -124,48 +134,41 @@ def _cross(state, tables, ctx, interface, from_region, to_region, l, pol):
     d = sm.from_complex(det)
     n1 = sm.div(sm.sub(sm.mul(h_x, y_e), sm.mul(e_x, y_h)), d)
     n2 = sm.div(sm.sub(sm.mul(e_p, y_h), sm.mul(h_p, y_e)), d)
-    return (n1, n2)
+    return (n1, n2), (y_e, y_h)
 
 
 def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, mu_out=1.0):
     """Plain 2x2 matrix carrying (regular, outgoing) amplitudes from the
-    inner medium to the outer one across a single interface."""
+    inner medium to the outer one across a single interface; the solver's
+    own matching step applied to the unit pairs of a two-region sphere."""
     k0 = 2.0 * math.pi / wavelength_nm
-    k_in = k0 * complex(n_in)
-    k_out = k0 * complex(n_out)
-    t_in = riccati_scaled(max(l, 1), k_in * radius_nm)
-    t_out = riccati_scaled(max(l, 1), k_out * radius_nm)
-
-    def entries(t, k, mu):
-        if pol == TM:
-            return (
-                sm.scale(t.dpsi_at(l), 1.0 / k),
-                sm.scale(t.dxi_at(l), 1.0 / k),
-                sm.scale(t.psi_at(l), 1.0 / mu),
-                sm.scale(t.xi_at(l), 1.0 / mu),
-                -1j / (k * mu),
-            )
-        return (
-            sm.scale(t.psi_at(l), 1.0 / k),
-            sm.scale(t.xi_at(l), 1.0 / k),
-            sm.scale(t.dpsi_at(l), 1.0 / mu),
-            sm.scale(t.dxi_at(l), 1.0 / mu),
-            1j / (k * mu),
-        )
-
-    ep_i, ex_i, hp_i, hx_i, _ = entries(t_in, k_in, mu_in)
-    ep_o, ex_o, hp_o, hx_o, det_o = entries(t_out, k_out, mu_out)
-    d = sm.from_complex(det_o)
+    n = (complex(n_in), complex(n_out))
+    mu = (mu_in, mu_out)
+    eps = tuple(n_j * n_j / mu_j for n_j, mu_j in zip(n, mu))
+    ctx = LayerContext(
+        radii=(radius_nm,),
+        k=tuple(k0 * n_j for n_j in n),
+        mu=mu,
+        eps=eps,
+        absorbing=tuple(e.imag > 1e-12 for e in eps),
+        k0=k0,
+        wavelength_nm=wavelength_nm,
+    )
+    tables = _InterfaceTables(ctx, max(l, 1))
     m = np.empty((2, 2), dtype=complex)
-    for col, (ye, yh) in enumerate(((ep_i, hp_i), (ex_i, hx_i))):
-        m[0, col] = sm.collapse(sm.div(sm.sub(sm.mul(hx_o, ye), sm.mul(ex_o, yh)), d))
-        m[1, col] = sm.collapse(sm.div(sm.sub(sm.mul(ep_o, yh), sm.mul(hp_o, ye)), d))
+    for col, unit in enumerate(((_ONE, sm.ZERO), (sm.ZERO, _ONE))):
+        pair, _ = _cross(unit, tables, ctx, 1, 1, 2, l, pol)
+        m[:, col] = [sm.collapse(c) for c in pair]
     return m
 
 
 @dataclass
 class ChannelSolution:
-    """Solved amplitudes of one (l, polarization) channel."""
+    """Solved amplitudes of one (l, polarization) channel, with what the solve
+    formed on the way: the unit pairs carried from the core outward (``u``)
+    and from the ambient inward (``v``) to the host region, their (E_t, H_t)
+    row at every interface, and the scaled closure amplitudes that multiply
+    them."""
 
     l: int
     pol: str
@@ -174,7 +177,45 @@ class ChannelSolution:
     b_out: complex  # total outgoing amplitude in the ambient
     q_out_val: complex  # free-dipole outgoing source amplitude
     scat_out: complex  # scattered-only outgoing amplitude in the ambient
-    states: tuple  # per region 1..N+1: (inner_state, outer_state) scaled pairs
+    host: int  # region holding the dipole
+    u: dict  # region -> scaled pair; empty for a centered dipole
+    v: dict  # region -> scaled pair
+    rows: tuple  # interface 1..N -> scaled (E_t, H_t) row
+    a1: tuple | None  # scales u; None for a centered dipole
+    b_out_scaled: tuple  # scales v
+
+    def flux(self, interface):
+        """Net outward radial power flux through one interface, s Im(conj(E_t) H_t)
+        with s = +1 for TE and -1 for TM, up to a factor common to every
+        channel.  Interface 0 is the origin, where the flux vanishes; a
+        source-free shell between interfaces i-1 and i absorbs
+        flux(i-1) - flux(i) (Poynting's theorem).
+        """
+        if interface == 0:
+            return 0.0
+        amp = self.a1 if interface < self.host else self.b_out_scaled
+        y_e, y_h = (sm.mul(amp, y) for y in self.rows[interface - 1])
+        p = sm.collapse(sm.mul((y_e[0].conjugate(), y_e[1]), y_h),
+                        f"interface flux at l={self.l}")
+        return p.imag if self.pol == TE else -p.imag
+
+    @property
+    def states(self):
+        """Per region 1..N+1: (inner_state, outer_state) scaled pairs.
+
+        The two differ only in the host region, across the source.  Built
+        from ``u``, ``v`` and the closure amplitudes on each read.
+        """
+        out = []
+        for j in range(1, len(self.rows) + 2):
+            below = _times(self.a1, self.u[j]) if j in self.u else None
+            above = _times(self.b_out_scaled, self.v[j]) if j in self.v else None
+            out.append((below or above, above or below))
+        return tuple(out)
+
+
+def _times(amp, pair):
+    return sm.mul(amp, pair[0]), sm.mul(amp, pair[1])
 
 
 @dataclass
@@ -225,20 +266,26 @@ def _channel_plan(orientation, dip_table, rho):
     ]
 
 
-_ONE = (1.0 + 0j, 0.0)
-
-
-def _solve_channel(ctx, tables, n_host, l, pol, q_reg, q_out, s_reg, s_out):
+def _propagate(ctx, tables, n_host, l, pol):
+    """Unit pairs carried from the core outward to the host region (u) and
+    from the ambient inward to it (v), with the row of every interface."""
     n_regions = ctx.n_regions
-    u_states = {1: (_ONE, sm.ZERO)}
+    rows = [None] * (n_regions - 1)
+    u = {1: (_ONE, sm.ZERO)}
     for i in range(1, n_host):
-        u_states[i + 1] = _cross(u_states[i], tables, ctx, i, i, i + 1, l, pol)
-    v_states = {n_regions: (sm.ZERO, _ONE)}
+        u[i + 1], rows[i - 1] = _cross(u[i], tables, ctx, i, i, i + 1, l, pol)
+    v = {n_regions: (sm.ZERO, _ONE)}
     for i in range(n_regions - 1, n_host - 1, -1):
-        v_states[i] = _cross(v_states[i + 1], tables, ctx, i, i + 1, i, l, pol)
+        v[i], rows[i - 1] = _cross(v[i + 1], tables, ctx, i, i + 1, i, l, pol)
+    return u, v, tuple(rows)
 
-    u1, u2 = u_states[n_host]
-    v1, v2 = v_states[n_host]
+
+def _solve_channel(ctx, tables, n_host, l, pol, weight, s_reg, s_out):
+    """Close one channel of a dipole off the origin; the source amplitudes are
+    the profile pair swapped (see :func:`_channel_plan`)."""
+    u, v, rows = _propagate(ctx, tables, n_host, l, pol)
+    u1, u2 = u[n_host]
+    v1, v2 = v[n_host]
     t1 = sm.mul(u1, v2)
     t2 = sm.mul(u2, v1)
     delta = sm.sub(t1, t2)
@@ -248,53 +295,56 @@ def _solve_channel(ctx, tables, n_host, l, pol, q_reg, q_out, s_reg, s_out):
     ):
         raise DegenerateSystemError(l, pol)
 
-    a1 = sm.div(sm.add(sm.mul(v1, q_out), sm.mul(v2, q_reg)), delta)
-    b_out = sm.div(sm.add(sm.mul(u1, q_out), sm.mul(u2, q_reg)), delta)
+    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
+    b_out = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
     # scattered field in the host region; these product forms are exact and
     # avoid the cancellation in (total - primary)
     a_s = sm.mul(v1, b_out)
     b_s = sm.mul(u2, a1)
     g = sm.collapse(sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), f"g at l={l}")
+    return ChannelSolution(
+        l=l,
+        pol=pol,
+        weight=weight,
+        g=g,
+        b_out=sm.collapse(b_out, f"ambient amplitude at l={l}"),
+        q_out_val=sm.collapse(s_reg, f"source amplitude at l={l}"),
+        scat_out=sm.collapse(b_s, f"scattered amplitude at l={l}"),
+        host=n_host,
+        u=u,
+        v=v,
+        rows=rows,
+        a1=a1,
+        b_out_scaled=b_out,
+    )
 
-    states = []
-    for j in range(1, n_regions + 1):
-        if j < n_host:
-            st = (sm.mul(a1, u_states[j][0]), sm.mul(a1, u_states[j][1]))
-            states.append((st, st))
-        elif j > n_host:
-            st = (sm.mul(b_out, v_states[j][0]), sm.mul(b_out, v_states[j][1]))
-            states.append((st, st))
-        else:
-            inner = (sm.mul(a1, u1), sm.mul(a1, u2))
-            outer = (sm.mul(b_out, v1), sm.mul(b_out, v2))
-            states.append((inner, outer))
-    return g, b_out, b_s, tuple(states)
 
-
-def _solve_center(ctx, tables, pol, q_out_ideal):
+def _solve_center(ctx, tables, pol, q_out_ideal, weight):
     """Dipole exactly at the origin: a pure l=1 source; the divergent
-    outgoing profile cancels analytically against the regular response."""
-    n_regions = ctx.n_regions
-    v_states = {n_regions: (sm.ZERO, _ONE)}
-    for i in range(n_regions - 1, 0, -1):
-        v_states[i] = _cross(v_states[i + 1], tables, ctx, i, i + 1, i, 1, pol)
-    v1, v2 = v_states[1]
+    outgoing profile cancels analytically against the regular response, so
+    no core pair is carried outward."""
+    _, v, rows = _propagate(ctx, tables, 1, 1, pol)
+    v1, v2 = v[1]
     if v2[0] == 0:
         raise DegenerateSystemError(1, pol)
     q_out = sm.from_complex(q_out_ideal)
     a_s = sm.mul(sm.div(v1, v2), q_out)
     b_out = sm.div(q_out, v2)
-    g = sm.collapse(sm.mul(a_s, q_out), "g at center")
-
-    states = []
-    for j in range(1, n_regions + 1):
-        if j == 1:
-            st = (a_s, q_out)
-            states.append((st, st))
-        else:
-            st = (sm.mul(b_out, v_states[j][0]), sm.mul(b_out, v_states[j][1]))
-            states.append((st, st))
-    return g, b_out, tuple(states)
+    return ChannelSolution(
+        l=1,
+        pol=pol,
+        weight=weight,
+        g=sm.collapse(sm.mul(a_s, q_out), "g at center"),
+        b_out=sm.collapse(b_out),
+        q_out_val=q_out_ideal,
+        scat_out=0j,
+        host=1,
+        u={},
+        v=v,
+        rows=rows,
+        a1=None,
+        b_out_scaled=b_out,
+    )
 
 
 def solve_dipole_fields(sphere, dipole, l_max):
@@ -314,19 +364,7 @@ def solve_dipole_fields(sphere, dipole, l_max):
         # centered source: only the l = 1 electric channel is driven
         q_ideal = 1.0 / 3.0 if dipole.orientation == model.RADIAL else 2.0 / 3.0
         weight = 9.0 if dipole.orientation == model.RADIAL else 2.25
-        g, b_out, states = _solve_center(ctx, tables, TM, q_ideal)
-        channels.append(
-            ChannelSolution(
-                l=1,
-                pol=TM,
-                weight=weight,
-                g=g,
-                b_out=sm.collapse(b_out),
-                q_out_val=q_ideal,
-                scat_out=0j,
-                states=states,
-            )
-        )
+        channels.append(_solve_center(ctx, tables, TM, q_ideal, weight))
         return MultipoleCoefficients(
             sphere=sphere,
             dipole=dipole,
@@ -343,23 +381,8 @@ def solve_dipole_fields(sphere, dipole, l_max):
         dipole.orientation, dip_table, rho
     ):
         for l in range(1, l_max + 1):
-            s_reg = s_reg_fn(l)
-            s_out = s_out_fn(l)
-            g, b_out, b_s, states = _solve_channel(
-                ctx, tables, n_host, l, pol, q_reg=s_out, q_out=s_reg,
-                s_reg=s_reg, s_out=s_out,
-            )
             channels.append(
-                ChannelSolution(
-                    l=l,
-                    pol=pol,
-                    weight=weight_fn(l),
-                    g=g,
-                    b_out=sm.collapse(b_out, f"ambient amplitude at l={l}"),
-                    q_out_val=sm.collapse(s_reg, f"source amplitude at l={l}"),
-                    scat_out=sm.collapse(b_s, f"scattered amplitude at l={l}"),
-                    states=states,
-                )
+                _solve_channel(ctx, tables, n_host, l, pol, weight_fn(l), s_reg_fn(l), s_out_fn(l))
             )
     channels.sort(key=lambda ch: (ch.l, ch.pol))
     return MultipoleCoefficients(

@@ -16,8 +16,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from nanoshell import spectro, transfer
-from nanoshell.errors import QuadratureError
+from nanoshell import scaledmath as sm
+from nanoshell import transfer
+from nanoshell.errors import QuadratureError, RangeError
 from nanoshell.specfun import riccati_scaled
 
 mp.mp.dps = 40
@@ -158,6 +159,55 @@ def _gl_nodes(order):
     return _GL_CACHE[order]
 
 
+def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
+    """c1*t1 + c2*t2 for (mantissa, log) arrays, collapsed to plain complex.
+
+    Individual products may dwarf the physical sum (growing/decaying wave
+    pairs), so exponents are clipped and genuine overflow is flagged.
+    """
+    e1 = np.clip(c1e + t1e, sm.LOG_TINY, sm.LOG_HUGE)
+    e2 = np.clip(c2e + t2e, sm.LOG_TINY, sm.LOG_HUGE)
+    f = c1m * t1m * np.exp(e1) + c2m * t2m * np.exp(e2)
+    if not np.all(np.isfinite(f)):
+        raise RangeError("field amplitude overflows double precision in absorption integrand")
+    return f
+
+
+def _region_channels(coeffs, region):
+    """Per-polarization (regular, outgoing) scaled amplitudes over l = 1..l_max
+    in one region away from the dipole, with the channel weights."""
+    l_max = coeffs.l_max
+    parts = {}
+    for ch in coeffs.channels:
+        p = parts.get(ch.pol)
+        if p is None:
+            p = parts[ch.pol] = {
+                "c1m": np.zeros(l_max, dtype=complex),
+                "c1e": np.zeros(l_max),
+                "c2m": np.zeros(l_max, dtype=complex),
+                "c2e": np.zeros(l_max),
+                "w": np.zeros(l_max),
+            }
+        st = ch.states[region - 1][1]  # inner/outer only differ in the host
+        p["c1m"][ch.l - 1], p["c1e"][ch.l - 1] = st[0]
+        p["c2m"][ch.l - 1], p["c2e"][ch.l - 1] = st[1]
+        p["w"][ch.l - 1] = ch.weight
+    return parts
+
+
+def _radial_profiles(p, tab):
+    """Radial profile f and its argument-derivative at one Riccati table."""
+    f = _scaled_field_sum(
+        p["c1m"], p["c1e"], tab.psi[1:], tab.psi_e[1:],
+        p["c2m"], p["c2e"], tab.xi[1:], tab.xi_e[1:],
+    )
+    fd = _scaled_field_sum(
+        p["c1m"], p["c1e"], tab.dpsi[1:], tab.dpsi_e[1:],
+        p["c2m"], p["c2e"], tab.dxi[1:], tab.dxi_e[1:],
+    )
+    return f, fd
+
+
 def _region_integrand(coeffs, region):
     """Vector integrand: per-order angular-folded |E|^2 density in one region.
 
@@ -169,13 +219,13 @@ def _region_integrand(coeffs, region):
     abs_k2 = abs(k) ** 2
     l_max = coeffs.l_max
     ls = np.arange(1, l_max + 1, dtype=float)
-    parts = spectro._region_channels(coeffs, region)
+    parts = _region_channels(coeffs, region)
 
     def integrand(r):
         tab = riccati_scaled(l_max, k * r)
         out = np.zeros(l_max)
         for pol, p in parts.items():
-            f, fd = spectro._radial_profiles(p, tab)
+            f, fd = _radial_profiles(p, tab)
             if pol == transfer.TM:
                 out += p["w"] * (
                     ls * (ls + 1.0) * np.abs(f) ** 2 / (abs_k2 * r * r) + np.abs(fd) ** 2

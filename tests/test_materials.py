@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -103,24 +102,3 @@ def test_drude_material_wrapper():
     assert eps.imag > materials.permittivity(materials.gold(), 595.0).imag
     n = materials.refractive_index(gold5, 595.0)
     assert n.imag > 0
-
-
-def test_homogeneous_rate_factor():
-    assert materials.homogeneous_rate_factor(1.0, 1.0) == 1.0
-    assert materials.homogeneous_rate_factor(1.33, 1.33**2) == pytest.approx(1.33)
-    assert materials.homogeneous_rate_factor(1.45, 1.45**2) == pytest.approx(1.45)
-    with pytest.raises(DomainError):
-        materials.homogeneous_rate_factor(1.4 + 0.1j, 2.0)
-
-
-def test_dispersive_ldos():
-    w = OMEGA_595
-    rho0 = w**2 / (materials.C_M_PER_S**3 * math.pi**2)
-    assert materials.homogeneous_dispersive_ldos(lambda _: 1.0, w) == pytest.approx(rho0)
-    assert materials.homogeneous_dispersive_ldos(lambda _: 1.45, w) == pytest.approx(
-        1.45**3 * rho0
-    )
-    alpha = 2.0e-17
-    got = materials.homogeneous_dispersive_ldos(lambda x: 1.0 + alpha * x, w)
-    n = 1.0 + alpha * w
-    assert got == pytest.approx(n**2 * (n + alpha * w) * rho0, rel=1e-9)

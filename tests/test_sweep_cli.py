@@ -31,6 +31,13 @@ def test_unknown_config_key_rejected():
         sweep.config_from_dict({"sphere": "D", "sweeep": "radial"})
 
 
+def test_quadrature_rtol_still_accepted_but_numeric():
+    # older configs (PAPER.md's example among them) still set it
+    sweep.config_from_dict({"sphere": "D", "quadrature_rtol": 1e-7})
+    with pytest.raises(ConfigError):
+        sweep.config_from_dict({"sphere": "D", "quadrature_rtol": "tight"})
+
+
 def test_wavelength_sweep_requires_fields():
     with pytest.raises(ConfigError):
         sweep.config_from_dict({"sphere": "A", "sweep": "wavelength"})
@@ -266,6 +273,27 @@ def test_cli_preset_writes_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("r_over_rs,")
+
+
+def test_cli_default_grid_skips_absorbing_hosts(tmp_path):
+    # README's first example: the default grid crosses both gold shells of A
+    out = tmp_path / "a.csv"
+    proc = _run_cli("preset", "A", "--grid", "default", "--l-max", "6", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "skipped" in proc.stderr
+    sph = model.preset("A")
+    gold = [(80.0, 107.0), (135.0, 157.0)]
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) > 300
+    for line in rows:
+        r = float(line.split(",")[0]) * sph.outer_radius_nm
+        assert not any(a < r < b for a, b in gold), line
+    # an explicit point inside gold is still an error, and nothing is written
+    bad = tmp_path / "b.csv"
+    proc = _run_cli("preset", "A", "--grid", "0.3,0.6", "--l-max", "6", "--out", str(bad))
+    assert proc.returncode == 2
+    assert "absorbing" in proc.stderr
+    assert not bad.exists()
 
 
 def test_cli_run_config_roundtrip(tmp_path):

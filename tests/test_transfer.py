@@ -131,6 +131,31 @@ def test_tangential_continuity_across_interfaces(seed):
                 assert abs(va - vb) / scale < 1e-9
 
 
+def test_interface_flux_conserved_through_lossless_shells():
+    # a lossless shell absorbs nothing, so its two surface fluxes agree; for
+    # the core that pins the outer flux to the zero flux at the origin
+    for name in "ABC":
+        sph = model.preset(name)
+        r_d = 1.3 * sph.outer_radius_nm
+        for lam in (LAM, 850.0):
+            for orientation in model.ORIENTATIONS:
+                dip = model.DipoleSource(r_d, orientation, lam)
+                coeffs = transfer.solve_dipole_fields(sph, dip, 60)
+                ctx = coeffs.ctx
+                assert not ctx.absorbing[0]
+                for ch in coeffs.channels:
+                    flux = [ch.flux(i) for i in range(ctx.n_regions)]
+                    scale = max(abs(f) for f in flux)
+                    assert flux[0] == 0.0
+                    for j in range(1, ctx.n_regions):
+                        absorbed = flux[j - 1] - flux[j]
+                        key = (name, lam, orientation, ch.l, ch.pol, j)
+                        if ctx.absorbing[j - 1]:
+                            assert absorbed >= -1e-10 * scale, key
+                        else:
+                            assert abs(absorbed) <= 1e-10 * scale, key
+
+
 def test_homogeneous_sphere_matches_closed_form():
     sph = model.preset("D")
     ref = oracles.exterior_dipole_rates(1.45, 1.33, 150.0, LAM, 180.0, l_max=40)
