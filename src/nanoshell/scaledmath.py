@@ -1,15 +1,17 @@
-"""Scalar (mantissa, log-scale) arithmetic.
+"""(mantissa, log-scale) arithmetic on numpy arrays.
 
-A scaled scalar is a pair ``(m, e)`` representing ``m * exp(e)`` with complex
-mantissa ``m`` and real ``e``.  The multilayer recurrences run on these pairs
-so that Riccati-Bessel magnitudes, which grow roughly like (2l-1)!!, stay
-representable at angular momenta far beyond the physical-optics regime.
-Scale factors cancel analytically in matched products, so observable
-quantities collapse back to ordinary doubles at the end.
+A scaled number is a pair ``(m, e)`` representing ``m * exp(e)`` with complex
+mantissa ``m`` and real ``e``; both are numpy arrays (or scalars and 0-d
+arrays, which broadcast), and every operation acts elementwise.  The
+multilayer recurrences run on these pairs, one array entry per angular
+momentum, so that Riccati-Bessel magnitudes, which grow roughly like
+(2l-1)!!, stay representable at angular momenta far beyond the
+physical-optics regime.  Scale factors cancel analytically in matched
+products, so observable quantities collapse back to ordinary doubles at the
+end.
 """
 
-import cmath
-import math
+import numpy as np
 
 from .errors import RangeError
 
@@ -25,15 +27,17 @@ ZERO = (0j, 0.0)
 
 
 def canonical(m, e):
-    """Pull the mantissa magnitude back into a safe band."""
-    a = abs(m)
-    if a == 0.0:
-        return 0j, 0.0
-    if _SMALL < a < _BIG:
-        return m, e
-    if not math.isfinite(a):
+    """Pull each mantissa magnitude back into a safe band; zeros get e = 0."""
+    m = np.asarray(m, dtype=complex)
+    a = np.abs(m)
+    inside = (a > _SMALL) & (a < _BIG)
+    if inside.all():
+        return m, np.asarray(e, dtype=float)
+    if not np.isfinite(a).all():
         raise RangeError("scaled mantissa overflowed; argument out of range")
-    return m / a, e + math.log(a)
+    zero = a == 0.0
+    s = np.where(inside | zero, 1.0, a)
+    return m / s, np.where(zero, 0.0, e + np.log(s))
 
 
 def mul(x, y):
@@ -41,24 +45,18 @@ def mul(x, y):
 
 
 def div(x, y):
-    if y[0] == 0:
+    if np.any(y[0] == 0):
         raise ZeroDivisionError("scaled division by zero")
     return canonical(x[0] / y[0], x[1] - y[1])
 
 
 def add(x, y):
-    mx, ex = x
-    my, ey = y
-    if mx == 0:
-        return y
-    if my == 0:
-        return x
-    if ex < ey:
-        mx, ex, my, ey = my, ey, mx, ex
-    d = ey - ex
-    if d < LOG_TINY:
-        return mx, ex
-    return canonical(mx + my * math.exp(d), ex)
+    (mx, ex), (my, ey) = x, y
+    # a zero term takes the other's exponent, so it cannot set the scale
+    ex = np.where(mx == 0, ey, ex)
+    ey = np.where(my == 0, ex, ey)
+    e = np.maximum(ex, ey)
+    return canonical(mx * np.exp(ex - e) + my * np.exp(ey - e), e)
 
 
 def sub(x, y):
@@ -66,35 +64,38 @@ def sub(x, y):
 
 
 def scale(x, c):
-    """Multiply a scaled scalar by a plain complex factor."""
+    """Multiply a scaled number by a plain complex factor."""
     return canonical(x[0] * c, x[1])
 
 
 def from_complex(c):
-    return canonical(complex(c), 0.0)
-
-
-def collapse(x, context=""):
-    """Return the plain complex value, 0 on underflow, RangeError on overflow."""
-    m, e = x
-    if m == 0:
-        return 0j
-    t = e + math.log(abs(m))
-    if t > LOG_HUGE:
-        raise RangeError(f"value overflows double precision{': ' + context if context else ''}")
-    if t < LOG_TINY:
-        return 0j
-    return m * math.exp(e)
+    c = np.asarray(c, dtype=complex)
+    return canonical(c, np.zeros(c.shape))
 
 
 def log_abs(x):
-    """log|x| of a scaled scalar (-inf for zero)."""
+    """log|x| of a scaled number (-inf for zero)."""
     m, e = x
-    if m == 0:
-        return -math.inf
-    return e + math.log(abs(m))
+    with np.errstate(divide="ignore"):
+        return e + np.log(np.abs(m))
+
+
+def collapse(x, context="value", first_l=0):
+    """Plain complex values, 0 on underflow.  Overflow raises RangeError
+    naming ``context`` and the order of the first offending entry, taking
+    entry i to be order ``first_l + i``."""
+    m, e = x
+    t = log_abs(x)
+    over = np.flatnonzero(t > LOG_HUGE)
+    if over.size:
+        raise RangeError(
+            f"{context} overflows double precision at order l={first_l + over[0]}"
+        )
+    # split e so that neither factor overflows where the mantissa is small
+    e_hi = np.minimum(e, LOG_HUGE)
+    return np.where(t < LOG_TINY, 0j, m * np.exp(e - e_hi) * np.exp(e_hi))
 
 
 def scaled_exp(w):
-    """exp(w) for complex w as a scaled scalar (never overflows)."""
-    return cmath.exp(1j * w.imag), w.real
+    """exp(w) for complex w as a scaled number (never overflows)."""
+    return np.exp(1j * np.imag(w)), np.real(w)

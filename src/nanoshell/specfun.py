@@ -15,10 +15,13 @@ used:
   ``j + i*y`` sum: its seeds carry the exponentially small outgoing content
   that dominates y at high orders only to absolute double precision.
 
-Tables are carried internally as (mantissa, log-scale) pairs, so entries stay
-finite at angular momenta where (2l-1)!!-type growth overflows doubles.  The
-plain complex tables raise :class:`~nanoshell.errors.RangeError` naming the
-offending order if a collapsed entry cannot be represented.
+Tables are carried internally as (mantissa, log-scale) arrays over l (see
+:mod:`~nanoshell.scaledmath`), so entries stay finite at angular momenta where
+(2l-1)!!-type growth overflows doubles.  Only the sequential j and h1
+recurrences step through the orders; derivatives, products and the collapse
+to plain complex values act on whole arrays.  The plain complex tables raise
+:class:`~nanoshell.errors.RangeError` naming the first offending order if a
+collapsed entry cannot be represented.
 """
 
 import math
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scaledmath as sm
-from .errors import DomainError, RangeError
+from .errors import DomainError
 
 _PAD_MIN = 15
 _RENORM = 1e250
@@ -64,7 +67,7 @@ class RiccatiTable:
 
 @dataclass(frozen=True)
 class ScaledRiccati:
-    """Riccati functions as (mantissa, log) pairs, one pair per order.
+    """Riccati functions as (mantissa, log) arrays over l = 0..order_max.
 
     value = m[l] * exp(e[l]); psi/dpsi/xi/dxi each carry their own exponent
     array.  This is the working representation of the interface solver.
@@ -80,18 +83,6 @@ class ScaledRiccati:
     xi_e: np.ndarray
     dxi: np.ndarray
     dxi_e: np.ndarray
-
-    def psi_at(self, l):
-        return (self.psi[l], self.psi_e[l])
-
-    def dpsi_at(self, l):
-        return (self.dpsi[l], self.dpsi_e[l])
-
-    def xi_at(self, l):
-        return (self.xi[l], self.xi_e[l])
-
-    def dxi_at(self, l):
-        return (self.dxi[l], self.dxi_e[l])
 
 
 def _validate(l_max, z):
@@ -121,8 +112,8 @@ def _j_scaled(l_max, z):
     """
     a = abs(z)
     l_start = max(l_max, int(math.ceil(a))) + max(_PAD_MIN, int(math.ceil(8.0 * a ** (1.0 / 3.0))))
-    mant = [0j] * (l_max + 1)
-    logs = [0.0] * (l_max + 1)
+    mant = np.empty(l_max + 1, dtype=complex)
+    logs = np.empty(l_max + 1)
     f_hi = 0j          # unnormalized f_{l+1}
     f = 1.0 + 0j       # unnormalized f_l
     blog = 0.0
@@ -141,21 +132,22 @@ def _j_scaled(l_max, z):
     logs[0] = blog
 
     sinz, cosz, _ = _trig_seeds(z)
-    j0 = sm.div(sinz, sm.from_complex(z))
-    j1 = sm.sub(sm.div(j0, sm.from_complex(z)), sm.div(cosz, sm.from_complex(z)))
+    zz = sm.from_complex(z)
+    j0 = sm.div(sinz, zz)
+    j1 = sm.sub(sm.div(j0, zz), sm.div(cosz, zz))
     # normalize against whichever closed form is larger (j0 can sit on a zero)
     ref = 0 if sm.log_abs(j0) >= sm.log_abs(j1) else 1
     closed = (j0, j1)[ref]
     norm = sm.div(closed, (mant[ref], logs[ref]))
-    out = [sm.mul((mant[l], logs[l]), norm) for l in range(l_max + 1)]
-    return out
+    return sm.mul((mant, logs), norm)
 
 
 def _upward_scaled(l_max, z, f0, f1):
-    """Scaled upward recurrence from two scaled seeds (for y_l and h1_l)."""
-    out = [f0, f1]
-    m_prev, e_prev = f0
-    m, e = f1
+    """Scaled upward recurrence from two scaled seeds (for h1_l)."""
+    m_prev, e_prev = complex(f0[0]), float(f0[1])
+    m, e = complex(f1[0]), float(f1[1])
+    mant = [m_prev, m]
+    logs = [e_prev, e]
     # bring seeds to a common block exponent
     m_prev *= math.exp(min(max(e_prev - e, sm.LOG_TINY), sm.LOG_HUGE))
     blog = e
@@ -167,14 +159,13 @@ def _upward_scaled(l_max, z, f0, f1):
             m /= a
             m_prev /= a
             blog += math.log(a)
-        out.append(sm.canonical(m, blog))
-    return out[: l_max + 1]
+        mant.append(m)
+        logs.append(blog)
+    return sm.canonical(np.array(mant), np.array(logs))
 
 
-def _y_scaled(l_max, z, j=None, h=None):
-    j = j if j is not None else _j_scaled(l_max, z)
-    h = h if h is not None else _h1_scaled(l_max, z)
-    return [sm.scale(sm.sub(hv, jv), -1j) for hv, jv in zip(h, j)]
+def _y_scaled(j, h):
+    return sm.scale(sm.sub(h, j), -1j)
 
 
 def _h1_scaled(l_max, z):
@@ -185,36 +176,18 @@ def _h1_scaled(l_max, z):
     return _upward_scaled(l_max, z, h0, h1)
 
 
-def _sph_derivatives(vals, z):
-    """f'_l = f_{l-1} - (l+1)/z f_l; f'_0 = -f_1."""
-    out = [sm.scale(vals[1], -1.0)]
-    for l in range(1, len(vals)):
-        out.append(sm.add(vals[l - 1], sm.scale(vals[l], -(l + 1) / z)))
-    return out
+def _derivatives(f, z, d0, c):
+    """f'_l = f_{l-1} - (l + c)/z f_l for l >= 1, after the given f'_0:
+    c = 0 for any Riccati family, c = 1 for a spherical one."""
+    m, e = f
+    ls = np.arange(1, len(m))
+    dm, de = sm.add((m[:-1], e[:-1]), sm.scale((m[1:], e[1:]), -(ls + c) / z))
+    return np.append(d0[0], dm), np.append(d0[1], de)
 
 
-def _riccati_derivatives(vals, z, d0):
-    """Z'_l = Z_{l-1} - (l/z) Z_l for any Riccati family; closed-form l=0."""
-    out = [d0]
-    for l in range(1, len(vals)):
-        out.append(sm.add(vals[l - 1], sm.scale(vals[l], -l / z)))
-    return out
-
-
-def _collapse_family(vals, label):
-    out = np.empty(len(vals), dtype=complex)
-    for l, v in enumerate(vals):
-        try:
-            out[l] = sm.collapse(v)
-        except RangeError as exc:
-            raise RangeError(f"{label} overflows double precision at order l={l}") from exc
-    return out
-
-
-def _pack(vals):
-    m = np.array([v[0] for v in vals], dtype=complex)
-    e = np.array([v[1] for v in vals], dtype=float)
-    return m, e
+def _sph_derivatives(f, z):
+    """Spherical-family derivatives; f'_0 = -f_1."""
+    return _derivatives(f, z, (-f[0][1], f[1][1]), 1)
 
 
 def bessel_table(l_max, z):
@@ -225,16 +198,16 @@ def bessel_table(l_max, z):
     z = _validate(l_max, z)
     j = _j_scaled(l_max, z)
     h = _h1_scaled(l_max, z)
-    y = _y_scaled(l_max, z, j, h)
+    y = _y_scaled(j, h)
     return BesselTable(
         order_max=l_max,
         argument=z,
-        j=_collapse_family(j, "j"),
-        y=_collapse_family(y, "y"),
-        h1=_collapse_family(h, "h1"),
-        dj=_collapse_family(_sph_derivatives(j, z), "j'"),
-        dy=_collapse_family(_sph_derivatives(y, z), "y'"),
-        dh1=_collapse_family(_sph_derivatives(h, z), "h1'"),
+        j=sm.collapse(j, "j"),
+        y=sm.collapse(y, "y"),
+        h1=sm.collapse(h, "h1"),
+        dj=sm.collapse(_sph_derivatives(j, z), "j'"),
+        dy=sm.collapse(_sph_derivatives(y, z), "y'"),
+        dh1=sm.collapse(_sph_derivatives(h, z), "h1'"),
     )
 
 
@@ -245,21 +218,18 @@ def riccati(l_max, z):
     sinz, cosz, eiz = _trig_seeds(z)
     j = _j_scaled(l_max, z)
     h = _h1_scaled(l_max, z)
-    psi = [sm.mul(v, zz) for v in j]
-    chi = [sm.scale(sm.mul(v, zz), -1.0) for v in _y_scaled(l_max, z, j, h)]
-    xi = [sm.mul(v, zz) for v in h]
-    dpsi = _riccati_derivatives(psi, z, cosz)
-    dchi = _riccati_derivatives(chi, z, sm.scale(sinz, -1.0))
-    dxi = _riccati_derivatives(xi, z, eiz)
+    psi = sm.mul(j, zz)
+    chi = sm.scale(sm.mul(_y_scaled(j, h), zz), -1.0)
+    xi = sm.mul(h, zz)
     return RiccatiTable(
         order_max=l_max,
         argument=z,
-        psi=_collapse_family(psi, "psi"),
-        chi=_collapse_family(chi, "chi"),
-        xi=_collapse_family(xi, "xi"),
-        dpsi=_collapse_family(dpsi, "psi'"),
-        dchi=_collapse_family(dchi, "chi'"),
-        dxi=_collapse_family(dxi, "xi'"),
+        psi=sm.collapse(psi, "psi"),
+        chi=sm.collapse(chi, "chi"),
+        xi=sm.collapse(xi, "xi"),
+        dpsi=sm.collapse(_derivatives(psi, z, cosz, 0), "psi'"),
+        dchi=sm.collapse(_derivatives(chi, z, sm.scale(sinz, -1.0), 0), "chi'"),
+        dxi=sm.collapse(_derivatives(xi, z, eiz, 0), "xi'"),
     )
 
 
@@ -267,24 +237,20 @@ def riccati_scaled(l_max, z):
     """psi/xi tables in scaled form; the interface solver's working fuel."""
     z = _validate(l_max, z)
     zz = sm.from_complex(z)
-    sinz, cosz, eiz = _trig_seeds(z)
-    psi = [sm.mul(v, zz) for v in _j_scaled(l_max, z)]
-    xi = [sm.mul(v, zz) for v in _h1_scaled(l_max, z)]
-    dpsi = _riccati_derivatives(psi, z, cosz)
-    dxi = _riccati_derivatives(xi, z, eiz)
-    pm, pe = _pack(psi)
-    dpm, dpe = _pack(dpsi)
-    xm, xe = _pack(xi)
-    dxm, dxe = _pack(dxi)
+    _, cosz, eiz = _trig_seeds(z)
+    psi = sm.mul(_j_scaled(l_max, z), zz)
+    xi = sm.mul(_h1_scaled(l_max, z), zz)
+    dpsi = _derivatives(psi, z, cosz, 0)
+    dxi = _derivatives(xi, z, eiz, 0)
     return ScaledRiccati(
         order_max=l_max,
         argument=z,
-        psi=pm,
-        psi_e=pe,
-        dpsi=dpm,
-        dpsi_e=dpe,
-        xi=xm,
-        xi_e=xe,
-        dxi=dxm,
-        dxi_e=dxe,
+        psi=psi[0],
+        psi_e=psi[1],
+        dpsi=dpsi[0],
+        dpsi_e=dpsi[1],
+        xi=xi[0],
+        xi_e=xi[1],
+        dxi=dxi[0],
+        dxi_e=dxi[1],
     )

@@ -52,14 +52,14 @@ def _per_l_arrays(coeffs):
     g_terms = np.zeros(l_max + 1, dtype=complex)  # index by l, entry 0 unused
     rad_terms = np.zeros(l_max + 1)
     ambient = coeffs.host_region == coeffs.ctx.n_regions
-    for ch in coeffs.channels:
+    for ch in coeffs.channels:  # one per polarization
         g_terms[ch.l] += 1j * ch.weight * ch.g
         if ambient:
             rad_terms[ch.l] += ch.weight * (
-                2.0 * (np.conj(ch.q_out_val) * ch.scat_out).real + abs(ch.scat_out) ** 2
+                2.0 * (np.conj(ch.q_out_val) * ch.scat_out).real + np.abs(ch.scat_out) ** 2
             )
         else:
-            rad_terms[ch.l] += ch.weight * abs(ch.b_out) ** 2
+            rad_terms[ch.l] += ch.weight * np.abs(ch.b_out) ** 2
     return g_terms, rad_terms, ambient
 
 
@@ -175,29 +175,26 @@ def ohmic_rate_per_l(coeffs):
     :meth:`transfer.ChannelSolution.flux`), and the region's k, mu and eps''
     cancel.
 
-    Returns (per_l array indexed 1..l_max, (0.0, None)); the second entry
-    keeps the (relative error, region) shape of the former quadrature.
+    Returns the per_l array indexed 1..l_max.
     """
     ctx = coeffs.ctx
+    shells = [j for j in range(1, ctx.n_regions) if ctx.absorbing[j - 1]]
+    if coeffs.host_region in shells:
+        raise DomainError("dipole inside an absorbing shell")
     per_l = np.zeros(coeffs.l_max)
-    for region in range(1, ctx.n_regions):
-        if not ctx.absorbing[region - 1]:
-            continue
-        if region == coeffs.host_region:
-            raise DomainError("dipole inside an absorbing shell")
-        for ch in coeffs.channels:
-            per_l[ch.l - 1] += ch.weight * (ch.flux(region - 1) - ch.flux(region))
+    for j in shells:
+        for ch in coeffs.channels:  # one per polarization
+            per_l[ch.l - 1] += ch.weight * (ch.flux(j - 1) - ch.flux(j))
 
     n = coeffs.host_region
     pref = ctx.k0 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
-    return pref * per_l, (0.0, None)
+    return pref * per_l
 
 
 def ohmic_rate(sphere, dipole, l_max=60):
     """Normalized rate of decay into absorption inside lossy shells."""
     coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    per_l, _ = ohmic_rate_per_l(coeffs)
-    return float(np.sum(per_l))
+    return float(np.sum(ohmic_rate_per_l(coeffs)))
 
 
 def _near_metal(coeffs):
@@ -220,7 +217,7 @@ def evaluate_from_coefficients(coeffs):
     any_absorbing = any(coeffs.ctx.absorbing[:-1])
     wohm_spread = 0.0
     if any_absorbing:
-        per_l, _ = ohmic_rate_per_l(coeffs)
+        per_l = ohmic_rate_per_l(coeffs)
         wohm = float(np.sum(per_l))
         wohm_spread = _spread(np.cumsum(per_l))
     else:

@@ -101,6 +101,8 @@ def config_from_dict(raw):
             raise ConfigError("wavelength sweep needs 'r_over_rs'")
         if not raw.get("wavelengths_nm"):
             raise ConfigError("wavelength sweep needs a 'wavelengths_nm' list")
+    l_max = raw.get("l_max", 60)
+    transfer.check_l_max(l_max)
     try:
         cfg = SweepConfig(
             sphere_spec=raw["sphere"],
@@ -110,7 +112,7 @@ def config_from_dict(raw):
             orientations=tuple(orientations),
             r_over_rs=raw.get("r_over_rs"),
             wavelengths_nm=tuple(float(w) for w in raw.get("wavelengths_nm", ())),
-            l_max=int(raw.get("l_max", 60)),
+            l_max=l_max,
             interface_margin=float(raw.get("interface_margin", MARGIN_FRACTION)),
             out=raw.get("out"),
             format=raw.get("format", "csv"),
@@ -119,8 +121,6 @@ def config_from_dict(raw):
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    if cfg.l_max < 1:
-        raise ConfigError("l_max must be >= 1")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     _require_finite("wavelength_nm", cfg.wavelength_nm, *cfg.wavelengths_nm)

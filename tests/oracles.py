@@ -174,36 +174,27 @@ def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
 
 
 def _region_channels(coeffs, region):
-    """Per-polarization (regular, outgoing) scaled amplitudes over l = 1..l_max
-    in one region away from the dipole, with the channel weights."""
-    l_max = coeffs.l_max
+    """Per-polarization (regular, outgoing) scaled amplitudes over the
+    channel's orders in one region away from the dipole, with the orders and
+    the channel weights."""
     parts = {}
     for ch in coeffs.channels:
-        p = parts.get(ch.pol)
-        if p is None:
-            p = parts[ch.pol] = {
-                "c1m": np.zeros(l_max, dtype=complex),
-                "c1e": np.zeros(l_max),
-                "c2m": np.zeros(l_max, dtype=complex),
-                "c2e": np.zeros(l_max),
-                "w": np.zeros(l_max),
-            }
-        st = ch.states[region - 1][1]  # inner/outer only differ in the host
-        p["c1m"][ch.l - 1], p["c1e"][ch.l - 1] = st[0]
-        p["c2m"][ch.l - 1], p["c2e"][ch.l - 1] = st[1]
-        p["w"][ch.l - 1] = ch.weight
+        # inner/outer states only differ in the host
+        (c1m, c1e), (c2m, c2e) = ch.states[region - 1][1]
+        parts[ch.pol] = {"l": ch.l, "c1m": c1m, "c1e": c1e, "c2m": c2m, "c2e": c2e, "w": ch.weight}
     return parts
 
 
 def _radial_profiles(p, tab):
     """Radial profile f and its argument-derivative at one Riccati table."""
+    l = p["l"]
     f = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.psi[1:], tab.psi_e[1:],
-        p["c2m"], p["c2e"], tab.xi[1:], tab.xi_e[1:],
+        p["c1m"], p["c1e"], tab.psi[l], tab.psi_e[l],
+        p["c2m"], p["c2e"], tab.xi[l], tab.xi_e[l],
     )
     fd = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.dpsi[1:], tab.dpsi_e[1:],
-        p["c2m"], p["c2e"], tab.dxi[1:], tab.dxi_e[1:],
+        p["c1m"], p["c1e"], tab.dpsi[l], tab.dpsi_e[l],
+        p["c2m"], p["c2e"], tab.dxi[l], tab.dxi_e[l],
     )
     return f, fd
 
@@ -218,7 +209,6 @@ def _region_integrand(coeffs, region):
     k = coeffs.ctx.k[region - 1]
     abs_k2 = abs(k) ** 2
     l_max = coeffs.l_max
-    ls = np.arange(1, l_max + 1, dtype=float)
     parts = _region_channels(coeffs, region)
 
     def integrand(r):
@@ -226,12 +216,13 @@ def _region_integrand(coeffs, region):
         out = np.zeros(l_max)
         for pol, p in parts.items():
             f, fd = _radial_profiles(p, tab)
+            ls = p["l"].astype(float)
             if pol == transfer.TM:
-                out += p["w"] * (
+                out[p["l"] - 1] += p["w"] * (
                     ls * (ls + 1.0) * np.abs(f) ** 2 / (abs_k2 * r * r) + np.abs(fd) ** 2
                 ) / abs_k2
             else:
-                out += p["w"] * np.abs(f) ** 2 / abs_k2
+                out[p["l"] - 1] += p["w"] * np.abs(f) ** 2 / abs_k2
         return out
 
     return integrand

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from nanoshell import benchmarks, materials, model, spectro, sweep, transfer
+from nanoshell import benchmarks, model, spectro, sweep, transfer
 from nanoshell.errors import GeometryError
 from nanoshell.specfun import bessel_table
 

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn
 
-from nanoshell import materials, model, spectro, transfer
+from nanoshell import model, spectro, transfer
 from nanoshell.errors import DomainError, GeometryError, QuadratureError
 
 import oracles
@@ -131,7 +129,7 @@ def test_closed_form_ohmic_matches_quadrature_oracle():
     for name, r_nm, orientation, lam in queries:
         dip = model.DipoleSource(r_nm, orientation, lam)
         coeffs = transfer.solve_dipole_fields(model.preset(name), dip, 60)
-        got, _ = spectro.ohmic_rate_per_l(coeffs)
+        got = spectro.ohmic_rate_per_l(coeffs)
         ref, (rel, _) = oracles.quadrature_ohmic_per_l(coeffs, rtol=1e-11)
         total = abs(np.sum(ref))
         assert rel <= 1e-11
@@ -214,3 +212,18 @@ def test_self_field_partial_sums_monotone_convergence():
     sf = spectro.self_field(model.preset("D"), model.DipoleSource(75.0, "radial", LAM), 30)
     tail = np.abs(sf.partial[-10:] - sf.partial[-1])
     assert tail.max() < 1e-10 * abs(sf.g + 1e-30) + 1e-12
+
+
+def test_near_gold_series_matches_readme_table():
+    # README's criterion-8 note: preset A at the grid point r/r_s = 0.85425,
+    # tangential, 0.88 nm outside the gold shell at 135 nm, where the series
+    # is still growing at l = 60; wt rounds to the documented values
+    sph = model.preset("A")
+    dip = model.DipoleSource(0.85425 * sph.outer_radius_nm, "tangential", LAM)
+    documented = {60: 474, 100: 1474, 200: 4870, 400: 8900, 800: 9922,
+                  transfer.L_MAX_CEILING: 9940}
+    for l_max, wt in documented.items():
+        res = spectro.evaluate(sph, dip, l_max)
+        assert round(res.wt_norm) == wt, (l_max, res.wt_norm)
+        balance = abs(res.wt_norm - res.wrad_norm - res.wohm_norm)
+        assert balance <= 1e-10 * res.wt_norm, (l_max, balance)

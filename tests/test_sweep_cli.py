@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from nanoshell import cli, model, sweep
+from nanoshell import cli, model, sweep, transfer
 from nanoshell.errors import (
     ConfigError,
     DegenerateSystemError,
@@ -389,6 +388,26 @@ def test_linspace_without_points_rejected(tmp_path):
     proc, out = _run_config(tmp_path, grid={"linspace": [0.1, 0.5, 0]})
     assert proc.returncode == 2, proc.stderr
     assert not out.exists()
+
+
+def test_l_max_must_be_a_bounded_integer(tmp_path):
+    # each bad value is rejected before any table is built; none is solved
+    ceiling = transfer.L_MAX_CEILING
+    assert sweep.config_from_dict({"sphere": "D", "l_max": ceiling}).l_max == ceiling
+    for l_max in (60.5, True, "60", None, 0, -5, ceiling + 1, 10**9):
+        with pytest.raises(ConfigError, match="l_max"):
+            sweep.config_from_dict({"sphere": "D", "l_max": l_max})
+    proc, out = _run_config(tmp_path, l_max=10**9)
+    assert proc.returncode == 2, proc.stderr
+    assert "l_max" in proc.stderr
+    assert not out.exists()
+    dip = model.DipoleSource(60.0, "radial", LAM)
+    for l_max in (60.5, 10**9):
+        with pytest.raises(ConfigError, match="l_max"):
+            transfer.solve_dipole_fields(model.preset("D"), dip, l_max)
+    proc = _run_cli("converge", "D", "--r", "0.5", "--l-max", str(10**9))
+    assert proc.returncode == 2
+    assert "l_max" in proc.stderr
 
 
 def test_cli_converge_runs():

@@ -44,8 +44,8 @@ def test_no_contrast_sphere_has_zero_scattered_field():
     dip = model.DipoleSource(60.0, "tangential", LAM)
     coeffs = transfer.solve_dipole_fields(sph, dip, 12)
     for ch in coeffs.channels:
-        assert abs(ch.g) < 1e-12
-        assert abs(ch.scat_out) < 1e-12 * max(1.0, abs(ch.q_out_val))
+        assert np.all(np.abs(ch.g) < 1e-12)
+        assert np.all(np.abs(ch.scat_out) < 1e-12 * np.maximum(1.0, np.abs(ch.q_out_val)))
 
 
 def test_centered_dipole_is_pure_dipole_channel():
@@ -53,13 +53,13 @@ def test_centered_dipole_is_pure_dipole_channel():
         model.preset("A"), model.DipoleSource(0.0, "radial", LAM), 40
     )
     assert coeffs.at_center
-    assert [(ch.l, ch.pol) for ch in coeffs.channels] == [(1, transfer.TM)]
+    assert [(list(ch.l), ch.pol) for ch in coeffs.channels] == [([1], transfer.TM)]
 
 
 def test_centered_dipole_no_contrast_far_field_is_free_amplitude():
     sph = model.build_sphere([(150.0, "water")], "water")
     coeffs = transfer.solve_dipole_fields(sph, model.DipoleSource(0.0, "radial", LAM), 5)
-    amps = transfer.ambient_far_field(coeffs)
+    amps = {(l, ch.pol): b for ch in coeffs.channels for l, b in zip(ch.l, ch.b_out)}
     assert set(amps) == {(1, transfer.TM)}
     assert_allclose(amps[(1, transfer.TM)], 1.0 / 3.0, rtol=1e-12)
 
@@ -88,7 +88,7 @@ def _tangential_pair(ctx, region, interface, l, pol, state):
     k = ctx.k[region - 1]
     mu = ctx.mu[region - 1]
     x = k * ctx.radii[interface - 1]
-    tab = riccati(max(l, 1), x)
+    tab = riccati(int(l.max()), x)
     c1 = sm.collapse(state[0])
     c2 = sm.collapse(state[1])
     if pol == transfer.TM:
@@ -125,10 +125,9 @@ def test_tangential_continuity_across_interfaces(seed):
             a = _tangential_pair(coeffs.ctx, i, i, ch.l, ch.pol, st_in)
             b = _tangential_pair(coeffs.ctx, i + 1, i, ch.l, ch.pol, st_out)
             for va, vb in zip(a, b):
-                scale = max(abs(va), abs(vb))
-                if scale < 1e-250:
-                    continue
-                assert abs(va - vb) / scale < 1e-9
+                scale = np.maximum(np.abs(va), np.abs(vb))
+                keep = scale >= 1e-250
+                assert np.all(np.abs(va - vb)[keep] / scale[keep] < 1e-9)
 
 
 def test_interface_flux_conserved_through_lossless_shells():
@@ -145,15 +144,16 @@ def test_interface_flux_conserved_through_lossless_shells():
                 assert not ctx.absorbing[0]
                 for ch in coeffs.channels:
                     flux = [ch.flux(i) for i in range(ctx.n_regions)]
-                    scale = max(abs(f) for f in flux)
-                    assert flux[0] == 0.0
+                    scale = np.max(np.abs(flux), axis=0)
+                    assert np.all(flux[0] == 0.0)
                     for j in range(1, ctx.n_regions):
                         absorbed = flux[j - 1] - flux[j]
-                        key = (name, lam, orientation, ch.l, ch.pol, j)
                         if ctx.absorbing[j - 1]:
-                            assert absorbed >= -1e-10 * scale, key
+                            bad = absorbed < -1e-10 * scale
                         else:
-                            assert abs(absorbed) <= 1e-10 * scale, key
+                            bad = np.abs(absorbed) > 1e-10 * scale
+                        key = (name, lam, orientation, ch.l[bad], ch.pol, j)
+                        assert not bad.any(), key
 
 
 def test_homogeneous_sphere_matches_closed_form():
@@ -163,7 +163,7 @@ def test_homogeneous_sphere_matches_closed_form():
         coeffs = transfer.solve_dipole_fields(
             sph, model.DipoleSource(180.0, orientation, LAM), 40
         )
-        g = sum(1j * ch.weight * ch.g for ch in coeffs.channels)
+        g = sum(np.sum(1j * ch.weight * ch.g) for ch in coeffs.channels)
         assert_allclose(1 + g.imag, ref[orientation][0], rtol=1e-12)
 
 
@@ -174,19 +174,21 @@ def test_lossless_far_field_power_equals_local_rate():
         coeffs = transfer.solve_dipole_fields(
             sph, model.DipoleSource(r_d, orientation, LAM), 50
         )
-        g = sum(1j * ch.weight * ch.g for ch in coeffs.channels)
+        g = sum(np.sum(1j * ch.weight * ch.g) for ch in coeffs.channels)
         wt = 1 + g.imag
         ambient = coeffs.host_region == coeffs.ctx.n_regions
         if ambient:
             wrad = 1 + sum(
-                ch.weight
-                * (2 * (np.conj(ch.q_out_val) * ch.scat_out).real + abs(ch.scat_out) ** 2)
+                np.sum(
+                    ch.weight
+                    * (2 * (np.conj(ch.q_out_val) * ch.scat_out).real + np.abs(ch.scat_out) ** 2)
+                )
                 for ch in coeffs.channels
             )
         else:
             eps = coeffs.ctx.eps
             ratio = math.sqrt(eps[coeffs.host_region - 1].real / eps[-1].real)
-            wrad = ratio * sum(ch.weight * abs(ch.b_out) ** 2 for ch in coeffs.channels)
+            wrad = ratio * sum(np.sum(ch.weight * np.abs(ch.b_out) ** 2) for ch in coeffs.channels)
         assert abs(wt - wrad) / wt < 1e-8
 
 
@@ -200,9 +202,7 @@ def test_outgoing_amplitude_tail_decays():
                 coeffs = transfer.solve_dipole_fields(sph, dip, 60)
             except Exception:
                 continue
-            mags = {}
-            for ch in coeffs.channels:
-                mags.setdefault(ch.pol, [0.0] * 60)[ch.l - 1] = abs(ch.b_out)
+            mags = {ch.pol: np.abs(ch.b_out) for ch in coeffs.channels}
             for pol, seq in mags.items():
                 tail = seq[-10:]
                 assert all(a >= b for a, b in zip(tail, tail[1:])), (name, r_rs, pol)
