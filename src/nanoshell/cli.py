@@ -146,7 +146,8 @@ def main(argv=None):
         parser.print_help()
         return 0
     except NanoshellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # notes carry the context, such as the sweep row that failed
+        print("error: " + "; ".join([str(exc), *getattr(exc, "__notes__", ())]), file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -37,13 +37,15 @@ class DegenerateSystemError(NanoshellError):
     def __init__(self, l, pol, detail=""):
         self.l = l
         self.pol = pol
+        self.detail = detail
         msg = f"degenerate interface system at l={l}, pol={pol}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
 
+    # the instance dict carries any notes across a process pool
     def __reduce__(self):
-        return (type(self), (self.l, self.pol))
+        return (type(self), (self.l, self.pol, self.detail), self.__dict__)
 
 
 class QuadratureError(NanoshellError):
@@ -63,7 +65,7 @@ class QuadratureError(NanoshellError):
         )
 
     def __reduce__(self):
-        return (type(self), (self.shell_index, self.achieved, self.requested))
+        return (type(self), (self.shell_index, self.achieved, self.requested), self.__dict__)
 
 
 def annotate(exc, note):

@@ -83,14 +83,13 @@ def log_abs(x):
 def collapse(x, context="value", first_l=0):
     """Plain complex values, 0 on underflow.  Overflow raises RangeError
     naming ``context`` and the order of the first offending entry, taking
-    entry i to be order ``first_l + i``."""
+    entry i along the last axis to be order ``first_l + i``."""
     m, e = x
     t = log_abs(x)
     over = np.flatnonzero(t > LOG_HUGE)
     if over.size:
-        raise RangeError(
-            f"{context} overflows double precision at order l={first_l + over[0]}"
-        )
+        i = over[0] % t.shape[-1] if t.ndim else 0
+        raise RangeError(f"{context} overflows double precision at order l={first_l + i}")
     # split e so that neither factor overflows where the mantissa is small
     e_hi = np.minimum(e, LOG_HUGE)
     return np.where(t < LOG_TINY, 0j, m * np.exp(e - e_hi) * np.exp(e_hi))

@@ -19,12 +19,15 @@ Tables are carried internally as (mantissa, log-scale) arrays over l (see
 :mod:`~nanoshell.scaledmath`), so entries stay finite at angular momenta where
 (2l-1)!!-type growth overflows doubles.  Only the sequential j and h1
 recurrences step through the orders; derivatives, products and the collapse
-to plain complex values act on whole arrays.  The plain complex tables raise
+to plain complex values act on whole arrays.  :func:`riccati_scaled` takes
+an array of arguments and returns one table per argument (last axis l); the
+recurrences run elementwise across the arguments, each from its own start
+order and with its own renormalizations, so an argument's table is the same
+whatever else shares the call.  The plain complex tables raise
 :class:`~nanoshell.errors.RangeError` naming the first offending order if a
 collapsed entry cannot be represented.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,10 @@ from .errors import DomainError
 
 _PAD_MIN = 15
 _RENORM = 1e250
+# orders between renormalization checks: a recurrence pair grows at most by
+# (2l + 1)/|z| + 1 per order, so four orders from 1e250 stay below double
+# overflow for every |z| >= _MIN_ABS_Z and l up to ~1e5
+_CHECK_EVERY = 4
 _MIN_ABS_Z = 1e-8
 
 
@@ -88,9 +95,11 @@ class ScaledRiccati:
 def _validate(l_max, z):
     if not isinstance(l_max, (int, np.integer)) or l_max < 1:
         raise DomainError(f"l_max must be an integer >= 1, got {l_max!r}")
-    z = complex(z)
-    if abs(z) < _MIN_ABS_Z:
-        raise DomainError(f"argument too close to zero: |z| = {abs(z):.3e}")
+    z = np.asarray(z, dtype=complex)
+    a = np.abs(z)
+    small = a[a < _MIN_ABS_Z]
+    if small.size:
+        raise DomainError(f"argument too close to zero: |z| = {small[0]:.3e}")
     return z
 
 
@@ -103,91 +112,134 @@ def _trig_seeds(z):
     return sinz, cosz, eiz
 
 
-def _j_scaled(l_max, z):
+def _renormalize(out, a, *fs):
+    """Divide each f by a where ``out`` is set; returns the divided fs and
+    the log of the divisor."""
+    s = np.where(out, a, 1.0)
+    return [f / s for f in fs], np.log(s)
+
+
+def _j_scaled(l_max, z, seeds):
     """Scaled j_l via downward recurrence, closed-form normalized.
 
-    The start order sits above both l_max and the turning point l ~ |z|; the
-    pad grows like |z|^(1/3) so the admixture of the upward-dominant solution
-    is suppressed below 1e-12 even deep in the oscillatory regime.
+    Each argument starts at its own order, above both l_max and the turning
+    point l ~ |z|; the pad grows like |z|^(1/3) so the admixture of the
+    upward-dominant solution is suppressed below 1e-12 even deep in the
+    oscillatory regime.  Until its start order an argument's recurrence
+    holds zeros, and renormalization is per argument at fixed orders, so no
+    entry depends on the other arguments of the call.
     """
-    a = abs(z)
-    l_start = max(l_max, int(math.ceil(a))) + max(_PAD_MIN, int(math.ceil(8.0 * a ** (1.0 / 3.0))))
-    mant = np.empty(l_max + 1, dtype=complex)
-    logs = np.empty(l_max + 1)
-    f_hi = 0j          # unnormalized f_{l+1}
-    f = 1.0 + 0j       # unnormalized f_l
-    blog = 0.0
-    for l in range(l_start, 0, -1):
+    a = np.abs(z)
+    pad = np.maximum(_PAD_MIN, np.ceil(8.0 * a ** (1.0 / 3.0)))
+    l_start = (np.maximum(l_max, np.ceil(a)) + pad).astype(int)
+    starts = {int(l): l_start == l for l in np.unique(l_start)}
+    c = _ratios(int(l_start.max()), z)
+    f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
+    f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
+    mant = [None] * (l_max + 1)
+    logs = np.zeros(z.shape + (l_max + 1,))
+    for l in range(len(c) - 1, 0, -1):
+        if l in starts:
+            f = np.where(starts[l], 1.0 + 0j, f)
         if l <= l_max:
             mant[l] = f
-            logs[l] = blog
-        f_lo = (2 * l + 1) / z * f - f_hi
-        f_hi, f = f, f_lo
-        a = abs(f)
-        if a > _RENORM:
-            f /= a
-            f_hi /= a
-            blog += math.log(a)
+        f, f_hi = c[l] * f - f_hi, f
+        if l % _CHECK_EVERY == 0:
+            a = np.abs(f)
+            if a.max() > _RENORM:
+                (f, f_hi), lg = _renormalize(a > _RENORM, a, f, f_hi)
+                logs[..., :l] += lg[..., None]  # orders already stored keep theirs
     mant[0] = f
-    logs[0] = blog
+    mant = np.stack(mant, axis=-1)
 
-    sinz, cosz, _ = _trig_seeds(z)
+    sinz, cosz, _ = seeds
     zz = sm.from_complex(z)
     j0 = sm.div(sinz, zz)
     j1 = sm.sub(sm.div(j0, zz), sm.div(cosz, zz))
     # normalize against whichever closed form is larger (j0 can sit on a zero)
-    ref = 0 if sm.log_abs(j0) >= sm.log_abs(j1) else 1
-    closed = (j0, j1)[ref]
-    norm = sm.div(closed, (mant[ref], logs[ref]))
-    return sm.mul((mant, logs), norm)
+    ref = sm.log_abs(j0) < sm.log_abs(j1)
+    closed = tuple(np.where(ref, c1, c0) for c0, c1 in zip(j0, j1))
+    raw = tuple(np.where(ref, x[..., 1], x[..., 0]) for x in (mant, logs))
+    norm = sm.div(closed, raw)
+    return sm.mul((mant, logs), (norm[0][..., None], norm[1][..., None]))
 
 
 def _upward_scaled(l_max, z, f0, f1):
     """Scaled upward recurrence from two scaled seeds (for h1_l)."""
-    m_prev, e_prev = complex(f0[0]), float(f0[1])
-    m, e = complex(f1[0]), float(f1[1])
+    m_prev, e_prev = f0
+    m, e = f1
+    c = _ratios(l_max - 1, z)
     mant = [m_prev, m]
-    logs = [e_prev, e]
+    logs = np.empty(z.shape + (l_max + 1,))
+    logs[..., 0] = e_prev
+    logs[..., 1:] = e[..., None]
     # bring seeds to a common block exponent
-    m_prev *= math.exp(min(max(e_prev - e, sm.LOG_TINY), sm.LOG_HUGE))
-    blog = e
+    m_prev = m_prev * np.exp(np.clip(e_prev - e, sm.LOG_TINY, sm.LOG_HUGE))
     for l in range(1, l_max):
-        m_next = (2 * l + 1) / z * m - m_prev
-        m_prev, m = m, m_next
-        a = abs(m)
-        if a > _RENORM or (a != 0.0 and a < 1.0 / _RENORM):
-            m /= a
-            m_prev /= a
-            blog += math.log(a)
+        m, m_prev = c[l] * m - m_prev, m
+        if l % _CHECK_EVERY == 0:
+            a = np.abs(m)
+            if a.max() > _RENORM or a.min() < 1.0 / _RENORM:
+                out = (a > _RENORM) | ((a != 0.0) & (a < 1.0 / _RENORM))
+                (m, m_prev), lg = _renormalize(out, a, m, m_prev)
+                logs[..., l + 1:] += lg[..., None]
         mant.append(m)
-        logs.append(blog)
-    return sm.canonical(np.array(mant), np.array(logs))
+    return sm.canonical(np.stack(mant, axis=-1), logs)
+
+
+def _ratios(l_top, z):
+    """(2l + 1)/z for l = 0..l_top, indexed by l first."""
+    ls = (2 * np.arange(l_top + 1) + 1).reshape((-1,) + (1,) * z.ndim)
+    return real_over(ls, z)
+
+
+def real_over(a, z):
+    """a / z for real a and complex z by Smith's algorithm with true
+    divisions, one rounding fewer per entry than numpy's complex division,
+    which multiplies by a rounded reciprocal.  The recurrences compound
+    their ratios over hundreds of orders."""
+    z = np.asarray(z, dtype=complex)
+    wide = np.abs(z.real) >= np.abs(z.imag)
+    p = np.where(wide, z.real, z.imag)  # the larger component
+    ratio = np.where(wide, z.imag, z.real) / p
+    denom = p + np.where(wide, z.imag, z.real) * ratio
+    x = a / denom
+    y = a * ratio / denom
+    return np.where(wide, x, y) + 1j * np.where(wide, -y, -x)
 
 
 def _y_scaled(j, h):
     return sm.scale(sm.sub(h, j), -1j)
 
 
-def _h1_scaled(l_max, z):
-    _, _, eiz = _trig_seeds(z)
+def _h1_scaled(l_max, z, seeds):
+    _, _, eiz = seeds
     zz = sm.from_complex(z)
     h0 = sm.scale(sm.div(eiz, zz), -1j)
-    h1 = sm.scale(h0, 1.0 / z - 1j)
+    h1 = sm.scale(h0, real_over(1.0, z) - 1j)
     return _upward_scaled(l_max, z, h0, h1)
 
 
 def _derivatives(f, z, d0, c):
-    """f'_l = f_{l-1} - (l + c)/z f_l for l >= 1, after the given f'_0:
-    c = 0 for any Riccati family, c = 1 for a spherical one."""
+    """f'_l = f_{l-1} - (l + c)/z f_l for l >= 1 along the last axis, after
+    the given f'_0: c = 0 for any Riccati family, c = 1 for a spherical one."""
     m, e = f
-    ls = np.arange(1, len(m))
-    dm, de = sm.add((m[:-1], e[:-1]), sm.scale((m[1:], e[1:]), -(ls + c) / z))
-    return np.append(d0[0], dm), np.append(d0[1], de)
+    ls = np.arange(1, m.shape[-1])
+    step = sm.scale((m[..., 1:], e[..., 1:]), -(ls + c) / z[..., None])
+    dm, de = sm.add((m[..., :-1], e[..., :-1]), step)
+    return tuple(np.concatenate([d[..., None], x], axis=-1) for d, x in zip(d0, (dm, de)))
 
 
 def _sph_derivatives(f, z):
     """Spherical-family derivatives; f'_0 = -f_1."""
-    return _derivatives(f, z, (-f[0][1], f[1][1]), 1)
+    return _derivatives(f, z, (-f[0][..., 1], f[1][..., 1]), 1)
+
+
+def _families(l_max, z):
+    """Validated argument, its trig seeds and the scaled j and h1 tables."""
+    z = _validate(l_max, z)
+    seeds = _trig_seeds(z)
+    return z, seeds, _j_scaled(l_max, z, seeds), _h1_scaled(l_max, z, seeds)
 
 
 def bessel_table(l_max, z):
@@ -195,13 +247,11 @@ def bessel_table(l_max, z):
 
     h1 comes from its own upward recurrence, not from j + i*y.
     """
-    z = _validate(l_max, z)
-    j = _j_scaled(l_max, z)
-    h = _h1_scaled(l_max, z)
+    z, _, j, h = _families(l_max, z)
     y = _y_scaled(j, h)
     return BesselTable(
         order_max=l_max,
-        argument=z,
+        argument=complex(z),
         j=sm.collapse(j, "j"),
         y=sm.collapse(y, "y"),
         h1=sm.collapse(h, "h1"),
@@ -213,17 +263,14 @@ def bessel_table(l_max, z):
 
 def riccati(l_max, z):
     """Riccati-Bessel table psi, chi, xi with derivatives at argument z."""
-    z = _validate(l_max, z)
+    z, (sinz, cosz, eiz), j, h = _families(l_max, z)
     zz = sm.from_complex(z)
-    sinz, cosz, eiz = _trig_seeds(z)
-    j = _j_scaled(l_max, z)
-    h = _h1_scaled(l_max, z)
     psi = sm.mul(j, zz)
     chi = sm.scale(sm.mul(_y_scaled(j, h), zz), -1.0)
     xi = sm.mul(h, zz)
     return RiccatiTable(
         order_max=l_max,
-        argument=z,
+        argument=complex(z),
         psi=sm.collapse(psi, "psi"),
         chi=sm.collapse(chi, "chi"),
         xi=sm.collapse(xi, "xi"),
@@ -234,12 +281,16 @@ def riccati(l_max, z):
 
 
 def riccati_scaled(l_max, z):
-    """psi/xi tables in scaled form; the interface solver's working fuel."""
-    z = _validate(l_max, z)
-    zz = sm.from_complex(z)
-    _, cosz, eiz = _trig_seeds(z)
-    psi = sm.mul(_j_scaled(l_max, z), zz)
-    xi = sm.mul(_h1_scaled(l_max, z), zz)
+    """psi/xi tables in scaled form; the interface solver's working fuel.
+
+    ``z`` is one argument or an array of them; every field then has the
+    argument's shape plus a last axis over l = 0..l_max, and each argument's
+    entries are the same whatever else shares the call.
+    """
+    z, (_, cosz, eiz), j, h = _families(l_max, z)
+    zz = tuple(x[..., None] for x in sm.from_complex(z))
+    psi = sm.mul(j, zz)
+    xi = sm.mul(h, zz)
     dpsi = _derivatives(psi, z, cosz, 0)
     dxi = _derivatives(xi, z, eiz, 0)
     return ScaledRiccati(

@@ -17,7 +17,7 @@ sphere gives g = 0):
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,19 +31,15 @@ from .specfun import riccati_scaled  # noqa: F401
 # reported as unconverged rather than silently inaccurate
 NEAR_METAL_FRACTION = 0.005
 
+# rows closed at once, times (l_max + 1), are capped at this many: 33 rows at
+# l_max = 60, one at 2047 and above; that bounds the memory of their (row, l)
+# arrays, and larger batches gain little
+_BATCH_ENTRIES = 2048
+
 _SPREAD_ORDERS = 10
 _WT_SPREAD_TOL = 1e-8
 _WRAD_SPREAD_TOL = 1e-8
 _WOHM_SPREAD_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SelfField:
-    """Scattered self-coupling g with per-order partial sums retained."""
-
-    g: complex
-    partial: np.ndarray  # cumulative complex sums over l = 1..l_max
-    l_max: int
 
 
 def _per_l_arrays(coeffs):
@@ -107,23 +103,6 @@ def _geometric_tail(terms):
         return math.inf
     q = t_last / t_prev
     return t_last * q / (1.0 - q)
-
-
-def self_field(sphere, dipole, l_max=60):
-    """Engine-normalized scattered self-coupling: wt = 1 + Im g,
-    shift = -Re g / 2."""
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    g_terms, _, _ = _per_l_arrays(coeffs)
-    partial = np.cumsum(g_terms[1:])
-    return SelfField(g=complex(partial[-1]), partial=partial, l_max=l_max)
-
-
-def total_rate(sphere, dipole, l_max=60):
-    return 1.0 + self_field(sphere, dipole, l_max).g.imag
-
-
-def frequency_shift(sphere, dipole, l_max=60):
-    return -0.5 * self_field(sphere, dipole, l_max).g.real
 
 
 def fluorescence_yield(wt_norm, wrad_norm):
@@ -191,12 +170,6 @@ def ohmic_rate_per_l(coeffs):
     return pref * per_l
 
 
-def ohmic_rate(sphere, dipole, l_max=60):
-    """Normalized rate of decay into absorption inside lossy shells."""
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    return float(np.sum(ohmic_rate_per_l(coeffs)))
-
-
 def _near_metal(coeffs):
     margin = model.interface_margin_nm(
         coeffs.sphere,
@@ -253,25 +226,39 @@ def evaluate_from_coefficients(coeffs):
 
 def evaluate(sphere, dipole, l_max=60):
     """One-stop evaluation of every normalized output for one query."""
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    return evaluate_from_coefficients(coeffs)
+    return evaluate_from_coefficients(transfer.solve_dipole_fields(sphere, dipole, l_max))
+
+
+def evaluate_rows(prepared, r_nm, orientations):
+    """Results at many dipole radii [nm] against one
+    :func:`transfer.prepare`: per radius, a dict orientation ->
+    :class:`model.SpectroResult`, plus "average" when both orientations are
+    asked for.  Each row's results are the ones a one-row call returns."""
+    step = max(1, _BATCH_ENTRIES // (prepared.l_max + 1))
+    out = []
+    for lo in range(0, len(r_nm), step):
+        for row in transfer.close(prepared, r_nm[lo:lo + step], orientations):
+            results = {o: evaluate_from_coefficients(c) for o, c in row.items()}
+            if len(results) == 2:
+                results["average"] = _average(results[model.RADIAL], results[model.TANGENTIAL])
+            out.append(results)
+    return out
 
 
 def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
-    """Radial, tangential, and orientation-averaged results at one radius.
+    """Radial, tangential, and orientation-averaged results at one radius."""
+    prepared = transfer.prepare(sphere, wavelength_nm, l_max)
+    return evaluate_rows(prepared, [r_nm], model.ORIENTATIONS)[0]
 
-    The averaged entry averages the rates (physical ensembles average rates,
-    not ratios) and then forms yield and photostability from the averages.
-    """
-    results = {}
-    for orientation in model.ORIENTATIONS:
-        dip = model.DipoleSource(r_nm, orientation, wavelength_nm)
-        results[orientation] = evaluate(sphere, dip, l_max)
-    ra, ta = results[model.RADIAL], results[model.TANGENTIAL]
+
+def _average(ra, ta):
+    """The orientation average averages the rates (physical ensembles
+    average rates, not ratios) and then forms yield and photostability from
+    the averages."""
     wt = orientation_average(ra.wt_norm, ta.wt_norm)
     wrad = orientation_average(ra.wrad_norm, ta.wrad_norm)
     wohm = orientation_average(ra.wohm_norm, ta.wohm_norm)
-    results["average"] = replace(
+    return replace(
         ra,
         shift_norm=orientation_average(ra.shift_norm, ta.shift_norm),
         wt_norm=wt,
@@ -286,4 +273,3 @@ def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
         shift_tail=max(ra.shift_tail, ta.shift_tail),
         orientation="average",
     )
-    return results

@@ -1,12 +1,18 @@
 """Sweep runner: radial and wavelength scans with deterministic CSV output.
 
-Rows are evaluated independently (optionally in a process pool) and written
-in declared order, so output bytes are identical across runs and across
-worker counts.  Output is only written once the whole sweep has succeeded.
+Rows are split into at most ``workers`` contiguous blocks in declared order;
+each block (a process-pool task when there are several) builds the sphere,
+prepares once per wavelength and closes all its rows together.  A row's
+result does not depend on its block, and rows are written in declared
+order, so output bytes are identical across runs and across worker counts.
+Output is only written once the whole sweep has succeeded; a failure names
+the first failing row.
 """
 
+import itertools
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -93,6 +99,8 @@ def config_from_dict(raw):
     if orientations is None:
         single = raw.get("orientation")
         orientations = (single,) if single else DEFAULT_ORIENTATIONS
+    if not isinstance(orientations, (list, tuple)) or not orientations:
+        raise ConfigError(f"orientations must be a non-empty list, got {orientations!r}")
     for o in orientations:
         if o not in (*model.ORIENTATIONS, "average"):
             raise ConfigError(f"unknown orientation {o!r}")
@@ -103,48 +111,54 @@ def config_from_dict(raw):
             raise ConfigError("wavelength sweep needs a 'wavelengths_nm' list")
     l_max = raw.get("l_max", 60)
     transfer.check_l_max(l_max)
-    try:
-        cfg = SweepConfig(
-            sphere_spec=raw["sphere"],
-            sweep=sweep,
-            wavelength_nm=float(raw.get("wavelength_nm", 595.0)),
-            grid=raw.get("grid", "default"),
-            orientations=tuple(orientations),
-            r_over_rs=raw.get("r_over_rs"),
-            wavelengths_nm=tuple(float(w) for w in raw.get("wavelengths_nm", ())),
-            l_max=l_max,
-            interface_margin=float(raw.get("interface_margin", MARGIN_FRACTION)),
-            out=raw.get("out"),
-            format=raw.get("format", "csv"),
-            plot_dir=raw.get("plot_dir"),
-            workers=int(raw.get("workers", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    _require_finite("wavelength_nm", cfg.wavelength_nm, *cfg.wavelengths_nm)
+    workers = raw.get("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    wavelengths = raw.get("wavelengths_nm", ())
+    if not isinstance(wavelengths, (list, tuple)):
+        raise ConfigError(f"wavelengths_nm must be a list, got {wavelengths!r}")
+    wavelength_nm = raw.get("wavelength_nm", 595.0)
+    _require_finite("wavelength_nm", wavelength_nm)
+    _require_finite("wavelengths_nm", *wavelengths)
+    margin = raw.get("interface_margin", MARGIN_FRACTION)
+    _require_finite("interface_margin", margin)
+    r_over_rs = raw.get("r_over_rs")
+    if r_over_rs is not None:
+        _require_finite("r_over_rs", r_over_rs)
     if "quadrature_rtol" in raw:  # accepted for older configs; the engine has no quadrature
         _require_finite("quadrature_rtol", raw["quadrature_rtol"])
-    if cfg.r_over_rs is not None:
-        _require_finite("r_over_rs", cfg.r_over_rs)
-    if isinstance(cfg.grid, dict) and "linspace" in cfg.grid:
-        _check_linspace(cfg.grid["linspace"])
-    elif isinstance(cfg.grid, (list, tuple)):
-        _require_finite("grid", *cfg.grid)
-    if cfg.format not in ("csv", "plot"):
-        raise ConfigError(f"format must be 'csv' or 'plot', got {cfg.format!r}")
-    return cfg
+    grid = raw.get("grid", "default")
+    if isinstance(grid, dict) and "linspace" in grid:
+        _check_linspace(grid["linspace"])
+    elif isinstance(grid, (list, tuple)):
+        _require_finite("grid", *grid)
+    fmt = raw.get("format", "csv")
+    if fmt not in ("csv", "plot"):
+        raise ConfigError(f"format must be 'csv' or 'plot', got {fmt!r}")
+    return SweepConfig(
+        sphere_spec=raw["sphere"],
+        sweep=sweep,
+        wavelength_nm=float(wavelength_nm),
+        grid=grid,
+        orientations=tuple(orientations),
+        r_over_rs=None if r_over_rs is None else float(r_over_rs),
+        wavelengths_nm=tuple(float(w) for w in wavelengths),
+        l_max=l_max,
+        interface_margin=float(margin),
+        out=raw.get("out"),
+        format=fmt,
+        plot_dir=raw.get("plot_dir"),
+        workers=int(workers),
+    )
 
 
 def _require_finite(name, *values):
-    """Positions and wavelengths must be finite numbers before any row runs."""
+    """Positions, wavelengths and margins must be finite real numbers (a
+    bool is not one) before any row runs."""
     for v in values:
-        try:
-            ok = math.isfinite(float(v))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} must be numeric, got {v!r}") from exc
-        if not ok:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {v!r}")
+        if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
 
 
@@ -301,40 +315,54 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-# module-level worker so tasks pickle cleanly into a process pool
-def _eval_task(args):
-    sphere_spec, r_nm, wavelength_nm, need, l_max = args
-    sphere = sphere_from_spec(sphere_spec)
-    try:
-        if need == "both":
-            res = spectro.evaluate_orientations(sphere, r_nm, wavelength_nm, l_max)
-            return {k: res[k] for k in (*model.ORIENTATIONS, "average")}
-        dip = model.DipoleSource(r_nm, need, wavelength_nm)
-        return {need: spectro.evaluate(sphere, dip, l_max)}
-    except NanoshellError as exc:
-        raise annotate(
-            exc, f"while evaluating row r={r_nm:.6g} nm, lambda={wavelength_nm:.6g} nm"
-        )
+def _evaluate_block(sphere, points, orientations, l_max):
+    """Results of contiguous rows (r_nm, wavelength), prepared once per run
+    of equal wavelengths.  After a failure the rows are redone one at a time
+    so that the error reported is the first failing row's, naming it."""
+    out = []
+    for wl, group in itertools.groupby(points, key=lambda p: p[1]):
+        r_nm = [r for r, _ in group]
+        try:
+            out += spectro.evaluate_rows(transfer.prepare(sphere, wl, l_max), r_nm, orientations)
+        except NanoshellError:
+            for r in r_nm:
+                try:
+                    spectro.evaluate_rows(transfer.prepare(sphere, wl, l_max), [r], orientations)
+                except NanoshellError as exc:
+                    raise annotate(exc, f"while evaluating row r={r:.6g} nm, lambda={wl:.6g} nm")
+            raise
+    return out
 
 
-def _run_points(cfg, points):
-    """points: list of (r_over_rs, r_nm, wavelength) evaluated in order."""
-    need = "both" if ("average" in cfg.orientations or
-                      set(model.ORIENTATIONS) <= set(cfg.orientations)) else cfg.orientations[0]
-    tasks = [
-        (cfg.sphere_spec, r_nm, wl, need, cfg.l_max)
-        for (_, r_nm, wl) in points
-    ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            evaluated = list(pool.map(_eval_task, tasks, chunksize=1))
+# module-level so that a block pickles cleanly into a process pool; the
+# worker builds its own sphere and prepares for itself
+def _block_task(args):
+    sphere_spec, points, orientations, l_max = args
+    return _evaluate_block(sphere_from_spec(sphere_spec), points, orientations, l_max)
+
+
+def _run_points(cfg, sphere, points):
+    """points: list of (r_over_rs, r_nm, wavelength) evaluated in order, in
+    at most ``cfg.workers`` contiguous blocks."""
+    both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
+    orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
+    rows = [(r_nm, wl) for _, r_nm, wl in points]
+    n_blocks = min(cfg.workers, len(rows))
+    if n_blocks > 1:
+        cuts = [len(rows) * b // n_blocks for b in range(n_blocks + 1)]
+        tasks = [
+            (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            evaluated = [res for block in pool.map(_block_task, tasks) for res in block]
     else:
-        evaluated = [_eval_task(t) for t in tasks]
-    rows = []
+        evaluated = _evaluate_block(sphere, rows, orientations, cfg.l_max)
+    out = []
     for (r_rs, _, wl), res in zip(points, evaluated):
         for orientation in cfg.orientations:
-            rows.append(ResultRow(r_rs, wl, orientation, res[orientation]))
-    return rows
+            out.append(ResultRow(r_rs, wl, orientation, res[orientation]))
+    return out
 
 
 def run_radial_sweep(cfg):
@@ -344,7 +372,7 @@ def run_radial_sweep(cfg):
     rs = sphere.outer_radius_nm
     points = [(g, g * rs, cfg.wavelength_nm) for g in grid]
     table = ResultTable(config=cfg)
-    table.rows = _run_points(cfg, points)
+    table.rows = _run_points(cfg, sphere, points)
     return table
 
 
@@ -355,7 +383,7 @@ def run_wavelength_sweep(cfg):
     r_nm = cfg.r_over_rs * rs
     points = [(cfg.r_over_rs, r_nm, wl) for wl in cfg.wavelengths_nm]
     table = ResultTable(config=cfg)
-    table.rows = _run_points(cfg, points)
+    table.rows = _run_points(cfg, sphere, points)
     return table
 
 

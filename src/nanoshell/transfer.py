@@ -11,6 +11,16 @@ per channel.  No large block system is ever formed.  Every step acts on
 arrays over l = 1..l_max at once, so a polarization is solved in one pass
 and kept as one :class:`ChannelSolution`.
 
+Only the source jump depends on the dipole radius, so the solve has two
+steps.  :func:`prepare` holds what a (sphere, wavelength, l_max) fixes: the
+layer context, the interface tables and, per (host region, polarization),
+the carried pairs, interface rows and closure determinant, each built on
+first use.  :func:`close` then builds the dipole tables of many radii in one
+call and closes them on (row, l) arrays; the radial and tangential dipoles
+share the TM chain.  Every row is elementwise, so its result does not
+depend on the rows closed with it, and :func:`solve_dipole_fields` is a
+prepare and a close over one row.
+
 Each channel keeps the (E_t, H_t) row its matching step formed at every
 interface; the net radial Poynting flux through an interface, and so a
 shell's Ohmic absorption, is read from it (:meth:`ChannelSolution.flux`).
@@ -30,7 +40,7 @@ import numpy as np
 
 from . import materials, model, scaledmath as sm
 from .errors import ConfigError, DegenerateSystemError, GeometryError
-from .specfun import riccati_scaled
+from .specfun import real_over, riccati_scaled
 
 TM = "TM"
 TE = "TE"
@@ -85,30 +95,26 @@ def layer_context(sphere, wavelength_nm):
     )
 
 
-class _InterfaceTables:
-    """Riccati tables per (region, interface) pair, built on demand."""
-
-    def __init__(self, ctx, l_max):
-        self.ctx = ctx
-        self.l_max = l_max
-        self._cache = {}
-
-    def get(self, region, interface):
-        key = (region, interface)
-        if key not in self._cache:
-            z = self.ctx.k[region - 1] * self.ctx.radii[interface - 1]
-            self._cache[key] = riccati_scaled(self.l_max, z)
-        return self._cache[key]
-
-
-def _orders(t):
-    """(psi, dpsi, xi, dxi) of a scaled table as pairs over l = 1..l_max."""
+def _orders(t, i=...):
+    """(psi, dpsi, xi, dxi) of a scaled table as pairs over l = 1..l_max, for
+    argument i of a batched table (all arguments by default)."""
     return (
-        (t.psi[1:], t.psi_e[1:]),
-        (t.dpsi[1:], t.dpsi_e[1:]),
-        (t.xi[1:], t.xi_e[1:]),
-        (t.dxi[1:], t.dxi_e[1:]),
+        (t.psi[i, 1:], t.psi_e[i, 1:]),
+        (t.dpsi[i, 1:], t.dpsi_e[i, 1:]),
+        (t.xi[i, 1:], t.xi_e[i, 1:]),
+        (t.dxi[i, 1:], t.dxi_e[i, 1:]),
     )
+
+
+def _interface_tables(ctx, l_max, rho=()):
+    """Riccati tables of both regions at every interface, as (region,
+    interface) -> (psi, dpsi, xi, dxi) pairs over l = 1..l_max, and in the
+    same call the tables at the extra arguments rho, as pairs with a leading
+    axis over rho."""
+    keys = [(j, i) for i in range(1, ctx.n_regions) for j in (i, i + 1)]
+    z = np.concatenate([[ctx.k[j - 1] * ctx.radii[i - 1] for j, i in keys], rho])
+    t = riccati_scaled(l_max, z)
+    return {key: _orders(t, n) for n, key in enumerate(keys)}, _orders(t, slice(len(keys), None))
 
 
 def _entries(tables, ctx, region, interface, pol):
@@ -118,7 +124,7 @@ def _entries(tables, ctx, region, interface, pol):
     the E row carries the Riccati derivatives, for TE the functions
     themselves; k- and mu-weighting implement the field matching.
     """
-    psi, dpsi, xi, dxi = _orders(tables.get(region, interface))
+    psi, dpsi, xi, dxi = tables[region, interface]
     k = ctx.k[region - 1]
     mu = ctx.mu[region - 1]
     if pol == TM:
@@ -171,7 +177,7 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
         k0=k0,
         wavelength_nm=wavelength_nm,
     )
-    tables = _InterfaceTables(ctx, l)
+    tables, _ = _interface_tables(ctx, l)
     m = np.empty((2, 2), dtype=complex)
     for col, unit in enumerate(((_ONE, sm.ZERO), (sm.ZERO, _ONE))):
         pair, _ = _cross(unit, tables, ctx, 1, 1, 2, pol)
@@ -201,6 +207,8 @@ class ChannelSolution:
     rows: tuple  # interface 1..N -> scaled (E_t, H_t) row
     a1: tuple | None  # scales u; None for a centered dipole
     b_out_scaled: tuple  # scales v
+    fluxes: "_Fluxes"  # shared by the rows closed together
+    row: int  # this solution's row in ``fluxes``
 
     def flux(self, interface):
         """Net outward radial power flux through one interface per order,
@@ -211,10 +219,7 @@ class ChannelSolution:
         """
         if interface == 0:
             return np.zeros(len(self.l))
-        amp = self.a1 if interface < self.host else self.b_out_scaled
-        y_e, y_h = (sm.mul(amp, y) for y in self.rows[interface - 1])
-        p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", self.l[0])
-        return p.imag if self.pol == TE else -p.imag
+        return self.fluxes(interface)[self.row]
 
     @property
     def states(self):
@@ -229,6 +234,27 @@ class ChannelSolution:
             above = _times(self.b_out_scaled, self.v[j]) if j in self.v else None
             out.append((below or above, above or below))
         return tuple(out)
+
+
+class _Fluxes:
+    """Interface fluxes of one polarization for every row closed together,
+    on (row, l) arrays, each interface computed once on first use."""
+
+    def __init__(self, chain, host, pol, a1, b_out):
+        self.rows = chain.rows
+        self.host = host
+        self.pol = pol
+        self.a1 = a1
+        self.b_out = b_out
+        self._done = {}
+
+    def __call__(self, interface):
+        if interface not in self._done:
+            amp = self.a1 if interface < self.host else self.b_out
+            y_e, y_h = (sm.mul(amp, y) for y in self.rows[interface - 1])
+            p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", 1)
+            self._done[interface] = p.imag if self.pol == TE else -p.imag
+        return self._done[interface]
 
 
 def _times(amp, pair):
@@ -263,61 +289,114 @@ def _propagate(ctx, tables, n_host, pol):
     return u, v, tuple(rows)
 
 
-def _solve_channel(ctx, tables, n_host, pol, ls, weight, s_reg, s_out):
-    """Close every order of one polarization for a dipole off the origin; the
-    source amplitudes are the projections of the regular and outgoing
-    profiles onto the dipole axis, swapped (outgoing content above the
-    source is proportional to the regular profile and vice versa)."""
-    u, v, rows = _propagate(ctx, tables, n_host, pol)
-    u1, u2 = u[n_host]
-    v1, v2 = v[n_host]
-    t1 = sm.mul(u1, v2)
-    t2 = sm.mul(u2, v1)
-    delta = sm.sub(t1, t2)
-    scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
-    degenerate = (delta[0] == 0) | (
-        np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
-    )
-    if degenerate.any():
-        raise DegenerateSystemError(int(ls[np.argmax(degenerate)]), pol)
+@dataclass(frozen=True)
+class _Chain:
+    """One (host region, polarization) of a prepared sphere: the unit pairs
+    u and v, the interface rows and the closure determinant
+    u1 v2 - u2 v1 at the host, which no dipole radius changes."""
 
-    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
-    b_out = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
+    u: dict
+    v: dict
+    rows: tuple
+    delta: tuple
+
+
+class Prepared:
+    """Everything one (sphere, wavelength, l_max) fixes for every dipole
+    radius: the layer context, the Riccati tables at the interfaces and, per
+    (host region, polarization), a :class:`_Chain`.  Tables and chains are
+    built on first use, so a query pays only for the host regions and
+    polarizations it drives."""
+
+    def __init__(self, sphere, wavelength_nm, l_max, ctx=None):
+        check_l_max(l_max)
+        self.sphere = sphere
+        self.wavelength_nm = wavelength_nm
+        self.l_max = l_max
+        self.ctx = layer_context(sphere, wavelength_nm) if ctx is None else ctx
+        self.ls = np.arange(1, l_max + 1)
+        self._tables = None
+        self._chains = {}
+        self._center = None
+
+    def dipole_tables(self, rho):
+        """(psi, dpsi, xi, dxi) pairs over l = 1..l_max at the dipole
+        arguments rho, one table each.  While the interface tables are still
+        missing they are built in the same call."""
+        if self._tables is not None:
+            return _orders(riccati_scaled(self.l_max, rho))
+        self._tables, tables = _interface_tables(self.ctx, self.l_max, rho)
+        return tables
+
+    def chain(self, host, pol):
+        key = (host, pol)
+        if key not in self._chains:
+            if self._tables is None:
+                self._tables, _ = _interface_tables(self.ctx, self.l_max)
+            u, v, rows = _propagate(self.ctx, self._tables, host, pol)
+            (u1, u2), (v1, v2) = u[host], v[host]
+            t1 = sm.mul(u1, v2)
+            t2 = sm.mul(u2, v1)
+            delta = sm.sub(t1, t2)
+            scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
+            degenerate = (delta[0] == 0) | (
+                np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
+            )
+            if degenerate.any():
+                raise DegenerateSystemError(int(self.ls[np.argmax(degenerate)]), pol)
+            self._chains[key] = _Chain(u, v, rows, delta)
+        return self._chains[key]
+
+    def center(self):
+        """The same sphere and wavelength at l_max = 1: a dipole at the
+        origin drives only the l = 1 electric channel."""
+        if self._center is None:
+            self._center = Prepared(self.sphere, self.wavelength_nm, 1, self.ctx)
+        return self._center
+
+
+def prepare(sphere, wavelength_nm, l_max):
+    """What every dipole radius shares at one wavelength; see :class:`Prepared`."""
+    return Prepared(sphere, wavelength_nm, l_max)
+
+
+def _close_channel(chain, host, s_reg, s_out):
+    """Close one polarization for dipoles off the origin, on (row, l) arrays;
+    the source amplitudes are the projections of the regular and outgoing
+    profiles onto the dipole axis, swapped (outgoing content above the
+    source is proportional to the regular profile and vice versa).  Returns
+    the scaled a1 and b_out with the collapsed g, b_out, source and
+    scattered amplitudes."""
+    (u1, u2), (v1, v2) = chain.u[host], chain.v[host]
+    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), chain.delta)
+    b_out = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), chain.delta)
     # scattered field in the host region; these product forms are exact and
     # avoid the cancellation in (total - primary)
     a_s = sm.mul(v1, b_out)
     b_s = sm.mul(u2, a1)
-    return ChannelSolution(
-        l=ls,
-        pol=pol,
-        weight=weight,
-        g=sm.collapse(sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), "g", 1),
-        b_out=sm.collapse(b_out, "ambient amplitude", 1),
-        q_out_val=sm.collapse(s_reg, "source amplitude", 1),
-        scat_out=sm.collapse(b_s, "scattered amplitude", 1),
-        host=n_host,
-        u=u,
-        v=v,
-        rows=rows,
-        a1=a1,
-        b_out_scaled=b_out,
+    return a1, b_out, (
+        sm.collapse(sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), "g", 1),
+        sm.collapse(b_out, "ambient amplitude", 1),
+        sm.collapse(s_reg, "source amplitude", 1),
+        sm.collapse(b_s, "scattered amplitude", 1),
     )
 
 
-def _solve_center(ctx, tables, pol, q_out_ideal, weight):
-    """Dipole exactly at the origin: a pure l=1 source; the divergent
-    outgoing profile cancels analytically against the regular response, so
-    no core pair is carried outward."""
-    _, v, rows = _propagate(ctx, tables, 1, pol)
-    v1, v2 = v[1]
-    if np.any(v2[0] == 0):
-        raise DegenerateSystemError(1, pol)
+def _close_center(prepared, orientation):
+    """The one l = 1 TM channel of a dipole exactly at the origin; the
+    divergent outgoing profile cancels analytically against the regular
+    response, so no core pair is carried outward."""
+    q_out_ideal = 1.0 / 3.0 if orientation == model.RADIAL else 2.0 / 3.0
+    weight = 9.0 if orientation == model.RADIAL else 2.25
+    chain = prepared.center().chain(1, TM)
+    v1, v2 = chain.v[1]
     q_out = sm.from_complex(q_out_ideal)
     a_s = sm.mul(sm.div(v1, v2), q_out)
     b_out = sm.div(q_out, v2)
+    fluxes = _Fluxes(chain, 1, TM, None, (b_out[0][None], b_out[1][None]))
     return ChannelSolution(
         l=np.array([1]),
-        pol=pol,
+        pol=TM,
         weight=np.array([weight]),
         g=sm.collapse(sm.mul(a_s, q_out), "g at center", 1),
         b_out=sm.collapse(b_out, "ambient amplitude", 1),
@@ -325,11 +404,90 @@ def _solve_center(ctx, tables, pol, q_out_ideal, weight):
         scat_out=np.zeros(1, dtype=complex),
         host=1,
         u={},
-        v=v,
-        rows=rows,
+        v=chain.v,
+        rows=chain.rows,
         a1=None,
         b_out_scaled=b_out,
+        fluxes=fluxes,
+        row=0,
     )
+
+
+def _plan(orientation, ls, psi, dpsi, xi, dxi, inv_rho):
+    """(polarization, weight, regular profile, outgoing profile, factor) of
+    each channel an orientation drives; the profile pair projected onto the
+    dipole axis at the dipole radius is factor times (regular, outgoing)."""
+    if orientation == model.RADIAL:
+        return [(TM, 1.5 * ls * (ls + 1) * (2 * ls + 1), psi, xi, inv_rho * inv_rho)]
+    weight = 0.75 * (2 * ls + 1)
+    return [(TM, weight, dpsi, dxi, inv_rho), (TE, weight, psi, xi, inv_rho)]
+
+
+def close(prepared, r_nm, orientations):
+    """Channel solutions of dipoles at the radii ``r_nm`` [nm] against one
+    prepared (sphere, wavelength): per radius, a dict orientation ->
+    :class:`MultipoleCoefficients`.
+
+    The dipole Riccati tables of all radii are built in one call, one per
+    radius, and each (host region, polarization) is closed on (row, l)
+    arrays; the radial and tangential dipoles share the TM chain.  Every
+    entry is elementwise in the rows, so a row's results do not depend on
+    which rows share the call.  An error names its order and polarization
+    but not its row: to find the first failing row, close the rows one at a
+    time.
+    """
+    sphere, ctx, l_max, ls = prepared.sphere, prepared.ctx, prepared.l_max, prepared.ls
+    dipoles = [
+        {o: model.DipoleSource(r, o, prepared.wavelength_nm) for o in orientations}
+        for r in r_nm
+    ]
+    hosts = [model.validate_dipole(sphere, row[orientations[0]]) for row in dipoles]
+    channels = [{o: [] for o in orientations} for _ in dipoles]
+
+    off = [i for i, r in enumerate(r_nm) if r != 0.0]
+    if off:
+        rho = np.array([ctx.k[hosts[i] - 1] for i in off]) * np.array([r_nm[i] for i in off])
+        psi, dpsi, xi, dxi = prepared.dipole_tables(rho)
+        inv_rho = real_over(1.0, rho)[:, None]
+        for host in sorted({hosts[i] for i in off}):
+            sel = [n for n, i in enumerate(off) if hosts[i] == host]
+            tables = [(m[sel], e[sel]) for m, e in (psi, dpsi, xi, dxi)]
+            for o in orientations:
+                for pol, weight, reg, out, c in _plan(o, ls, *tables, inv_rho[sel]):
+                    chain = prepared.chain(host, pol)
+                    a1, b_out, (g, b_c, q, scat) = _close_channel(
+                        chain, host, sm.scale(reg, c), sm.scale(out, c)
+                    )
+                    fluxes = _Fluxes(chain, host, pol, a1, b_out)
+                    for n, i in enumerate(sel):
+                        channels[off[i]][o].append(ChannelSolution(
+                            l=ls, pol=pol, weight=weight, g=g[n], b_out=b_c[n],
+                            q_out_val=q[n], scat_out=scat[n], host=host,
+                            u=chain.u, v=chain.v, rows=chain.rows,
+                            a1=(a1[0][n], a1[1][n]), b_out_scaled=(b_out[0][n], b_out[1][n]),
+                            fluxes=fluxes, row=n,
+                        ))
+    center = [i for i, r in enumerate(r_nm) if r == 0.0]
+    if center:
+        for o in orientations:
+            ch = _close_center(prepared, o)
+            for i in center:
+                channels[i][o].append(ch)
+    return [
+        {
+            o: MultipoleCoefficients(
+                sphere=sphere,
+                dipole=row[o],
+                ctx=ctx,
+                host_region=host,
+                l_max=l_max,
+                channels=chans[o],
+                at_center=row[o].radial_position_nm == 0.0,
+            )
+            for o in orientations
+        }
+        for row, host, chans in zip(dipoles, hosts, channels)
+    ]
 
 
 def check_l_max(l_max):
@@ -344,44 +502,12 @@ def check_l_max(l_max):
 
 def solve_dipole_fields(sphere, dipole, l_max):
     """Field coefficients of every (l, polarization) channel in all regions,
-    one :class:`ChannelSolution` per driven polarization.
+    one :class:`ChannelSolution` per driven polarization: a prepare and a
+    close over one row.
 
     The overall source normalization is fixed so that a contrast-free sphere
     returns zero scattered amplitudes and unit normalized rates.
     """
-    check_l_max(l_max)
-    ctx = layer_context(sphere, dipole.wavelength_nm)
-    n_host = model.validate_dipole(sphere, dipole)
-    at_center = dipole.radial_position_nm == 0.0
-    if at_center:
-        # centered source: only the l = 1 electric channel is driven
-        q_ideal = 1.0 / 3.0 if dipole.orientation == model.RADIAL else 2.0 / 3.0
-        weight = 9.0 if dipole.orientation == model.RADIAL else 2.25
-        channels = [_solve_center(ctx, _InterfaceTables(ctx, 1), TM, q_ideal, weight)]
-    else:
-        rho = ctx.k[n_host - 1] * dipole.radial_position_nm
-        psi, dpsi, xi, dxi = _orders(riccati_scaled(l_max, rho))
-        ls = np.arange(1, l_max + 1)
-        tables = _InterfaceTables(ctx, l_max)
-        inv_rho = 1.0 / rho
-        if dipole.orientation == model.RADIAL:
-            plan = [(TM, 1.5 * ls * (ls + 1) * (2 * ls + 1), psi, xi, inv_rho * inv_rho)]
-        else:
-            weight = 0.75 * (2 * ls + 1)
-            plan = [(TM, weight, dpsi, dxi, inv_rho), (TE, weight, psi, xi, inv_rho)]
-        # the profile pair projected onto the dipole axis at the dipole radius
-        channels = [
-            _solve_channel(
-                ctx, tables, n_host, pol, ls, w, sm.scale(reg, c), sm.scale(out, c)
-            )
-            for pol, w, reg, out, c in plan
-        ]
-    return MultipoleCoefficients(
-        sphere=sphere,
-        dipole=dipole,
-        ctx=ctx,
-        host_region=n_host,
-        l_max=l_max,
-        channels=channels,
-        at_center=at_center,
-    )
+    prepared = prepare(sphere, dipole.wavelength_nm, l_max)
+    [row] = close(prepared, [dipole.radial_position_nm], (dipole.orientation,))
+    return row[dipole.orientation]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nanoshell import cli, model, sweep, transfer
+from nanoshell import cli, model, spectro, sweep, transfer
 from nanoshell.errors import (
     ConfigError,
     DegenerateSystemError,
@@ -422,3 +423,112 @@ def test_exit_code_mapping():
     assert cli._exit_code(MaterialRangeError("x")) == 3
     assert cli._exit_code(DegenerateSystemError(3, "TM")) == 4
     assert cli._exit_code(QuadratureError(2, 1e-3, 1e-7)) == 4
+
+
+def test_failing_row_is_named_on_the_error_line(tmp_path):
+    # gold's table ends at 1100 nm: 1200 nm is the first failing row
+    for workers in (1, 2):
+        proc, out = _run_config(
+            tmp_path,
+            sphere="A",
+            sweep="wavelength",
+            r_over_rs=1.3,
+            wavelengths_nm=[600.0, 1200.0, 1300.0],
+            orientation="radial",
+            workers=workers,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "lambda=1200 nm" in proc.stderr, proc.stderr
+        assert "lambda=1300" not in proc.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("workers", 2.7),
+        ("workers", True),
+        ("workers", "2"),
+        ("wavelength_nm", True),
+        ("wavelength_nm", "595"),
+        ("wavelengths_nm", [600.0, True]),
+        ("r_over_rs", True),
+        ("interface_margin", True),
+        ("grid", [0.5, True]),
+        ("grid", [0.5, "0.7"]),
+    ],
+)
+def test_config_values_must_have_exact_types(key, bad):
+    raw = {"sphere": "D", key: bad}
+    if key in ("wavelengths_nm", "r_over_rs"):
+        raw.update(sweep="wavelength", r_over_rs=1.2, wavelengths_nm=[600.0])
+        raw[key] = bad
+    with pytest.raises(ConfigError, match=key):
+        sweep.config_from_dict(raw)
+
+
+def test_config_type_error_exits_2_before_any_row(tmp_path):
+    proc, out = _run_config(tmp_path, wavelength_nm=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "wavelength_nm" in proc.stderr
+    assert not out.exists()
+
+
+def _rows_of(prepared, r_nm, orientations):
+    """Every row's results from one close over all of r_nm."""
+    return [
+        {o: dataclasses.astuple(spectro.evaluate_from_coefficients(c)) for o, c in row.items()}
+        for row in transfer.close(prepared, r_nm, orientations)
+    ]
+
+
+# large enough that the dipole arguments start their j recurrences at
+# different orders
+FOUR_SHELLS = {
+    "shells": [[250.0, {"n": 1.45}], [400.0, {"n": 2.1}], [550.0, {"n": 1.6}], [700.0, {"n": 2.4}]],
+    "ambient": "water",
+}
+
+
+@pytest.mark.parametrize(
+    "spec, orientations",
+    [("A", model.ORIENTATIONS), (FOUR_SHELLS, model.ORIENTATIONS), (FOUR_SHELLS, ("tangential",))],
+)
+def test_block_rows_do_not_depend_on_their_neighbours(spec, orientations):
+    # every row of a block, and of the blocks a pool would cut from it, is
+    # bit-identical to the same row closed on its own; the rows span
+    # several host regions and the center
+    sphere = sweep.sphere_from_spec(spec)
+    cfg = sweep.config_from_dict({"sphere": spec})
+    grid = sweep.resolve_grid(cfg, sphere)
+    if spec != "A":
+        grid = grid[::25]
+    r_nm = [g * sphere.outer_radius_nm for g in grid]
+    prepared = transfer.prepare(sphere, LAM, 60)
+    hosts = {model.validate_dipole(sphere, model.DipoleSource(r, "radial", LAM)) for r in r_nm}
+    assert len(hosts) >= 3 and 0.0 in r_nm
+    alone = [_rows_of(prepared, [r], orientations)[0] for r in r_nm]
+    assert _rows_of(prepared, r_nm, orientations) == alone
+    rows = spectro.evaluate_rows(transfer.prepare(sphere, LAM, 60), r_nm, orientations)
+    assert [{o: dataclasses.astuple(row[o]) for o in orientations} for row in rows] == alone
+    for n_blocks in (2, 3, 7):
+        cuts = [len(r_nm) * b // n_blocks for b in range(n_blocks + 1)]
+        split = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            split += _rows_of(transfer.prepare(sphere, LAM, 60), r_nm[lo:hi], orientations)
+        assert split == alone
+    # the one-row entry point agrees too
+    mid = len(r_nm) // 2
+    one = spectro.evaluate(sphere, model.DipoleSource(r_nm[mid], model.TANGENTIAL, LAM))
+    assert dataclasses.astuple(one) == alone[mid][model.TANGENTIAL]
+
+
+def test_csv_bytes_across_one_two_and_three_workers():
+    # rows on both sides of D's surface, in both host regions
+    texts = set()
+    for workers in (1, 2, 3):
+        cfg = sweep.config_from_dict(
+            {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 11]}, "workers": workers}
+        )
+        texts.add(sweep.run_radial_sweep(cfg).to_csv())
+    assert len(texts) == 1
