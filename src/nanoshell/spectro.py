@@ -171,13 +171,16 @@ def ohmic_rate_per_l(coeffs):
 
 
 def _near_metal(coeffs):
-    margin = model.interface_margin_nm(
-        coeffs.sphere,
-        coeffs.dipole.radial_position_nm,
-        absorbing_only=True,
-        wavelength_nm=coeffs.dipole.wavelength_nm,
+    """Whether the dipole lies within NEAR_METAL_FRACTION r_s of an
+    interface touching a region that absorbs at the solve's wavelength."""
+    absorbing = coeffs.ctx.absorbing
+    r = coeffs.dipole.radial_position_nm
+    limit = NEAR_METAL_FRACTION * coeffs.sphere.outer_radius_nm
+    return any(
+        abs(r - R) < limit
+        for i, R in enumerate(coeffs.sphere.radii)
+        if absorbing[i] or absorbing[i + 1]
     )
-    return margin < NEAR_METAL_FRACTION * coeffs.sphere.outer_radius_nm
 
 
 def evaluate_from_coefficients(coeffs):

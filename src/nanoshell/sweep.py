@@ -1,7 +1,9 @@
 """Sweep runner: radial and wavelength scans with deterministic CSV output.
 
-Rows are split into at most ``workers`` contiguous blocks in declared order;
-each block (a process-pool task when there are several) builds the sphere,
+Rows are split into at most ``workers`` contiguous blocks in declared order,
+no more than one per ``MIN_BLOCK_ENTRIES`` (row, l) entries; a sweep too
+small for two such blocks runs in-process on the sphere it already built.
+Each block (a process-pool task when there are several) builds the sphere,
 prepares once per wavelength and closes all its rows together.  A row's
 result does not depend on its block, and rows are written in declared
 order, so output bytes are identical across runs and across worker counts.
@@ -45,6 +47,15 @@ DEFAULT_ORIENTATIONS = (model.RADIAL, model.TANGENTIAL, "average")
 # nudged outward by NUDGE_FRACTION
 MARGIN_FRACTION = 0.001
 NUDGE_FRACTION = 0.005
+
+# a sweep gets one process-pool block per this many (row, l) entries, at
+# most `workers` of them: starting and joining the pool (~10 ms), each
+# block's own prepare and a cold worker cost more than half a smaller sweep
+# takes in-process.  On a 2-core box, 2 workers first beat 1 at ~6,100
+# entries per block (preset D grids at l_max 60) and ~8,000 (at l_max
+# 4000); this rounds that up to 4 x spectro._BATCH_ENTRIES, so a sweep
+# splits in two from 269 rows at l_max 60 and from 5 rows at l_max 4000
+MIN_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -120,11 +131,15 @@ def config_from_dict(raw):
     wavelength_nm = raw.get("wavelength_nm", 595.0)
     _require_finite("wavelength_nm", wavelength_nm)
     _require_finite("wavelengths_nm", *wavelengths)
+    _require_sign("wavelength_nm", [wavelength_nm], positive=True)
+    _require_sign("wavelengths_nm", wavelengths, positive=True)
     margin = raw.get("interface_margin", MARGIN_FRACTION)
     _require_finite("interface_margin", margin)
+    _require_sign("interface_margin", [margin], positive=False)
     r_over_rs = raw.get("r_over_rs")
     if r_over_rs is not None:
         _require_finite("r_over_rs", r_over_rs)
+        _require_sign("r_over_rs", [r_over_rs], positive=False)
     if "quadrature_rtol" in raw:  # accepted for older configs; the engine has no quadrature
         _require_finite("quadrature_rtol", raw["quadrature_rtol"])
     grid = raw.get("grid", "default")
@@ -160,6 +175,15 @@ def _require_finite(name, *values):
             raise ConfigError(f"{name} must be a real number, got {v!r}")
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
+
+
+def _require_sign(name, values, positive):
+    """Wavelengths must be positive, positions and margins non-negative,
+    before any row runs."""
+    for v in values:
+        if v < 0 or (positive and v == 0):
+            kind = "positive" if positive else "non-negative"
+            raise ConfigError(f"{name} must be {kind}, got {v!r}")
 
 
 def _check_linspace(spec):
@@ -341,20 +365,27 @@ def _block_task(args):
     return _evaluate_block(sphere_from_spec(sphere_spec), points, orientations, l_max)
 
 
+def block_cuts(n_rows, l_max, workers):
+    """Row indices [0, ..., n_rows] that cut a sweep into contiguous blocks
+    of near-equal size: at most ``workers`` of them, and no more than one
+    per MIN_BLOCK_ENTRIES (row, l) entries."""
+    n_blocks = max(1, min(workers, n_rows * (l_max + 1) // MIN_BLOCK_ENTRIES))
+    return [n_rows * b // n_blocks for b in range(n_blocks + 1)]
+
+
 def _run_points(cfg, sphere, points):
     """points: list of (r_over_rs, r_nm, wavelength) evaluated in order, in
-    at most ``cfg.workers`` contiguous blocks."""
+    the contiguous blocks of :func:`block_cuts`."""
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
-    n_blocks = min(cfg.workers, len(rows))
-    if n_blocks > 1:
-        cuts = [len(rows) * b // n_blocks for b in range(n_blocks + 1)]
+    cuts = block_cuts(len(rows), cfg.l_max, cfg.workers)
+    if len(cuts) > 2:
         tasks = [
             (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)
             for lo, hi in zip(cuts, cuts[1:])
         ]
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             evaluated = [res for block in pool.map(_block_task, tasks) for res in block]
     else:
         evaluated = _evaluate_block(sphere, rows, orientations, cfg.l_max)

@@ -186,15 +186,16 @@ def _region_channels(coeffs, region):
 
 
 def _radial_profiles(p, tab):
-    """Radial profile f and its argument-derivative at one Riccati table."""
+    """Radial profile f and its argument-derivative, per argument of a
+    batched Riccati table (rows) and per order of the channel (columns)."""
     l = p["l"]
     f = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.psi[l], tab.psi_e[l],
-        p["c2m"], p["c2e"], tab.xi[l], tab.xi_e[l],
+        p["c1m"], p["c1e"], tab.psi[:, l], tab.psi_e[:, l],
+        p["c2m"], p["c2e"], tab.xi[:, l], tab.xi_e[:, l],
     )
     fd = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.dpsi[l], tab.dpsi_e[l],
-        p["c2m"], p["c2e"], tab.dxi[l], tab.dxi_e[l],
+        p["c1m"], p["c1e"], tab.dpsi[:, l], tab.dpsi_e[:, l],
+        p["c2m"], p["c2e"], tab.dxi[:, l], tab.dxi_e[:, l],
     )
     return f, fd
 
@@ -204,7 +205,8 @@ def _region_integrand(coeffs, region):
 
     Angular integrals are done analytically (the vector-wave families are
     orthogonal over the sphere), leaving a 1D radial integral of Riccati
-    bilinears.
+    bilinears.  The integrand takes an array of radii and returns one row
+    per radius, from one batched Riccati table.
     """
     k = coeffs.ctx.k[region - 1]
     abs_k2 = abs(k) ** 2
@@ -213,16 +215,17 @@ def _region_integrand(coeffs, region):
 
     def integrand(r):
         tab = riccati_scaled(l_max, k * r)
-        out = np.zeros(l_max)
+        rr = r[:, None]
+        out = np.zeros((len(r), l_max))
         for pol, p in parts.items():
             f, fd = _radial_profiles(p, tab)
             ls = p["l"].astype(float)
             if pol == transfer.TM:
-                out[p["l"] - 1] += p["w"] * (
-                    ls * (ls + 1.0) * np.abs(f) ** 2 / (abs_k2 * r * r) + np.abs(fd) ** 2
+                out[:, p["l"] - 1] += p["w"] * (
+                    ls * (ls + 1.0) * np.abs(f) ** 2 / (abs_k2 * rr * rr) + np.abs(fd) ** 2
                 ) / abs_k2
             else:
-                out[p["l"] - 1] += p["w"] * np.abs(f) ** 2 / abs_k2
+                out[:, p["l"] - 1] += p["w"] * np.abs(f) ** 2 / abs_k2
         return out
 
     return integrand
@@ -233,15 +236,18 @@ def _adaptive_region_integral(fn, a, b, breakpoints, rtol, max_panels):
 
     Deterministic: the worst panel (ties broken by position) is split until
     the summed per-order discrepancy meets the tolerance or the panel cap.
+    A panel's 30 nodes go to ``fn`` in one call.
     """
     x10, w10 = _gl_nodes(10)
     x20, w20 = _gl_nodes(20)
+    x = np.concatenate([x10, x20])
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        i10 = sum(w * fn(mid + half * x) for x, w in zip(x10, w10)) * half
-        i20 = sum(w * fn(mid + half * x) for x, w in zip(x20, w20)) * half
+        f = fn(mid + half * x)
+        i10 = sum(w * row for w, row in zip(w10, f[:10])) * half
+        i20 = sum(w * row for w, row in zip(w20, f[10:])) * half
         return [lo, hi, i20, float(np.sum(np.abs(i20 - i10)))]
 
     edges = sorted({a, b, *[p for p in breakpoints if a < p < b]})

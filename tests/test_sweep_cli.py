@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -443,6 +444,51 @@ def test_failing_row_is_named_on_the_error_line(tmp_path):
         assert not out.exists()
 
 
+def test_failing_row_is_named_through_a_pool(tmp_path, monkeypatch, capsys):
+    # the 3-row sweep is cut into two pool blocks; the annotated error of
+    # the second block crosses back to the parent with its row note
+    pools = _one_block_per_entry(monkeypatch)
+    raw = {
+        "sphere": "A",
+        "sweep": "wavelength",
+        "r_over_rs": 1.3,
+        "wavelengths_nm": [600.0, 1200.0, 1300.0],
+        "orientation": "radial",
+        "workers": 2,
+    }
+    with pytest.raises(MaterialRangeError) as err:
+        sweep.run_sweep(sweep.config_from_dict(raw))
+    notes = " ".join(err.value.__notes__)
+    assert "lambda=1200 nm" in notes and "lambda=1300" not in notes
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "out": str(out)}))
+    assert cli.main(["run", str(cfg_path)]) == 3
+    assert "lambda=1200 nm" in capsys.readouterr().err
+    assert not out.exists()
+    assert pools == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("wavelength_nm", {"wavelength_nm": -595.0}),
+        ("wavelength_nm", {"wavelength_nm": 0.0}),
+        ("wavelengths_nm", {"sweep": "wavelength", "r_over_rs": 1.2,
+                            "wavelengths_nm": [600.0, -700.0]}),
+        ("r_over_rs", {"sweep": "wavelength", "r_over_rs": -0.5, "wavelengths_nm": [600.0]}),
+        ("interface_margin", {"interface_margin": -0.1}),
+    ],
+)
+def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
+    with pytest.raises(ConfigError, match=key):
+        sweep.config_from_dict({"sphere": "D", **overrides})
+    proc, out = _run_config(tmp_path, **overrides)
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr and "while evaluating row" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [
@@ -532,3 +578,50 @@ def test_csv_bytes_across_one_two_and_three_workers():
         )
         texts.add(sweep.run_radial_sweep(cfg).to_csv())
     assert len(texts) == 1
+
+
+def test_block_cuts_follow_the_work_of_a_sweep():
+    # the benchmark's sweeps (40 and 18 rows at l_max 60) run in-process
+    assert sweep.block_cuts(40, 60, 2) == [0, 40]
+    assert sweep.block_cuts(18, 60, 2) == [0, 18]
+    assert sweep.block_cuts(0, 60, 4) == [0, 0]
+    # the default D and B grids are cut in two at 2 workers (CI compares
+    # their CSV bytes against one block), and no further at 8
+    for preset in ("D", "B"):
+        cfg = sweep.config_from_dict({"sphere": preset})
+        n = len(sweep.resolve_grid(cfg, model.preset(preset)))
+        assert sweep.block_cuts(n, 60, 1) == [0, n]
+        assert sweep.block_cuts(n, 60, 2) == [0, n // 2, n]
+        assert len(sweep.block_cuts(n, 60, 8)) == 3
+    # at l_max 4000 a few rows fill a block
+    assert sweep.block_cuts(2, 4000, 2) == [0, 2]
+    assert sweep.block_cuts(5, 4000, 2) == [0, 2, 5]
+    assert sweep.block_cuts(60, 4000, 3) == [0, 20, 40, 60]
+
+
+def _one_block_per_entry(monkeypatch):
+    """Make every sweep split across its workers, and record the pools."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "MIN_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_csv_bytes_through_a_real_pool(monkeypatch):
+    raw = {
+        "sphere": "A",
+        "grid": [0.0, 0.3, 1.25, 1.9],
+        "orientations": ["radial", "tangential", "average"],
+    }
+    base = sweep.run_radial_sweep(sweep.config_from_dict(raw)).to_csv()
+    pools = _one_block_per_entry(monkeypatch)
+    for workers in (2, 3):
+        cfg = sweep.config_from_dict({**raw, "workers": workers})
+        assert sweep.run_radial_sweep(cfg).to_csv() == base
+    assert pools == [2, 3]
