@@ -1,8 +1,11 @@
 """Sweep runner: radial and wavelength scans with deterministic CSV output.
 
 Rows are split into at most ``workers`` contiguous blocks in declared order,
-no more than one per ``MIN_BLOCK_ENTRIES`` (row, l) entries; a sweep too
-small for two such blocks runs in-process on the sphere it already built.
+no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
+row and ``PREPARE_ENTRIES`` per prepare, so a wavelength sweep, which
+prepares once per row, splits at far fewer rows than a radial one.  A sweep
+too small for two such blocks runs in-process on the sphere it already
+built.
 Each block (a process-pool task when there are several) builds the sphere,
 prepares once per wavelength and closes all its rows together.  A row's
 result does not depend on its block, and rows are written in declared
@@ -48,14 +51,21 @@ DEFAULT_ORIENTATIONS = (model.RADIAL, model.TANGENTIAL, "average")
 MARGIN_FRACTION = 0.001
 NUDGE_FRACTION = 0.005
 
-# a sweep gets one process-pool block per this many (row, l) entries, at
-# most `workers` of them: starting and joining the pool (~10 ms), each
-# block's own prepare and a cold worker cost more than half a smaller sweep
-# takes in-process.  On a 2-core box, 2 workers first beat 1 at ~6,100
-# entries per block (preset D grids at l_max 60) and ~8,000 (at l_max
-# 4000); this rounds that up to 4 x spectro._BATCH_ENTRIES, so a sweep
-# splits in two from 269 rows at l_max 60 and from 5 rows at l_max 4000
+# a sweep gets one process-pool block per this many (row, l) entries of
+# work, at most `workers` of them: starting and joining the pool (~10 ms),
+# each block's own prepare and a cold worker cost more than half a smaller
+# sweep takes in-process.  On a 2-core box, 2 workers first beat 1 steadily
+# at ~6,600 entries of work per block (preset D radial grids, 200 rows at
+# l_max 60) and ~8,500 (4 rows at l_max 4000); 4 x spectro._BATCH_ENTRIES
+# lies between the two
 MIN_BLOCK_ENTRIES = 8192
+
+# a prepare counts as this many entries of work.  A wavelength sweep
+# prepares once per row, and such a row costs 3-7 ms at l_max 60 against
+# ~0.3 ms for a radial row; at 2 workers, wavelength sweeps of presets A-D
+# at l_max 60 first beat 1 worker steadily at 16 rows (12 by the median),
+# the fewest rows whose work, 16 * (61 + 1024) = 17,360, fills two blocks
+PREPARE_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,13 @@ def config_from_dict(raw):
     if not isinstance(wavelengths, (list, tuple)):
         raise ConfigError(f"wavelengths_nm must be a list, got {wavelengths!r}")
     wavelength_nm = raw.get("wavelength_nm", 595.0)
-    _require_finite("wavelength_nm", wavelength_nm)
-    _require_finite("wavelengths_nm", *wavelengths)
-    _require_sign("wavelength_nm", [wavelength_nm], positive=True)
-    _require_sign("wavelengths_nm", wavelengths, positive=True)
+    _require_finite("wavelength_nm", wavelength_nm, lo=0.0, strict=True)
+    _require_finite("wavelengths_nm", *wavelengths, lo=0.0, strict=True)
     margin = raw.get("interface_margin", MARGIN_FRACTION)
-    _require_finite("interface_margin", margin)
-    _require_sign("interface_margin", [margin], positive=False)
+    _require_finite("interface_margin", margin, lo=0.0)
     r_over_rs = raw.get("r_over_rs")
     if r_over_rs is not None:
-        _require_finite("r_over_rs", r_over_rs)
-        _require_sign("r_over_rs", [r_over_rs], positive=False)
+        _require_finite("r_over_rs", r_over_rs, lo=0.0)
     if "quadrature_rtol" in raw:  # accepted for older configs; the engine has no quadrature
         _require_finite("quadrature_rtol", raw["quadrature_rtol"])
     grid = raw.get("grid", "default")
@@ -167,23 +173,17 @@ def config_from_dict(raw):
     )
 
 
-def _require_finite(name, *values):
+def _require_finite(name, *values, lo=None, strict=False):
     """Positions, wavelengths and margins must be finite real numbers (a
-    bool is not one) before any row runs."""
+    bool is not one), and at least ``lo`` (above it if ``strict``), before
+    any row runs."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {v!r}")
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
-
-
-def _require_sign(name, values, positive):
-    """Wavelengths must be positive, positions and margins non-negative,
-    before any row runs."""
-    for v in values:
-        if v < 0 or (positive and v == 0):
-            kind = "positive" if positive else "non-negative"
-            raise ConfigError(f"{name} must be {kind}, got {v!r}")
+        if lo is not None and (v < lo or (strict and v == lo)):
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} {lo:g}, got {v!r}")
 
 
 def _check_linspace(spec):
@@ -365,11 +365,13 @@ def _block_task(args):
     return _evaluate_block(sphere_from_spec(sphere_spec), points, orientations, l_max)
 
 
-def block_cuts(n_rows, l_max, workers):
+def block_cuts(n_rows, n_prepares, l_max, workers):
     """Row indices [0, ..., n_rows] that cut a sweep into contiguous blocks
     of near-equal size: at most ``workers`` of them, and no more than one
-    per MIN_BLOCK_ENTRIES (row, l) entries."""
-    n_blocks = max(1, min(workers, n_rows * (l_max + 1) // MIN_BLOCK_ENTRIES))
+    per MIN_BLOCK_ENTRIES entries of work, counting (l_max + 1) per row and
+    PREPARE_ENTRIES per prepare."""
+    work = n_rows * (l_max + 1) + n_prepares * PREPARE_ENTRIES
+    n_blocks = max(1, min(workers, work // MIN_BLOCK_ENTRIES))
     return [n_rows * b // n_blocks for b in range(n_blocks + 1)]
 
 
@@ -379,7 +381,8 @@ def _run_points(cfg, sphere, points):
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
-    cuts = block_cuts(len(rows), cfg.l_max, cfg.workers)
+    prepares = sum(1 for _ in itertools.groupby(wl for _, wl in rows))
+    cuts = block_cuts(len(rows), prepares, cfg.l_max, cfg.workers)
     if len(cuts) > 2:
         tasks = [
             (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)

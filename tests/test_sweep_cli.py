@@ -114,7 +114,26 @@ def test_csv_format():
     float(cells[4])
 
 
-def test_csv_determinism_across_runs_and_workers():
+def _record_pools(monkeypatch):
+    """Record the worker count of every process pool a sweep starts."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def _one_block_per_entry(monkeypatch):
+    """Make every sweep split across its workers, and record the pools."""
+    monkeypatch.setattr(sweep, "MIN_BLOCK_ENTRIES", 1)
+    return _record_pools(monkeypatch)
+
+
+def test_csv_determinism_across_runs_and_workers(monkeypatch):
     cfg = _cfg(
         sphere="A",
         grid=[0.0, 0.3, 1.25, 1.9],
@@ -123,6 +142,8 @@ def test_csv_determinism_across_runs_and_workers():
     base = sweep.run_radial_sweep(cfg).to_csv()
     again = sweep.run_radial_sweep(cfg).to_csv()
     assert again == base
+    # 2 and 3 workers cut the 4 rows into that many pool blocks
+    pools = _one_block_per_entry(monkeypatch)
     for workers in (2, 3):
         cfg_w = sweep.config_from_dict(
             {
@@ -133,6 +154,7 @@ def test_csv_determinism_across_runs_and_workers():
             }
         )
         assert sweep.run_radial_sweep(cfg_w).to_csv() == base
+    assert pools == [2, 3]
 
 
 def test_wavelength_sweep_consistent_with_radial():
@@ -569,8 +591,10 @@ def test_block_rows_do_not_depend_on_their_neighbours(spec, orientations):
     assert dataclasses.astuple(one) == alone[mid][model.TANGENTIAL]
 
 
-def test_csv_bytes_across_one_two_and_three_workers():
-    # rows on both sides of D's surface, in both host regions
+def test_csv_bytes_across_one_two_and_three_workers(monkeypatch):
+    # rows on both sides of D's surface, in both host regions, in one block
+    # and in two and three pool blocks
+    pools = _one_block_per_entry(monkeypatch)
     texts = set()
     for workers in (1, 2, 3):
         cfg = sweep.config_from_dict(
@@ -578,50 +602,48 @@ def test_csv_bytes_across_one_two_and_three_workers():
         )
         texts.add(sweep.run_radial_sweep(cfg).to_csv())
     assert len(texts) == 1
+    assert pools == [2, 3]
 
 
 def test_block_cuts_follow_the_work_of_a_sweep():
-    # the benchmark's sweeps (40 and 18 rows at l_max 60) run in-process
-    assert sweep.block_cuts(40, 60, 2) == [0, 40]
-    assert sweep.block_cuts(18, 60, 2) == [0, 18]
-    assert sweep.block_cuts(0, 60, 4) == [0, 0]
+    # the benchmark's radial sweeps (40 and 18 rows at l_max 60, one
+    # prepare) run in-process
+    assert sweep.block_cuts(40, 1, 60, 2) == [0, 40]
+    assert sweep.block_cuts(18, 1, 60, 2) == [0, 18]
+    assert sweep.block_cuts(0, 0, 60, 4) == [0, 0]
     # the default D and B grids are cut in two at 2 workers (CI compares
-    # their CSV bytes against one block), and no further at 8
+    # their CSV bytes against one block), and into no more than three
     for preset in ("D", "B"):
         cfg = sweep.config_from_dict({"sphere": preset})
         n = len(sweep.resolve_grid(cfg, model.preset(preset)))
-        assert sweep.block_cuts(n, 60, 1) == [0, n]
-        assert sweep.block_cuts(n, 60, 2) == [0, n // 2, n]
-        assert len(sweep.block_cuts(n, 60, 8)) == 3
+        assert sweep.block_cuts(n, 1, 60, 1) == [0, n]
+        assert sweep.block_cuts(n, 1, 60, 2) == [0, n // 2, n]
+        assert len(sweep.block_cuts(n, 1, 60, 8)) <= 4
+    # a wavelength sweep prepares once per row: 16 rows fill two blocks,
+    # C's 41-row 450-1050 nm sweep five
+    assert sweep.block_cuts(15, 15, 60, 2) == [0, 15]
+    assert sweep.block_cuts(16, 16, 60, 2) == [0, 8, 16]
+    assert len(sweep.block_cuts(41, 41, 60, 8)) == 6
     # at l_max 4000 a few rows fill a block
-    assert sweep.block_cuts(2, 4000, 2) == [0, 2]
-    assert sweep.block_cuts(5, 4000, 2) == [0, 2, 5]
-    assert sweep.block_cuts(60, 4000, 3) == [0, 20, 40, 60]
+    assert sweep.block_cuts(3, 1, 4000, 2) == [0, 3]
+    assert sweep.block_cuts(4, 1, 4000, 2) == [0, 2, 4]
+    assert sweep.block_cuts(60, 1, 4000, 3) == [0, 20, 40, 60]
 
 
-def _one_block_per_entry(monkeypatch):
-    """Make every sweep split across its workers, and record the pools."""
-    pools = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(sweep, "MIN_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
-def test_csv_bytes_through_a_real_pool(monkeypatch):
+def test_wavelength_sweep_counts_one_prepare_per_row(monkeypatch):
+    # 16 wavelengths fill two blocks at l_max 60; 16 radii at one
+    # wavelength do not
+    pools = _record_pools(monkeypatch)
     raw = {
-        "sphere": "A",
-        "grid": [0.0, 0.3, 1.25, 1.9],
-        "orientations": ["radial", "tangential", "average"],
+        "sphere": "D",
+        "sweep": "wavelength",
+        "r_over_rs": 1.3,
+        "wavelengths_nm": [450.0 + 40.0 * i for i in range(16)],
+        "orientation": "radial",
     }
-    base = sweep.run_radial_sweep(sweep.config_from_dict(raw)).to_csv()
-    pools = _one_block_per_entry(monkeypatch)
-    for workers in (2, 3):
-        cfg = sweep.config_from_dict({**raw, "workers": workers})
-        assert sweep.run_radial_sweep(cfg).to_csv() == base
-    assert pools == [2, 3]
+    texts = {sweep.run_sweep(sweep.config_from_dict({**raw, "workers": w})).to_csv() for w in (1, 2)}
+    assert len(texts) == 1
+    assert pools == [2]
+    radial = {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 16]}, "workers": 2}
+    sweep.run_sweep(sweep.config_from_dict(radial))
+    assert pools == [2]
