@@ -19,7 +19,6 @@ from .errors import (
     GeometryError,
     MaterialRangeError,
     NanoshellError,
-    QuadratureError,
     RangeError,
 )
 from .model import DipoleSource, SpectroResult, StratifiedSphere, build_sphere, preset
@@ -33,7 +32,6 @@ __all__ = [
     "GeometryError",
     "MaterialRangeError",
     "NanoshellError",
-    "QuadratureError",
     "RangeError",
     "SpectroResult",
     "StratifiedSphere",

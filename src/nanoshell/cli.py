@@ -21,7 +21,6 @@ from .errors import (
     GeometryError,
     MaterialRangeError,
     NanoshellError,
-    QuadratureError,
     RangeError,
 )
 
@@ -35,7 +34,7 @@ def _exit_code(exc):
         return EXIT_CONFIG
     if isinstance(exc, MaterialRangeError):
         return EXIT_MATERIAL
-    if isinstance(exc, (DegenerateSystemError, QuadratureError, RangeError)):
+    if isinstance(exc, (DegenerateSystemError, RangeError)):
         return EXIT_NUMERICAL
     return EXIT_CONFIG
 

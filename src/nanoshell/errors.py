@@ -48,26 +48,6 @@ class DegenerateSystemError(NanoshellError):
         return (type(self), (self.l, self.pol, self.detail), self.__dict__)
 
 
-class QuadratureError(NanoshellError):
-    """Absorption quadrature failed to reach its tolerance.
-
-    The engine's Ohmic rate is a closed form and no longer raises this; it
-    stays for callers and cross-check quadratures that do.
-    """
-
-    def __init__(self, shell_index, achieved, requested):
-        self.shell_index = shell_index
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"absorption quadrature did not converge in shell {shell_index}: "
-            f"achieved relative error {achieved:.3e}, requested {requested:.3e}"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.shell_index, self.achieved, self.requested), self.__dict__)
-
-
 def annotate(exc, note):
     """Attach context to an exception message (3.10-safe add_note)."""
     if hasattr(exc, "add_note"):

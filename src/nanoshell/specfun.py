@@ -285,23 +285,16 @@ def riccati_scaled(l_max, z):
 
     ``z`` is one argument or an array of them; every field then has the
     argument's shape plus a last axis over l = 0..l_max, and each argument's
-    entries are the same whatever else shares the call.
+    entries are the same whatever else shares the call.  A scalar argument
+    runs as a one-element array: numpy's scalar arithmetic rounds some
+    complex products differently from its array loops.
     """
-    z, (_, cosz, eiz), j, h = _families(l_max, z)
+    shape = np.shape(z)
+    z, (_, cosz, eiz), j, h = _families(l_max, np.reshape(z, -1))
     zz = tuple(x[..., None] for x in sm.from_complex(z))
     psi = sm.mul(j, zz)
     xi = sm.mul(h, zz)
     dpsi = _derivatives(psi, z, cosz, 0)
     dxi = _derivatives(xi, z, eiz, 0)
-    return ScaledRiccati(
-        order_max=l_max,
-        argument=z,
-        psi=psi[0],
-        psi_e=psi[1],
-        dpsi=dpsi[0],
-        dpsi_e=dpsi[1],
-        xi=xi[0],
-        xi_e=xi[1],
-        dxi=dxi[0],
-        dxi_e=dxi[1],
-    )
+    fields = (psi[0], psi[1], dpsi[0], dpsi[1], xi[0], xi[1], dxi[0], dxi[1])
+    return ScaledRiccati(l_max, z.reshape(shape), *(f.reshape(*shape, l_max + 1) for f in fields))

@@ -31,9 +31,10 @@ from .specfun import riccati_scaled  # noqa: F401
 # reported as unconverged rather than silently inaccurate
 NEAR_METAL_FRACTION = 0.005
 
-# rows closed at once, times (l_max + 1), are capped at this many: 33 rows at
-# l_max = 60, one at 2047 and above; that bounds the memory of their (row, l)
-# arrays, and larger batches gain little
+# rows closed at once, and wavelengths prepared at once, times (l_max + 1),
+# are capped at this many: 33 at l_max = 60, one at 2047 and above; that
+# bounds the memory of their (row, l) and (wavelength, l) arrays, and larger
+# batches gain little
 _BATCH_ENTRIES = 2048
 
 _SPREAD_ORDERS = 10
@@ -123,20 +124,6 @@ def photostability_ratio(wrad_norm):
     the enhancement of the excited-state turnover times the escape
     probability collapses to the normalized radiative rate."""
     return wrad_norm
-
-
-def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):
-    """Non-retarded image-limit frequency shift for a single interface;
-    the radial result is exactly twice the tangential one."""
-    denom_sum = eps1 + eps2
-    if denom_sum == 0:
-        raise DomainError("quasistatic pole: eps1 + eps2 = 0")
-    gap = k2_rs - kd_rd
-    if gap == 0:
-        raise DomainError("dipole on the interface")
-    factor = 3.0 / 32.0 if orientation == model.TANGENTIAL else 3.0 / 16.0
-    value = factor * (eps1 - eps2) / denom_sum / gap**3
-    return value.real if isinstance(value, complex) else value
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +219,21 @@ def evaluate(sphere, dipole, l_max=60):
     return evaluate_from_coefficients(transfer.solve_dipole_fields(sphere, dipole, l_max))
 
 
-def evaluate_rows(prepared, r_nm, orientations):
-    """Results at many dipole radii [nm] against one
-    :func:`transfer.prepare`: per radius, a dict orientation ->
-    :class:`model.SpectroResult`, plus "average" when both orientations are
-    asked for.  Each row's results are the ones a one-row call returns."""
-    step = max(1, _BATCH_ENTRIES // (prepared.l_max + 1))
+def batch_size(l_max):
+    """Rows closed at once, and wavelengths prepared at once, at this l_max."""
+    return max(1, _BATCH_ENTRIES // (l_max + 1))
+
+
+def evaluate_rows(prepared, rows, orientations):
+    """Results at many rows (r_nm [nm], wavelength [nm]) against one
+    :func:`transfer.prepare` that holds every row's wavelength: per row, a
+    dict orientation -> :class:`model.SpectroResult`, plus "average" when
+    both orientations are asked for.  Each row's results are the ones a
+    one-row call returns."""
+    step = batch_size(prepared.l_max)
     out = []
-    for lo in range(0, len(r_nm), step):
-        for row in transfer.close(prepared, r_nm[lo:lo + step], orientations):
+    for lo in range(0, len(rows), step):
+        for row in transfer.close(prepared, rows[lo:lo + step], orientations):
             results = {o: evaluate_from_coefficients(c) for o, c in row.items()}
             if len(results) == 2:
                 results["average"] = _average(results[model.RADIAL], results[model.TANGENTIAL])
@@ -250,8 +243,8 @@ def evaluate_rows(prepared, r_nm, orientations):
 
 def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
     """Radial, tangential, and orientation-averaged results at one radius."""
-    prepared = transfer.prepare(sphere, wavelength_nm, l_max)
-    return evaluate_rows(prepared, [r_nm], model.ORIENTATIONS)[0]
+    prepared = transfer.prepare(sphere, [wavelength_nm], l_max)
+    return evaluate_rows(prepared, [(r_nm, wavelength_nm)], model.ORIENTATIONS)[0]
 
 
 def _average(ra, ta):

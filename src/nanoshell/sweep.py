@@ -2,19 +2,20 @@
 
 Rows are split into at most ``workers`` contiguous blocks in declared order,
 no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
-row and ``PREPARE_ENTRIES`` per prepare, so a wavelength sweep, which
-prepares once per row, splits at far fewer rows than a radial one.  A sweep
+row and ``PREPARE_ROWS`` times that per prepared wavelength, so a
+wavelength sweep splits at about half the rows of a radial one.  A sweep
 too small for two such blocks runs in-process on the sphere it already
 built.
-Each block (a process-pool task when there are several) builds the sphere,
-prepares once per wavelength and closes all its rows together.  A row's
-result does not depend on its block, and rows are written in declared
-order, so output bytes are identical across runs and across worker counts.
+Each block (a process-pool task when there are several) builds the sphere
+and evaluates its rows in runs of up to ``spectro.batch_size(l_max)``
+distinct wavelengths: one prepare over a run's wavelengths, then all its
+rows closed against it.  A row's result does not depend on its block or on
+the wavelengths prepared with it, and rows are written in declared order,
+so output bytes are identical across runs and across worker counts.
 Output is only written once the whole sweep has succeeded; a failure names
 the first failing row.
 """
 
-import itertools
 import json
 import math
 import numbers
@@ -60,12 +61,13 @@ NUDGE_FRACTION = 0.005
 # lies between the two
 MIN_BLOCK_ENTRIES = 8192
 
-# a prepare counts as this many entries of work.  A wavelength sweep
-# prepares once per row, and such a row costs 3-7 ms at l_max 60 against
-# ~0.3 ms for a radial row; at 2 workers, wavelength sweeps of presets A-D
-# at l_max 60 first beat 1 worker steadily at 16 rows (12 by the median),
-# the fewest rows whose work, 16 * (61 + 1024) = 17,360, fills two blocks
-PREPARE_ENTRIES = 1024
+# a prepared wavelength counts as this many rows of (l_max + 1) entries.
+# Within a batched prepare one more wavelength costs 0.5-1.5 closed rows at
+# l_max 60 (lossless to metal presets), 0.3-1 at 1000 and 0.16 at 4000; at
+# 2 workers, wavelength sweeps of presets A-D first beat 1 worker steadily
+# at 135 rows at l_max 60 and 8 at l_max 1000, where (rows + wavelengths)
+# x (l_max + 1) first fills two blocks at 135 and 9 rows
+PREPARE_ROWS = 1
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ def _require_finite(name, *values, lo=None, strict=False):
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {v!r}")
+        if isinstance(v, int) and abs(v) > sys.float_info.max:
+            raise ConfigError(f"{name} is beyond double-precision range, got {v!r}")
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
         if lo is not None and (v < lo or (strict and v == lo)):
@@ -191,7 +195,8 @@ def _check_linspace(spec):
         raise ConfigError(f"linspace grid needs [lo, hi, n], got {spec!r}")
     lo, hi, n = spec
     _require_finite("linspace bound", lo, hi)
-    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer() or n < 1:
+    whole = isinstance(n, int) or (isinstance(n, float) and n.is_integer())
+    if isinstance(n, bool) or not whole or n < 1:
         raise ConfigError(f"linspace point count must be an integer >= 1, got {n!r}")
 
 
@@ -339,19 +344,35 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _evaluate_block(sphere, points, orientations, l_max):
-    """Results of contiguous rows (r_nm, wavelength), prepared once per run
-    of equal wavelengths.  After a failure the rows are redone one at a time
+def _wavelength_batches(rows, size):
+    """Contiguous runs of rows (r_nm, wavelength) with at most ``size``
+    distinct wavelengths each."""
+    batch, seen = [], set()
+    for row in rows:
+        if row[1] not in seen and len(seen) == size:
+            yield batch
+            batch, seen = [], set()
+        batch.append(row)
+        seen.add(row[1])
+    if batch:
+        yield batch
+
+
+def _evaluate_block(sphere, rows, orientations, l_max):
+    """Results of contiguous rows (r_nm, wavelength), one prepare per
+    :func:`spectro.batch_size` distinct wavelengths.  After a failure the
+    rows are redone one at a time, each with its own one-wavelength prepare,
     so that the error reported is the first failing row's, naming it."""
     out = []
-    for wl, group in itertools.groupby(points, key=lambda p: p[1]):
-        r_nm = [r for r, _ in group]
+    for batch in _wavelength_batches(rows, spectro.batch_size(l_max)):
         try:
-            out += spectro.evaluate_rows(transfer.prepare(sphere, wl, l_max), r_nm, orientations)
+            prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max)
+            out += spectro.evaluate_rows(prepared, batch, orientations)
         except NanoshellError:
-            for r in r_nm:
+            for r, wl in batch:
                 try:
-                    spectro.evaluate_rows(transfer.prepare(sphere, wl, l_max), [r], orientations)
+                    prepared = transfer.prepare(sphere, [wl], l_max)
+                    spectro.evaluate_rows(prepared, [(r, wl)], orientations)
                 except NanoshellError as exc:
                     raise annotate(exc, f"while evaluating row r={r:.6g} nm, lambda={wl:.6g} nm")
             raise
@@ -361,16 +382,16 @@ def _evaluate_block(sphere, points, orientations, l_max):
 # module-level so that a block pickles cleanly into a process pool; the
 # worker builds its own sphere and prepares for itself
 def _block_task(args):
-    sphere_spec, points, orientations, l_max = args
-    return _evaluate_block(sphere_from_spec(sphere_spec), points, orientations, l_max)
+    sphere_spec, rows, orientations, l_max = args
+    return _evaluate_block(sphere_from_spec(sphere_spec), rows, orientations, l_max)
 
 
 def block_cuts(n_rows, n_prepares, l_max, workers):
     """Row indices [0, ..., n_rows] that cut a sweep into contiguous blocks
     of near-equal size: at most ``workers`` of them, and no more than one
     per MIN_BLOCK_ENTRIES entries of work, counting (l_max + 1) per row and
-    PREPARE_ENTRIES per prepare."""
-    work = n_rows * (l_max + 1) + n_prepares * PREPARE_ENTRIES
+    PREPARE_ROWS times that per prepared wavelength."""
+    work = (n_rows + n_prepares * PREPARE_ROWS) * (l_max + 1)
     n_blocks = max(1, min(workers, work // MIN_BLOCK_ENTRIES))
     return [n_rows * b // n_blocks for b in range(n_blocks + 1)]
 
@@ -381,8 +402,7 @@ def _run_points(cfg, sphere, points):
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
-    prepares = sum(1 for _ in itertools.groupby(wl for _, wl in rows))
-    cuts = block_cuts(len(rows), prepares, cfg.l_max, cfg.workers)
+    cuts = block_cuts(len(rows), len({wl for _, wl in rows}), cfg.l_max, cfg.workers)
     if len(cuts) > 2:
         tasks = [
             (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)

@@ -8,6 +8,9 @@
 * The Ohmic rate by adaptive Gauss-Legendre quadrature of eps''|E|^2 over
   each absorbing shell, the volume-integral route the engine's boundary
   closed form replaces.
+* Views the engine does not need: the plain 2x2 matrix of one interface,
+  the per-region amplitude pairs of a solved channel, and the non-retarded
+  image-limit shift.
 """
 
 import math
@@ -16,12 +19,25 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
+from nanoshell import model, transfer
 from nanoshell import scaledmath as sm
-from nanoshell import transfer
-from nanoshell.errors import QuadratureError, RangeError
+from nanoshell.errors import DomainError, NanoshellError, RangeError
 from nanoshell.specfun import riccati_scaled
 
 mp.mp.dps = 40
+
+
+class QuadratureError(NanoshellError):
+    """Absorption quadrature failed to reach its tolerance."""
+
+    def __init__(self, shell_index, achieved, requested):
+        self.shell_index = shell_index
+        self.achieved = achieved
+        self.requested = requested
+        super().__init__(
+            f"absorption quadrature did not converge in shell {shell_index}: "
+            f"achieved relative error {achieved:.3e}, requested {requested:.3e}"
+        )
 
 
 def mp_spherical(l, z):
@@ -180,7 +196,7 @@ def _region_channels(coeffs, region):
     parts = {}
     for ch in coeffs.channels:
         # inner/outer states only differ in the host
-        (c1m, c1e), (c2m, c2e) = ch.states[region - 1][1]
+        (c1m, c1e), (c2m, c2e) = states(ch)[region - 1][1]
         parts[ch.pol] = {"l": ch.l, "c1m": c1m, "c1e": c1e, "c2m": c2m, "c2e": c2e, "w": ch.weight}
     return parts
 
@@ -304,3 +320,66 @@ def quadrature_ohmic_rate(sphere, dipole, l_max=60, rtol=1e-7, max_panels=400):
     if region is not None and rel > rtol:
         raise QuadratureError(region, rel, rtol)
     return float(np.sum(per_l))
+
+
+# ---------------------------------------------------------------------------
+# Views of the solver the engine does not need
+
+
+def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, mu_out=1.0):
+    """Plain 2x2 matrix carrying (regular, outgoing) amplitudes of order l >= 1
+    from the inner medium to the outer one across a single interface; the
+    solver's own matching step applied to the unit pairs of a two-region
+    sphere."""
+    k0 = 2.0 * math.pi / wavelength_nm
+    n = (complex(n_in), complex(n_out))
+    mu = (mu_in, mu_out)
+    eps = tuple(n_j * n_j / mu_j for n_j, mu_j in zip(n, mu))
+    ctx = transfer.LayerContext(
+        radii=(radius_nm,),
+        k=tuple(k0 * n_j for n_j in n),
+        mu=mu,
+        eps=eps,
+        absorbing=tuple(e.imag > 1e-12 for e in eps),
+        k0=k0,
+        wavelength_nm=wavelength_nm,
+    )
+    prepared = transfer.Prepared(None, [wavelength_nm], l, [ctx])
+    prepared._tables, _ = transfer._interface_tables([ctx], l)
+    m = np.empty((2, 2), dtype=complex)
+    for col, unit in enumerate(((transfer._ONE, sm.ZERO), (sm.ZERO, transfer._ONE))):
+        pair, _ = transfer._cross(unit, prepared, 1, 1, 2, pol)
+        m[:, col] = [sm.collapse(c)[-1] for c in pair]
+    return m
+
+
+def states(ch):
+    """Per region 1..N+1 of a solved channel: (inner_state, outer_state)
+    scaled pairs over its orders.  The two differ only in the host region,
+    across the source."""
+    closure, n = ch.closure, ch.row
+    chain, w = closure.chain, closure.w[n]
+
+    def times(amp, pair):
+        return tuple(sm.mul((amp[0][n], amp[1][n]), chain.take(x, w)) for x in pair)
+
+    out = []
+    for j in range(1, len(chain.rows) + 2):
+        below = times(closure.a1, chain.u[j]) if closure.a1 is not None and j in chain.u else None
+        above = times(closure.b_out, chain.v[j]) if j in chain.v else None
+        out.append((below or above, above or below))
+    return tuple(out)
+
+
+def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):
+    """Non-retarded image-limit frequency shift for a single interface;
+    the radial result is exactly twice the tangential one."""
+    denom_sum = eps1 + eps2
+    if denom_sum == 0:
+        raise DomainError("quasistatic pole: eps1 + eps2 = 0")
+    gap = k2_rs - kd_rd
+    if gap == 0:
+        raise DomainError("dipole on the interface")
+    factor = 3.0 / 32.0 if orientation == model.TANGENTIAL else 3.0 / 16.0
+    value = factor * (eps1 - eps2) / denom_sum / gap**3
+    return value.real if isinstance(value, complex) else value

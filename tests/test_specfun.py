@@ -171,3 +171,18 @@ def test_tables_finite_over_spec_domain():
         tab = bessel_table(60, complex(re, ratio * re))
         for fam in (tab.j, tab.y, tab.h1, tab.dj, tab.dy, tab.dh1):
             assert np.all(np.isfinite(fam))
+
+
+def test_scaled_table_of_an_argument_does_not_depend_on_its_call():
+    # a scalar, a one-element array and the same argument inside a batch of
+    # 30 give the same bits in every field and exponent
+    z = (0.1 + 0.05j) * np.linspace(1.0, 40.0, 30)
+    batch = riccati_scaled(60, z)
+    fields = ("psi", "psi_e", "dpsi", "dpsi_e", "xi", "xi_e", "dxi", "dxi_e")
+    for i in range(len(z)):
+        scalar = riccati_scaled(60, z[i])
+        single = riccati_scaled(60, z[i:i + 1])
+        for name in fields:
+            want = getattr(batch, name)[i].tobytes()
+            assert getattr(scalar, name).tobytes() == want, (i, name)
+            assert getattr(single, name)[0].tobytes() == want, (i, name)

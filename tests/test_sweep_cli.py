@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanoshell import cli, model, spectro, sweep, transfer
 from nanoshell.errors import (
@@ -14,7 +16,7 @@ from nanoshell.errors import (
     DomainError,
     GeometryError,
     MaterialRangeError,
-    QuadratureError,
+    NanoshellError,
 )
 
 LAM = 595.0
@@ -445,7 +447,6 @@ def test_exit_code_mapping():
     assert cli._exit_code(GeometryError("x")) == 2
     assert cli._exit_code(MaterialRangeError("x")) == 3
     assert cli._exit_code(DegenerateSystemError(3, "TM")) == 4
-    assert cli._exit_code(QuadratureError(2, 1e-3, 1e-7)) == 4
 
 
 def test_failing_row_is_named_on_the_error_line(tmp_path):
@@ -542,11 +543,85 @@ def test_config_type_error_exits_2_before_any_row(tmp_path):
     assert not out.exists()
 
 
-def _rows_of(prepared, r_nm, orientations):
-    """Every row's results from one close over all of r_nm."""
+# JSON values: every type json.load can return, with numbers at and beyond
+# double-precision range, plus the words the config keys accept
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=5000),
+    st.integers(),
+    st.sampled_from([0, -1, 10**309, -(10**309), 2**63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_WORDS = st.sampled_from(
+    ["A", "D", "radial", "tangential", "average", "wavelength", "default", "csv", "plot", ""]
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, _WORDS, st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["linspace", "shells", "n", "x"]), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_KEY_VALUES = {
+    "sphere": st.one_of(_WORDS, _JSON),
+    "sweep": st.one_of(st.sampled_from(["radial", "wavelength"]), _JSON),
+    "wavelength_nm": st.one_of(_NUMBERS, _JSON),
+    "wavelengths_nm": st.one_of(st.lists(_NUMBERS, max_size=4), _JSON),
+    "r_over_rs": st.one_of(_NUMBERS, _JSON),
+    "grid": st.one_of(
+        st.just("default"),
+        st.lists(_NUMBERS, max_size=4),
+        st.fixed_dictionaries({"linspace": st.lists(_NUMBERS, min_size=2, max_size=4)}),
+        _JSON,
+    ),
+    "orientations": st.one_of(st.lists(_WORDS, max_size=3), _JSON),
+    "orientation": st.one_of(_WORDS, _JSON),
+    "l_max": st.one_of(_NUMBERS, _JSON),
+    "workers": st.one_of(_NUMBERS, _JSON),
+    "interface_margin": st.one_of(_NUMBERS, _JSON),
+    "quadrature_rtol": st.one_of(_NUMBERS, _JSON),
+    "format": st.one_of(_WORDS, _JSON),
+    "out": _JSON,
+    "plot_dir": _JSON,
+    "typo": _JSON,
+}
+
+
+@st.composite
+def _raw_configs(draw):
+    """A valid radial or wavelength config with up to three keys redrawn,
+    so that most draws get past the first checks."""
+    raw = {"sphere": "D"}
+    if draw(st.booleans()):
+        raw.update(sweep="wavelength", r_over_rs=1.2, wavelengths_nm=[600.0])
+    for key in sorted(draw(st.sets(st.sampled_from(sorted(_KEY_VALUES)), max_size=3))):
+        raw[key] = draw(_KEY_VALUES[key])
+    return raw
+
+
+@given(raw=st.one_of(_raw_configs(), _JSON))
+@settings(max_examples=200, deadline=None)
+def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
+    # only validates: no sphere is built and no row runs, whatever l_max or
+    # workers says
+    try:
+        cfg = sweep.config_from_dict(raw)
+    except NanoshellError as exc:
+        assert cli._exit_code(exc) == cli.EXIT_CONFIG, repr(exc)
+        return
+    assert isinstance(cfg, sweep.SweepConfig)
+    assert not isinstance(cfg.l_max, bool) and 1 <= cfg.l_max <= transfer.L_MAX_CEILING
+    assert isinstance(cfg.workers, int) and cfg.workers >= 1
+    assert cfg.wavelength_nm > 0 and all(0 < w < math.inf for w in cfg.wavelengths_nm)
+    assert cfg.sweep == "radial" or (cfg.wavelengths_nm and cfg.r_over_rs >= 0)
+    assert cfg.orientations and set(cfg.orientations) <= {*model.ORIENTATIONS, "average"}
+
+
+def _rows_of(prepared, rows, orientations):
+    """Every row's results from one close over all of rows (r_nm, wavelength)."""
     return [
         {o: dataclasses.astuple(spectro.evaluate_from_coefficients(c)) for o, c in row.items()}
-        for row in transfer.close(prepared, r_nm, orientations)
+        for row in transfer.close(prepared, rows, orientations)
     ]
 
 
@@ -571,24 +646,63 @@ def test_block_rows_do_not_depend_on_their_neighbours(spec, orientations):
     grid = sweep.resolve_grid(cfg, sphere)
     if spec != "A":
         grid = grid[::25]
-    r_nm = [g * sphere.outer_radius_nm for g in grid]
-    prepared = transfer.prepare(sphere, LAM, 60)
-    hosts = {model.validate_dipole(sphere, model.DipoleSource(r, "radial", LAM)) for r in r_nm}
-    assert len(hosts) >= 3 and 0.0 in r_nm
-    alone = [_rows_of(prepared, [r], orientations)[0] for r in r_nm]
-    assert _rows_of(prepared, r_nm, orientations) == alone
-    rows = spectro.evaluate_rows(transfer.prepare(sphere, LAM, 60), r_nm, orientations)
-    assert [{o: dataclasses.astuple(row[o]) for o in orientations} for row in rows] == alone
+    rows = [(g * sphere.outer_radius_nm, LAM) for g in grid]
+    prepared = transfer.prepare(sphere, [LAM], 60)
+    hosts = {model.validate_dipole(sphere, model.DipoleSource(r, "radial", LAM)) for r, _ in rows}
+    assert len(hosts) >= 3 and (0.0, LAM) in rows
+    alone = [_rows_of(prepared, [row], orientations)[0] for row in rows]
+    assert _rows_of(prepared, rows, orientations) == alone
+    results = spectro.evaluate_rows(transfer.prepare(sphere, [LAM], 60), rows, orientations)
+    assert [{o: dataclasses.astuple(res[o]) for o in orientations} for res in results] == alone
     for n_blocks in (2, 3, 7):
-        cuts = [len(r_nm) * b // n_blocks for b in range(n_blocks + 1)]
+        cuts = [len(rows) * b // n_blocks for b in range(n_blocks + 1)]
         split = []
         for lo, hi in zip(cuts, cuts[1:]):
-            split += _rows_of(transfer.prepare(sphere, LAM, 60), r_nm[lo:hi], orientations)
+            split += _rows_of(transfer.prepare(sphere, [LAM], 60), rows[lo:hi], orientations)
         assert split == alone
     # the one-row entry point agrees too
-    mid = len(r_nm) // 2
-    one = spectro.evaluate(sphere, model.DipoleSource(r_nm[mid], model.TANGENTIAL, LAM))
+    mid = len(rows) // 2
+    one = spectro.evaluate(sphere, model.DipoleSource(rows[mid][0], model.TANGENTIAL, LAM))
     assert dataclasses.astuple(one) == alone[mid][model.TANGENTIAL]
+
+
+@pytest.mark.parametrize("spec, r_over_rs", [
+    ("A", (0.0, 0.3, 0.8, 1.3)),
+    ("C", (0.0, 0.45, 0.8, 1.3)),
+    (FOUR_SHELLS, (0.0, 0.2, 0.45, 0.7, 0.9, 1.3)),
+])
+def test_batched_wavelengths_match_rows_prepared_alone(spec, r_over_rs):
+    # every row of a prepare over many wavelengths is bit-identical, in
+    # every SpectroResult field, to the same row prepared alone at its
+    # wavelength; the rows sit at the center and in several host regions
+    sphere = sweep.sphere_from_spec(spec)
+    wavelengths = [450.0 + 75.0 * i for i in range(9)]
+    rows = [(g * sphere.outer_radius_nm, wl) for wl in wavelengths for g in r_over_rs]
+    hosts = {model.validate_dipole(sphere, model.DipoleSource(r, "radial", wl)) for r, wl in rows}
+    assert len(hosts) >= 2
+    alone = [
+        {o: dataclasses.astuple(res[o]) for o in (*model.ORIENTATIONS, "average")}
+        for r, wl in rows
+        for res in spectro.evaluate_rows(transfer.prepare(sphere, [wl], 60), [(r, wl)],
+                                         model.ORIENTATIONS)
+    ]
+    prepared = transfer.prepare(sphere, wavelengths, 60)
+    batched = spectro.evaluate_rows(prepared, rows, model.ORIENTATIONS)
+    assert [{o: dataclasses.astuple(res[o]) for o in res} for res in batched] == alone
+    # wavelengths in another order, rows interleaved, and closed in one call
+    shuffled = transfer.prepare(sphere, wavelengths[::-1], 60)
+    assert _rows_of(shuffled, rows[::-1], model.ORIENTATIONS) == [
+        {o: row[o] for o in model.ORIENTATIONS} for row in alone[::-1]
+    ]
+    # each wavelength's 1/k, 1/mu and matching determinant are the Python
+    # complex arithmetic of a one-wavelength prepare, not numpy's division
+    for region in range(1, sphere.n_regions + 1):
+        for pol, sign in ((transfer.TM, -1j), (transfer.TE, 1j)):
+            inv_k, inv_mu, (det, _) = prepared.scalars(region, pol)
+            for w, ctx in enumerate(prepared.ctxs):
+                k, mu = ctx.k[region - 1], ctx.mu[region - 1]
+                n = w * prepared.l_max  # order 1 of wavelength w
+                assert (inv_k[n], inv_mu[n], det[n]) == (1.0 / k, 1.0 / mu, sign / (k * mu))
 
 
 def test_csv_bytes_across_one_two_and_three_workers(monkeypatch):
@@ -619,11 +733,14 @@ def test_block_cuts_follow_the_work_of_a_sweep():
         assert sweep.block_cuts(n, 1, 60, 1) == [0, n]
         assert sweep.block_cuts(n, 1, 60, 2) == [0, n // 2, n]
         assert len(sweep.block_cuts(n, 1, 60, 8)) <= 4
-    # a wavelength sweep prepares once per row: 16 rows fill two blocks,
-    # C's 41-row 450-1050 nm sweep five
-    assert sweep.block_cuts(15, 15, 60, 2) == [0, 15]
-    assert sweep.block_cuts(16, 16, 60, 2) == [0, 8, 16]
-    assert len(sweep.block_cuts(41, 41, 60, 8)) == 6
+    # a wavelength sweep prepares each row's wavelength, one row's work
+    # more: 135 rows fill two blocks at l_max 60, 9 at l_max 1000, and C's
+    # 41-row 450-1050 nm sweep runs in-process
+    assert sweep.block_cuts(134, 134, 60, 2) == [0, 134]
+    assert sweep.block_cuts(135, 135, 60, 2) == [0, 67, 135]
+    assert sweep.block_cuts(41, 41, 60, 8) == [0, 41]
+    assert sweep.block_cuts(8, 8, 1000, 2) == [0, 8]
+    assert sweep.block_cuts(9, 9, 1000, 2) == [0, 4, 9]
     # at l_max 4000 a few rows fill a block
     assert sweep.block_cuts(3, 1, 4000, 2) == [0, 3]
     assert sweep.block_cuts(4, 1, 4000, 2) == [0, 2, 4]
@@ -631,19 +748,19 @@ def test_block_cuts_follow_the_work_of_a_sweep():
 
 
 def test_wavelength_sweep_counts_one_prepare_per_row(monkeypatch):
-    # 16 wavelengths fill two blocks at l_max 60; 16 radii at one
+    # 135 wavelengths fill two blocks at l_max 60; 135 radii at one
     # wavelength do not
     pools = _record_pools(monkeypatch)
     raw = {
         "sphere": "D",
         "sweep": "wavelength",
         "r_over_rs": 1.3,
-        "wavelengths_nm": [450.0 + 40.0 * i for i in range(16)],
+        "wavelengths_nm": [450.0 + 4.0 * i for i in range(135)],
         "orientation": "radial",
     }
     texts = {sweep.run_sweep(sweep.config_from_dict({**raw, "workers": w})).to_csv() for w in (1, 2)}
     assert len(texts) == 1
     assert pools == [2]
-    radial = {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 16]}, "workers": 2}
+    radial = {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 135]}, "workers": 2}
     sweep.run_sweep(sweep.config_from_dict(radial))
     assert pools == [2]

