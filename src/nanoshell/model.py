@@ -13,7 +13,7 @@ TANGENTIAL = "tangential"
 ORIENTATIONS = (RADIAL, TANGENTIAL)
 
 # relative interface-hit tolerance for dipole/region placement
-_INTERFACE_TOL = 1e-9
+INTERFACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def locate_region(sphere, r_nm):
     """
     if r_nm < 0:
         raise GeometryError(f"negative radius {r_nm}")
-    tol = _INTERFACE_TOL * sphere.outer_radius_nm
+    tol = INTERFACE_TOL * sphere.outer_radius_nm
     radii = sphere.radii
     for R in radii:
         if abs(r_nm - R) <= tol:
@@ -142,11 +142,16 @@ class DipoleSource:
             raise DomainError("wavelength must be positive")
 
 
-def region_absorbs(sphere, region, wavelength_nm):
-    """Whether a region's medium absorbs at the wavelength, which rules it
-    out as an emitter host."""
-    n = materials.refractive_index(sphere.region_material(region), wavelength_nm)
+def index_absorbs(n):
+    """Whether a medium of complex refractive index n absorbs, which rules
+    it out as an emitter host."""
     return abs(n.imag) > 1e-9 * max(1.0, abs(n))
+
+
+def region_absorbs(sphere, region, wavelength_nm):
+    """Whether a region's medium absorbs at the wavelength (see
+    :func:`index_absorbs`)."""
+    return index_absorbs(materials.refractive_index(sphere.region_material(region), wavelength_nm))
 
 
 def validate_dipole(sphere, dipole):

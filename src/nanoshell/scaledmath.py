@@ -25,14 +25,17 @@ _SMALL = 1e-100
 
 ZERO = (0j, 0.0)
 
+_least, _most = np.minimum.reduce, np.maximum.reduce
+
 
 def canonical(m, e):
     """Pull each mantissa magnitude back into a safe band; zeros get e = 0."""
     m = np.asarray(m, dtype=complex)
     a = np.abs(m)
-    inside = (a > _SMALL) & (a < _BIG)
-    if inside.all():
+    # every entry inside the band, checked by its two extremes (a NaN fails)
+    if not a.size or (_least(a, axis=None) > _SMALL and _most(a, axis=None) < _BIG):
         return m, np.asarray(e, dtype=float)
+    inside = (a > _SMALL) & (a < _BIG)
     if not np.isfinite(a).all():
         raise RangeError("scaled mantissa overflowed; argument out of range")
     zero = a == 0.0

@@ -1,8 +1,9 @@
-"""Spherical Bessel and Riccati-Bessel tables for complex arguments.
+"""Riccati-Bessel tables for complex arguments, the interface solver's
+fuel.
 
-All routines return full tables for l = 0..l_max because every consumer sums
-over angular momentum.  Three numerically independent evaluation routes are
-used:
+:func:`riccati_scaled` returns psi_l = z j_l and xi_l = z h1_l with their
+derivatives for l = 0..l_max, because every consumer sums over angular
+momentum.  The two families come from numerically independent routes:
 
 * ``j_l``: downward (Miller) recurrence from a padded start order,
   normalized against the closed-form l = 0 (or l = 1) value;
@@ -10,22 +11,17 @@ used:
   Mackowski's stratified-sphere algorithm.  ``h1`` is deliberately never
   formed as ``j + i*y``: in absorbing media ``y_l ~ i*j_l`` to nearly every
   double-precision digit, and the naive sum cancels catastrophically.
-* ``y_l``: assembled as ``-i (h1_l - j_l)`` from the two stable families.
-  An upward y recurrence would suffer the mirror-image failure of the
-  ``j + i*y`` sum: its seeds carry the exponentially small outgoing content
-  that dominates y at high orders only to absolute double precision.
 
-Tables are carried internally as (mantissa, log-scale) arrays over l (see
+Tables are carried as (mantissa, log-scale) arrays over l (see
 :mod:`~nanoshell.scaledmath`), so entries stay finite at angular momenta where
 (2l-1)!!-type growth overflows doubles.  Only the sequential j and h1
-recurrences step through the orders; derivatives, products and the collapse
-to plain complex values act on whole arrays.  :func:`riccati_scaled` takes
-an array of arguments and returns one table per argument (last axis l); the
-recurrences run elementwise across the arguments, each from its own start
-order and with its own renormalizations, so an argument's table is the same
-whatever else shares the call.  The plain complex tables raise
-:class:`~nanoshell.errors.RangeError` naming the first offending order if a
-collapsed entry cannot be represented.
+recurrences step through the orders; derivatives and products act on whole
+arrays.  :func:`riccati_scaled` takes an array of arguments and returns one
+table per argument (last axis l); the recurrences run elementwise across the
+arguments, each from its own start order and with its own renormalizations,
+so an argument's table is the same whatever else shares the call.  Plain
+complex j/y/h1 and psi/chi/xi tables built on the same recurrences are test
+oracles (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -42,34 +38,6 @@ _RENORM = 1e250
 # overflow for every |z| >= _MIN_ABS_Z and l up to ~1e5
 _CHECK_EVERY = 4
 _MIN_ABS_Z = 1e-8
-
-
-@dataclass(frozen=True)
-class BesselTable:
-    """j_l, y_l, h1_l and their derivatives at one complex argument."""
-
-    order_max: int
-    argument: complex
-    j: np.ndarray
-    y: np.ndarray
-    h1: np.ndarray
-    dj: np.ndarray
-    dy: np.ndarray
-    dh1: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiccatiTable:
-    """psi_l = z j_l, chi_l = -z y_l, xi_l = z h1_l and derivatives."""
-
-    order_max: int
-    argument: complex
-    psi: np.ndarray
-    chi: np.ndarray
-    xi: np.ndarray
-    dpsi: np.ndarray
-    dchi: np.ndarray
-    dxi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -208,10 +176,6 @@ def real_over(a, z):
     return np.where(wide, x, y) + 1j * np.where(wide, -y, -x)
 
 
-def _y_scaled(j, h):
-    return sm.scale(sm.sub(h, j), -1j)
-
-
 def _h1_scaled(l_max, z, seeds):
     _, _, eiz = seeds
     zz = sm.from_complex(z)
@@ -230,54 +194,11 @@ def _derivatives(f, z, d0, c):
     return tuple(np.concatenate([d[..., None], x], axis=-1) for d, x in zip(d0, (dm, de)))
 
 
-def _sph_derivatives(f, z):
-    """Spherical-family derivatives; f'_0 = -f_1."""
-    return _derivatives(f, z, (-f[0][..., 1], f[1][..., 1]), 1)
-
-
 def _families(l_max, z):
     """Validated argument, its trig seeds and the scaled j and h1 tables."""
     z = _validate(l_max, z)
     seeds = _trig_seeds(z)
     return z, seeds, _j_scaled(l_max, z, seeds), _h1_scaled(l_max, z, seeds)
-
-
-def bessel_table(l_max, z):
-    """Full j/y/h1 table with derivatives at complex argument z.
-
-    h1 comes from its own upward recurrence, not from j + i*y.
-    """
-    z, _, j, h = _families(l_max, z)
-    y = _y_scaled(j, h)
-    return BesselTable(
-        order_max=l_max,
-        argument=complex(z),
-        j=sm.collapse(j, "j"),
-        y=sm.collapse(y, "y"),
-        h1=sm.collapse(h, "h1"),
-        dj=sm.collapse(_sph_derivatives(j, z), "j'"),
-        dy=sm.collapse(_sph_derivatives(y, z), "y'"),
-        dh1=sm.collapse(_sph_derivatives(h, z), "h1'"),
-    )
-
-
-def riccati(l_max, z):
-    """Riccati-Bessel table psi, chi, xi with derivatives at argument z."""
-    z, (sinz, cosz, eiz), j, h = _families(l_max, z)
-    zz = sm.from_complex(z)
-    psi = sm.mul(j, zz)
-    chi = sm.scale(sm.mul(_y_scaled(j, h), zz), -1.0)
-    xi = sm.mul(h, zz)
-    return RiccatiTable(
-        order_max=l_max,
-        argument=complex(z),
-        psi=sm.collapse(psi, "psi"),
-        chi=sm.collapse(chi, "chi"),
-        xi=sm.collapse(xi, "xi"),
-        dpsi=sm.collapse(_derivatives(psi, z, cosz, 0), "psi'"),
-        dchi=sm.collapse(_derivatives(chi, z, sm.scale(sinz, -1.0), 0), "chi'"),
-        dxi=sm.collapse(_derivatives(xi, z, eiz, 0), "xi'"),
-    )
 
 
 def riccati_scaled(l_max, z):

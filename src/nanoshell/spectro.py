@@ -12,12 +12,20 @@ sphere gives g = 0):
 * Ohmic rate        eps'' |E|^2 integrated over absorbing shells: by
                     Poynting's theorem the net radial flux through each
                     shell's two surfaces, read per channel from the
-                    solver's own interface fields; see
-                    :func:`ohmic_rate_per_l`.
+                    solver's own interface fields; see :func:`_ohmic`.
+
+Every output of a batch of rows is computed in one array pass over the
+(channel, row, l) arrays of a :func:`transfer.closures` close: the per-order
+terms, partial sums, spreads, shift tail, interface fluxes and convergence
+flags of every row and orientation at once, each operation elementwise in
+the rows, so a row's results are bit for bit those of the row evaluated
+alone.  :class:`model.SpectroResult` objects are built only at the end.
+The per-row entry points :func:`evaluate_from_coefficients`,
+:func:`ohmic_rate_per_l` and :func:`_partial_sums` run the same pass on one
+row's :class:`transfer.MultipoleCoefficients` view.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -43,74 +51,107 @@ _WRAD_SPREAD_TOL = 1e-8
 _WOHM_SPREAD_TOL = 1e-6
 
 
-def _per_l_arrays(coeffs):
-    """Per-order complex self-coupling terms and radiative power terms."""
-    l_max = coeffs.l_max
-    g_terms = np.zeros(l_max + 1, dtype=complex)  # index by l, entry 0 unused
-    rad_terms = np.zeros(l_max + 1)
-    ambient = coeffs.host_region == coeffs.ctx.n_regions
-    for ch in coeffs.channels:  # one per polarization
-        g_terms[ch.l] += 1j * ch.weight * ch.g
-        if ambient:
-            rad_terms[ch.l] += ch.weight * (
-                2.0 * (np.conj(ch.q_out_val) * ch.scat_out).real + np.abs(ch.scat_out) ** 2
-            )
-        else:
-            rad_terms[ch.l] += ch.weight * np.abs(ch.b_out) ** 2
-    return g_terms, rad_terms, ambient
+def _add_channels(closure, out, x):
+    """Add channel terms x (channel, row, l) into out (orientation, row,
+    l): each orientation's TM channel, then the TE channel of a tangential
+    dipole, as a sum over one row's channels in order adds them."""
+    out += x[closure.first]
+    if closure.te is not None:
+        out[closure.tangential] += x[closure.te]
 
 
-def _medium_ratio(coeffs):
-    """Power normalization between the ambient and the dipole's medium."""
-    ctx = coeffs.ctx
-    n = coeffs.host_region
-    eps_n = ctx.eps[n - 1].real
-    eps_h = ctx.eps[-1].real
-    mu_n = ctx.mu[n - 1]
-    mu_h = ctx.mu[-1]
-    return math.sqrt(eps_n / eps_h) * (mu_n / mu_h) ** 1.5
+def _by_orientation(closure, x):
+    out = np.zeros((len(closure.orientations),) + x.shape[1:], dtype=x.dtype)
+    _add_channels(closure, out, x)
+    return out
+
+
+def _host_factors(closure):
+    """Per row: the power normalization between the ambient and the host
+    medium, and the Ohmic prefactor k0 sqrt(eps') mu^1.5 of the host, in
+    the operation order of a one-row evaluation.  mu is a per-region
+    constant, so its powers are formed in Python arithmetic per region."""
+    prepared = closure.prepared
+    mu = prepared.ctxs[0].mu
+    mu_15 = np.array([m ** 1.5 for m in mu])
+    ratio_15 = np.array([(m / mu[-1]) ** 1.5 for m in mu])
+    host = closure.host - 1
+    eps_n = prepared.eps[host, closure.w].real
+    eps_h = prepared.eps[-1, closure.w].real
+    ratio = np.sqrt(eps_n / eps_h) * ratio_15[host]
+    return ratio, prepared.k0[closure.w] * np.sqrt(eps_n) * mu_15[host]
+
+
+def _radiated(closure):
+    """Per-channel radiated power terms: from the scattered amplitudes for a
+    dipole in the ambient, from the total outgoing ones below it."""
+    ambient = closure.host == len(closure.prepared.ctxs[0].k)
+    weight = closure.weight
+    if ambient.all():
+        scat = closure.scat
+        return weight * (2.0 * (np.conj(closure.q_out) * scat).real + np.abs(scat) ** 2)
+    if not ambient.any():
+        return weight * np.abs(closure.b_out) ** 2
+    rad = np.empty(closure.g.shape)
+    scat = closure.scat[:, ambient]
+    rad[:, ambient] = weight * (
+        2.0 * (np.conj(closure.q_out[:, ambient]) * scat).real + np.abs(scat) ** 2
+    )
+    rad[:, ~ambient] = weight * np.abs(closure.b_out[:, ~ambient]) ** 2
+    return rad
+
+
+def partial_sums(closure, ratio=None):
+    """Per-order partial sums of wt, shift and wrad over l = 1..l_max, and
+    the per-order complex self-coupling terms, as (orientation, row, l)
+    arrays of one :class:`transfer._Closure`."""
+    if ratio is None:
+        ratio = _host_factors(closure)[0]
+    g_terms = _by_orientation(closure, 1j * closure.weight * closure.g)
+    rad = np.cumsum(_by_orientation(closure, _radiated(closure)), axis=-1)
+    g_partial = np.cumsum(g_terms, axis=-1)
+    ambient = (closure.host == len(closure.prepared.ctxs[0].k))[:, None]
+    wrad = np.where(ambient, 1.0 + rad, ratio[:, None] * rad)
+    return 1.0 + np.imag(g_partial), -0.5 * np.real(g_partial), wrad, g_terms
 
 
 def _partial_sums(coeffs):
-    """Per-order partial sums of wt, shift and wrad over l = 1..l_max, and
-    the per-order complex self-coupling terms (index by l)."""
-    g_terms, rad_terms, ambient = _per_l_arrays(coeffs)
-    g_partial = np.cumsum(g_terms[1:])
-    wt_partial = 1.0 + np.imag(g_partial)
-    shift_partial = -0.5 * np.real(g_partial)
-    if ambient:
-        wrad_partial = 1.0 + np.cumsum(rad_terms[1:])
-    else:
-        wrad_partial = _medium_ratio(coeffs) * np.cumsum(rad_terms[1:])
-    return wt_partial, shift_partial, wrad_partial, g_terms
+    """:func:`partial_sums` of one row's :class:`transfer.MultipoleCoefficients`."""
+    return tuple(x[0, 0] for x in partial_sums(_one(coeffs)))
 
 
 def _spread(partial):
-    tail = partial[-_SPREAD_ORDERS:]
-    last = abs(partial[-1])
-    if last == 0.0:
-        return 0.0 if np.ptp(tail) == 0.0 else math.inf
-    return float(np.ptp(tail) / last)
+    """Relative spread of the last _SPREAD_ORDERS partial sums, along the
+    last axis."""
+    tail = partial[..., -_SPREAD_ORDERS:]
+    last = np.abs(partial[..., -1])
+    ptp = np.ptp(tail, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = ptp / last
+    return np.where(last == 0.0, np.where(ptp == 0.0, 0.0, math.inf), ratio)
 
 
 def _geometric_tail(terms):
-    """Tail estimate of a truncated series from its last two terms."""
-    if len(terms) < 2:
-        return math.inf
-    t_last, t_prev = abs(terms[-1]), abs(terms[-2])
-    if t_last == 0.0:
-        return 0.0
-    if t_prev == 0.0 or t_last >= t_prev:
-        return math.inf
-    q = t_last / t_prev
-    return t_last * q / (1.0 - q)
+    """Tail estimate of truncated series from their last two terms, along
+    the last axis."""
+    if terms.shape[-1] < 2:
+        return np.full(terms.shape[:-1], math.inf)
+    t_last, t_prev = np.abs(terms[..., -1]), np.abs(terms[..., -2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = t_last / t_prev
+        tail = t_last * q / (1.0 - q)
+    return np.where(
+        t_last == 0.0, 0.0, np.where((t_prev == 0.0) | (t_last >= t_prev), math.inf, tail)
+    )
 
 
 def fluorescence_yield(wt_norm, wrad_norm):
     """wrad/wt; an upper bound on the yield actually realized, since only
-    the Ohmic channel of the nonradiative decay is modeled."""
-    if wt_norm <= 0:
-        raise DomainError(f"total rate must be positive, got {wt_norm}")
+    the Ohmic channel of the nonradiative decay is modeled.  Takes numbers
+    or arrays; the first non-positive total rate raises."""
+    bad = np.asarray(wt_norm) <= 0
+    if bad.any():
+        raise DomainError(f"total rate must be positive, got {float(np.asarray(wt_norm)[bad][0])}")
     return wrad_norm / wt_norm
 
 
@@ -130,93 +171,144 @@ def photostability_ratio(wrad_norm):
 # Ohmic loss from interface fluxes
 
 
-def ohmic_rate_per_l(coeffs):
-    """Per-order normalized Ohmic rate contributions (summed gives the rate).
+def _ohmic(closure, shells, pref):
+    """Per-order normalized Ohmic rate contributions (summed gives the rate)
+    of every orientation and row of a closure, as (orientation, row, l)
+    arrays; ``shells`` marks per row the shells that absorb at its
+    wavelength.
 
     By Poynting's theorem the power a source-free shell takes out of the
     field is the net radial flux through its two surfaces (Mackowski,
     Altenkirch & Menguc, Appl. Opt. 29, 1551 (1990)): with the solver's own
     continuity rows, eps'' int |E|^2 over the shell between interfaces j-1
     and j is flux(j-1) - flux(j) per channel (see
-    :meth:`transfer.ChannelSolution.flux`), and the region's k, mu and eps''
+    :meth:`transfer._Closure.flux`), and the region's k, mu and eps''
     cancel.
-
-    Returns the per_l array indexed 1..l_max.
     """
-    ctx = coeffs.ctx
-    shells = [j for j in range(1, ctx.n_regions) if ctx.absorbing[j - 1]]
-    if coeffs.host_region in shells:
+    rows = np.arange(len(closure.host))
+    inside = shells[rows, np.minimum(closure.host, shells.shape[1]) - 1]
+    if (inside & (closure.host <= shells.shape[1])).any():
         raise DomainError("dipole inside an absorbing shell")
-    per_l = np.zeros(coeffs.l_max)
-    for j in shells:
-        for ch in coeffs.channels:  # one per polarization
-            per_l[ch.l - 1] += ch.weight * (ch.flux(j - 1) - ch.flux(j))
+    per_l = np.zeros((len(closure.orientations),) + closure.g.shape[1:])
+    for j in np.flatnonzero(shells.any(axis=0)) + 1:
+        d = closure.weight * (closure.flux(j - 1) - closure.flux(j))
+        if not shells[:, j - 1].all():
+            d = np.where(shells[:, j - 1, None], d, 0.0)
+        _add_channels(closure, per_l, d)
+    return pref[:, None] * per_l
 
-    n = coeffs.host_region
-    pref = ctx.k0 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
-    return pref * per_l
+
+def ohmic_rate_per_l(coeffs):
+    """Per-order normalized Ohmic rate contributions of one row's
+    :class:`transfer.MultipoleCoefficients`, indexed 1..l_max; see
+    :func:`_ohmic`."""
+    closure = _one(coeffs)
+    shells = closure.prepared.absorbing[closure.w, :-1]
+    return _ohmic(closure, shells, _host_factors(closure)[1])[0, 0]
 
 
-def _near_metal(coeffs):
-    """Whether the dipole lies within NEAR_METAL_FRACTION r_s of an
-    interface touching a region that absorbs at the solve's wavelength."""
-    absorbing = coeffs.ctx.absorbing
-    r = coeffs.dipole.radial_position_nm
-    limit = NEAR_METAL_FRACTION * coeffs.sphere.outer_radius_nm
-    return any(
-        abs(r - R) < limit
-        for i, R in enumerate(coeffs.sphere.radii)
-        if absorbing[i] or absorbing[i + 1]
+def _near_metal(closure, absorbing):
+    """Per row: whether the dipole lies within NEAR_METAL_FRACTION r_s of an
+    interface touching a region that absorbs at its wavelength."""
+    sphere = closure.prepared.sphere
+    touching = absorbing[:, :-1] | absorbing[:, 1:]
+    limit = NEAR_METAL_FRACTION * sphere.outer_radius_nm
+    return (touching & (np.abs(closure.r[:, None] - np.array(sphere.radii)) < limit)).any(axis=1)
+
+
+_FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
+           "photostability", "converged", "wt_spread", "wrad_spread", "wohm_spread",
+           "shift_tail")
+
+
+def _observe(closure):
+    """Every output of every row and orientation of one closure, as
+    (orientation, row) arrays per :class:`model.SpectroResult` field, with
+    the orientation average appended when both orientations were closed,
+    and the orientation names in that order.  A failure raises before any
+    result exists."""
+    absorbing = closure.prepared.absorbing[closure.w]
+    shells = absorbing[:, :-1]
+    any_absorbing = shells.any(axis=1)
+    ratio, pref = _host_factors(closure)
+    wt_partial, shift_partial, wrad_partial, g_terms = partial_sums(closure, ratio)
+    zeros = np.zeros(wt_partial.shape[:-1])
+    wohm, wohm_spread = zeros, zeros
+    if any_absorbing.any():
+        per_l = _ohmic(closure, shells, pref)
+        wohm = np.where(any_absorbing, np.sum(per_l, axis=-1), 0.0)
+        wohm_spread = np.where(any_absorbing, _spread(np.cumsum(per_l, axis=-1)), 0.0)
+    out = {
+        "shift_norm": shift_partial[..., -1],
+        "wt_norm": wt_partial[..., -1],
+        "wrad_norm": wrad_partial[..., -1],
+        "wohm_norm": wohm,
+        "wt_spread": _spread(wt_partial),
+        "wrad_spread": _spread(wrad_partial),
+        "wohm_spread": wohm_spread,
+        "shift_tail": _geometric_tail(-0.5 * np.real(g_terms)),
+    }
+    out["converged"] = (
+        (out["wt_spread"] < _WT_SPREAD_TOL)
+        & (out["wrad_spread"] < _WRAD_SPREAD_TOL)
+        & (~any_absorbing | (wohm_spread < _WOHM_SPREAD_TOL))
+        & ~(any_absorbing & _near_metal(closure, absorbing))
     )
+    names = closure.orientations
+    if len(names) == 2:
+        out = {k: np.concatenate([v, _average(closure, k, v)[None]]) for k, v in out.items()}
+        names = names + ("average",)
+    # row-major, as the rows are evaluated one after another
+    out["fluorescence_yield"] = fluorescence_yield(out["wt_norm"].T, out["wrad_norm"].T).T
+    out["photostability"] = photostability_ratio(out["wrad_norm"])
+    return names, out
+
+
+def _average(closure, field, v):
+    """The orientation average of one field: rates are averaged (physical
+    ensembles average rates, not ratios), spreads and tails take the larger
+    of the two as max() would, and a row converges when both do."""
+    ra, ta = (v[closure.orientations.index(o)] for o in model.ORIENTATIONS)
+    if field == "converged":
+        return ra & ta
+    if field.endswith("_spread") or field == "shift_tail":
+        return np.where(ta > ra, ta, ra)
+    return orientation_average(ra, ta)
+
+
+def _results(closure):
+    """Per row of one closure, a dict orientation -> SpectroResult."""
+    names, out = _observe(closure)
+    cols = [out[f].tolist() for f in _FIELDS]
+    l_used = closure.prepared.l_max
+    return [
+        {
+            name: model.SpectroResult(
+                **{f: col[o][n] for f, col in zip(_FIELDS, cols)},
+                l_used=l_used, quad_rel_err=0.0, orientation=name,
+            )
+            for o, name in enumerate(names)
+        }
+        for n in range(len(closure.index))
+    ]
+
+
+def _one(coeffs):
+    """The closure of one row's :class:`transfer.MultipoleCoefficients`."""
+    return coeffs.closure.select(coeffs.row, coeffs.dipole.orientation)
 
 
 def evaluate_from_coefficients(coeffs):
-    """Full normalized result set from solved channel coefficients."""
-    wt_partial, shift_partial, wrad_partial, g_terms = _partial_sums(coeffs)
-    wt = float(wt_partial[-1])
-    shift = float(shift_partial[-1])
-    wrad = float(wrad_partial[-1])
-
-    any_absorbing = any(coeffs.ctx.absorbing[:-1])
-    wohm_spread = 0.0
-    if any_absorbing:
-        per_l = ohmic_rate_per_l(coeffs)
-        wohm = float(np.sum(per_l))
-        wohm_spread = _spread(np.cumsum(per_l))
-    else:
-        wohm = 0.0
-
-    wt_spread = _spread(wt_partial)
-    wrad_spread = _spread(wrad_partial)
-    shift_tail = _geometric_tail((-0.5 * np.real(g_terms[1:])))
-    converged = (
-        wt_spread < _WT_SPREAD_TOL
-        and wrad_spread < _WRAD_SPREAD_TOL
-        and (not any_absorbing or wohm_spread < _WOHM_SPREAD_TOL)
-        and not (any_absorbing and _near_metal(coeffs))
-    )
-    y = fluorescence_yield(wt, wrad)
-    return model.SpectroResult(
-        shift_norm=shift,
-        wt_norm=wt,
-        wrad_norm=wrad,
-        wohm_norm=wohm,
-        fluorescence_yield=y,
-        photostability=photostability_ratio(wrad),
-        l_used=coeffs.l_max,
-        converged=bool(converged),
-        wt_spread=wt_spread,
-        wrad_spread=wrad_spread,
-        wohm_spread=wohm_spread,
-        shift_tail=shift_tail,
-        quad_rel_err=0.0,
-        orientation=coeffs.dipole.orientation,
-    )
+    """Full normalized result set from one row's solved channel
+    coefficients."""
+    return _results(_one(coeffs))[0][coeffs.dipole.orientation]
 
 
 def evaluate(sphere, dipole, l_max=60):
     """One-stop evaluation of every normalized output for one query."""
-    return evaluate_from_coefficients(transfer.solve_dipole_fields(sphere, dipole, l_max))
+    prepared = transfer.prepare(sphere, [dipole.wavelength_nm], l_max)
+    row = (dipole.radial_position_nm, dipole.wavelength_nm)
+    return evaluate_rows(prepared, [row], (dipole.orientation,))[0][dipole.orientation]
 
 
 def batch_size(l_max):
@@ -228,16 +320,15 @@ def evaluate_rows(prepared, rows, orientations):
     """Results at many rows (r_nm [nm], wavelength [nm]) against one
     :func:`transfer.prepare` that holds every row's wavelength: per row, a
     dict orientation -> :class:`model.SpectroResult`, plus "average" when
-    both orientations are asked for.  Each row's results are the ones a
-    one-row call returns."""
+    both orientations are asked for.  Each batch of rows is closed and
+    observed in one array pass; each row's results are the ones a one-row
+    call returns."""
     step = batch_size(prepared.l_max)
-    out = []
+    out = [None] * len(rows)
     for lo in range(0, len(rows), step):
-        for row in transfer.close(prepared, rows[lo:lo + step], orientations):
-            results = {o: evaluate_from_coefficients(c) for o, c in row.items()}
-            if len(results) == 2:
-                results["average"] = _average(results[model.RADIAL], results[model.TANGENTIAL])
-            out.append(results)
+        for closure in transfer.closures(prepared, rows[lo:lo + step], orientations):
+            for i, results in zip(closure.index, _results(closure)):
+                out[lo + i] = results
     return out
 
 
@@ -245,27 +336,3 @@ def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
     """Radial, tangential, and orientation-averaged results at one radius."""
     prepared = transfer.prepare(sphere, [wavelength_nm], l_max)
     return evaluate_rows(prepared, [(r_nm, wavelength_nm)], model.ORIENTATIONS)[0]
-
-
-def _average(ra, ta):
-    """The orientation average averages the rates (physical ensembles
-    average rates, not ratios) and then forms yield and photostability from
-    the averages."""
-    wt = orientation_average(ra.wt_norm, ta.wt_norm)
-    wrad = orientation_average(ra.wrad_norm, ta.wrad_norm)
-    wohm = orientation_average(ra.wohm_norm, ta.wohm_norm)
-    return replace(
-        ra,
-        shift_norm=orientation_average(ra.shift_norm, ta.shift_norm),
-        wt_norm=wt,
-        wrad_norm=wrad,
-        wohm_norm=wohm,
-        fluorescence_yield=fluorescence_yield(wt, wrad),
-        photostability=photostability_ratio(wrad),
-        converged=ra.converged and ta.converged,
-        wt_spread=max(ra.wt_spread, ta.wt_spread),
-        wrad_spread=max(ra.wrad_spread, ta.wrad_spread),
-        wohm_spread=max(ra.wohm_spread, ta.wohm_spread),
-        shift_tail=max(ra.shift_tail, ta.shift_tail),
-        orientation="average",
-    )

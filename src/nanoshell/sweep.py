@@ -61,6 +61,9 @@ NUDGE_FRACTION = 0.005
 # lies between the two
 MIN_BLOCK_ENTRIES = 8192
 
+# a linspace grid may ask for at most this many points
+MAX_GRID_POINTS = 10**6
+
 # a prepared wavelength counts as this many rows of (l_max + 1) entries.
 # Within a batched prepare one more wavelength costs 0.5-1.5 closed rows at
 # l_max 60 (lossless to metal presets), 0.3-1 at 1000 and 0.16 at 4000; at
@@ -118,6 +121,7 @@ def config_from_dict(raw):
         raise ConfigError(f"sweep must be 'radial' or 'wavelength', got {sweep!r}")
     if "sphere" not in raw:
         raise ConfigError("config needs a 'sphere' entry (preset name or shell spec)")
+    _check_sphere_spec(raw["sphere"])
     orientations = raw.get("orientations")
     if orientations is None:
         single = raw.get("orientation")
@@ -158,6 +162,9 @@ def config_from_dict(raw):
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "plot"):
         raise ConfigError(f"format must be 'csv' or 'plot', got {fmt!r}")
+    for key in ("out", "plot_dir"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string or null, got {raw[key]!r}")
     return SweepConfig(
         sphere_spec=raw["sphere"],
         sweep=sweep,
@@ -196,8 +203,43 @@ def _check_linspace(spec):
     lo, hi, n = spec
     _require_finite("linspace bound", lo, hi)
     whole = isinstance(n, int) or (isinstance(n, float) and n.is_integer())
-    if isinstance(n, bool) or not whole or n < 1:
-        raise ConfigError(f"linspace point count must be an integer >= 1, got {n!r}")
+    if isinstance(n, bool) or not whole or not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid linspace point count must be an integer in 1..{MAX_GRID_POINTS}, got {n!r}"
+        )
+
+
+def _check_sphere_spec(spec):
+    """A preset name, or {"shells": [[radius_nm, material], ...], "ambient":
+    material} with materials as :func:`_material_from_spec` reads them;
+    anything else is a ConfigError before any sphere is built."""
+    if isinstance(spec, str):
+        return
+    shells = spec.get("shells") if isinstance(spec, dict) else None
+    if not isinstance(shells, (list, tuple)) or not all(
+        isinstance(shell, (list, tuple)) and len(shell) == 2 for shell in shells
+    ):
+        raise ConfigError(
+            f"sphere must be a preset name or {{'shells': [[radius_nm, material], ...]}}, "
+            f"got {spec!r}"
+        )
+    for radius, material in shells:
+        _require_finite("sphere shell radius", radius)
+        _check_material_spec(material)
+    _check_material_spec(spec.get("ambient", "water"))
+
+
+def _check_material_spec(spec):
+    if isinstance(spec, dict) and ("n" in spec or "table" in spec):
+        if "mu" in spec:
+            _require_finite("sphere material mu", spec["mu"])
+        n = spec.get("n", 0.0)
+        parts = n if isinstance(n, (list, tuple)) and len(n) == 2 else [n]
+        _require_finite("sphere material n", *parts)
+        if not isinstance(spec.get("table", ""), str):
+            raise ConfigError(f"sphere material table must be a path string, got {spec!r}")
+    elif not isinstance(spec, str):
+        raise ConfigError(f"cannot interpret sphere material spec {spec!r}")
 
 
 def load_config(path):

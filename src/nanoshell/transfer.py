@@ -7,28 +7,33 @@ continuity (tangential E and H) couples the (regular, outgoing) amplitude
 pair of adjacent regions through 2x2 matrices built from Riccati-Bessel
 functions; the solution composes ordered matrix products from the core
 outward and from the ambient inward and closes them with a single 2x2 solve
-per channel.  No large block system is ever formed.  Every step acts on
-arrays over l = 1..l_max at once, so a polarization is solved in one pass
-and kept as one :class:`ChannelSolution`.
+per channel.  No large block system is ever formed.
 
 Only the source jump depends on the dipole radius, so the solve has two
 steps.  :func:`prepare` holds what a sphere, a set of wavelengths and l_max
 fix: one layer context per wavelength, the interface tables of every
-wavelength from one Riccati call and, per (host region, polarization), the
-carried pairs, interface rows and closure determinant, each built on first
-use on (wavelength, l) arrays.  :func:`close` takes rows of (radius,
-wavelength), builds their dipole tables in one call, gathers each row's
-chain entries by its wavelength and closes all rows on (row, l) arrays; the
-radial and tangential dipoles share the TM chain.  Every step is elementwise
-in the wavelengths and the rows, and each wavelength's scalars (1/k, 1/mu,
-the matching determinant, k r) are formed at that wavelength alone, so a
-row's result does not depend on which rows or wavelengths share its prepare
-and close.  A radial sweep is the one-wavelength case, and
-:func:`solve_dipole_fields` is a prepare and a close over one row.
+wavelength from one Riccati call, and two sweeps of unit pairs, one outward
+from the core and one inward from the ambient, with TM and TE stacked on a
+leading polarization axis over the (wavelength, l) entries.  Each sweep is
+extended on first use only as far as a close needs, and every host region
+shares them: a dipole in region h reads both sweeps' pairs at h, the outward
+rows of the interfaces below h and the inward rows above it.
 
-Each channel keeps the (E_t, H_t) row its matching step formed at every
+:func:`closures` takes rows of (radius, wavelength), builds their dipole
+tables in one call and closes every channel of every row at once on
+(channel, row, l) arrays: the radial TM, tangential TM and tangential TE
+channels each gather their row's entries by (host, wavelength).  Every step
+is elementwise in the channels, rows and wavelengths, and each wavelength's
+scalars (1/k, 1/mu, the matching determinant, k r) are formed at that
+wavelength alone, so a row's result does not depend on which rows or
+wavelengths share its prepare and close.  :func:`close` returns per-row
+views onto those arrays (:class:`MultipoleCoefficients`,
+:class:`ChannelSolution`), and :func:`solve_dipole_fields` is a prepare and a
+close over one row.
+
+Each crossing keeps the (E_t, H_t) row its matching step formed at the
 interface; the net radial Poynting flux through an interface, and so a
-shell's Ohmic absorption, is read from it (:meth:`ChannelSolution.flux`).
+shell's Ohmic absorption, is read from it (:meth:`_Closure.flux`).
 
 Azimuthal sums are folded analytically: a radial dipole drives only
 electric-type (TM) waves, a tangential dipole drives TM and TE, and each
@@ -44,11 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials, model, scaledmath as sm
-from .errors import ConfigError, DegenerateSystemError, GeometryError
+from .errors import ConfigError, DegenerateSystemError, GeometryError, RangeError
 from .specfun import real_over, riccati_scaled
 
 TM = "TM"
 TE = "TE"
+POLS = (TM, TE)  # order of the polarization axis
 
 # relative log-magnitude loss at which the 2x2 closure is declared singular
 _DEGENERACY_LOG = math.log(1e-13)
@@ -57,6 +63,19 @@ _ONE = (1.0 + 0j, 0.0)
 
 # largest accepted l_max; the scaled arithmetic holds well beyond it
 L_MAX_CEILING = 4000
+
+# channel kinds: 0 the radial dipole's TM channel, 1 and 2 the tangential
+# dipole's TM and TE channels; the ones each orientation drives
+_KINDS = {model.RADIAL: (0,), model.TANGENTIAL: (1, 2)}
+_KIND_POL = np.array([0, 0, 1])
+# regular and outgoing profile of each kind, as rows of the (psi, dpsi, xi,
+# dxi) stack, and the power of 1/rho that projects them onto the dipole axis
+_KIND_PROFILE = np.array([[0, 2], [1, 3], [0, 2]])
+_KIND_POWER = np.array([2, 1, 1])
+# a dipole at the origin drives l = 1 TM alone: its weight and free
+# outgoing amplitude per kind
+_CENTER_WEIGHT = np.array([9.0, 2.25])
+_CENTER_Q = np.array([1.0 / 3.0, 2.0 / 3.0])
 
 
 @dataclass(frozen=True)
@@ -70,6 +89,7 @@ class LayerContext:
     absorbing: tuple
     k0: float  # vacuum wavenumber [1/nm]
     wavelength_nm: float
+    host_absorbs: tuple = ()  # per region: no emitter host (model.index_absorbs)
 
     @property
     def n_regions(self):
@@ -78,7 +98,7 @@ class LayerContext:
 
 def layer_context(sphere, wavelength_nm):
     k0 = 2.0 * math.pi / wavelength_nm
-    ks, mus, epss, absorbing = [], [], [], []
+    ks, mus, epss, absorbing, host_absorbs = [], [], [], [], []
     for j in range(1, sphere.n_regions + 1):
         mat = sphere.region_material(j)
         n = materials.refractive_index(mat, wavelength_nm)
@@ -87,6 +107,7 @@ def layer_context(sphere, wavelength_nm):
         mus.append(mat.mu)
         epss.append(eps)
         absorbing.append(eps.imag > 1e-12)
+        host_absorbs.append(model.index_absorbs(n))
     if absorbing[-1]:
         raise GeometryError("ambient medium must be lossless at the queried wavelength")
     return LayerContext(
@@ -97,6 +118,7 @@ def layer_context(sphere, wavelength_nm):
         absorbing=tuple(absorbing),
         k0=k0,
         wavelength_nm=wavelength_nm,
+        host_absorbs=tuple(host_absorbs),
     )
 
 
@@ -112,181 +134,115 @@ def _orders(t, i=...):
 
 
 def _interface_tables(ctxs, l_max, rho=()):
-    """Riccati tables of both regions at every interface, as (region,
-    interface) -> (psi, dpsi, xi, dxi) pairs over the (wavelength, l =
-    1..l_max) entries, one context per wavelength, flattened
-    wavelength-major so that the chains run on one-dimensional arrays; and
-    in the same call the tables at the extra arguments rho, as pairs with a
-    leading axis over rho."""
+    """Riccati tables of both regions at every interface, one context per
+    wavelength: the (region, interface) keys, and (mantissa, exponent)
+    arrays over (psi, dpsi, xi, dxi), key and the (wavelength, l =
+    1..l_max) entries, flattened wavelength-major so that the chains run on
+    one-dimensional arrays; and in the same call the tables at the extra
+    arguments rho, as pairs with a leading axis over rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
     t = riccati_scaled(l_max, np.concatenate([z, rho]))
-    # one row per key of every field, over l = 1..l_max of each wavelength
-    fields = (t.psi, t.psi_e, t.dpsi, t.dpsi_e, t.xi, t.xi_e, t.dxi, t.dxi_e)
-    f = [x[:len(z), 1:].reshape(len(keys), -1) for x in fields]
-    tables = {
-        key: tuple((f[q][j], f[q + 1][j]) for q in (0, 2, 4, 6)) for j, key in enumerate(keys)
-    }
-    return tables, _orders(t, slice(len(z), None))
-
-
-def _entries(prepared, region, interface, pol):
-    """Continuity-matrix entries of one region at one interface, over the
-    (wavelength, l) entries.
-
-    Columns (regular, outgoing); rows (tangential-E, tangential-H).  For TM
-    the E row carries the Riccati derivatives, for TE the functions
-    themselves; k- and mu-weighting implement the field matching.
-    """
-    psi, dpsi, xi, dxi = prepared._tables[region, interface]
-    inv_k, inv_mu, det = prepared.scalars(region, pol)
-    (e_p, e_x), (h_p, h_x) = ((dpsi, dxi), (psi, xi)) if pol == TM else ((psi, xi), (dpsi, dxi))
-    return (
-        sm.scale(e_p, inv_k), sm.scale(e_x, inv_k), sm.scale(h_p, inv_mu), sm.scale(h_x, inv_mu),
-        det,
+    m, e = (
+        np.stack([x[:len(z), 1:].reshape(len(keys), -1) for x in fields])
+        for fields in ((t.psi, t.dpsi, t.xi, t.dxi), (t.psi_e, t.dpsi_e, t.xi_e, t.dxi_e))
     )
+    return (keys, m, e), _orders(t, slice(len(z), None))
 
 
-def _cross(state, prepared, interface, from_region, to_region, pol):
-    """Carry a (regular, outgoing) amplitude pair across one interface.
+def _cross(state, src, dst):
+    """Carry (regular, outgoing) amplitude pairs across one interface, from
+    the region whose :meth:`Prepared.entries` there are ``src`` to the one
+    whose entries are ``dst``.
 
     Returns the pair on the far side and the (E_t, H_t) continuity row the
     pair forms at the interface; the row is the same on either side.
     """
     c1, c2 = state
-    e_p, e_x, h_p, h_x, _ = _entries(prepared, from_region, interface, pol)
+    e_p, e_x, h_p, h_x, _ = src
     y_e = sm.add(sm.mul(c1, e_p), sm.mul(c2, e_x))
     y_h = sm.add(sm.mul(c1, h_p), sm.mul(c2, h_x))
-    e_p, e_x, h_p, h_x, d = _entries(prepared, to_region, interface, pol)
+    e_p, e_x, h_p, h_x, d = dst
     n1 = sm.div(sm.sub(sm.mul(h_x, y_e), sm.mul(e_x, y_h)), d)
     n2 = sm.div(sm.sub(sm.mul(e_p, y_h), sm.mul(h_p, y_e)), d)
     return (n1, n2), (y_e, y_h)
 
 
-@dataclass
-class ChannelSolution:
-    """Solved amplitudes of one polarization, as arrays over its orders ``l``,
-    with the :class:`_Closure` of the rows closed together (what the solve
-    formed on the way) and this solution's row in it."""
+class _Sweeps:
+    """The two chains of a prepare, TM and TE stacked on a leading axis over
+    the (wavelength, l) entries: unit pairs carried from the core outward
+    (u, from (1, 0)) and from the ambient inward (v, from (0, 1)), and the
+    (E_t, H_t) row each crossing forms.  A dipole hosted in region h closes
+    with u and v at h; the outward rows of the interfaces below h and the
+    inward rows above it carry its fields there.  Each sweep is extended on
+    first use only as far as a close needs."""
 
-    l: np.ndarray  # orders 1..l_max, or just 1 for a centered dipole
-    pol: str
-    weight: np.ndarray  # m-folded channel weight, orientation included
-    g: np.ndarray  # scattered self-coupling at the dipole
-    b_out: np.ndarray  # total outgoing amplitude in the ambient
-    q_out_val: np.ndarray  # free-dipole outgoing source amplitude
-    scat_out: np.ndarray  # scattered-only outgoing amplitude in the ambient
-    host: int  # region holding the dipole
-    closure: "_Closure"  # shared by the rows closed together
-    row: int  # this solution's row in ``closure``
+    def __init__(self, prepared):
+        self.prepared = prepared
+        n = prepared.ctxs[0].n_regions
+        entries = 2 * len(prepared.ctxs) * prepared.l_max
+        # (region, (u1, u2, v1, v2), polarization x (wavelength, l))
+        self._pairs = np.zeros((n, 4, entries), dtype=complex), np.zeros((n, 4, entries))
+        # (interface, (outward, inward), (E_t, H_t), polarization x (wavelength, l))
+        rows = (n - 1, 2, 2, entries)
+        self._rows = np.zeros(rows, dtype=complex), np.zeros(rows)
+        self._u, self.top = (_ONE, sm.ZERO), 1
+        self._v, self.bottom = (sm.ZERO, _ONE), n
+        self._store(self._pairs, (0, slice(0, 2)), self._u)
+        self._store(self._pairs, (n - 1, slice(2, 4)), self._v)
 
-    def flux(self, interface):
-        """Net outward radial power flux through one interface per order,
-        s Im(conj(E_t) H_t) with s = +1 for TE and -1 for TM, up to a factor
-        common to every channel.  Interface 0 is the origin, where the flux
-        vanishes; a source-free shell between interfaces i-1 and i absorbs
-        flux(i-1) - flux(i) (Poynting's theorem).
-        """
-        if interface == 0:
-            return np.zeros(len(self.l))
-        return self.closure.flux(interface)[self.row]
+    @staticmethod
+    def _store(arrays, at, values):
+        """Store scaled values, each over the polarization x (wavelength, l)
+        entries or a scalar, in the consecutive slots ``at`` of the
+        (mantissa, exponent) arrays."""
+        for dest, k in zip(arrays, (0, 1)):
+            slots = dest[at]
+            for j, x in enumerate(values):
+                slots[j] = x[k].reshape(-1) if isinstance(x[k], np.ndarray) else x[k]
 
+    def _view(self, x):
+        """Stored values with their entries split into (polarization,
+        wavelength, l)."""
+        return x.reshape(x.shape[:-1] + (2, len(self.prepared.ctxs), self.prepared.l_max))
 
-class _Closure:
-    """One polarization closed for several rows: the prepare's
-    :class:`_Chain` (unit pairs carried from the core outward and from the
-    ambient inward to the host region, and their (E_t, H_t) row at every
-    interface, over the prepare's wavelengths), each row's wavelength index
-    ``w`` in it, and the scaled closure amplitudes ``a1`` and ``b_out`` that
-    multiply the pairs, on (row, l) arrays (``a1`` is None for dipoles at
-    the origin).  Interface fluxes are computed once each, on first use."""
+    def reach(self, lo, hi):
+        """Carry the outward sweep up to region ``hi`` and the inward sweep
+        down to region ``lo``."""
+        p = self.prepared
+        while self.top < hi:
+            i = self.top
+            self._u, row = _cross(self._u, p.entries(i, i), p.entries(i + 1, i))
+            self.top = i + 1
+            self._store(self._pairs, (i, slice(0, 2)), self._u)
+            self._store(self._rows, (i - 1, 0), row)
+        while self.bottom > lo:
+            i = self.bottom - 1
+            self._v, row = _cross(self._v, p.entries(i + 1, i), p.entries(i, i))
+            self.bottom = i
+            self._store(self._pairs, (i - 1, slice(2, 4)), self._v)
+            self._store(self._rows, (i - 1, 1), row)
 
-    def __init__(self, chain, w, host, pol, a1, b_out):
-        self.chain = chain
-        self.w = w
-        self.host = host
-        self.pol = pol
-        self.a1 = a1
-        self.b_out = b_out
-        self._fluxes = {}
+    def pairs(self, host, pol, w):
+        """u1, u2, v1, v2 at host regions, polarization indices and
+        wavelength indices (broadcast together), as scaled arrays with a
+        last axis over l."""
+        m, e = (self._view(x)[host - 1, :, pol, w] for x in self._pairs)
+        return [(m[..., k, :], e[..., k, :]) for k in range(4)]
 
-    def flux(self, interface):
-        if interface not in self._fluxes:
-            amp = self.a1 if interface < self.host else self.b_out
-            rows = self.chain.rows[interface - 1]
-            y_e, y_h = (sm.mul(amp, self.chain.take(y, self.w)) for y in rows)
-            p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", 1)
-            self._fluxes[interface] = p.imag if self.pol == TE else -p.imag
-        return self._fluxes[interface]
-
-
-@dataclass
-class MultipoleCoefficients:
-    """All channel solutions for one (sphere, dipole) query: one
-    :class:`ChannelSolution` per driven polarization, TM first."""
-
-    sphere: object
-    dipole: object
-    ctx: LayerContext
-    host_region: int
-    l_max: int
-    channels: list
-    at_center: bool
-
-
-def _propagate(prepared, n_host, pol):
-    """Unit pairs carried from the core outward to the host region (u) and
-    from the ambient inward to it (v), with the row of every interface."""
-    n_regions = prepared.ctxs[0].n_regions
-    rows = [None] * (n_regions - 1)
-    u = {1: (_ONE, sm.ZERO)}
-    for i in range(1, n_host):
-        u[i + 1], rows[i - 1] = _cross(u[i], prepared, i, i, i + 1, pol)
-    v = {n_regions: (sm.ZERO, _ONE)}
-    for i in range(n_regions - 1, n_host - 1, -1):
-        v[i], rows[i - 1] = _cross(v[i + 1], prepared, i, i + 1, i, pol)
-    return u, v, tuple(rows)
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """One (host region, polarization) of a prepared sphere, over the
-    flattened (wavelength, l) entries: the unit pairs u and v, the interface
-    rows and the closure determinant u1 v2 - u2 v1 at the host, which no
-    dipole radius changes, with where that determinant is singular, as a
-    (wavelength, l) array."""
-
-    u: dict
-    v: dict
-    rows: tuple
-    delta: tuple
-    degenerate: np.ndarray
-
-    def take(self, pair, w):
-        """A scaled pair's entries at the wavelength indices w, as (row, l)
-        arrays; the unit and zero pairs a chain starts from are scalars and
-        broadcast as they are."""
-        m, e = pair
-        if not isinstance(m, np.ndarray):
-            return pair
-        shape = self.degenerate.shape
-        return m.reshape(shape)[w], e.reshape(shape)[w]
-
-    def check(self, w, ls, pol):
-        """Raise for the first singular order of the wavelengths w, as a
-        prepare at only those wavelengths would."""
-        bad = self.degenerate[w]
-        if bad.any():
-            raise DegenerateSystemError(int(ls[np.argwhere(bad)[0][-1]]), pol)
+    def rows(self, interface, inward, pol, w):
+        """(E_t, H_t) of the unit pairs at one interface, of the outward or
+        the inward sweep, at polarization and wavelength indices."""
+        m, e = (self._view(x)[interface - 1, inward.astype(int), :, pol, w] for x in self._rows)
+        return (m[..., 0, :], e[..., 0, :]), (m[..., 1, :], e[..., 1, :])
 
 
 class Prepared:
     """Everything a sphere, a set of wavelengths and l_max fix for every
     dipole radius: one layer context per wavelength, the Riccati tables at
-    the interfaces and, per (host region, polarization), a :class:`_Chain`,
-    all over the (wavelength, l) entries.  Tables and chains are built on
-    first use, so a query pays only for the host regions and polarizations
-    it drives."""
+    the interfaces, each region's continuity-matrix entries there and the
+    two :class:`_Sweeps`, all over the (wavelength, l) entries and built on
+    first use."""
 
     def __init__(self, sphere, wavelengths_nm, l_max, ctxs=None):
         check_l_max(l_max)
@@ -296,14 +252,22 @@ class Prepared:
         self.l_max = l_max
         self.ctxs = [layer_context(sphere, wl) for wl in self.wavelengths] if ctxs is None else ctxs
         self.ls = np.arange(1, l_max + 1)
+        # per (region, wavelength)
+        self.k = np.array([c.k for c in self.ctxs]).T
+        self.eps = np.array([c.eps for c in self.ctxs]).T
+        # per wavelength
+        self.k0 = np.array([c.k0 for c in self.ctxs])
+        # per (wavelength, region)
+        self.absorbing = np.array([c.absorbing for c in self.ctxs])
         self._tables = None
         self._scalars = None
-        self._chains = {}
+        self._entries = None
+        self._sweeps = None
         self._center = None
 
-    def scalars(self, region, pol):
-        """1/k, 1/mu and the scaled matching determinant of one region over
-        the (wavelength, l) entries.  Each is formed in Python complex
+    def _matching_scalars(self):
+        """1/k, 1/mu and the scaled TM and TE matching determinants per
+        (region, (wavelength, l) entry), each formed in Python complex
         arithmetic at its own wavelength, as a one-wavelength prepare forms
         it, so no wavelength's entries depend on the others."""
         if self._scalars is None:
@@ -314,9 +278,41 @@ class Prepared:
             # (region, quantity, (wavelength, l) entry)
             cols = np.repeat(np.array(per_wavelength).transpose(1, 2, 0), self.l_max, axis=2)
             self._scalars = cols[:, 0], cols[:, 1], sm.from_complex(cols[:, 2:])
-        inv_k, inv_mu, (det_m, det_e) = self._scalars
-        j = 0 if pol == TM else 1
+        return self._scalars
+
+    def scalars(self, region, pol):
+        """1/k, 1/mu and the scaled matching determinant of one region and
+        polarization over the (wavelength, l) entries."""
+        inv_k, inv_mu, (det_m, det_e) = self._matching_scalars()
+        j = POLS.index(pol)
         return inv_k[region - 1], inv_mu[region - 1], (det_m[region - 1, j], det_e[region - 1, j])
+
+    def entries(self, region, interface):
+        """Continuity-matrix entries of one region at one interface, TM and
+        TE stacked on a leading axis over the (wavelength, l) entries, with
+        the region's matching determinant.
+
+        Columns (regular, outgoing); rows (tangential-E, tangential-H).  For
+        TM the E row carries the Riccati derivatives, for TE the functions
+        themselves; k- and mu-weighting implement the field matching.  The
+        entries of every region at every interface are formed at once, on
+        first use.
+        """
+        if self._entries is None:
+            if self._tables is None:
+                self._tables, _ = _interface_tables(self.ctxs, self.l_max)
+            keys, m, e = self._tables
+            inv_k, inv_mu, (det_m, det_e) = self._matching_scalars()
+            regions = [j - 1 for j, _ in keys]
+            # (e_p, e_x, h_p, h_x) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
+            rows = np.array([[1, 0], [3, 2], [0, 1], [2, 3]])
+            factor = np.stack([inv_k[regions], inv_mu[regions]])[[0, 0, 1, 1], None]
+            m, e = sm.scale((m[rows], e[rows]), factor)
+            self._entries = {
+                (j, i): (*((m[q, :, n], e[q, :, n]) for q in range(4)), (det_m[j - 1], det_e[j - 1]))
+                for n, (j, i) in enumerate(keys)
+            }
+        return self._entries[region, interface]
 
     def dipole_tables(self, rho):
         """(psi, dpsi, xi, dxi) pairs over l = 1..l_max at the dipole
@@ -327,23 +323,11 @@ class Prepared:
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 
-    def chain(self, host, pol):
-        key = (host, pol)
-        if key not in self._chains:
-            if self._tables is None:
-                self._tables, _ = _interface_tables(self.ctxs, self.l_max)
-            u, v, rows = _propagate(self, host, pol)
-            (u1, u2), (v1, v2) = u[host], v[host]
-            t1 = sm.mul(u1, v2)
-            t2 = sm.mul(u2, v1)
-            delta = sm.sub(t1, t2)
-            scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
-            degenerate = (delta[0] == 0) | (
-                np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
-            )
-            shape = (len(self.ctxs), self.l_max)
-            self._chains[key] = _Chain(u, v, rows, delta, degenerate.reshape(shape))
-        return self._chains[key]
+    @property
+    def sweeps(self):
+        if self._sweeps is None:
+            self._sweeps = _Sweeps(self)
+        return self._sweeps
 
     def center(self):
         """The same sphere and wavelengths at l_max = 1: a dipole at the
@@ -359,138 +343,330 @@ def prepare(sphere, wavelengths_nm, l_max):
     return Prepared(sphere, wavelengths_nm, l_max)
 
 
-def _close_channel(chain, host, w, s_reg, s_out):
-    """Close one polarization for dipoles off the origin, on (row, l) arrays,
-    row n at wavelength index w[n] of the chain; the source amplitudes are
-    the projections of the regular and outgoing profiles onto the dipole
-    axis, swapped (outgoing content above the source is proportional to the
-    regular profile and vice versa).  Returns the scaled a1 and b_out with
-    the collapsed g, b_out, source and scattered amplitudes."""
-    (u1, u2), (v1, v2) = chain.u[host], chain.v[host]
-    u1, u2, v1, v2, delta = (chain.take(x, w) for x in (u1, u2, v1, v2, chain.delta))
+@dataclass
+class ChannelSolution:
+    """Solved amplitudes of one polarization of one row, as arrays over its
+    orders ``l``: a view onto channel ``channel``, row ``row`` of a
+    :class:`_Closure`."""
+
+    l: np.ndarray  # orders 1..l_max, or just 1 for a centered dipole
+    pol: str
+    weight: np.ndarray  # m-folded channel weight, orientation included
+    g: np.ndarray  # scattered self-coupling at the dipole
+    b_out: np.ndarray  # total outgoing amplitude in the ambient
+    q_out_val: np.ndarray  # free-dipole outgoing source amplitude
+    scat_out: np.ndarray  # scattered-only outgoing amplitude in the ambient
+    host: int  # region holding the dipole
+    closure: "_Closure"
+    row: int
+    channel: int
+
+    def flux(self, interface):
+        """Net outward radial power flux through one interface per order;
+        see :meth:`_Closure.flux`."""
+        return self.closure.flux(interface)[self.channel, self.row, :len(self.l)]
+
+
+@dataclass
+class MultipoleCoefficients:
+    """All channel solutions for one (sphere, dipole) query: one
+    :class:`ChannelSolution` per driven polarization, TM first; a view onto
+    row ``row`` of a :class:`_Closure`."""
+
+    sphere: object
+    dipole: object
+    ctx: LayerContext
+    host_region: int
+    l_max: int
+    channels: list
+    at_center: bool
+    closure: "_Closure"
+    row: int
+
+
+class _Closure:
+    """Rows closed together against one prepare, as (channel, row, l)
+    arrays over l = 1..l_max.
+
+    The channels are those of each orientation in the order asked for, each
+    orientation's TM channel first; ``kinds`` names them (see ``_KINDS``).
+    Row n is row ``index[n]`` of the close, at radius ``r[n]``, wavelength
+    index ``w[n]`` and host region ``host[n]``.  Beside the collapsed
+    amplitudes the closure keeps the scaled ones, ``a1`` (None at the
+    origin) and ``b``, that multiply the unit pairs of ``sweeps``; rows at
+    the origin are closed on the l_max = 1 prepare and padded with zeros.
+    """
+
+    def __init__(self, prepared, sweeps, orientations, kinds, index, r, w, host,
+                 weight, g, b_out, q_out, scat, a1, b):
+        self.prepared = prepared
+        self.sweeps = sweeps
+        self.orientations = tuple(orientations)
+        self.kinds = kinds
+        self.pol = _KIND_POL[kinds]
+        self.index = index
+        self.r, self.w, self.host = r, w, host
+        self.weight = weight  # (channel, 1, l)
+        self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
+        self.a1, self.b = a1, b
+        # each orientation's TM channel, and the TE channel with the
+        # orientation it belongs to
+        self.first = np.flatnonzero(kinds != 2)
+        te = np.flatnonzero(kinds == 2)
+        self.te = int(te[0]) if te.size else None
+        self.tangential = None if self.te is None else self.orientations.index(model.TANGENTIAL)
+        self._fluxes = {}
+
+    def flux(self, interface):
+        """Net outward radial power flux through one interface per channel,
+        row and order, s Im(conj(E_t) H_t) with s = +1 for TE and -1 for TM,
+        up to a factor common to every channel.  Interface 0 is the origin,
+        where the flux vanishes; a source-free shell between interfaces i-1
+        and i absorbs flux(i-1) - flux(i) (Poynting's theorem).  Formed once
+        per interface for every channel and row."""
+        if interface not in self._fluxes:
+            f = np.zeros(self.g.shape)
+            if interface > 0:
+                inward = interface >= self.host
+                y_e, y_h = self.sweeps.rows(interface, inward, self.pol[:, None], self.w)
+                amp = self.b
+                if self.a1 is not None and not inward.all():
+                    amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(self.a1, self.b))
+                y_e, y_h = sm.mul(amp, y_e), sm.mul(amp, y_h)
+                p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", 1)
+                f[..., :p.shape[-1]] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
+            self._fluxes[interface] = f
+        return self._fluxes[interface]
+
+    def select(self, n, orientation):
+        """Row n alone with one of its orientations, as a closure of its own;
+        its arrays are slices of these."""
+        o = self.orientations.index(orientation)
+        chans = [self.first[o]] + ([self.te] if o == self.tangential else [])
+        rows = slice(n, n + 1)
+
+        def cut(x):
+            return x[chans, rows]
+
+        def cut_scaled(x):
+            return None if x is None else (cut(x[0]), cut(x[1]))
+
+        sub = _Closure(
+            self.prepared, self.sweeps, (orientation,), self.kinds[chans], self.index[rows],
+            self.r[rows], self.w[rows], self.host[rows], self.weight[chans],
+            cut(self.g), cut(self.b_out), cut(self.q_out), cut(self.scat),
+            cut_scaled(self.a1), cut_scaled(self.b),
+        )
+        sub._fluxes = {i: cut(f) for i, f in self._fluxes.items()}
+        return sub
+
+    def coefficients(self, n, row):
+        """Row n, at (r_nm, wavelength) ``row`` as the close was given it, as
+        per-orientation :class:`MultipoleCoefficients` views."""
+        w, host = int(self.w[n]), int(self.host[n])
+        ls = self.sweeps.prepared.ls
+        size = len(ls)
+        out = {}
+        for o, orientation in enumerate(self.orientations):
+            chans = [self.first[o]] + ([self.te] if o == self.tangential else [])
+            channels = [
+                ChannelSolution(
+                    l=ls, pol=POLS[self.pol[c]], weight=self.weight[c, 0, :size],
+                    g=self.g[c, n, :size], b_out=self.b_out[c, n, :size],
+                    q_out_val=self.q_out[c, n, :size], scat_out=self.scat[c, n, :size],
+                    host=host, closure=self, row=n, channel=c,
+                )
+                for c in chans
+            ]
+            out[orientation] = MultipoleCoefficients(
+                sphere=self.prepared.sphere,
+                dipole=model.DipoleSource(row[0], orientation, row[1]),
+                ctx=self.prepared.ctxs[w],
+                host_region=host,
+                l_max=self.prepared.l_max,
+                channels=channels,
+                at_center=row[0] == 0.0,
+                closure=self,
+                row=n,
+            )
+        return out
+
+
+def _hosts(prepared, rows, orientations, r, w):
+    """Host region of each row, checked as :class:`model.DipoleSource` and
+    :func:`model.validate_dipole` check one dipole.  When any row fails,
+    the rows are checked one at a time in order, so that the first failing
+    row raises its own error."""
+    sphere = prepared.sphere
+    radii = np.array(sphere.radii)
+    wavelengths = np.array(prepared.wavelengths)
+    finite = np.isfinite(r)
+    host = np.where(r == 0.0, 1, np.searchsorted(radii, np.where(finite, r, 0.0), "right") + 1)
+    tol = model.INTERFACE_TOL * sphere.outer_radius_nm
+    on_interface = (r != 0.0) & (np.abs(r[:, None] - radii) <= tol).any(axis=1)
+    host_absorbs = np.array([c.host_absorbs for c in prepared.ctxs])
+    bad = (
+        ~finite | (r < 0.0) | on_interface | host_absorbs[w, host - 1]
+        | ~(np.isfinite(wavelengths) & (wavelengths > 0.0))[w]
+    )
+    if bad.any() or not set(orientations) <= set(model.ORIENTATIONS):
+        dipoles = [[model.DipoleSource(x, o, wl) for o in orientations] for x, wl in rows]
+        host = np.array([model.validate_dipole(sphere, d[0]) for d in dipoles], dtype=int)
+    return host
+
+
+def _determinant(u1, u2, v1, v2):
+    """The closure determinant u1 v2 - u2 v1 and where it is singular."""
+    t1 = sm.mul(u1, v2)
+    t2 = sm.mul(u2, v1)
+    delta = sm.sub(t1, t2)
+    scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
+    degenerate = (delta[0] == 0) | (
+        np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
+    )
+    return delta, degenerate
+
+
+def _nonsingular(x, degenerate):
+    """A scaled divisor with its singular entries set to one: those rows
+    raise before any result is used, and the others must not divide by
+    zero first."""
+    if not degenerate.any():
+        return x
+    return np.where(degenerate, 1.0 + 0j, x[0]), np.where(degenerate, 0.0, x[1])
+
+
+def _collapse_channels(pol, degenerate, named):
+    """Collapse each named scaled (channel, row, l) array.  On failure, what
+    a close channel by channel would raise first is raised: for the first
+    failing channel, its first singular order, else its first overflowing
+    quantity in the order named, each at its first order."""
+    if not degenerate.any():
+        try:
+            return [sm.collapse(x) for x, _ in named]
+        except RangeError:
+            pass
+    over = [sm.log_abs(x) > sm.LOG_HUGE for x, _ in named]
+    bad = np.stack([np.broadcast_to(degenerate, over[0].shape), *over])
+    c = int(np.argmax(bad.any(axis=(0, 2, 3))))
+    q = int(np.argmax(bad[:, c].any(axis=(1, 2))))
+    if q == 0:
+        raise DegenerateSystemError(int(np.argwhere(bad[0, c])[0][-1]) + 1, POLS[pol[c]])
+    x, context = named[q - 1]
+    sm.collapse((x[0][c], x[1][c]), context, 1)
+
+
+def _close_off(prepared, orientations, index, r, w, host):
+    """Every channel of dipoles off the origin, on (channel, row, l) arrays;
+    the source amplitudes are the projections of the regular and outgoing
+    profiles onto the dipole axis, swapped (outgoing content above the
+    source is proportional to the regular profile and vice versa)."""
+    kinds = np.array([k for o in orientations for k in _KINDS[o]])
+    pol = _KIND_POL[kinds]
+    rho = prepared.k[host - 1, w] * r
+    tables = prepared.dipole_tables(rho)
+    inv_rho = real_over(1.0, rho)[:, None]
+    m = np.stack([t[0] for t in tables])
+    e = np.stack([t[1] for t in tables])
+    factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
+    reg, out = _KIND_PROFILE[kinds].T
+    s_reg = sm.scale((m[reg], e[reg]), factor)
+    s_out = sm.scale((m[out], e[out]), factor)
+
+    sweeps = prepared.sweeps
+    sweeps.reach(host.min(), host.max())
+    u1, u2, v1, v2 = sweeps.pairs(host, pol[:, None], w)
+    delta, degenerate = _determinant(u1, u2, v1, v2)
+    delta = _nonsingular(delta, degenerate)
     a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
-    b_out = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
+    b = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
     # scattered field in the host region; these product forms are exact and
     # avoid the cancellation in (total - primary)
-    a_s = sm.mul(v1, b_out)
+    a_s = sm.mul(v1, b)
     b_s = sm.mul(u2, a1)
-    return a1, b_out, (
-        sm.collapse(sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), "g", 1),
-        sm.collapse(b_out, "ambient amplitude", 1),
-        sm.collapse(s_reg, "source amplitude", 1),
-        sm.collapse(b_s, "scattered amplitude", 1),
-    )
+    g, b_out, q_out, scat = _collapse_channels(pol, degenerate, (
+        (sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), "g"),
+        (b, "ambient amplitude"),
+        (s_reg, "source amplitude"),
+        (b_s, "scattered amplitude"),
+    ))
+    ls = prepared.ls
+    weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
+    weight = weights[np.minimum(kinds, 1)][:, None, :]
+    return _Closure(prepared, sweeps, orientations, kinds, index, r, w, host,
+                    weight, g, b_out, q_out, scat, a1, b)
 
 
-def _close_center(prepared, orientation, w):
-    """The one l = 1 TM channel of each dipole exactly at the origin, row n
-    at wavelength index w[n]; the divergent outgoing profile cancels
-    analytically against the regular response, so no core pair is carried
-    outward."""
-    q_out_ideal = 1.0 / 3.0 if orientation == model.RADIAL else 2.0 / 3.0
-    weight = 9.0 if orientation == model.RADIAL else 2.25
-    center = prepared.center()
-    chain = center.chain(1, TM)
-    chain.check(w, center.ls, TM)
-    v1, v2 = (chain.take(x, w) for x in chain.v[1])
-    q_out = sm.from_complex(q_out_ideal)
-    a_s = sm.mul(sm.div(v1, v2), q_out)
-    b_out = sm.div(q_out, v2)
-    g = sm.collapse(sm.mul(a_s, q_out), "g at center", 1)
-    b_c = sm.collapse(b_out, "ambient amplitude", 1)
-    closure = _Closure(chain, w, 1, TM, None, b_out)
-    return [
-        ChannelSolution(
-            l=np.array([1]),
-            pol=TM,
-            weight=np.array([weight]),
-            g=g[n],
-            b_out=b_c[n],
-            q_out_val=np.array([q_out_ideal], dtype=complex),
-            scat_out=np.zeros(1, dtype=complex),
-            host=1,
-            closure=closure,
-            row=n,
-        )
-        for n in range(len(w))
-    ]
+def _close_center(prepared, orientations, index, w):
+    """The one l = 1 TM channel of each orientation of dipoles exactly at the
+    origin, closed on the l_max = 1 prepare and padded to l_max; the
+    divergent outgoing profile cancels analytically against the regular
+    response, so no core pair is carried outward."""
+    kinds = np.array([_KINDS[o][0] for o in orientations])
+    sweeps = prepared.center().sweeps
+    sweeps.reach(1, 1)
+    u1, u2, v1, v2 = sweeps.pairs(1, 0, w)
+    _, degenerate = _determinant(u1, u2, v1, v2)
+    v2 = _nonsingular(v2, degenerate)
+    q_ideal = _CENTER_Q[kinds][:, None, None]
+    q = sm.from_complex(q_ideal)
+    a_s = sm.mul(sm.div(v1, v2), q)
+    b = sm.div(q, v2)
+    g, b_out = _collapse_channels(np.zeros(len(kinds), dtype=int), degenerate, (
+        (sm.mul(a_s, q), "g at center"),
+        (b, "ambient amplitude"),
+    ))
+    shape = (len(kinds), len(w), prepared.l_max)
+
+    def padded(x):
+        out = np.zeros(shape, dtype=complex)
+        out[..., :1] = x
+        return out
+
+    weight = np.zeros((len(kinds), 1, prepared.l_max))
+    weight[..., 0] = _CENTER_WEIGHT[kinds][:, None]
+    return _Closure(prepared, sweeps, orientations, kinds, index, np.zeros(len(w)), w,
+                    np.ones(len(w), dtype=int), weight, padded(g), padded(b_out),
+                    padded(q_ideal), np.zeros(shape, dtype=complex), None, b)
 
 
-def _plan(orientation, ls, psi, dpsi, xi, dxi, inv_rho):
-    """(polarization, weight, regular profile, outgoing profile, factor) of
-    each channel an orientation drives; the profile pair projected onto the
-    dipole axis at the dipole radius is factor times (regular, outgoing)."""
-    if orientation == model.RADIAL:
-        return [(TM, 1.5 * ls * (ls + 1) * (2 * ls + 1), psi, xi, inv_rho * inv_rho)]
-    weight = 0.75 * (2 * ls + 1)
-    return [(TM, weight, dpsi, dxi, inv_rho), (TE, weight, psi, xi, inv_rho)]
+def closures(prepared, rows, orientations):
+    """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
+    against one prepare that holds every row's wavelength, closed on
+    (channel, row, l) arrays: one :class:`_Closure` for the rows off the
+    origin and one for those at it, each naming its rows' positions.
+
+    The dipole Riccati tables of all rows are built in one call, one per
+    row, with k r formed at each row's own wavelength.  Each channel of
+    each row gathers its sweep entries by (host, wavelength).  Every entry
+    is elementwise in the channels, rows and wavelengths, so a row's
+    results do not depend on which rows or wavelengths share the call, and
+    a batch raises only where one of its rows alone would.  An error names
+    its order and polarization but not its row: to find the first failing
+    row, close the rows one at a time.
+    """
+    r = np.array([x for x, _ in rows], dtype=float)
+    w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
+    host = _hosts(prepared, rows, orientations, r, w)
+    out = []
+    off = np.flatnonzero(r != 0.0)
+    if off.size:
+        out.append(_close_off(prepared, orientations, off, r[off], w[off], host[off]))
+    center = np.flatnonzero(r == 0.0)
+    if center.size:
+        out.append(_close_center(prepared, orientations, center, w[center]))
+    return out
 
 
 def close(prepared, rows, orientations):
     """Channel solutions of dipoles at the rows (r_nm [nm], wavelength [nm])
-    against one prepare that holds every row's wavelength: per row, a dict
-    orientation -> :class:`MultipoleCoefficients`.
-
-    The dipole Riccati tables of all rows are built in one call, one per
-    row, with k r formed at each row's own wavelength.  Each (host region,
-    polarization) gathers its rows' chain entries by wavelength and closes
-    them on (row, l) arrays; the radial and tangential dipoles share the TM
-    chain.  Every entry is elementwise in the rows and the wavelengths, so a
-    row's results do not depend on which rows or wavelengths share the call.
-    An error names its order and polarization but not its row: to find the
-    first failing row, close the rows one at a time.
-    """
-    sphere, ctxs, l_max, ls = prepared.sphere, prepared.ctxs, prepared.l_max, prepared.ls
-    dipoles = [{o: model.DipoleSource(r, o, wl) for o in orientations} for r, wl in rows]
-    ws = [prepared.index[wl] for _, wl in rows]
-    hosts = [model.validate_dipole(sphere, row[orientations[0]]) for row in dipoles]
-    channels = [{o: [] for o in orientations} for _ in dipoles]
-
-    off = [i for i, (r, _) in enumerate(rows) if r != 0.0]
-    if off:
-        k = np.array([ctxs[ws[i]].k[hosts[i] - 1] for i in off])
-        rho = k * np.array([rows[i][0] for i in off])
-        psi, dpsi, xi, dxi = prepared.dipole_tables(rho)
-        inv_rho = real_over(1.0, rho)[:, None]
-        for host in sorted({hosts[i] for i in off}):
-            sel = [n for n, i in enumerate(off) if hosts[i] == host]
-            w = np.array([ws[off[n]] for n in sel])
-            tables = [(m[sel], e[sel]) for m, e in (psi, dpsi, xi, dxi)]
-            for o in orientations:
-                for pol, weight, reg, out, c in _plan(o, ls, *tables, inv_rho[sel]):
-                    chain = prepared.chain(host, pol)
-                    chain.check(w, ls, pol)
-                    a1, b_out, (g, b_c, q, scat) = _close_channel(
-                        chain, host, w, sm.scale(reg, c), sm.scale(out, c)
-                    )
-                    closure = _Closure(chain, w, host, pol, a1, b_out)
-                    for n, i in enumerate(sel):
-                        channels[off[i]][o].append(ChannelSolution(
-                            l=ls, pol=pol, weight=weight, g=g[n], b_out=b_c[n],
-                            q_out_val=q[n], scat_out=scat[n], host=host,
-                            closure=closure, row=n,
-                        ))
-    center = [i for i, (r, _) in enumerate(rows) if r == 0.0]
-    if center:
-        w = np.array([ws[i] for i in center])
-        for o in orientations:
-            for i, ch in zip(center, _close_center(prepared, o, w)):
-                channels[i][o].append(ch)
-    return [
-        {
-            o: MultipoleCoefficients(
-                sphere=sphere,
-                dipole=row[o],
-                ctx=ctxs[w],
-                host_region=host,
-                l_max=l_max,
-                channels=chans[o],
-                at_center=row[o].radial_position_nm == 0.0,
-            )
-            for o in orientations
-        }
-        for row, w, host, chans in zip(dipoles, ws, hosts, channels)
-    ]
+    against one prepare: per row, a dict orientation ->
+    :class:`MultipoleCoefficients`, views onto :func:`closures`."""
+    out = [None] * len(rows)
+    for closure in closures(prepared, rows, orientations):
+        for n, i in enumerate(closure.index):
+            out[i] = closure.coefficients(n, rows[i])
+    return out
 
 
 def check_l_max(l_max):

@@ -11,9 +11,14 @@
 * Views the engine does not need: the plain 2x2 matrix of one interface,
   the per-region amplitude pairs of a solved channel, and the non-retarded
   image-limit shift.
+* Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
+  :func:`riccati`) collapsed from the engine's own scaled j and h1
+  recurrences, with y assembled as -i (h1 - j); they raise RangeError
+  naming the first order that cannot be represented.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +27,7 @@ from scipy.special import spherical_jn, spherical_yn
 from nanoshell import model, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DomainError, NanoshellError, RangeError
-from nanoshell.specfun import riccati_scaled
+from nanoshell.specfun import _derivatives, _families, riccati_scaled
 
 mp.mp.dps = 40
 
@@ -345,11 +350,11 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
         wavelength_nm=wavelength_nm,
     )
     prepared = transfer.Prepared(None, [wavelength_nm], l, [ctx])
-    prepared._tables, _ = transfer._interface_tables([ctx], l)
+    p = transfer.POLS.index(pol)
     m = np.empty((2, 2), dtype=complex)
     for col, unit in enumerate(((transfer._ONE, sm.ZERO), (sm.ZERO, transfer._ONE))):
-        pair, _ = transfer._cross(unit, prepared, 1, 1, 2, pol)
-        m[:, col] = [sm.collapse(c)[-1] for c in pair]
+        pair, _ = transfer._cross(unit, prepared.entries(1, 1), prepared.entries(2, 1))
+        m[:, col] = [sm.collapse(c)[p, -1] for c in pair]
     return m
 
 
@@ -357,16 +362,18 @@ def states(ch):
     """Per region 1..N+1 of a solved channel: (inner_state, outer_state)
     scaled pairs over its orders.  The two differ only in the host region,
     across the source."""
-    closure, n = ch.closure, ch.row
-    chain, w = closure.chain, closure.w[n]
+    closure, c, n = ch.closure, ch.channel, ch.row
+    sweeps, host = closure.sweeps, ch.host
+    pol, w = closure.pol[c], closure.w[n]
 
     def times(amp, pair):
-        return tuple(sm.mul((amp[0][n], amp[1][n]), chain.take(x, w)) for x in pair)
+        return tuple(sm.mul((amp[0][c, n], amp[1][c, n]), x) for x in pair)
 
     out = []
-    for j in range(1, len(chain.rows) + 2):
-        below = times(closure.a1, chain.u[j]) if closure.a1 is not None and j in chain.u else None
-        above = times(closure.b_out, chain.v[j]) if j in chain.v else None
+    for j in range(1, sweeps.prepared.ctxs[0].n_regions + 1):
+        u1, u2, v1, v2 = sweeps.pairs(j, pol, w)
+        below = times(closure.a1, (u1, u2)) if closure.a1 is not None and j <= host else None
+        above = times(closure.b, (v1, v2)) if j >= host else None
         out.append((below or above, above or below))
     return tuple(out)
 
@@ -383,3 +390,82 @@ def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):
     factor = 3.0 / 32.0 if orientation == model.TANGENTIAL else 3.0 / 16.0
     value = factor * (eps1 - eps2) / denom_sum / gap**3
     return value.real if isinstance(value, complex) else value
+
+
+# ---------------------------------------------------------------------------
+# Plain complex tables
+
+
+@dataclass(frozen=True)
+class BesselTable:
+    """j_l, y_l, h1_l and their derivatives at one complex argument."""
+
+    order_max: int
+    argument: complex
+    j: np.ndarray
+    y: np.ndarray
+    h1: np.ndarray
+    dj: np.ndarray
+    dy: np.ndarray
+    dh1: np.ndarray
+
+
+@dataclass(frozen=True)
+class RiccatiTable:
+    """psi_l = z j_l, chi_l = -z y_l, xi_l = z h1_l and derivatives."""
+
+    order_max: int
+    argument: complex
+    psi: np.ndarray
+    chi: np.ndarray
+    xi: np.ndarray
+    dpsi: np.ndarray
+    dchi: np.ndarray
+    dxi: np.ndarray
+
+
+def _y_scaled(j, h):
+    return sm.scale(sm.sub(h, j), -1j)
+
+
+def _sph_derivatives(f, z):
+    """Spherical-family derivatives; f'_0 = -f_1."""
+    return _derivatives(f, z, (-f[0][..., 1], f[1][..., 1]), 1)
+
+
+def bessel_table(l_max, z):
+    """Full j/y/h1 table with derivatives at complex argument z.
+
+    h1 comes from its own upward recurrence, not from j + i*y.
+    """
+    z, _, j, h = _families(l_max, z)
+    y = _y_scaled(j, h)
+    return BesselTable(
+        order_max=l_max,
+        argument=complex(z),
+        j=sm.collapse(j, "j"),
+        y=sm.collapse(y, "y"),
+        h1=sm.collapse(h, "h1"),
+        dj=sm.collapse(_sph_derivatives(j, z), "j'"),
+        dy=sm.collapse(_sph_derivatives(y, z), "y'"),
+        dh1=sm.collapse(_sph_derivatives(h, z), "h1'"),
+    )
+
+
+def riccati(l_max, z):
+    """Riccati-Bessel table psi, chi, xi with derivatives at argument z."""
+    z, (sinz, cosz, eiz), j, h = _families(l_max, z)
+    zz = sm.from_complex(z)
+    psi = sm.mul(j, zz)
+    chi = sm.scale(sm.mul(_y_scaled(j, h), zz), -1.0)
+    xi = sm.mul(h, zz)
+    return RiccatiTable(
+        order_max=l_max,
+        argument=complex(z),
+        psi=sm.collapse(psi, "psi"),
+        chi=sm.collapse(chi, "chi"),
+        xi=sm.collapse(xi, "xi"),
+        dpsi=sm.collapse(_derivatives(psi, z, cosz, 0), "psi'"),
+        dchi=sm.collapse(_derivatives(chi, z, sm.scale(sinz, -1.0), 0), "chi'"),
+        dxi=sm.collapse(_derivatives(xi, z, eiz, 0), "xi'"),
+    )

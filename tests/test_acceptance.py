@@ -14,9 +14,9 @@ import pytest
 
 from nanoshell import benchmarks, model, spectro, sweep, transfer
 from nanoshell.errors import GeometryError
-from nanoshell.specfun import bessel_table
 
 import oracles
+from oracles import bessel_table
 from test_specfun import stable_wronskian_residual
 
 LAM = 595.0
@@ -99,15 +99,31 @@ def _grid_points(sphere, margin_fraction):
     return pts
 
 
+def _host_points(sphere, margin_fraction):
+    """The grid points model.validate_dipole accepts as emitter positions."""
+    points = []
+    for r in _grid_points(sphere, margin_fraction):
+        try:
+            model.validate_dipole(sphere, model.DipoleSource(r, model.RADIAL, LAM))
+        except GeometryError:
+            continue
+        points.append(r)
+    return points
+
+
+def _evaluate_points(sphere, points):
+    """Every orientation's results at the points, from one prepare with the
+    points closed together, each row as it would be closed alone."""
+    prepared = transfer.prepare(sphere, [LAM], 60)
+    return spectro.evaluate_rows(prepared, [(r, LAM) for r in points], model.ORIENTATIONS)
+
+
 def test_criterion_07_energy_balance():
     worst = (0.0, "")
     for name in ("A", "B", "C", "E", "F"):
         sphere = model.preset(name)
-        for r in _grid_points(sphere, 0.01):
-            try:
-                both = spectro.evaluate_orientations(sphere, r, LAM)
-            except GeometryError:
-                continue
+        points = _host_points(sphere, 0.01)
+        for r, both in zip(points, _evaluate_points(sphere, points)):
             for orientation in model.ORIENTATIONS:
                 res = both[orientation]
                 bal = abs(res.wt_norm - res.wrad_norm - res.wohm_norm) / res.wt_norm
@@ -117,8 +133,8 @@ def test_criterion_07_energy_balance():
 
     d_worst = 0.0
     sphere = model.preset("D")
-    for r in _grid_points(sphere, 0.0):
-        both = spectro.evaluate_orientations(sphere, r, LAM)
+    points = _grid_points(sphere, 0.0)
+    for both in _evaluate_points(sphere, points):
         for orientation in model.ORIENTATIONS:
             res = both[orientation]
             d_worst = max(d_worst, abs(res.wt_norm - res.wrad_norm) / res.wt_norm)
@@ -133,30 +149,21 @@ def test_criterion_07_energy_balance():
 
 def test_criterion_08_l_convergence():
     # one prepare per preset; the grid points model.validate_dipole accepts
-    # are closed together, each row as it would be closed alone
+    # are closed and summed together, each row as it would be alone
     worst = (0.0, "")
     for name in PRESETS:
         sphere = model.preset(name)
         rs = sphere.outer_radius_nm
-        points = []
-        for r in _grid_points(sphere, 0.005):
-            try:
-                model.validate_dipole(sphere, model.DipoleSource(r, model.RADIAL, LAM))
-            except GeometryError:
-                continue
-            points.append(r)
+        points = _host_points(sphere, 0.005)
         prepared = transfer.prepare(sphere, [LAM], 60)
-        rows = transfer.close(prepared, [(r, LAM) for r in points], model.ORIENTATIONS)
-        for r, row in zip(points, rows):
-            for orientation in model.ORIENTATIONS:
-                g_terms, rad_terms, ambient = spectro._per_l_arrays(row[orientation])
-                wt = 1.0 + np.imag(np.cumsum(g_terms[1:]))
-                wrad = np.cumsum(rad_terms[1:])
-                if ambient:
-                    wrad = 1.0 + wrad
-                d_wt = abs(wt[59] - wt[49]) / abs(wt[59])
-                d_wr = abs(wrad[59] - wrad[49]) / abs(wrad[59])
-                d = max(d_wt, d_wr)
+        change = np.empty((len(points), len(model.ORIENTATIONS)))
+        for closure in transfer.closures(prepared, [(r, LAM) for r in points], model.ORIENTATIONS):
+            wt, _, wrad, _ = spectro.partial_sums(closure)
+            d_wt = abs(wt[..., 59] - wt[..., 49]) / abs(wt[..., 59])
+            d_wr = abs(wrad[..., 59] - wrad[..., 49]) / abs(wrad[..., 59])
+            change[closure.index] = np.maximum(d_wt, d_wr).T
+        for r, row in zip(points, change):
+            for orientation, d in zip(model.ORIENTATIONS, row):
                 if d > worst[0]:
                     worst = (d, f"{name} r/rs={r / rs:.4f} {orientation}")
     _finish(

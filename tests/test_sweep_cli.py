@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -525,6 +526,11 @@ def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
         ("interface_margin", True),
         ("grid", [0.5, True]),
         ("grid", [0.5, "0.7"]),
+        ("grid", {"linspace": [0.0, 1.0, 10**12]}),
+        ("out", 5),
+        ("plot_dir", 3),
+        ("sphere", {"shells": 5}),
+        ("sphere", {"shells": [[150.0, {"n": "1.45"}]]}),
     ],
 )
 def test_config_values_must_have_exact_types(key, bad):
@@ -541,6 +547,12 @@ def test_config_type_error_exits_2_before_any_row(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "wavelength_nm" in proc.stderr
     assert not out.exists()
+    # an output path that is not a string stops the run before any row,
+    # not with a traceback once the sweep is done
+    proc, _ = _run_config(tmp_path, out=5)
+    assert proc.returncode == 2, proc.stderr
+    assert "out" in proc.stderr and "Traceback" not in proc.stderr
+    assert not any(os.path.exists(name) for name in ("5", "5.tmp"))
 
 
 # JSON values: every type json.load can return, with numbers at and beyond
@@ -615,6 +627,9 @@ def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
     assert cfg.wavelength_nm > 0 and all(0 < w < math.inf for w in cfg.wavelengths_nm)
     assert cfg.sweep == "radial" or (cfg.wavelengths_nm and cfg.r_over_rs >= 0)
     assert cfg.orientations and set(cfg.orientations) <= {*model.ORIENTATIONS, "average"}
+    assert all(isinstance(path, (str, type(None))) for path in (cfg.out, cfg.plot_dir))
+    if isinstance(cfg.grid, dict) and "linspace" in cfg.grid:
+        assert 1 <= cfg.grid["linspace"][2] <= sweep.MAX_GRID_POINTS
 
 
 def _rows_of(prepared, rows, orientations):
@@ -664,6 +679,31 @@ def test_block_rows_do_not_depend_on_their_neighbours(spec, orientations):
     mid = len(rows) // 2
     one = spectro.evaluate(sphere, model.DipoleSource(rows[mid][0], model.TANGENTIAL, LAM))
     assert dataclasses.astuple(one) == alone[mid][model.TANGENTIAL]
+
+
+def test_shared_sweeps_do_not_depend_on_first_use():
+    # one prepare's two sweeps serve every host region and both
+    # polarizations, extended as far as each close needs: closing rows in
+    # every host of a five-region sphere, host by host with radial-only,
+    # tangential-only and both orientations, in ascending and then in
+    # descending host order, gives every row's results bit for bit as a
+    # prepare and close of that row alone
+    sphere = sweep.sphere_from_spec(FOUR_SHELLS)
+    by_host = [[60.0, 200.0], [280.0, 380.0], [420.0, 530.0], [580.0, 680.0], [750.0, 1200.0]]
+    for host, radii in enumerate(by_host, start=1):
+        for r in radii:
+            assert model.validate_dipole(sphere, model.DipoleSource(r, "radial", LAM)) == host
+    kinds = ((model.RADIAL,), (model.TANGENTIAL,), model.ORIENTATIONS)
+    alone = {
+        (r, orientations): _rows_of(transfer.prepare(sphere, [LAM], 60), [(r, LAM)], orientations)[0]
+        for radii in by_host for r in radii for orientations in kinds
+    }
+    for order in (by_host, by_host[::-1]):
+        prepared = transfer.prepare(sphere, [LAM], 60)
+        for radii in order:
+            for orientations in kinds:
+                got = _rows_of(prepared, [(r, LAM) for r in radii], orientations)
+                assert got == [alone[r, orientations] for r in radii], (radii, orientations)
 
 
 @pytest.mark.parametrize("spec, r_over_rs", [

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from nanoshell import materials, model, transfer
 from nanoshell import scaledmath as sm
-from nanoshell.specfun import riccati
+from nanoshell.errors import DegenerateSystemError, RangeError
 
 import oracles
+from oracles import riccati
 
 LAM = 595.0
 
@@ -206,6 +207,26 @@ def test_outgoing_amplitude_tail_decays():
             for pol, seq in mags.items():
                 tail = seq[-10:]
                 assert all(a >= b for a, b in zip(tail, tail[1:])), (name, r_rs, pol)
+
+
+def test_closure_failures_are_raised_in_channel_order():
+    # a batch closes every (channel, row, l) at once but raises what a close
+    # channel by channel would raise first: the first failing channel in
+    # order (TM before TE), its first singular order, else its first
+    # overflowing quantity, each at its first order
+    pol = np.array([0, 0, 1])
+    shape = (3, 2, 5)
+    ones = (np.ones(shape, dtype=complex), np.zeros(shape))
+    degenerate = np.zeros(shape, dtype=bool)
+    named = [(ones, "g"), ((ones[0], ones[1].copy()), "ambient amplitude")]
+    got = transfer._collapse_channels(pol, degenerate, named)
+    assert [x.tolist() for x in got] == [np.ones(shape, dtype=complex).tolist()] * 2
+    degenerate[2, 1, 3] = degenerate[2, 0, 4] = True
+    with pytest.raises(DegenerateSystemError, match="l=5, pol=TE"):
+        transfer._collapse_channels(pol, degenerate, named)
+    named[1][0][1][1, 1, 1] = 800.0
+    with pytest.raises(RangeError, match="ambient amplitude overflows double precision at order l=2"):
+        transfer._collapse_channels(pol, degenerate, named)
 
 
 def test_degenerate_l_max_guard():
