@@ -86,18 +86,12 @@ def _radiated(closure):
     """Per-channel radiated power terms: from the scattered amplitudes for a
     dipole in the ambient, from the total outgoing ones below it."""
     ambient = closure.host == len(closure.prepared.ctxs[0].k)
-    weight = closure.weight
-    if ambient.all():
-        scat = closure.scat
-        return weight * (2.0 * (np.conj(closure.q_out) * scat).real + np.abs(scat) ** 2)
-    if not ambient.any():
-        return weight * np.abs(closure.b_out) ** 2
     rad = np.empty(closure.g.shape)
     scat = closure.scat[:, ambient]
-    rad[:, ambient] = weight * (
+    rad[:, ambient] = closure.weight * (
         2.0 * (np.conj(closure.q_out[:, ambient]) * scat).real + np.abs(scat) ** 2
     )
-    rad[:, ~ambient] = weight * np.abs(closure.b_out[:, ~ambient]) ** 2
+    rad[:, ~ambient] = closure.weight * np.abs(closure.b_out[:, ~ambient]) ** 2
     return rad
 
 

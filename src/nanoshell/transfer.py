@@ -178,8 +178,10 @@ class _Sweeps:
     first use only as far as a close needs."""
 
     def __init__(self, prepared):
-        self.prepared = prepared
         n = prepared.ctxs[0].n_regions
+        # (polarization, wavelength, l); no reference back to the prepare,
+        # which owns the sweeps, so both are freed as soon as it goes
+        self._shape = (2, len(prepared.ctxs), prepared.l_max)
         entries = 2 * len(prepared.ctxs) * prepared.l_max
         # (region, (u1, u2, v1, v2), polarization x (wavelength, l))
         self._pairs = np.zeros((n, 4, entries), dtype=complex), np.zeros((n, 4, entries))
@@ -204,12 +206,11 @@ class _Sweeps:
     def _view(self, x):
         """Stored values with their entries split into (polarization,
         wavelength, l)."""
-        return x.reshape(x.shape[:-1] + (2, len(self.prepared.ctxs), self.prepared.l_max))
+        return x.reshape(x.shape[:-1] + self._shape)
 
-    def reach(self, lo, hi):
+    def reach(self, p, lo, hi):
         """Carry the outward sweep up to region ``hi`` and the inward sweep
-        down to region ``lo``."""
-        p = self.prepared
+        down to region ``lo``, with the entries of prepare ``p``."""
         while self.top < hi:
             i = self.top
             self._u, row = _cross(self._u, p.entries(i, i), p.entries(i + 1, i))
@@ -265,7 +266,7 @@ class Prepared:
         self._sweeps = None
         self._center = None
 
-    def _matching_scalars(self):
+    def scalars(self):
         """1/k, 1/mu and the scaled TM and TE matching determinants per
         (region, (wavelength, l) entry), each formed in Python complex
         arithmetic at its own wavelength, as a one-wavelength prepare forms
@@ -279,13 +280,6 @@ class Prepared:
             cols = np.repeat(np.array(per_wavelength).transpose(1, 2, 0), self.l_max, axis=2)
             self._scalars = cols[:, 0], cols[:, 1], sm.from_complex(cols[:, 2:])
         return self._scalars
-
-    def scalars(self, region, pol):
-        """1/k, 1/mu and the scaled matching determinant of one region and
-        polarization over the (wavelength, l) entries."""
-        inv_k, inv_mu, (det_m, det_e) = self._matching_scalars()
-        j = POLS.index(pol)
-        return inv_k[region - 1], inv_mu[region - 1], (det_m[region - 1, j], det_e[region - 1, j])
 
     def entries(self, region, interface):
         """Continuity-matrix entries of one region at one interface, TM and
@@ -302,7 +296,7 @@ class Prepared:
             if self._tables is None:
                 self._tables, _ = _interface_tables(self.ctxs, self.l_max)
             keys, m, e = self._tables
-            inv_k, inv_mu, (det_m, det_e) = self._matching_scalars()
+            inv_k, inv_mu, (det_m, det_e) = self.scalars()
             regions = [j - 1 for j, _ in keys]
             # (e_p, e_x, h_p, h_x) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
             rows = np.array([[1, 0], [3, 2], [0, 1], [2, 3]])
@@ -464,8 +458,8 @@ class _Closure:
         """Row n, at (r_nm, wavelength) ``row`` as the close was given it, as
         per-orientation :class:`MultipoleCoefficients` views."""
         w, host = int(self.w[n]), int(self.host[n])
-        ls = self.sweeps.prepared.ls
-        size = len(ls)
+        size = self.sweeps._shape[-1]
+        ls = np.arange(1, size + 1)
         out = {}
         for o, orientation in enumerate(self.orientations):
             chans = [self.first[o]] + ([self.te] if o == self.tangential else [])
@@ -556,6 +550,23 @@ def _collapse_channels(pol, degenerate, named):
     sm.collapse((x[0][c], x[1][c]), context, 1)
 
 
+def _solve(pairs, s_reg, s_out):
+    """The 2x2 closure of every channel and row with the unit pairs (u1,
+    u2, v1, v2) of its host: the amplitudes a1 and b that multiply the core
+    and the ambient pair, the scattered self-coupling g and the scattered
+    outgoing amplitude, and where the closure is singular."""
+    u1, u2, v1, v2 = pairs
+    delta, degenerate = _determinant(u1, u2, v1, v2)
+    delta = _nonsingular(delta, degenerate)
+    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
+    b = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
+    # scattered field in the host region; these product forms are exact and
+    # avoid the cancellation in (total - primary)
+    a_s = sm.mul(v1, b)
+    b_s = sm.mul(u2, a1)
+    return a1, b, sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), b_s, degenerate
+
+
 def _close_off(prepared, orientations, index, r, w, host):
     """Every channel of dipoles off the origin, on (channel, row, l) arrays;
     the source amplitudes are the projections of the regular and outgoing
@@ -566,26 +577,18 @@ def _close_off(prepared, orientations, index, r, w, host):
     rho = prepared.k[host - 1, w] * r
     tables = prepared.dipole_tables(rho)
     inv_rho = real_over(1.0, rho)[:, None]
-    m = np.stack([t[0] for t in tables])
-    e = np.stack([t[1] for t in tables])
     factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-    reg, out = _KIND_PROFILE[kinds].T
-    s_reg = sm.scale((m[reg], e[reg]), factor)
-    s_out = sm.scale((m[out], e[out]), factor)
+    s_reg, s_out = (
+        sm.scale((np.stack([tables[k][0] for k in rows]), np.stack([tables[k][1] for k in rows])), factor)
+        for rows in _KIND_PROFILE[kinds].T
+    )
+    del tables
 
     sweeps = prepared.sweeps
-    sweeps.reach(host.min(), host.max())
-    u1, u2, v1, v2 = sweeps.pairs(host, pol[:, None], w)
-    delta, degenerate = _determinant(u1, u2, v1, v2)
-    delta = _nonsingular(delta, degenerate)
-    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
-    b = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
-    # scattered field in the host region; these product forms are exact and
-    # avoid the cancellation in (total - primary)
-    a_s = sm.mul(v1, b)
-    b_s = sm.mul(u2, a1)
+    sweeps.reach(prepared, host.min(), host.max())
+    a1, b, g, b_s, degenerate = _solve(sweeps.pairs(host, pol[:, None], w), s_reg, s_out)
     g, b_out, q_out, scat = _collapse_channels(pol, degenerate, (
-        (sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), "g"),
+        (g, "g"),
         (b, "ambient amplitude"),
         (s_reg, "source amplitude"),
         (b_s, "scattered amplitude"),
@@ -603,8 +606,9 @@ def _close_center(prepared, orientations, index, w):
     divergent outgoing profile cancels analytically against the regular
     response, so no core pair is carried outward."""
     kinds = np.array([_KINDS[o][0] for o in orientations])
-    sweeps = prepared.center().sweeps
-    sweeps.reach(1, 1)
+    center = prepared.center()
+    sweeps = center.sweeps
+    sweeps.reach(center, 1, 1)
     u1, u2, v1, v2 = sweeps.pairs(1, 0, w)
     _, degenerate = _determinant(u1, u2, v1, v2)
     v2 = _nonsingular(v2, degenerate)

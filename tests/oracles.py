@@ -370,7 +370,7 @@ def states(ch):
         return tuple(sm.mul((amp[0][c, n], amp[1][c, n]), x) for x in pair)
 
     out = []
-    for j in range(1, sweeps.prepared.ctxs[0].n_regions + 1):
+    for j in range(1, closure.prepared.ctxs[0].n_regions + 1):
         u1, u2, v1, v2 = sweeps.pairs(j, pol, w)
         below = times(closure.a1, (u1, u2)) if closure.a1 is not None and j <= host else None
         above = times(closure.b, (v1, v2)) if j >= host else None

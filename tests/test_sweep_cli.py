@@ -736,13 +736,14 @@ def test_batched_wavelengths_match_rows_prepared_alone(spec, r_over_rs):
     ]
     # each wavelength's 1/k, 1/mu and matching determinant are the Python
     # complex arithmetic of a one-wavelength prepare, not numpy's division
+    inv_k, inv_mu, (det, _) = prepared.scalars()
     for region in range(1, sphere.n_regions + 1):
-        for pol, sign in ((transfer.TM, -1j), (transfer.TE, 1j)):
-            inv_k, inv_mu, (det, _) = prepared.scalars(region, pol)
+        for pol, sign in enumerate((-1j, 1j)):  # TM, TE
             for w, ctx in enumerate(prepared.ctxs):
                 k, mu = ctx.k[region - 1], ctx.mu[region - 1]
                 n = w * prepared.l_max  # order 1 of wavelength w
-                assert (inv_k[n], inv_mu[n], det[n]) == (1.0 / k, 1.0 / mu, sign / (k * mu))
+                got = inv_k[region - 1, n], inv_mu[region - 1, n], det[region - 1, pol, n]
+                assert got == (1.0 / k, 1.0 / mu, sign / (k * mu))
 
 
 def test_csv_bytes_across_one_two_and_three_workers(monkeypatch):
