@@ -179,9 +179,10 @@ class _Sweeps:
 
     def __init__(self, prepared):
         n = prepared.ctxs[0].n_regions
-        # (polarization, wavelength, l); no reference back to the prepare,
-        # which owns the sweeps, so both are freed as soon as it goes
-        self._shape = (2, len(prepared.ctxs), prepared.l_max)
+        # no reference back to the prepare, which owns the sweeps, so both
+        # are freed as soon as it goes
+        self.l_max = prepared.l_max
+        self._shape = (2, len(prepared.ctxs), prepared.l_max)  # (polarization, wavelength, l)
         entries = 2 * len(prepared.ctxs) * prepared.l_max
         # (region, (u1, u2, v1, v2), polarization x (wavelength, l))
         self._pairs = np.zeros((n, 4, entries), dtype=complex), np.zeros((n, 4, entries))
@@ -458,7 +459,7 @@ class _Closure:
         """Row n, at (r_nm, wavelength) ``row`` as the close was given it, as
         per-orientation :class:`MultipoleCoefficients` views."""
         w, host = int(self.w[n]), int(self.host[n])
-        size = self.sweeps._shape[-1]
+        size = self.sweeps.l_max
         ls = np.arange(1, size + 1)
         out = {}
         for o, orientation in enumerate(self.orientations):
