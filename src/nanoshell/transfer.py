@@ -304,7 +304,10 @@ class Prepared:
             factor = np.stack([inv_k[regions], inv_mu[regions]])[[0, 0, 1, 1], None]
             m, e = sm.scale((m[rows], e[rows]), factor)
             self._entries = {
-                (j, i): (*((m[q, :, n], e[q, :, n]) for q in range(4)), (det_m[j - 1], det_e[j - 1]))
+                (j, i): (
+                    *((m[q, :, n], e[q, :, n]) for q in range(4)),
+                    (det_m[j - 1], det_e[j - 1]),
+                )
                 for n, (j, i) in enumerate(keys)
             }
         return self._entries[region, interface]
@@ -568,23 +571,27 @@ def _solve(pairs, s_reg, s_out):
     return a1, b, sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), b_s, degenerate
 
 
-def _close_off(prepared, orientations, index, r, w, host):
-    """Every channel of dipoles off the origin, on (channel, row, l) arrays;
-    the source amplitudes are the projections of the regular and outgoing
-    profiles onto the dipole axis, swapped (outgoing content above the
-    source is proportional to the regular profile and vice versa)."""
-    kinds = np.array([k for o in orientations for k in _KINDS[o]])
-    pol = _KIND_POL[kinds]
+def _sources(prepared, kinds, r, w, host):
+    """Source amplitudes of every channel and row: the projections of the
+    regular and outgoing profiles onto the dipole axis, from one Riccati
+    table per row at k r of its host and wavelength."""
     rho = prepared.k[host - 1, w] * r
     tables = prepared.dipole_tables(rho)
+    m = np.stack([t[0] for t in tables])
+    e = np.stack([t[1] for t in tables])
     inv_rho = real_over(1.0, rho)[:, None]
     factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-    s_reg, s_out = (
-        sm.scale((np.stack([tables[k][0] for k in rows]), np.stack([tables[k][1] for k in rows])), factor)
-        for rows in _KIND_PROFILE[kinds].T
-    )
-    del tables
+    reg, out = _KIND_PROFILE[kinds].T
+    return sm.scale((m[reg], e[reg]), factor), sm.scale((m[out], e[out]), factor)
 
+
+def _close_off(prepared, orientations, index, r, w, host):
+    """Every channel of dipoles off the origin, on (channel, row, l) arrays;
+    the source amplitudes enter swapped (outgoing content above the source
+    is proportional to the regular profile and vice versa)."""
+    kinds = np.array([k for o in orientations for k in _KINDS[o]])
+    pol = _KIND_POL[kinds]
+    s_reg, s_out = _sources(prepared, kinds, r, w, host)
     sweeps = prepared.sweeps
     sweeps.reach(prepared, host.min(), host.max())
     a1, b, g, b_s, degenerate = _solve(sweeps.pairs(host, pol[:, None], w), s_reg, s_out)

@@ -695,8 +695,8 @@ def test_shared_sweeps_do_not_depend_on_first_use():
             assert model.validate_dipole(sphere, model.DipoleSource(r, "radial", LAM)) == host
     kinds = ((model.RADIAL,), (model.TANGENTIAL,), model.ORIENTATIONS)
     alone = {
-        (r, orientations): _rows_of(transfer.prepare(sphere, [LAM], 60), [(r, LAM)], orientations)[0]
-        for radii in by_host for r in radii for orientations in kinds
+        (r, o): _rows_of(transfer.prepare(sphere, [LAM], 60), [(r, LAM)], o)[0]
+        for radii in by_host for r in radii for o in kinds
     }
     for order in (by_host, by_host[::-1]):
         prepared = transfer.prepare(sphere, [LAM], 60)

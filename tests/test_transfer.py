@@ -225,7 +225,7 @@ def test_closure_failures_are_raised_in_channel_order():
     with pytest.raises(DegenerateSystemError, match="l=5, pol=TE"):
         transfer._collapse_channels(pol, degenerate, named)
     named[1][0][1][1, 1, 1] = 800.0
-    with pytest.raises(RangeError, match="ambient amplitude overflows double precision at order l=2"):
+    with pytest.raises(RangeError, match="ambient amplitude overflows .* at order l=2"):
         transfer._collapse_channels(pol, degenerate, named)
 
 
