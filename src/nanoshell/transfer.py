@@ -577,12 +577,13 @@ def _sources(prepared, kinds, r, w, host):
     table per row at k r of its host and wavelength."""
     rho = prepared.k[host - 1, w] * r
     tables = prepared.dipole_tables(rho)
-    m = np.stack([t[0] for t in tables])
-    e = np.stack([t[1] for t in tables])
     inv_rho = real_over(1.0, rho)[:, None]
     factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-    reg, out = _KIND_PROFILE[kinds].T
-    return sm.scale((m[reg], e[reg]), factor), sm.scale((m[out], e[out]), factor)
+    reg, out = (
+        (np.stack([tables[k][0] for k in profile]), np.stack([tables[k][1] for k in profile]))
+        for profile in _KIND_PROFILE[kinds].T
+    )
+    return sm.scale(reg, factor), sm.scale(out, factor)
 
 
 def _close_off(prepared, orientations, index, r, w, host):
