@@ -1,11 +1,13 @@
-"""Sweep CSV bytes against recorded files.
+"""Sweep CSV bytes and convergence reports against recorded files.
 
 Each case is a small sweep config; the CSV it produces must match its file
 under ``tests/data/golden`` byte for byte.  The cases cover every preset on a
 coarse radial grid that holds r = 0 and every lossless host, a five-region
 dielectric sphere with rows in all five hosts, and preset C's 450-1050 nm
-wavelength sweep inside its core.  A change that moves a cell on purpose
-rewrites the files in the same commit, with
+wavelength sweep inside its core.  Three ``nanoshell converge`` reports are
+held the same way: a dipole between preset A's gold shells, one at preset
+D's center and README's example outside preset C.  A change that moves a
+cell on purpose rewrites the files in the same commit, with
 ``PYTHONPATH=src python tests/test_golden.py``, and lists each moved cell
 with its relative change.
 """
@@ -15,7 +17,7 @@ import sys
 
 import pytest
 
-from nanoshell import sweep
+from nanoshell import model, sweep
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -43,8 +45,31 @@ CASES = {
 }
 
 
+# `nanoshell converge` reports: (preset, r/r_s, orientation, l_max)
+CONVERGE = {
+    # metal preset, dipole in host region 3 between the gold shells
+    "converge_A.txt": ("A", 0.8, model.TANGENTIAL, 80),
+    # the l_max = 1 closure of a dipole at the center
+    "converge_D.txt": ("D", 0.0, model.RADIAL, 60),
+    # README's example, just outside the sphere in the ambient
+    "converge_C.txt": ("C", 1.01, model.RADIAL, 60),
+}
+
+
 def _csv(name):
     return sweep.run_sweep(sweep.config_from_dict(CASES[name])).to_csv().encode()
+
+
+def _report(name):
+    preset, r_over_rs, orientation, l_max = CONVERGE[name]
+    sphere = model.preset(preset)
+    dipole = model.DipoleSource(r_over_rs * sphere.outer_radius_nm, orientation, 595.0)
+    report = sweep.convergence_report(sphere, dipole, l_max)
+    return "".join(f"{line}\n" for line in report.lines()).encode()
+
+
+def _output(name):
+    return _csv(name) if name in CASES else _report(name)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -52,8 +77,13 @@ def test_sweep_csv_matches_recorded_bytes(name):
     assert _csv(name) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CONVERGE))
+def test_convergence_report_matches_recorded_bytes(name):
+    assert _report(name) == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for case in sorted(CASES):
-        (GOLDEN / case).write_bytes(_csv(case))
+    for case in sorted(CASES) + sorted(CONVERGE):
+        (GOLDEN / case).write_bytes(_output(case))
         print(f"wrote {GOLDEN / case}", file=sys.stderr)
