@@ -89,10 +89,17 @@ def _cmd_run(args):
     return 0
 
 
+def _grid_point(token):
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigError(f"--grid values must be numbers, got {token.strip()!r}") from None
+
+
 def _cmd_preset(args):
     grid = args.grid
     if grid != "default":
-        grid = [float(v) for v in grid.split(",") if v.strip()]
+        grid = [_grid_point(v) for v in grid.split(",") if v.strip()]
     cfg = sweep.config_from_dict(
         {
             "sphere": args.name,

@@ -12,17 +12,18 @@ sphere gives g = 0):
 * Ohmic rate        eps'' |E|^2 integrated over absorbing shells: by
                     Poynting's theorem the net radial flux through each
                     shell's two surfaces, read per channel from the
-                    solver's own interface fields; see :func:`_ohmic`.
+                    solver's own interface fields; see
+                    :func:`ohmic_rate_per_l`.
 
-Every output of a batch of rows is computed in one array pass over the
-(channel, row, l) arrays of a :func:`transfer.closures` close: the per-order
-terms, partial sums, spreads, shift tail, interface fluxes and convergence
-flags of every row and orientation at once, each operation elementwise in
-the rows, so a row's results are bit for bit those of the row evaluated
-alone.  :class:`model.SpectroResult` objects are built only at the end.
-The per-row entry points :func:`evaluate_from_coefficients`,
-:func:`ohmic_rate_per_l` and :func:`_partial_sums` run the same pass on one
-row's :class:`transfer.MultipoleCoefficients` view.
+Every output of a batch of rows is computed in one array pass,
+:func:`evaluate_from_coefficients`, over the (channel, row, l) arrays of the
+closure a :func:`transfer.closures` close returns: the per-order terms,
+partial sums, spreads, shift tail, interface fluxes and convergence flags of
+every row and orientation at once, each operation elementwise in the rows,
+so a row's results are bit for bit those of the row evaluated alone.
+:class:`model.SpectroResult` objects are built only at the end.  A closure
+of any number of rows, one dipole's from
+:func:`transfer.solve_dipole_fields` among them, goes through the same pass.
 """
 
 import math
@@ -95,23 +96,17 @@ def _radiated(closure):
     return rad
 
 
-def partial_sums(closure, ratio=None):
+def partial_sums(closure):
     """Per-order partial sums of wt, shift and wrad over l = 1..l_max, and
     the per-order complex self-coupling terms, as (orientation, row, l)
     arrays of one :class:`transfer._Closure`."""
-    if ratio is None:
-        ratio = _host_factors(closure)[0]
+    ratio = _host_factors(closure)[0]
     g_terms = _by_orientation(closure, 1j * closure.weight * closure.g)
     rad = np.cumsum(_by_orientation(closure, _radiated(closure)), axis=-1)
     g_partial = np.cumsum(g_terms, axis=-1)
     ambient = (closure.host == len(closure.prepared.ctxs[0].k))[:, None]
     wrad = np.where(ambient, 1.0 + rad, ratio[:, None] * rad)
     return 1.0 + np.imag(g_partial), -0.5 * np.real(g_partial), wrad, g_terms
-
-
-def _partial_sums(coeffs):
-    """:func:`partial_sums` of one row's :class:`transfer.MultipoleCoefficients`."""
-    return tuple(x[0, 0] for x in partial_sums(_one(coeffs)))
 
 
 def _spread(partial):
@@ -165,11 +160,10 @@ def photostability_ratio(wrad_norm):
 # Ohmic loss from interface fluxes
 
 
-def _ohmic(closure, shells, pref):
+def ohmic_rate_per_l(closure):
     """Per-order normalized Ohmic rate contributions (summed gives the rate)
     of every orientation and row of a closure, as (orientation, row, l)
-    arrays; ``shells`` marks per row the shells that absorb at its
-    wavelength.
+    arrays, from the shells that absorb at each row's wavelength.
 
     By Poynting's theorem the power a source-free shell takes out of the
     field is the net radial flux through its two surfaces (Mackowski,
@@ -179,6 +173,7 @@ def _ohmic(closure, shells, pref):
     :meth:`transfer._Closure.flux`), and the region's k, mu and eps''
     cancel.
     """
+    shells = closure.prepared.absorbing[closure.w, :-1]
     rows = np.arange(len(closure.host))
     inside = shells[rows, np.minimum(closure.host, shells.shape[1]) - 1]
     if (inside & (closure.host <= shells.shape[1])).any():
@@ -189,16 +184,7 @@ def _ohmic(closure, shells, pref):
         if not shells[:, j - 1].all():
             d = np.where(shells[:, j - 1, None], d, 0.0)
         _add_channels(closure, per_l, d)
-    return pref[:, None] * per_l
-
-
-def ohmic_rate_per_l(coeffs):
-    """Per-order normalized Ohmic rate contributions of one row's
-    :class:`transfer.MultipoleCoefficients`, indexed 1..l_max; see
-    :func:`_ohmic`."""
-    closure = _one(coeffs)
-    shells = closure.prepared.absorbing[closure.w, :-1]
-    return _ohmic(closure, shells, _host_factors(closure)[1])[0, 0]
+    return _host_factors(closure)[1][:, None] * per_l
 
 
 def _near_metal(closure, absorbing):
@@ -224,12 +210,11 @@ def _observe(closure):
     absorbing = closure.prepared.absorbing[closure.w]
     shells = absorbing[:, :-1]
     any_absorbing = shells.any(axis=1)
-    ratio, pref = _host_factors(closure)
-    wt_partial, shift_partial, wrad_partial, g_terms = partial_sums(closure, ratio)
+    wt_partial, shift_partial, wrad_partial, g_terms = partial_sums(closure)
     zeros = np.zeros(wt_partial.shape[:-1])
     wohm, wohm_spread = zeros, zeros
     if any_absorbing.any():
-        per_l = _ohmic(closure, shells, pref)
+        per_l = ohmic_rate_per_l(closure)
         wohm = np.where(any_absorbing, np.sum(per_l, axis=-1), 0.0)
         wohm_spread = np.where(any_absorbing, _spread(np.cumsum(per_l, axis=-1)), 0.0)
     out = {
@@ -270,8 +255,10 @@ def _average(closure, field, v):
     return orientation_average(ra, ta)
 
 
-def _results(closure):
-    """Per row of one closure, a dict orientation -> SpectroResult."""
+def evaluate_from_coefficients(closure):
+    """Full normalized result set of every row of one closure: per row, a
+    dict orientation -> :class:`model.SpectroResult`, plus "average" when
+    both orientations were closed."""
     names, out = _observe(closure)
     cols = [out[f].tolist() for f in _FIELDS]
     l_used = closure.prepared.l_max
@@ -285,17 +272,6 @@ def _results(closure):
         }
         for n in range(len(closure.index))
     ]
-
-
-def _one(coeffs):
-    """The closure of one row's :class:`transfer.MultipoleCoefficients`."""
-    return coeffs.closure.select(coeffs.row, coeffs.dipole.orientation)
-
-
-def evaluate_from_coefficients(coeffs):
-    """Full normalized result set from one row's solved channel
-    coefficients."""
-    return _results(_one(coeffs))[0][coeffs.dipole.orientation]
 
 
 def evaluate(sphere, dipole, l_max=60):
@@ -321,7 +297,7 @@ def evaluate_rows(prepared, rows, orientations):
     out = [None] * len(rows)
     for lo in range(0, len(rows), step):
         for closure in transfer.closures(prepared, rows[lo:lo + step], orientations):
-            for i, results in zip(closure.index, _results(closure)):
+            for i, results in zip(closure.index, evaluate_from_coefficients(closure)):
                 out[lo + i] = results
     return out
 

@@ -572,8 +572,8 @@ def _settle_order(partial, tol=1e-8):
 
 def convergence_report(sphere, dipole, l_max=60):
     """Per-order partial sums of the normalized rates and shift."""
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    wt, shift, wrad, _ = spectro._partial_sums(coeffs)
+    closure = transfer.solve_dipole_fields(sphere, dipole, l_max)
+    wt, shift, wrad, _ = (x[0, 0] for x in spectro.partial_sums(closure))
     return ConvergenceReport(
         l_values=list(range(1, l_max + 1)),
         wt_partial=[float(v) for v in wt],

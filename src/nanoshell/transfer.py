@@ -26,10 +26,11 @@ channels each gather their row's entries by (host, wavelength).  Every step
 is elementwise in the channels, rows and wavelengths, and each wavelength's
 scalars (1/k, 1/mu, the matching determinant, k r) are formed at that
 wavelength alone, so a row's result does not depend on which rows or
-wavelengths share its prepare and close.  :func:`close` returns per-row
-views onto those arrays (:class:`MultipoleCoefficients`,
-:class:`ChannelSolution`), and :func:`solve_dipole_fields` is a prepare and a
-close over one row.
+wavelengths share its prepare and close.  The :class:`_Closure` objects it
+returns, one for the rows off the origin and one for those at it, are the
+one solved form: every observable reads their arrays by (channel, row), and
+:func:`solve_dipole_fields` is the closure of one dipole, from a prepare and
+a close of its own.
 
 Each crossing keeps the (E_t, H_t) row its matching step formed at the
 interface; the net radial Poynting flux through an interface, and so a
@@ -341,58 +342,18 @@ def prepare(sphere, wavelengths_nm, l_max):
     return Prepared(sphere, wavelengths_nm, l_max)
 
 
-@dataclass
-class ChannelSolution:
-    """Solved amplitudes of one polarization of one row, as arrays over its
-    orders ``l``: a view onto channel ``channel``, row ``row`` of a
-    :class:`_Closure`."""
-
-    l: np.ndarray  # orders 1..l_max, or just 1 for a centered dipole
-    pol: str
-    weight: np.ndarray  # m-folded channel weight, orientation included
-    g: np.ndarray  # scattered self-coupling at the dipole
-    b_out: np.ndarray  # total outgoing amplitude in the ambient
-    q_out_val: np.ndarray  # free-dipole outgoing source amplitude
-    scat_out: np.ndarray  # scattered-only outgoing amplitude in the ambient
-    host: int  # region holding the dipole
-    closure: "_Closure"
-    row: int
-    channel: int
-
-    def flux(self, interface):
-        """Net outward radial power flux through one interface per order;
-        see :meth:`_Closure.flux`."""
-        return self.closure.flux(interface)[self.channel, self.row, :len(self.l)]
-
-
-@dataclass
-class MultipoleCoefficients:
-    """All channel solutions for one (sphere, dipole) query: one
-    :class:`ChannelSolution` per driven polarization, TM first; a view onto
-    row ``row`` of a :class:`_Closure`."""
-
-    sphere: object
-    dipole: object
-    ctx: LayerContext
-    host_region: int
-    l_max: int
-    channels: list
-    at_center: bool
-    closure: "_Closure"
-    row: int
-
-
 class _Closure:
     """Rows closed together against one prepare, as (channel, row, l)
     arrays over l = 1..l_max.
 
-    The channels are those of each orientation in the order asked for, each
-    orientation's TM channel first; ``kinds`` names them (see ``_KINDS``).
-    Row n is row ``index[n]`` of the close, at radius ``r[n]``, wavelength
-    index ``w[n]`` and host region ``host[n]``.  Beside the collapsed
-    amplitudes the closure keeps the scaled ones, ``a1`` (None at the
-    origin) and ``b``, that multiply the unit pairs of ``sweeps``; rows at
-    the origin are closed on the l_max = 1 prepare and padded with zeros.
+    The channels are those of each orientation in the order asked for (see
+    ``_KINDS``), each orientation's TM channel first; ``pol`` holds each
+    channel's index into ``POLS``.  Row n is row ``index[n]`` of the close,
+    at radius ``r[n]``, wavelength index ``w[n]`` and host region
+    ``host[n]``.  Beside the collapsed amplitudes the closure keeps the
+    scaled ones, ``a1`` (None at the origin) and ``b``, that multiply the
+    unit pairs of ``sweeps``; rows at the origin are closed on the l_max = 1
+    prepare and padded with zeros.
     """
 
     def __init__(self, prepared, sweeps, orientations, kinds, index, r, w, host,
@@ -400,7 +361,6 @@ class _Closure:
         self.prepared = prepared
         self.sweeps = sweeps
         self.orientations = tuple(orientations)
-        self.kinds = kinds
         self.pol = _KIND_POL[kinds]
         self.index = index
         self.r, self.w, self.host = r, w, host
@@ -435,59 +395,6 @@ class _Closure:
                 f[..., :p.shape[-1]] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
             self._fluxes[interface] = f
         return self._fluxes[interface]
-
-    def select(self, n, orientation):
-        """Row n alone with one of its orientations, as a closure of its own;
-        its arrays are slices of these."""
-        o = self.orientations.index(orientation)
-        chans = [self.first[o]] + ([self.te] if o == self.tangential else [])
-        rows = slice(n, n + 1)
-
-        def cut(x):
-            return x[chans, rows]
-
-        def cut_scaled(x):
-            return None if x is None else (cut(x[0]), cut(x[1]))
-
-        sub = _Closure(
-            self.prepared, self.sweeps, (orientation,), self.kinds[chans], self.index[rows],
-            self.r[rows], self.w[rows], self.host[rows], self.weight[chans],
-            cut(self.g), cut(self.b_out), cut(self.q_out), cut(self.scat),
-            cut_scaled(self.a1), cut_scaled(self.b),
-        )
-        sub._fluxes = {i: cut(f) for i, f in self._fluxes.items()}
-        return sub
-
-    def coefficients(self, n, row):
-        """Row n, at (r_nm, wavelength) ``row`` as the close was given it, as
-        per-orientation :class:`MultipoleCoefficients` views."""
-        w, host = int(self.w[n]), int(self.host[n])
-        size = self.sweeps.l_max
-        ls = np.arange(1, size + 1)
-        out = {}
-        for o, orientation in enumerate(self.orientations):
-            chans = [self.first[o]] + ([self.te] if o == self.tangential else [])
-            channels = [
-                ChannelSolution(
-                    l=ls, pol=POLS[self.pol[c]], weight=self.weight[c, 0, :size],
-                    g=self.g[c, n, :size], b_out=self.b_out[c, n, :size],
-                    q_out_val=self.q_out[c, n, :size], scat_out=self.scat[c, n, :size],
-                    host=host, closure=self, row=n, channel=c,
-                )
-                for c in chans
-            ]
-            out[orientation] = MultipoleCoefficients(
-                sphere=self.prepared.sphere,
-                dipole=model.DipoleSource(row[0], orientation, row[1]),
-                ctx=self.prepared.ctxs[w],
-                host_region=host,
-                l_max=self.prepared.l_max,
-                channels=channels,
-                at_center=row[0] == 0.0,
-                closure=self,
-                row=n,
-            )
-        return out
 
 
 def _hosts(prepared, rows, orientations, r, w):
@@ -671,17 +578,6 @@ def closures(prepared, rows, orientations):
     return out
 
 
-def close(prepared, rows, orientations):
-    """Channel solutions of dipoles at the rows (r_nm [nm], wavelength [nm])
-    against one prepare: per row, a dict orientation ->
-    :class:`MultipoleCoefficients`, views onto :func:`closures`."""
-    out = [None] * len(rows)
-    for closure in closures(prepared, rows, orientations):
-        for n, i in enumerate(closure.index):
-            out[i] = closure.coefficients(n, rows[i])
-    return out
-
-
 def check_l_max(l_max):
     """Reject an l_max that is not an integer in 1..L_MAX_CEILING."""
     if (
@@ -693,14 +589,14 @@ def check_l_max(l_max):
 
 
 def solve_dipole_fields(sphere, dipole, l_max):
-    """Field coefficients of every (l, polarization) channel in all regions,
-    one :class:`ChannelSolution` per driven polarization: a prepare and a
-    close over one row.
+    """The :class:`_Closure` of one dipole, a single row holding each channel
+    its orientation drives, TM first: a prepare and a close of its own.
 
     The overall source normalization is fixed so that a contrast-free sphere
     returns zero scattered amplitudes and unit normalized rates.
     """
     wavelength_nm = dipole.wavelength_nm
     prepared = prepare(sphere, [wavelength_nm], l_max)
-    [row] = close(prepared, [(dipole.radial_position_nm, wavelength_nm)], (dipole.orientation,))
-    return row[dipole.orientation]
+    row = (dipole.radial_position_nm, wavelength_nm)
+    [closure] = closures(prepared, [row], (dipole.orientation,))
+    return closure

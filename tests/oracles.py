@@ -9,14 +9,15 @@
   each absorbing shell, the volume-integral route the engine's boundary
   closed form replaces.
 * Views the engine does not need: the plain 2x2 matrix of one interface,
-  the per-region amplitude pairs of a solved channel, and the non-retarded
-  image-limit shift.
+  the per-region amplitude pairs of a channel of a closure, and the
+  non-retarded image-limit shift.
 * Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
   :func:`riccati`) collapsed from the engine's own scaled j and h1
   recurrences, with y assembled as -i (h1 - j); they raise RangeError
   naming the first order that cannot be represented.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,8 +70,10 @@ def _riccati_real(l_max, x):
     return psi, dpsi, xi, dxi, j, h
 
 
+@functools.lru_cache(maxsize=None)
 def _riccati_mp(l_max, z):
-    """psi, psi' at a complex argument via mpmath (interior medium only)."""
+    """psi, psi' at a complex argument via mpmath (interior medium only),
+    as read-only arrays: a table is computed once per (l_max, z)."""
     zc = mp.mpc(z)
     pref = mp.sqrt(mp.pi / (2 * zc))
     js = [pref * mp.besselj(l + mp.mpf(1) / 2, zc) for l in range(l_max + 1)]
@@ -79,6 +82,7 @@ def _riccati_mp(l_max, z):
     dpsi[0] = complex(mp.cos(zc))
     for l in range(1, l_max + 1):
         dpsi[l] = complex(zc * js[l - 1] - l * js[l])
+    psi.flags.writeable = dpsi.flags.writeable = False
     return psi, dpsi
 
 
@@ -194,15 +198,23 @@ def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
     return f
 
 
-def _region_channels(coeffs, region):
+def orders(closure):
+    """The orders 1..l_max a closure's scaled amplitudes hold: l = 1 alone
+    at the origin, where the collapsed arrays are padded to l_max."""
+    return np.arange(1, closure.sweeps.l_max + 1)
+
+
+def _region_channels(closure, region):
     """Per-polarization (regular, outgoing) scaled amplitudes over the
     channel's orders in one region away from the dipole, with the orders and
-    the channel weights."""
+    the channel weights, for the one row of a closure."""
     parts = {}
-    for ch in coeffs.channels:
+    l = orders(closure)
+    for c, pol in enumerate(closure.pol):
         # inner/outer states only differ in the host
-        (c1m, c1e), (c2m, c2e) = states(ch)[region - 1][1]
-        parts[ch.pol] = {"l": ch.l, "c1m": c1m, "c1e": c1e, "c2m": c2m, "c2e": c2e, "w": ch.weight}
+        (c1m, c1e), (c2m, c2e) = states(closure, c)[region - 1][1]
+        w = closure.weight[c, 0, :len(l)]
+        parts[transfer.POLS[pol]] = {"l": l, "c1m": c1m, "c1e": c1e, "c2m": c2m, "c2e": c2e, "w": w}
     return parts
 
 
@@ -221,7 +233,7 @@ def _radial_profiles(p, tab):
     return f, fd
 
 
-def _region_integrand(coeffs, region):
+def _region_integrand(closure, region):
     """Vector integrand: per-order angular-folded |E|^2 density in one region.
 
     Angular integrals are done analytically (the vector-wave families are
@@ -229,10 +241,10 @@ def _region_integrand(coeffs, region):
     bilinears.  The integrand takes an array of radii and returns one row
     per radius, from one batched Riccati table.
     """
-    k = coeffs.ctx.k[region - 1]
+    k = closure.prepared.ctxs[closure.w[0]].k[region - 1]
     abs_k2 = abs(k) ** 2
-    l_max = coeffs.l_max
-    parts = _region_channels(coeffs, region)
+    l_max = closure.prepared.l_max
+    parts = _region_channels(closure, region)
 
     def integrand(r):
         tab = riccati_scaled(l_max, k * r)
@@ -288,15 +300,16 @@ def _adaptive_region_integral(fn, a, b, breakpoints, rtol, max_panels):
         panels.append(panel(mid, worst[1]))
 
 
-def quadrature_ohmic_per_l(coeffs, rtol=1e-7, metal_offset_nm=1.0, max_panels=400):
-    """Per-order normalized Ohmic rate by adaptive quadrature, panel edges
-    forced metal_offset_nm inside every absorbing shell.
+def quadrature_ohmic_per_l(closure, rtol=1e-7, metal_offset_nm=1.0, max_panels=400):
+    """Per-order normalized Ohmic rate of the one row of a closure by
+    adaptive quadrature, panel edges forced metal_offset_nm inside every
+    absorbing shell.
 
     Returns (per_l array indexed 1..l_max, (worst relative error estimate,
     its region)); the region is None when no shell absorbs.
     """
-    ctx = coeffs.ctx
-    per_l = np.zeros(coeffs.l_max)
+    ctx = closure.prepared.ctxs[closure.w[0]]
+    per_l = np.zeros(closure.prepared.l_max)
     worst = (0.0, None)
     for region in range(1, ctx.n_regions):
         if not ctx.absorbing[region - 1]:
@@ -306,13 +319,13 @@ def quadrature_ohmic_per_l(coeffs, rtol=1e-7, metal_offset_nm=1.0, max_panels=40
         a = max(a, 1e-6 * b)  # keep the 1/r^2 factor finite; j_l kills it anyway
         breaks = [a + metal_offset_nm, b - metal_offset_nm]
         integral, rel = _adaptive_region_integral(
-            _region_integrand(coeffs, region), a, b, breaks, rtol, max_panels
+            _region_integrand(closure, region), a, b, breaks, rtol, max_panels
         )
         per_l += ctx.eps[region - 1].imag * integral
         if rel > worst[0]:
             worst = (rel, region)
 
-    n = coeffs.host_region
+    n = closure.host[0]
     pref = ctx.k0**3 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
     return pref * per_l, worst
 
@@ -320,8 +333,8 @@ def quadrature_ohmic_per_l(coeffs, rtol=1e-7, metal_offset_nm=1.0, max_panels=40
 def quadrature_ohmic_rate(sphere, dipole, l_max=60, rtol=1e-7, max_panels=400):
     """Normalized Ohmic rate by quadrature; QuadratureError names the shell
     and the achieved error when the panel cap stops it short of rtol."""
-    coeffs = transfer.solve_dipole_fields(sphere, dipole, l_max)
-    per_l, (rel, region) = quadrature_ohmic_per_l(coeffs, rtol, max_panels=max_panels)
+    closure = transfer.solve_dipole_fields(sphere, dipole, l_max)
+    per_l, (rel, region) = quadrature_ohmic_per_l(closure, rtol, max_panels=max_panels)
     if region is not None and rel > rtol:
         raise QuadratureError(region, rel, rtol)
     return float(np.sum(per_l))
@@ -358,16 +371,15 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
     return m
 
 
-def states(ch):
-    """Per region 1..N+1 of a solved channel: (inner_state, outer_state)
-    scaled pairs over its orders.  The two differ only in the host region,
-    across the source."""
-    closure, c, n = ch.closure, ch.channel, ch.row
-    sweeps, host = closure.sweeps, ch.host
-    pol, w = closure.pol[c], closure.w[n]
+def states(closure, c):
+    """Per region 1..N+1 of channel c of the one row of a closure:
+    (inner_state, outer_state) scaled pairs over its :func:`orders`.  The
+    two differ only in the host region, across the source."""
+    sweeps, host = closure.sweeps, closure.host[0]
+    pol, w = closure.pol[c], closure.w[0]
 
     def times(amp, pair):
-        return tuple(sm.mul((amp[0][c, n], amp[1][c, n]), x) for x in pair)
+        return tuple(sm.mul((amp[0][c, 0], amp[1][c, 0]), x) for x in pair)
 
     out = []
     for j in range(1, closure.prepared.ctxs[0].n_regions + 1):

@@ -35,8 +35,8 @@ def test_no_contrast_sphere_is_free_space():
             assert abs(res.shift_norm) < 1e-12
             assert res.wohm_norm == 0.0
             assert abs(res.fluorescence_yield - 1.0) < 1e-10
-    coeffs = transfer.solve_dipole_fields(sph, model.DipoleSource(40.0, "radial", LAM), 60)
-    g_terms = spectro._partial_sums(coeffs)[3]
+    closure = transfer.solve_dipole_fields(sph, model.DipoleSource(40.0, "radial", LAM), 60)
+    g_terms = spectro.partial_sums(closure)[3][0, 0]
     assert abs(np.cumsum(g_terms)[-1]) < 1e-12
 
 
@@ -130,9 +130,9 @@ def test_closed_form_ohmic_matches_quadrature_oracle():
     queries += [("A", 0.0, "radial", LAM), ("C", 0.0, "radial", LAM)]
     for name, r_nm, orientation, lam in queries:
         dip = model.DipoleSource(r_nm, orientation, lam)
-        coeffs = transfer.solve_dipole_fields(model.preset(name), dip, 60)
-        got = spectro.ohmic_rate_per_l(coeffs)
-        ref, (rel, _) = oracles.quadrature_ohmic_per_l(coeffs, rtol=1e-11)
+        closure = transfer.solve_dipole_fields(model.preset(name), dip, 60)
+        got = spectro.ohmic_rate_per_l(closure)[0, 0]
+        ref, (rel, _) = oracles.quadrature_ohmic_per_l(closure, rtol=1e-11)
         total = abs(np.sum(ref))
         assert rel <= 1e-11
         assert abs(np.sum(got) - np.sum(ref)) <= 1e-9 * total, (name, r_nm, orientation, lam)
@@ -212,7 +212,8 @@ def test_result_converged_away_from_metal():
 
 def test_self_field_partial_sums_monotone_convergence():
     dip = model.DipoleSource(75.0, "radial", LAM)
-    g_terms = spectro._partial_sums(transfer.solve_dipole_fields(model.preset("D"), dip, 30))[3]
+    closure = transfer.solve_dipole_fields(model.preset("D"), dip, 30)
+    g_terms = spectro.partial_sums(closure)[3][0, 0]
     partial = np.cumsum(g_terms)
     tail = np.abs(partial[-10:] - partial[-1])
     assert tail.max() < 1e-10 * abs(partial[-1] + 1e-30) + 1e-12

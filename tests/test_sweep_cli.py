@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -322,6 +325,15 @@ def test_cli_default_grid_skips_absorbing_hosts(tmp_path):
     assert not bad.exists()
 
 
+def test_cli_preset_rejects_a_non_numeric_grid_value(tmp_path):
+    out = tmp_path / "d.csv"
+    proc = _run_cli("preset", "D", "--grid", "0.1,abc", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_run_config_roundtrip(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = {
@@ -634,10 +646,11 @@ def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
 
 def _rows_of(prepared, rows, orientations):
     """Every row's results from one close over all of rows (r_nm, wavelength)."""
-    return [
-        {o: dataclasses.astuple(spectro.evaluate_from_coefficients(c)) for o, c in row.items()}
-        for row in transfer.close(prepared, rows, orientations)
-    ]
+    out = [None] * len(rows)
+    for closure in transfer.closures(prepared, rows, orientations):
+        for i, res in zip(closure.index, spectro.evaluate_from_coefficients(closure)):
+            out[i] = {o: dataclasses.astuple(res[o]) for o in orientations}
+    return out
 
 
 # large enough that the dipole arguments start their j recurrences at
@@ -805,3 +818,22 @@ def test_wavelength_sweep_counts_one_prepare_per_row(monkeypatch):
     radial = {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 135]}, "workers": 2}
     sweep.run_sweep(sweep.config_from_dict(radial))
     assert pools == [2]
+
+
+def test_benchmark_tracer_patches_names_that_exist_and_restores_them(monkeypatch):
+    # perfbench/tracing.py wraps package functions by name for its traced
+    # runs; a refactor that removes one of those names fails here, not only
+    # in the benchmark's own self-test
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    modules = [m for m in vars(tracing).values()
+               if isinstance(m, types.ModuleType) and m.__name__.startswith("nanoshell.")]
+    originals = {(m, name): v for m in modules for name, v in vars(m).items()}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer._undo
+        assert all(getattr(m, name) is not v for m, name, v in tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(m, name) is v for (m, name), v in originals.items())

@@ -43,43 +43,45 @@ def test_interface_matrix_reproduces_single_interface_reflection():
 def test_no_contrast_sphere_has_zero_scattered_field():
     sph = model.build_sphere([(150.0, "water")], "water")
     dip = model.DipoleSource(60.0, "tangential", LAM)
-    coeffs = transfer.solve_dipole_fields(sph, dip, 12)
-    for ch in coeffs.channels:
-        assert np.all(np.abs(ch.g) < 1e-12)
-        assert np.all(np.abs(ch.scat_out) < 1e-12 * np.maximum(1.0, np.abs(ch.q_out_val)))
+    closure = transfer.solve_dipole_fields(sph, dip, 12)
+    assert np.all(np.abs(closure.g) < 1e-12)
+    assert np.all(np.abs(closure.scat) < 1e-12 * np.maximum(1.0, np.abs(closure.q_out)))
 
 
 def test_centered_dipole_is_pure_dipole_channel():
-    coeffs = transfer.solve_dipole_fields(
+    closure = transfer.solve_dipole_fields(
         model.preset("A"), model.DipoleSource(0.0, "radial", LAM), 40
     )
-    assert coeffs.at_center
-    assert [(list(ch.l), ch.pol) for ch in coeffs.channels] == [([1], transfer.TM)]
+    assert closure.r.tolist() == [0.0] and closure.pol.tolist() == [0]
+    assert oracles.orders(closure).tolist() == [1]
+    for x in (closure.weight, closure.g, closure.b_out, closure.q_out):
+        assert x.shape[-1] == 40 and np.all(x[..., 1:] == 0.0) and np.all(x[..., 0] != 0.0)
 
 
 def test_centered_dipole_no_contrast_far_field_is_free_amplitude():
     sph = model.build_sphere([(150.0, "water")], "water")
-    coeffs = transfer.solve_dipole_fields(sph, model.DipoleSource(0.0, "radial", LAM), 5)
-    amps = {(l, ch.pol): b for ch in coeffs.channels for l, b in zip(ch.l, ch.b_out)}
-    assert set(amps) == {(1, transfer.TM)}
-    assert_allclose(amps[(1, transfer.TM)], 1.0 / 3.0, rtol=1e-12)
+    closure = transfer.solve_dipole_fields(sph, model.DipoleSource(0.0, "radial", LAM), 5)
+    assert closure.pol.tolist() == [0]
+    assert np.all(closure.b_out[..., 1:] == 0.0)
+    assert_allclose(closure.b_out[0, 0, 0], 1.0 / 3.0, rtol=1e-12)
 
 
 def test_source_jump_between_host_states():
     # outer minus inner state in the host region is the source discontinuity
     sph = model.preset("D")
     dip = model.DipoleSource(90.0, "tangential", LAM)
-    coeffs = transfer.solve_dipole_fields(sph, dip, 20)
-    rho = coeffs.ctx.k[0] * 90.0
+    closure = transfer.solve_dipole_fields(sph, dip, 20)
+    rho = closure.prepared.ctxs[0].k[0] * 90.0
     tab = riccati(20, rho)
-    for ch in coeffs.channels:
-        inner, outer = oracles.states(ch)[coeffs.host_region - 1]
+    l = oracles.orders(closure)
+    for c, pol in enumerate(closure.pol):
+        inner, outer = oracles.states(closure, c)[closure.host[0] - 1]
         d_reg = sm.collapse(sm.sub(outer[0], inner[0]))
         d_out = sm.collapse(sm.sub(outer[1], inner[1]))
-        if ch.pol == transfer.TM:
-            s_reg, s_out = tab.dpsi[ch.l] / rho, tab.dxi[ch.l] / rho
+        if transfer.POLS[pol] == transfer.TM:
+            s_reg, s_out = tab.dpsi[l] / rho, tab.dxi[l] / rho
         else:
-            s_reg, s_out = tab.psi[ch.l] / rho, tab.xi[ch.l] / rho
+            s_reg, s_out = tab.psi[l] / rho, tab.xi[l] / rho
         assert_allclose(d_reg, -s_out, rtol=1e-9)
         assert_allclose(d_out, s_reg, rtol=1e-9)
 
@@ -117,14 +119,16 @@ def test_tangential_continuity_across_interfaces(seed):
     sph = model.build_sphere(mats, materials.constant_index(rng.uniform(1.0, 1.5)))
     r_d = float(rng.uniform(1.05, 1.6) * sph.outer_radius_nm)
     dip = model.DipoleSource(r_d, "tangential", LAM)
-    coeffs = transfer.solve_dipole_fields(sph, dip, 20)
-    for ch in coeffs.channels:
+    closure = transfer.solve_dipole_fields(sph, dip, 20)
+    ctx, l = closure.prepared.ctxs[0], oracles.orders(closure)
+    for c, pol in enumerate(closure.pol):
+        states = oracles.states(closure, c)
         for i in range(1, sph.n_regions):
             # region i meets interface i on its outer side, region i+1 on its inner side
-            st_in = oracles.states(ch)[i - 1][1]
-            st_out = oracles.states(ch)[i][0]
-            a = _tangential_pair(coeffs.ctx, i, i, ch.l, ch.pol, st_in)
-            b = _tangential_pair(coeffs.ctx, i + 1, i, ch.l, ch.pol, st_out)
+            st_in = states[i - 1][1]
+            st_out = states[i][0]
+            a = _tangential_pair(ctx, i, i, l, transfer.POLS[pol], st_in)
+            b = _tangential_pair(ctx, i + 1, i, l, transfer.POLS[pol], st_out)
             for va, vb in zip(a, b):
                 scale = np.maximum(np.abs(va), np.abs(vb))
                 keep = scale >= 1e-250
@@ -140,11 +144,11 @@ def test_interface_flux_conserved_through_lossless_shells():
         for lam in (LAM, 850.0):
             for orientation in model.ORIENTATIONS:
                 dip = model.DipoleSource(r_d, orientation, lam)
-                coeffs = transfer.solve_dipole_fields(sph, dip, 60)
-                ctx = coeffs.ctx
+                closure = transfer.solve_dipole_fields(sph, dip, 60)
+                ctx = closure.prepared.ctxs[0]
                 assert not ctx.absorbing[0]
-                for ch in coeffs.channels:
-                    flux = [ch.flux(i) for i in range(ctx.n_regions)]
+                for c, pol in enumerate(closure.pol):
+                    flux = [closure.flux(i)[c, 0] for i in range(ctx.n_regions)]
                     scale = np.max(np.abs(flux), axis=0)
                     assert np.all(flux[0] == 0.0)
                     for j in range(1, ctx.n_regions):
@@ -153,7 +157,7 @@ def test_interface_flux_conserved_through_lossless_shells():
                             bad = absorbed < -1e-10 * scale
                         else:
                             bad = np.abs(absorbed) > 1e-10 * scale
-                        key = (name, lam, orientation, ch.l[bad], ch.pol, j)
+                        key = (name, lam, orientation, np.flatnonzero(bad) + 1, pol, j)
                         assert not bad.any(), key
 
 
@@ -161,10 +165,10 @@ def test_homogeneous_sphere_matches_closed_form():
     sph = model.preset("D")
     ref = oracles.exterior_dipole_rates(1.45, 1.33, 150.0, LAM, 180.0, l_max=40)
     for orientation in ("radial", "tangential"):
-        coeffs = transfer.solve_dipole_fields(
+        closure = transfer.solve_dipole_fields(
             sph, model.DipoleSource(180.0, orientation, LAM), 40
         )
-        g = sum(np.sum(1j * ch.weight * ch.g) for ch in coeffs.channels)
+        g = np.sum(1j * closure.weight * closure.g)
         assert_allclose(1 + g.imag, ref[orientation][0], rtol=1e-12)
 
 
@@ -172,24 +176,14 @@ def test_lossless_far_field_power_equals_local_rate():
     # energy conservation pins the far-field normalization
     sph = model.preset("D")
     for r_d, orientation in ((60.0, "radial"), (120.0, "tangential"), (210.0, "radial")):
-        coeffs = transfer.solve_dipole_fields(
-            sph, model.DipoleSource(r_d, orientation, LAM), 50
-        )
-        g = sum(np.sum(1j * ch.weight * ch.g) for ch in coeffs.channels)
-        wt = 1 + g.imag
-        ambient = coeffs.host_region == coeffs.ctx.n_regions
-        if ambient:
-            wrad = 1 + sum(
-                np.sum(
-                    ch.weight
-                    * (2 * (np.conj(ch.q_out_val) * ch.scat_out).real + np.abs(ch.scat_out) ** 2)
-                )
-                for ch in coeffs.channels
-            )
+        c = transfer.solve_dipole_fields(sph, model.DipoleSource(r_d, orientation, LAM), 50)
+        wt = 1 + np.sum(1j * c.weight * c.g).imag
+        ctx, host = c.prepared.ctxs[0], c.host[0]
+        if host == ctx.n_regions:
+            wrad = 1 + np.sum(c.weight * (2 * (np.conj(c.q_out) * c.scat).real + np.abs(c.scat) ** 2))
         else:
-            eps = coeffs.ctx.eps
-            ratio = math.sqrt(eps[coeffs.host_region - 1].real / eps[-1].real)
-            wrad = ratio * sum(np.sum(ch.weight * np.abs(ch.b_out) ** 2) for ch in coeffs.channels)
+            ratio = math.sqrt(ctx.eps[host - 1].real / ctx.eps[-1].real)
+            wrad = ratio * np.sum(c.weight * np.abs(c.b_out) ** 2)
         assert abs(wt - wrad) / wt < 1e-8
 
 
@@ -200,12 +194,11 @@ def test_outgoing_amplitude_tail_decays():
             r = r_rs * sph.outer_radius_nm
             try:
                 dip = model.DipoleSource(r, "tangential", LAM)
-                coeffs = transfer.solve_dipole_fields(sph, dip, 60)
+                closure = transfer.solve_dipole_fields(sph, dip, 60)
             except Exception:
                 continue
-            mags = {ch.pol: np.abs(ch.b_out) for ch in coeffs.channels}
-            for pol, seq in mags.items():
-                tail = seq[-10:]
+            for pol, b_out in zip(closure.pol, closure.b_out):
+                tail = np.abs(b_out[0, -10:])
                 assert all(a >= b for a, b in zip(tail, tail[1:])), (name, r_rs, pol)
 
 
