@@ -35,9 +35,11 @@ _PAD_MIN = 15
 _RENORM = 1e250
 # orders between renormalization checks: a recurrence pair grows at most by
 # (2l + 1)/|z| + 1 per order, so four orders from 1e250 stay below double
-# overflow for every |z| >= _MIN_ABS_Z and l up to ~1e5
+# overflow for every |z| >= _MIN_ABS_Z and l up to _MAX_START_ORDER; an
+# argument whose j recurrence would start above it is rejected
 _CHECK_EVERY = 4
 _MIN_ABS_Z = 1e-8
+_MAX_START_ORDER = 10**5
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,12 @@ def _validate(l_max, z):
     small = a[a < _MIN_ABS_Z]
     if small.size:
         raise DomainError(f"argument too close to zero: |z| = {small[0]:.3e}")
+    large = a[~(_start_order(l_max, a) <= _MAX_START_ORDER)]
+    if large.size:
+        raise DomainError(
+            f"argument too large: |z| = {large[0]:.3e} needs Riccati orders beyond "
+            f"{_MAX_START_ORDER}"
+        )
     return z
 
 
@@ -87,6 +95,12 @@ def _renormalize(out, a, *fs):
     return [f / s for f in fs], np.log(s)
 
 
+def _start_order(l_max, a):
+    """Order the downward j recurrence starts from at |z| = a, as a float."""
+    pad = np.maximum(_PAD_MIN, np.ceil(8.0 * a ** (1.0 / 3.0)))
+    return np.maximum(l_max, np.ceil(a)) + pad
+
+
 def _j_scaled(l_max, z, seeds):
     """Scaled j_l via downward recurrence, closed-form normalized.
 
@@ -97,9 +111,7 @@ def _j_scaled(l_max, z, seeds):
     holds zeros, and renormalization is per argument at fixed orders, so no
     entry depends on the other arguments of the call.
     """
-    a = np.abs(z)
-    pad = np.maximum(_PAD_MIN, np.ceil(8.0 * a ** (1.0 / 3.0)))
-    l_start = (np.maximum(l_max, np.ceil(a)) + pad).astype(int)
+    l_start = _start_order(l_max, np.abs(z)).astype(int)
     starts = {int(l): l_start == l for l in np.unique(l_start)}
     c = _ratios(int(l_start.max()), z)
     f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}

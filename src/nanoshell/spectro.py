@@ -17,7 +17,7 @@ sphere gives g = 0):
 
 Every output of a batch of rows is computed in one array pass,
 :func:`evaluate_from_coefficients`, over the (channel, row, l) arrays of the
-closure a :func:`transfer.closures` close returns: the per-order terms,
+closure :func:`transfer.close` returns: the per-order terms,
 partial sums, spreads, shift tail, interface fluxes and convergence flags of
 every row and orientation at once, each operation elementwise in the rows,
 so a row's results are bit for bit those of the row evaluated alone.
@@ -270,7 +270,7 @@ def evaluate_from_coefficients(closure):
             )
             for o, name in enumerate(names)
         }
-        for n in range(len(closure.index))
+        for n in range(len(closure.r))
     ]
 
 
@@ -294,11 +294,13 @@ def evaluate_rows(prepared, rows, orientations):
     observed in one array pass; each row's results are the ones a one-row
     call returns."""
     step = batch_size(prepared.l_max)
-    out = [None] * len(rows)
+    out = []
     for lo in range(0, len(rows), step):
-        for closure in transfer.closures(prepared, rows[lo:lo + step], orientations):
-            for i, results in zip(closure.index, evaluate_from_coefficients(closure)):
-                out[lo + i] = results
+        # a batch's closure is freed only once the next one is built: freed
+        # first, glibc handed its pages back to the system and the next
+        # close faulted them in again, ~15% of a 401-row radial sweep
+        closure = transfer.close(prepared, rows[lo:lo + step], orientations)
+        out += evaluate_from_coefficients(closure)
     return out
 
 

@@ -3,7 +3,7 @@
 Rows are split into at most ``workers`` contiguous blocks in declared order,
 no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
 row and ``PREPARE_ROWS`` times that per prepared wavelength, so a
-wavelength sweep splits at about half the rows of a radial one.  A sweep
+wavelength sweep splits at about a quarter of the rows of a radial one.  A sweep
 too small for two such blocks runs in-process on the sphere it already
 built.
 Each block (a process-pool task when there are several) builds the sphere
@@ -53,24 +53,26 @@ MARGIN_FRACTION = 0.001
 NUDGE_FRACTION = 0.005
 
 # a sweep gets one process-pool block per this many (row, l) entries of
-# work, at most `workers` of them: starting and joining the pool (~10 ms),
-# each block's own prepare and a cold worker cost more than half a smaller
-# sweep takes in-process.  On a 2-core box, 2 workers first beat 1 steadily
-# at ~6,600 entries of work per block (preset D radial grids, 200 rows at
-# l_max 60) and ~8,500 (4 rows at l_max 4000); 4 x spectro._BATCH_ENTRIES
-# lies between the two
-MIN_BLOCK_ENTRIES = 8192
+# work, at most `workers` of them: starting and joining the pool, each
+# block's own prepare and a cold worker cost more than half a smaller sweep
+# takes in-process.  On a 2-core box (1 worker against a forced two-block
+# pool, alternating pairs), 2 workers lost or tied on the default D and B
+# radial grids (24,600 and 22,300 entries at l_max 60) and won steadily on
+# D's 800-row grid (48,900), on 8 rows at l_max 4000 (44,000) and on C's
+# 200-wavelength sweep (48,800)
+MIN_BLOCK_ENTRIES = 15000
 
 # a linspace grid may ask for at most this many points
 MAX_GRID_POINTS = 10**6
 
 # a prepared wavelength counts as this many rows of (l_max + 1) entries.
-# Within a batched prepare one more wavelength costs 0.5-1.5 closed rows at
-# l_max 60 (lossless to metal presets), 0.3-1 at 1000 and 0.16 at 4000; at
-# 2 workers, wavelength sweeps of presets A-D first beat 1 worker steadily
-# at 135 rows at l_max 60 and 8 at l_max 1000, where (rows + wavelengths)
-# x (l_max + 1) first fills two blocks at 135 and 9 rows
-PREPARE_ROWS = 1
+# Within a batched prepare one more wavelength costs 0.15-1.5 closed rows
+# (lossless to metal presets, l_max 60 to 4000), and a wavelength sweep's
+# blocks share no prepare, so its pool pays from fewer rows than a radial
+# one: at 2 workers C's wavelength sweeps tied at 100-135 rows and won
+# steadily at 200 at l_max 60, and won from 8 rows at 1000 and 2 at 4000;
+# 4 (l_max + 1) entries per row first fill two blocks at 123, 8 and 2 rows
+PREPARE_ROWS = 3
 
 
 @dataclass(frozen=True)

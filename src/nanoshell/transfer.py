@@ -19,18 +19,18 @@ extended on first use only as far as a close needs, and every host region
 shares them: a dipole in region h reads both sweeps' pairs at h, the outward
 rows of the interfaces below h and the inward rows above it.
 
-:func:`closures` takes rows of (radius, wavelength), builds their dipole
+:func:`close` takes rows of (radius, wavelength), builds their dipole
 tables in one call and closes every channel of every row at once on
 (channel, row, l) arrays: the radial TM, tangential TM and tangential TE
-channels each gather their row's entries by (host, wavelength).  Every step
-is elementwise in the channels, rows and wavelengths, and each wavelength's
-scalars (1/k, 1/mu, the matching determinant, k r) are formed at that
-wavelength alone, so a row's result does not depend on which rows or
-wavelengths share its prepare and close.  The :class:`_Closure` objects it
-returns, one for the rows off the origin and one for those at it, are the
-one solved form: every observable reads their arrays by (channel, row), and
-:func:`solve_dipole_fields` is the closure of one dipole, from a prepare and
-a close of its own.
+channels each gather their row's entries by (host, wavelength).  A row at
+the origin is the r -> 0 limit of the same closure: its sources keep the
+l = 1 TM channel alone.  Every step is elementwise in the channels, rows
+and wavelengths, and each wavelength's scalars (1/k, 1/mu, the matching
+determinant, k r) are formed at that wavelength alone, so a row's result
+does not depend on which rows or wavelengths share its prepare and close.
+The :class:`_Closure` it returns is the one solved form: every observable
+reads its arrays by (channel, row), and :func:`solve_dipole_fields` is the
+closure of one dipole, from a prepare and a close of its own.
 
 Each crossing keeps the (E_t, H_t) row its matching step formed at the
 interface; the net radial Poynting flux through an interface, and so a
@@ -73,10 +73,11 @@ _KIND_POL = np.array([0, 0, 1])
 # dxi) stack, and the power of 1/rho that projects them onto the dipole axis
 _KIND_PROFILE = np.array([[0, 2], [1, 3], [0, 2]])
 _KIND_POWER = np.array([2, 1, 1])
-# a dipole at the origin drives l = 1 TM alone: its weight and free
-# outgoing amplitude per kind
-_CENTER_WEIGHT = np.array([9.0, 2.25])
-_CENTER_Q = np.array([1.0 / 3.0, 2.0 / 3.0])
+# the r -> 0 limit at l = 1 of each kind's projected regular profile, zero
+# at every l >= 2.  The outgoing profile diverges there, but every
+# observable meets it only times the core pair's outgoing entry u2, which
+# is zero, so its amplitude is set to zero
+_ORIGIN_REG = np.array([1.0 / 3.0, 2.0 / 3.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,6 @@ class _Sweeps:
         n = prepared.ctxs[0].n_regions
         # no reference back to the prepare, which owns the sweeps, so both
         # are freed as soon as it goes
-        self.l_max = prepared.l_max
         self._shape = (2, len(prepared.ctxs), prepared.l_max)  # (polarization, wavelength, l)
         entries = 2 * len(prepared.ctxs) * prepared.l_max
         # (region, (u1, u2, v1, v2), polarization x (wavelength, l))
@@ -266,7 +266,6 @@ class Prepared:
         self._scalars = None
         self._entries = None
         self._sweeps = None
-        self._center = None
 
     def scalars(self):
         """1/k, 1/mu and the scaled TM and TE matching determinants per
@@ -328,13 +327,6 @@ class Prepared:
             self._sweeps = _Sweeps(self)
         return self._sweeps
 
-    def center(self):
-        """The same sphere and wavelengths at l_max = 1: a dipole at the
-        origin drives only the l = 1 electric channel."""
-        if self._center is None:
-            self._center = Prepared(self.sphere, self.wavelengths, 1, self.ctxs)
-        return self._center
-
 
 def prepare(sphere, wavelengths_nm, l_max):
     """What every dipole radius shares at each of the wavelengths
@@ -348,21 +340,18 @@ class _Closure:
 
     The channels are those of each orientation in the order asked for (see
     ``_KINDS``), each orientation's TM channel first; ``pol`` holds each
-    channel's index into ``POLS``.  Row n is row ``index[n]`` of the close,
-    at radius ``r[n]``, wavelength index ``w[n]`` and host region
-    ``host[n]``.  Beside the collapsed amplitudes the closure keeps the
-    scaled ones, ``a1`` (None at the origin) and ``b``, that multiply the
-    unit pairs of ``sweeps``; rows at the origin are closed on the l_max = 1
-    prepare and padded with zeros.
+    channel's index into ``POLS``.  Row n is row n of the close, at radius
+    ``r[n]``, wavelength index ``w[n]`` and host region ``host[n]``.  Beside
+    the collapsed amplitudes the closure keeps the scaled ones, ``a1`` and
+    ``b``, that multiply the unit pairs of ``sweeps``.
     """
 
-    def __init__(self, prepared, sweeps, orientations, kinds, index, r, w, host,
+    def __init__(self, prepared, sweeps, orientations, kinds, r, w, host,
                  weight, g, b_out, q_out, scat, a1, b):
         self.prepared = prepared
         self.sweeps = sweeps
         self.orientations = tuple(orientations)
         self.pol = _KIND_POL[kinds]
-        self.index = index
         self.r, self.w, self.host = r, w, host
         self.weight = weight  # (channel, 1, l)
         self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
@@ -388,7 +377,7 @@ class _Closure:
                 inward = interface >= self.host
                 y_e, y_h = self.sweeps.rows(interface, inward, self.pol[:, None], self.w)
                 amp = self.b
-                if self.a1 is not None and not inward.all():
+                if not inward.all():
                     amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(self.a1, self.b))
                 y_e, y_h = sm.mul(amp, y_e), sm.mul(amp, y_h)
                 p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", 1)
@@ -420,27 +409,6 @@ def _hosts(prepared, rows, orientations, r, w):
     return host
 
 
-def _determinant(u1, u2, v1, v2):
-    """The closure determinant u1 v2 - u2 v1 and where it is singular."""
-    t1 = sm.mul(u1, v2)
-    t2 = sm.mul(u2, v1)
-    delta = sm.sub(t1, t2)
-    scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
-    degenerate = (delta[0] == 0) | (
-        np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
-    )
-    return delta, degenerate
-
-
-def _nonsingular(x, degenerate):
-    """A scaled divisor with its singular entries set to one: those rows
-    raise before any result is used, and the others must not divide by
-    zero first."""
-    if not degenerate.any():
-        return x
-    return np.where(degenerate, 1.0 + 0j, x[0]), np.where(degenerate, 0.0, x[1])
-
-
 def _collapse_channels(pol, degenerate, named):
     """Collapse each named scaled (channel, row, l) array.  On failure, what
     a close channel by channel would raise first is raised: for the first
@@ -465,10 +433,18 @@ def _solve(pairs, s_reg, s_out):
     """The 2x2 closure of every channel and row with the unit pairs (u1,
     u2, v1, v2) of its host: the amplitudes a1 and b that multiply the core
     and the ambient pair, the scattered self-coupling g and the scattered
-    outgoing amplitude, and where the closure is singular."""
+    outgoing amplitude, and where the closure is singular.  A singular
+    determinant u1 v2 - u2 v1 is set to one: its rows raise before any
+    result is used, and the others must not divide by zero first."""
     u1, u2, v1, v2 = pairs
-    delta, degenerate = _determinant(u1, u2, v1, v2)
-    delta = _nonsingular(delta, degenerate)
+    t1, t2 = sm.mul(u1, v2), sm.mul(u2, v1)
+    delta = sm.sub(t1, t2)
+    scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
+    degenerate = (delta[0] == 0) | (
+        np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
+    )
+    if degenerate.any():
+        delta = np.where(degenerate, 1.0 + 0j, delta[0]), np.where(degenerate, 0.0, delta[1])
     a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
     b = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
     # scattered field in the host region; these product forms are exact and
@@ -481,22 +457,45 @@ def _solve(pairs, s_reg, s_out):
 def _sources(prepared, kinds, r, w, host):
     """Source amplitudes of every channel and row: the projections of the
     regular and outgoing profiles onto the dipole axis, from one Riccati
-    table per row at k r of its host and wavelength."""
-    rho = prepared.k[host - 1, w] * r
-    tables = prepared.dipole_tables(rho)
-    inv_rho = real_over(1.0, rho)[:, None]
-    factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-    reg, out = (
-        (np.stack([tables[k][0] for k in profile]), np.stack([tables[k][1] for k in profile]))
-        for profile in _KIND_PROFILE[kinds].T
-    )
-    return sm.scale(reg, factor), sm.scale(out, factor)
+    table per row at k r of its host and wavelength.  A row at the origin
+    takes their r -> 0 limits instead (``_ORIGIN_REG``) and never reaches a
+    table, which rejects a zero argument."""
+    shape = (len(kinds), len(r), prepared.l_max)
+    reg, out = ((np.zeros(shape, dtype=complex), np.zeros(shape)) for _ in range(2))
+    reg[0][:, r == 0.0, 0] = _ORIGIN_REG[kinds, None]
+    off = r != 0.0
+    if off.any():
+        rho = prepared.k[host[off] - 1, w[off]] * r[off]
+        tables = prepared.dipole_tables(rho)
+        inv_rho = real_over(1.0, rho)[:, None]
+        factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
+        for x, profile in zip((reg, out), _KIND_PROFILE[kinds].T):
+            m = np.stack([tables[k][0] for k in profile])
+            e = np.stack([tables[k][1] for k in profile])
+            x[0][:, off], x[1][:, off] = sm.scale((m, e), factor)
+    return reg, out
 
 
-def _close_off(prepared, orientations, index, r, w, host):
-    """Every channel of dipoles off the origin, on (channel, row, l) arrays;
-    the source amplitudes enter swapped (outgoing content above the source
-    is proportional to the regular profile and vice versa)."""
+def close(prepared, rows, orientations):
+    """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
+    against one prepare that holds every row's wavelength, closed on
+    (channel, row, l) arrays: one :class:`_Closure` with the rows in the
+    order given.  The source amplitudes enter swapped (outgoing content
+    above the source is proportional to the regular profile and vice
+    versa); at the origin only the l = 1 TM channels have a source.
+
+    The dipole Riccati tables of all rows off the origin are built in one
+    call, one per row, with k r formed at each row's own wavelength.  Each
+    channel of each row gathers its sweep entries by (host, wavelength).
+    Every entry is elementwise in the channels, rows and wavelengths, so a
+    row's results do not depend on which rows or wavelengths share the
+    call, and a batch raises only where one of its rows alone would.  An
+    error names its order and polarization but not its row: to find the
+    first failing row, close the rows one at a time.
+    """
+    r = np.array([x for x, _ in rows], dtype=float)
+    w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
+    host = _hosts(prepared, rows, orientations, r, w)
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
     s_reg, s_out = _sources(prepared, kinds, r, w, host)
@@ -512,70 +511,8 @@ def _close_off(prepared, orientations, index, r, w, host):
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
-    return _Closure(prepared, sweeps, orientations, kinds, index, r, w, host,
+    return _Closure(prepared, sweeps, orientations, kinds, r, w, host,
                     weight, g, b_out, q_out, scat, a1, b)
-
-
-def _close_center(prepared, orientations, index, w):
-    """The one l = 1 TM channel of each orientation of dipoles exactly at the
-    origin, closed on the l_max = 1 prepare and padded to l_max; the
-    divergent outgoing profile cancels analytically against the regular
-    response, so no core pair is carried outward."""
-    kinds = np.array([_KINDS[o][0] for o in orientations])
-    center = prepared.center()
-    sweeps = center.sweeps
-    sweeps.reach(center, 1, 1)
-    u1, u2, v1, v2 = sweeps.pairs(1, 0, w)
-    _, degenerate = _determinant(u1, u2, v1, v2)
-    v2 = _nonsingular(v2, degenerate)
-    q_ideal = _CENTER_Q[kinds][:, None, None]
-    q = sm.from_complex(q_ideal)
-    a_s = sm.mul(sm.div(v1, v2), q)
-    b = sm.div(q, v2)
-    g, b_out = _collapse_channels(np.zeros(len(kinds), dtype=int), degenerate, (
-        (sm.mul(a_s, q), "g at center"),
-        (b, "ambient amplitude"),
-    ))
-    shape = (len(kinds), len(w), prepared.l_max)
-
-    def padded(x):
-        out = np.zeros(shape, dtype=complex)
-        out[..., :1] = x
-        return out
-
-    weight = np.zeros((len(kinds), 1, prepared.l_max))
-    weight[..., 0] = _CENTER_WEIGHT[kinds][:, None]
-    return _Closure(prepared, sweeps, orientations, kinds, index, np.zeros(len(w)), w,
-                    np.ones(len(w), dtype=int), weight, padded(g), padded(b_out),
-                    padded(q_ideal), np.zeros(shape, dtype=complex), None, b)
-
-
-def closures(prepared, rows, orientations):
-    """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
-    against one prepare that holds every row's wavelength, closed on
-    (channel, row, l) arrays: one :class:`_Closure` for the rows off the
-    origin and one for those at it, each naming its rows' positions.
-
-    The dipole Riccati tables of all rows are built in one call, one per
-    row, with k r formed at each row's own wavelength.  Each channel of
-    each row gathers its sweep entries by (host, wavelength).  Every entry
-    is elementwise in the channels, rows and wavelengths, so a row's
-    results do not depend on which rows or wavelengths share the call, and
-    a batch raises only where one of its rows alone would.  An error names
-    its order and polarization but not its row: to find the first failing
-    row, close the rows one at a time.
-    """
-    r = np.array([x for x, _ in rows], dtype=float)
-    w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
-    host = _hosts(prepared, rows, orientations, r, w)
-    out = []
-    off = np.flatnonzero(r != 0.0)
-    if off.size:
-        out.append(_close_off(prepared, orientations, off, r[off], w[off], host[off]))
-    center = np.flatnonzero(r == 0.0)
-    if center.size:
-        out.append(_close_center(prepared, orientations, center, w[center]))
-    return out
 
 
 def check_l_max(l_max):
@@ -598,5 +535,4 @@ def solve_dipole_fields(sphere, dipole, l_max):
     wavelength_nm = dipole.wavelength_nm
     prepared = prepare(sphere, [wavelength_nm], l_max)
     row = (dipole.radial_position_nm, wavelength_nm)
-    [closure] = closures(prepared, [row], (dipole.orientation,))
-    return closure
+    return close(prepared, [row], (dipole.orientation,))

@@ -198,22 +198,16 @@ def _scaled_field_sum(c1m, c1e, t1m, t1e, c2m, c2e, t2m, t2e):
     return f
 
 
-def orders(closure):
-    """The orders 1..l_max a closure's scaled amplitudes hold: l = 1 alone
-    at the origin, where the collapsed arrays are padded to l_max."""
-    return np.arange(1, closure.sweeps.l_max + 1)
-
-
 def _region_channels(closure, region):
-    """Per-polarization (regular, outgoing) scaled amplitudes over the
-    channel's orders in one region away from the dipole, with the orders and
-    the channel weights, for the one row of a closure."""
+    """Per-polarization (regular, outgoing) scaled amplitudes over l =
+    1..l_max in one region away from the dipole, with the orders and the
+    channel weights, for the one row of a closure."""
     parts = {}
-    l = orders(closure)
+    l = closure.prepared.ls
     for c, pol in enumerate(closure.pol):
         # inner/outer states only differ in the host
         (c1m, c1e), (c2m, c2e) = states(closure, c)[region - 1][1]
-        w = closure.weight[c, 0, :len(l)]
+        w = closure.weight[c, 0]
         parts[transfer.POLS[pol]] = {"l": l, "c1m": c1m, "c1e": c1e, "c2m": c2m, "c2e": c2e, "w": w}
     return parts
 
@@ -373,8 +367,8 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
 
 def states(closure, c):
     """Per region 1..N+1 of channel c of the one row of a closure:
-    (inner_state, outer_state) scaled pairs over its :func:`orders`.  The
-    two differ only in the host region, across the source."""
+    (inner_state, outer_state) scaled pairs over l = 1..l_max.  The two
+    differ only in the host region, across the source."""
     sweeps, host = closure.sweeps, closure.host[0]
     pol, w = closure.pol[c], closure.w[0]
 
@@ -384,7 +378,7 @@ def states(closure, c):
     out = []
     for j in range(1, closure.prepared.ctxs[0].n_regions + 1):
         u1, u2, v1, v2 = sweeps.pairs(j, pol, w)
-        below = times(closure.a1, (u1, u2)) if closure.a1 is not None and j <= host else None
+        below = times(closure.a1, (u1, u2)) if j <= host else None
         above = times(closure.b, (v1, v2)) if j >= host else None
         out.append((below or above, above or below))
     return tuple(out)

@@ -49,7 +49,7 @@ CASES = {
 CONVERGE = {
     # metal preset, dipole in host region 3 between the gold shells
     "converge_A.txt": ("A", 0.8, model.TANGENTIAL, 80),
-    # the l_max = 1 closure of a dipole at the center
+    # a dipole at the center, the r -> 0 limit of the general closure
     "converge_D.txt": ("D", 0.0, model.RADIAL, 60),
     # README's example, just outside the sphere in the ambient
     "converge_C.txt": ("C", 1.01, model.RADIAL, 60),

@@ -75,6 +75,16 @@ def test_zero_argument_rejected():
         riccati(5, 1e-12)
 
 
+def test_huge_argument_rejected_before_any_recurrence():
+    # the downward j recurrence would start at an order of ~|z|, beyond what
+    # its renormalization holds; the error names |z|
+    for z in (2.0e6, 1e303, complex(3.0, 2.0e5), math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"argument too large: \|z\| = "):
+            riccati_scaled(5, np.array([1.0, z]))
+    with pytest.raises(DomainError, match="too large"):
+        riccati_scaled(10**5, 1.0)
+
+
 def test_bad_order_rejected():
     with pytest.raises(DomainError):
         bessel_table(0, 1.0)

@@ -63,6 +63,25 @@ def test_center_degeneracy_all_presets():
         assert abs(ra.wrad_norm - ta.wrad_norm) <= 1e-10 * abs(ra.wrad_norm)
 
 
+def test_origin_is_the_limit_of_the_general_close():
+    # a dipole at r = 0 is closed as the r -> 0 limit of the general close:
+    # 1e-3 nm away every rate and the shift agree to O((k r)^2); the worst
+    # gap over A-D measured 4.6e-10 (4.6e-8 at 1e-2 nm)
+    for name in "ABCD":
+        sphere = model.preset(name)
+        at, near = (spectro.evaluate_orientations(sphere, r, LAM) for r in (0.0, 1e-3))
+        for o in at:
+            for f in ("wt_norm", "shift_norm", "wrad_norm", "wohm_norm"):
+                x, y = getattr(at[o], f), getattr(near[o], f)
+                assert abs(x - y) <= 2e-9 * max(abs(x), abs(y)), (name, o, f, x, y)
+    # a tangential dipole at the origin drives no magnetic (TE) wave
+    closure = transfer.solve_dipole_fields(
+        model.preset("A"), model.DipoleSource(0.0, "tangential", LAM), 60
+    )
+    for x in (closure.g, closure.b_out, closure.q_out, closure.scat):
+        assert np.all(x[closure.te] == 0.0)
+
+
 def test_lossless_sphere_radiative_equals_total():
     sph = model.preset("D")
     for r_d in (30.0, 100.0, 149.0, 155.0, 250.0):

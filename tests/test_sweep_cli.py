@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -257,7 +259,7 @@ def test_plot_files(tmp_path):
     float(y)
 
 
-def test_convergence_report_small_sphere_center():
+def test_convergence_report_small_sphere_origin():
     sph = model.preset("D")
     rep = sweep.convergence_report(sph, model.DipoleSource(0.0, "radial", LAM), 60)
     assert rep.wt_order_8digits is not None and rep.wt_order_8digits <= 5
@@ -447,6 +449,22 @@ def test_l_max_must_be_a_bounded_integer(tmp_path):
     proc = _run_cli("converge", "D", "--r", "0.5", "--l-max", str(10**9))
     assert proc.returncode == 2
     assert "l_max" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("converge", "D", "--r", "0.5", "--lambda", "1e-300"),
+    ("converge", "D", "--r", "0.5", "--lambda", "0.01", "--l-max", "5"),
+    ("preset", "D", "--grid", "1e6", "--l-max", "5"),
+])
+def test_huge_riccati_arguments_exit_2_up_front(tmp_path, args):
+    # a tiny wavelength or a far dipole would start the j recurrence at an
+    # order of ~|z|; the first table rejects it, naming |z|
+    out = tmp_path / "out.csv"
+    proc = _run_cli(*args, "--out", str(out)) if args[0] == "preset" else _run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: argument too large: |z| = "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_converge_runs():
@@ -644,13 +662,90 @@ def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
         assert 1 <= cfg.grid["linspace"][2] <= sweep.MAX_GRID_POINTS
 
 
+# command-line values for the CLI fuzz: a valid and an odd choice per
+# option, the odd ones NaN, inf, negative, zero, huge, tiny or not numbers.
+# Every draw that is valid solves small: l_max <= 8, workers <= 2 and at
+# most three grid points
+_ODD = ["nan", "inf", "-1", "0", "1e300", "abc", ""]
+_VALUES = {
+    "lambda": (st.sampled_from(["595", "450", "800", "1100"]),
+               st.sampled_from(["1e-300", "0.01", "3000", *_ODD])),
+    "r": (st.sampled_from(["0", "0.3", "0.7", "1.2", "2"]),
+          st.sampled_from(["1e6", "-0.5", *_ODD])),
+    "l-max": (st.integers(1, 8).map(str), st.sampled_from(["4001", str(10**20), "2.5", *_ODD])),
+    "workers": (st.sampled_from(["1", "2"]), st.sampled_from(["1e9", "2.5", *_ODD])),
+}
+
+
+def _json_value(token):
+    """A command-line token as a sweep config would hold it."""
+    try:
+        return json.loads(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+@st.composite
+def _cli_argv(draw, out):
+    """argv of a preset, converge or run command with up to two of its
+    values odd; a run command's config is written to ``out`` + ".json"."""
+    command = draw(st.sampled_from(["preset", "converge", "run"]))
+    name = draw(st.sampled_from(model.preset_names()))
+    odd = draw(st.sets(st.sampled_from(["lambda", "r", "l-max", "workers"]), max_size=2))
+
+    def value(key):
+        return draw(_VALUES[key][key in odd])
+
+    if command == "converge":
+        return ["converge", name, *(f"--{key}={value(key)}" for key in ("r", "lambda", "l-max"))]
+    grid = [draw(_VALUES["r"][0]) for _ in range(draw(st.integers(0, 3 - ("r" in odd))))]
+    if "r" in odd:
+        grid.insert(draw(st.integers(0, len(grid))), value("r"))
+    lam, l_max, workers = value("lambda"), value("l-max"), value("workers")
+    if command == "preset":
+        return ["preset", name, f"--lambda={lam}", f"--grid={','.join(grid)}",
+                f"--l-max={l_max}", f"--workers={workers}", f"--out={out}"]
+    raw = {"sphere": name, "wavelength_nm": _json_value(lam),
+           "grid": [_json_value(g) for g in grid], "l_max": _json_value(l_max),
+           "workers": _json_value(workers), "out": out}
+    with open(out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    return ["run", out + ".json"]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_main_exits_with_its_documented_code(tmp_path_factory, data):
+    # every command either succeeds or exits with the code of its error (2
+    # config or geometry, 3 material range, 4 numerical) on one "error:" or
+    # usage line, without a traceback and without writing its output
+    out = str(tmp_path_factory.mktemp("cli") / "out.csv")
+    argv = data.draw(_cli_argv(out))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    text = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, text)
+    assert "Traceback" not in text, (argv, text)
+    if code:
+        assert text.startswith(("error: ", "usage: ")), (argv, text)
+        assert not os.path.exists(out), argv
+
+
 def _rows_of(prepared, rows, orientations):
     """Every row's results from one close over all of rows (r_nm, wavelength)."""
-    out = [None] * len(rows)
-    for closure in transfer.closures(prepared, rows, orientations):
-        for i, res in zip(closure.index, spectro.evaluate_from_coefficients(closure)):
-            out[i] = {o: dataclasses.astuple(res[o]) for o in orientations}
-    return out
+    closure = transfer.close(prepared, rows, orientations)
+    return [
+        {o: dataclasses.astuple(res[o]) for o in orientations}
+        for res in spectro.evaluate_from_coefficients(closure)
+    ]
 
 
 # large enough that the dipole arguments start their j recurrences at
@@ -786,25 +881,30 @@ def test_block_cuts_follow_the_work_of_a_sweep():
     assert sweep.block_cuts(40, 1, 60, 2) == [0, 40]
     assert sweep.block_cuts(18, 1, 60, 2) == [0, 18]
     assert sweep.block_cuts(0, 0, 60, 4) == [0, 0]
-    # the default D and B grids are cut in two at 2 workers (CI compares
-    # their CSV bytes against one block), and into no more than three
+    # the default D and B grids run in-process at any worker count, where
+    # they are faster than a pool; D's 2,000-point grid (CI compares its
+    # CSV bytes against one block) is cut in two at 2 workers
     for preset in ("D", "B"):
         cfg = sweep.config_from_dict({"sphere": preset})
         n = len(sweep.resolve_grid(cfg, model.preset(preset)))
-        assert sweep.block_cuts(n, 1, 60, 1) == [0, n]
-        assert sweep.block_cuts(n, 1, 60, 2) == [0, n // 2, n]
-        assert len(sweep.block_cuts(n, 1, 60, 8)) <= 4
-    # a wavelength sweep prepares each row's wavelength, one row's work
-    # more: 135 rows fill two blocks at l_max 60, 9 at l_max 1000, and C's
+        assert sweep.block_cuts(n, 1, 60, 2) == [0, n]
+        assert sweep.block_cuts(n, 1, 60, 8) == [0, n]
+    assert sweep.block_cuts(488, 1, 60, 2) == [0, 488]
+    assert sweep.block_cuts(489, 1, 60, 2) == [0, 244, 489]
+    assert sweep.block_cuts(2000, 1, 60, 2) == [0, 1000, 2000]
+    # a wavelength sweep prepares each row's wavelength, three rows' work
+    # more: 123 rows fill two blocks at l_max 60, 8 at l_max 1000, and C's
     # 41-row 450-1050 nm sweep runs in-process
-    assert sweep.block_cuts(134, 134, 60, 2) == [0, 134]
-    assert sweep.block_cuts(135, 135, 60, 2) == [0, 67, 135]
+    assert sweep.block_cuts(122, 122, 60, 2) == [0, 122]
+    assert sweep.block_cuts(123, 123, 60, 2) == [0, 61, 123]
+    assert sweep.block_cuts(200, 200, 60, 2) == [0, 100, 200]
     assert sweep.block_cuts(41, 41, 60, 8) == [0, 41]
-    assert sweep.block_cuts(8, 8, 1000, 2) == [0, 8]
-    assert sweep.block_cuts(9, 9, 1000, 2) == [0, 4, 9]
+    assert sweep.block_cuts(7, 7, 1000, 2) == [0, 7]
+    assert sweep.block_cuts(8, 8, 1000, 2) == [0, 4, 8]
     # at l_max 4000 a few rows fill a block
-    assert sweep.block_cuts(3, 1, 4000, 2) == [0, 3]
-    assert sweep.block_cuts(4, 1, 4000, 2) == [0, 2, 4]
+    assert sweep.block_cuts(4, 1, 4000, 2) == [0, 4]
+    assert sweep.block_cuts(5, 1, 4000, 2) == [0, 2, 5]
+    assert sweep.block_cuts(8, 1, 4000, 2) == [0, 4, 8]
     assert sweep.block_cuts(60, 1, 4000, 3) == [0, 20, 40, 60]
 
 

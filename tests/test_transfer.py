@@ -49,13 +49,15 @@ def test_no_contrast_sphere_has_zero_scattered_field():
 
 
 def test_centered_dipole_is_pure_dipole_channel():
+    # at the origin only the l = 1 electric channel has a source, so every
+    # amplitude vanishes above l = 1; the weights are the per-l constants
     closure = transfer.solve_dipole_fields(
         model.preset("A"), model.DipoleSource(0.0, "radial", LAM), 40
     )
     assert closure.r.tolist() == [0.0] and closure.pol.tolist() == [0]
-    assert oracles.orders(closure).tolist() == [1]
-    for x in (closure.weight, closure.g, closure.b_out, closure.q_out):
+    for x in (closure.g, closure.b_out, closure.q_out):
         assert x.shape[-1] == 40 and np.all(x[..., 1:] == 0.0) and np.all(x[..., 0] != 0.0)
+    assert closure.q_out[0, 0, 0] == 1.0 / 3.0
 
 
 def test_centered_dipole_no_contrast_far_field_is_free_amplitude():
@@ -73,7 +75,7 @@ def test_source_jump_between_host_states():
     closure = transfer.solve_dipole_fields(sph, dip, 20)
     rho = closure.prepared.ctxs[0].k[0] * 90.0
     tab = riccati(20, rho)
-    l = oracles.orders(closure)
+    l = closure.prepared.ls
     for c, pol in enumerate(closure.pol):
         inner, outer = oracles.states(closure, c)[closure.host[0] - 1]
         d_reg = sm.collapse(sm.sub(outer[0], inner[0]))
@@ -120,7 +122,7 @@ def test_tangential_continuity_across_interfaces(seed):
     r_d = float(rng.uniform(1.05, 1.6) * sph.outer_radius_nm)
     dip = model.DipoleSource(r_d, "tangential", LAM)
     closure = transfer.solve_dipole_fields(sph, dip, 20)
-    ctx, l = closure.prepared.ctxs[0], oracles.orders(closure)
+    ctx, l = closure.prepared.ctxs[0], closure.prepared.ls
     for c, pol in enumerate(closure.pol):
         states = oracles.states(closure, c)
         for i in range(1, sph.n_regions):
