@@ -10,6 +10,7 @@ Permeability is a real constant per material (default 1); magnetic loss is
 not modeled.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -57,6 +58,9 @@ def constant_index(n, mu=1.0, name=""):
 def tabulated_index(rows, mu=1.0, name=""):
     """rows: iterable of (wavelength_nm, complex n), strictly increasing wl."""
     rows = [(float(w), complex(n)) for w, n in rows]
+    for i, (w, n) in enumerate(rows, 1):
+        if not (math.isfinite(w) and cmath.isfinite(n)):
+            raise DomainError(f"{name or 'table'}: row {i} ({w:g} nm, n = {n}) is not finite")
     if len(rows) < 2:
         raise DomainError("dispersion table needs at least two rows")
     wl = [w for w, _ in rows]

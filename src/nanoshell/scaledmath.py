@@ -2,9 +2,11 @@
 
 A scaled number is a pair ``(m, e)`` representing ``m * exp(e)`` with complex
 mantissa ``m`` and real ``e``; both are numpy arrays (or scalars and 0-d
-arrays, which broadcast), and every operation acts elementwise.  The
-multilayer recurrences run on these pairs, one array entry per angular
-momentum, so that Riccati-Bessel magnitudes, which grow roughly like
+arrays, which broadcast), and every operation acts elementwise: an entry's
+result does not depend on what shares its array, renormalization included,
+so callers stack operand pairs on a leading axis and run one operation per
+pair.  The multilayer recurrences run on these pairs, one array entry per
+angular momentum, so that Riccati-Bessel magnitudes, which grow roughly like
 (2l-1)!!, stay representable at angular momenta far beyond the
 physical-optics regime.  Scale factors cancel analytically in matched
 products, so observable quantities collapse back to ordinary doubles at the
@@ -32,12 +34,13 @@ def canonical(m, e):
     """Pull each mantissa magnitude back into a safe band; zeros get e = 0."""
     m = np.asarray(m, dtype=complex)
     a = np.abs(m)
-    # every entry inside the band, checked by its two extremes (a NaN fails)
-    if not a.size or (_least(a, axis=None) > _SMALL and _most(a, axis=None) < _BIG):
+    # every entry inside the band, checked by its extremes (a NaN is largest)
+    top = _most(a, axis=None, initial=0.0)
+    if not a.size or (top < _BIG and _least(a, axis=None) > _SMALL):
         return m, np.asarray(e, dtype=float)
-    inside = (a > _SMALL) & (a < _BIG)
-    if not np.isfinite(a).all():
+    if not np.isfinite(top):
         raise RangeError("scaled mantissa overflowed; argument out of range")
+    inside = (a > _SMALL) & (a < _BIG)
     zero = a == 0.0
     s = np.where(inside | zero, 1.0, a)
     return m / s, np.where(zero, 0.0, e + np.log(s))

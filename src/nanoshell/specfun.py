@@ -225,9 +225,9 @@ def riccati_scaled(l_max, z):
     shape = np.shape(z)
     z, (_, cosz, eiz), j, h = _families(l_max, np.reshape(z, -1))
     zz = tuple(x[..., None] for x in sm.from_complex(z))
-    psi = sm.mul(j, zz)
-    xi = sm.mul(h, zz)
-    dpsi = _derivatives(psi, z, cosz, 0)
-    dxi = _derivatives(xi, z, eiz, 0)
-    fields = (psi[0], psi[1], dpsi[0], dpsi[1], xi[0], xi[1], dxi[0], dxi[1])
+    # psi and xi stacked on a leading axis, then their derivatives
+    (psi, xi), (psi_e, xi_e) = stacked = sm.mul(tuple(np.stack(x) for x in zip(j, h)), zz)
+    d0 = tuple(np.stack(x) for x in zip(cosz, eiz))
+    (dpsi, dxi), (dpsi_e, dxi_e) = _derivatives(stacked, z, d0, 0)
+    fields = (psi, psi_e, dpsi, dpsi_e, xi, xi_e, dxi, dxi_e)
     return ScaledRiccati(l_max, z.reshape(shape), *(f.reshape(*shape, l_max + 1) for f in fields))

@@ -36,6 +36,15 @@ Each crossing keeps the (E_t, H_t) row its matching step formed at the
 interface; the net radial Poynting flux through an interface, and so a
 shell's Ohmic absorption, is read from it (:meth:`_Closure.flux`).
 
+Values a step uses in pairs are stacked on a leading axis, so that each
+scaled operation runs once per operand pair: a region's continuity entries
+at an interface in the order (e_x, h_p, h_x, e_p), whose regular column
+(e_p, h_p), outgoing column (e_x, h_x) and crossing terms (h_x, e_p) and
+(e_x, h_p) are views; each carried (regular, outgoing) pair and (E_t, H_t)
+row, the unit pairs (u1, u2, v1, v2) of :meth:`_Sweeps.pairs` and the rows
+of :meth:`_Sweeps.rows`; the sources and the amplitudes (a1, b).  Scaled
+operations are elementwise, so stacking changes no bit of a result.
+
 Azimuthal sums are folded analytically: a radial dipole drives only
 electric-type (TM) waves, a tangential dipole drives TM and TE, and each
 channel carries an m-summed scalar weight.  Amplitudes are propagated as
@@ -60,7 +69,9 @@ POLS = (TM, TE)  # order of the polarization axis
 # relative log-magnitude loss at which the 2x2 closure is declared singular
 _DEGENERACY_LOG = math.log(1e-13)
 
-_ONE = (1.0 + 0j, 0.0)
+# a region's regular and outgoing column among its (e_x, h_p, h_x, e_p)
+_REGULAR = slice(3, None, -2)
+_OUTGOING = slice(None, None, 2)
 
 # largest accepted l_max; the scaled arithmetic holds well beyond it
 L_MAX_CEILING = 4000
@@ -125,14 +136,17 @@ def layer_context(sphere, wavelength_nm):
 
 
 def _orders(t, i=...):
-    """(psi, dpsi, xi, dxi) of a scaled table as pairs over l = 1..l_max, for
-    argument i of a batched table (all arguments by default)."""
+    """(psi, dpsi, xi, dxi) over l = 1..l_max, stacked on a leading axis, of
+    argument i of a batched scaled table (all arguments by default)."""
     return (
-        (t.psi[i, 1:], t.psi_e[i, 1:]),
-        (t.dpsi[i, 1:], t.dpsi_e[i, 1:]),
-        (t.xi[i, 1:], t.xi_e[i, 1:]),
-        (t.dxi[i, 1:], t.dxi_e[i, 1:]),
+        np.stack([t.psi[i, 1:], t.dpsi[i, 1:], t.xi[i, 1:], t.dxi[i, 1:]]),
+        np.stack([t.psi_e[i, 1:], t.dpsi_e[i, 1:], t.xi_e[i, 1:], t.dxi_e[i, 1:]]),
     )
+
+
+def _part(x, k):
+    """Index or slice ``k`` along the leading axis of a scaled array."""
+    return x[0][k], x[1][k]
 
 
 def _interface_tables(ctxs, l_max, rho=()):
@@ -141,33 +155,35 @@ def _interface_tables(ctxs, l_max, rho=()):
     arrays over (psi, dpsi, xi, dxi), key and the (wavelength, l =
     1..l_max) entries, flattened wavelength-major so that the chains run on
     one-dimensional arrays; and in the same call the tables at the extra
-    arguments rho, as pairs with a leading axis over rho."""
+    arguments rho, stacked as :func:`_orders` stacks them."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
     t = riccati_scaled(l_max, np.concatenate([z, rho]))
-    m, e = (
-        np.stack([x[:len(z), 1:].reshape(len(keys), -1) for x in fields])
-        for fields in ((t.psi, t.dpsi, t.xi, t.dxi), (t.psi_e, t.dpsi_e, t.xi_e, t.dxi_e))
-    )
+    m, e = (x.reshape(4, len(keys), -1) for x in _orders(t, slice(len(z))))
     return (keys, m, e), _orders(t, slice(len(z), None))
 
 
 def _cross(state, src, dst):
-    """Carry (regular, outgoing) amplitude pairs across one interface, from
+    """Carry a (regular, outgoing) amplitude pair across one interface, from
     the region whose :meth:`Prepared.entries` there are ``src`` to the one
-    whose entries are ``dst``.
+    whose entries are ``dst``.  The unit pair (1, 0) or (0, 1) may be given
+    as the column it selects, ``_REGULAR`` or ``_OUTGOING``: that column is
+    then its row, as a generic crossing forms it, without arithmetic.
 
     Returns the pair on the far side and the (E_t, H_t) continuity row the
     pair forms at the interface; the row is the same on either side.
     """
-    c1, c2 = state
-    e_p, e_x, h_p, h_x, _ = src
-    y_e = sm.add(sm.mul(c1, e_p), sm.mul(c2, e_x))
-    y_h = sm.add(sm.mul(c1, h_p), sm.mul(c2, h_x))
-    e_p, e_x, h_p, h_x, d = dst
-    n1 = sm.div(sm.sub(sm.mul(h_x, y_e), sm.mul(e_x, y_h)), d)
-    n2 = sm.div(sm.sub(sm.mul(e_p, y_h), sm.mul(h_p, y_e)), d)
-    return (n1, n2), (y_e, y_h)
+    x, _ = src
+    if isinstance(state, slice):
+        row = _part(x, state)
+    else:  # c1 (e_p, h_p) + c2 (e_x, h_x)
+        row = sm.add(sm.mul(_part(state, 0), _part(x, _REGULAR)),
+                     sm.mul(_part(state, 1), _part(x, _OUTGOING)))
+    # (h_x y_e - e_x y_h, e_p y_h - h_p y_e) / det
+    x, d = dst
+    n = sm.sub(sm.mul(_part(x, slice(2, None)), row),
+               sm.mul(_part(x, slice(None, 2)), _part(row, slice(None, None, -1))))
+    return sm.div(n, d), row
 
 
 class _Sweeps:
@@ -177,7 +193,8 @@ class _Sweeps:
     (E_t, H_t) row each crossing forms.  A dipole hosted in region h closes
     with u and v at h; the outward rows of the interfaces below h and the
     inward rows above it carry its fields there.  Each sweep is extended on
-    first use only as far as a close needs."""
+    first use only as far as a close needs, from its unit pair given as the
+    column it selects (see :func:`_cross`)."""
 
     def __init__(self, prepared):
         n = prepared.ctxs[0].n_regions
@@ -185,29 +202,23 @@ class _Sweeps:
         # are freed as soon as it goes
         self._shape = (2, len(prepared.ctxs), prepared.l_max)  # (polarization, wavelength, l)
         entries = 2 * len(prepared.ctxs) * prepared.l_max
-        # (region, (u1, u2, v1, v2), polarization x (wavelength, l))
-        self._pairs = np.zeros((n, 4, entries), dtype=complex), np.zeros((n, 4, entries))
-        # (interface, (outward, inward), (E_t, H_t), polarization x (wavelength, l))
-        rows = (n - 1, 2, 2, entries)
+        # ((u1, u2, v1, v2), region, polarization x (wavelength, l))
+        self._pairs = np.zeros((4, n, entries), dtype=complex), np.zeros((4, n, entries))
+        self._pairs[0][0, 0] = self._pairs[0][3, n - 1] = 1.0
+        # ((E_t, H_t), interface, (outward, inward), polarization x (wavelength, l))
+        rows = (2, n - 1, 2, entries)
         self._rows = np.zeros(rows, dtype=complex), np.zeros(rows)
-        self._u, self.top = (_ONE, sm.ZERO), 1
-        self._v, self.bottom = (sm.ZERO, _ONE), n
-        self._store(self._pairs, (0, slice(0, 2)), self._u)
-        self._store(self._pairs, (n - 1, slice(2, 4)), self._v)
+        self._u, self.top = _REGULAR, 1
+        self._v, self.bottom = _OUTGOING, n
 
     @staticmethod
-    def _store(arrays, at, values):
-        """Store scaled values, each over the polarization x (wavelength, l)
-        entries or a scalar, in the consecutive slots ``at`` of the
-        (mantissa, exponent) arrays."""
-        for dest, k in zip(arrays, (0, 1)):
-            slots = dest[at]
-            for j, x in enumerate(values):
-                slots[j] = x[k].reshape(-1) if isinstance(x[k], np.ndarray) else x[k]
+    def _store(arrays, at, x):
+        """Store a stacked scaled pair at ``at`` of the scaled ``arrays``."""
+        for dest, v in zip(arrays, x):
+            dest[at] = v.reshape(2, -1)
 
     def _view(self, x):
-        """Stored values with their entries split into (polarization,
-        wavelength, l)."""
+        """Stored values, their entries split into (polarization, wavelength, l)."""
         return x.reshape(x.shape[:-1] + self._shape)
 
     def reach(self, p, lo, hi):
@@ -217,27 +228,27 @@ class _Sweeps:
             i = self.top
             self._u, row = _cross(self._u, p.entries(i, i), p.entries(i + 1, i))
             self.top = i + 1
-            self._store(self._pairs, (i, slice(0, 2)), self._u)
-            self._store(self._rows, (i - 1, 0), row)
+            self._store(self._pairs, (slice(0, 2), i), self._u)
+            self._store(self._rows, (slice(None), i - 1, 0), row)
         while self.bottom > lo:
             i = self.bottom - 1
             self._v, row = _cross(self._v, p.entries(i + 1, i), p.entries(i, i))
             self.bottom = i
-            self._store(self._pairs, (i - 1, slice(2, 4)), self._v)
-            self._store(self._rows, (i - 1, 1), row)
+            self._store(self._pairs, (slice(2, 4), i - 1), self._v)
+            self._store(self._rows, (slice(None), i - 1, 1), row)
 
     def pairs(self, host, pol, w):
-        """u1, u2, v1, v2 at host regions, polarization indices and
-        wavelength indices (broadcast together), as scaled arrays with a
-        last axis over l."""
-        m, e = (self._view(x)[host - 1, :, pol, w] for x in self._pairs)
-        return [(m[..., k, :], e[..., k, :]) for k in range(4)]
+        """(u1, u2, v1, v2) at host regions, polarization indices and
+        wavelength indices (broadcast together), stacked on a leading axis
+        as one scaled array with a last axis over l."""
+        return tuple(self._view(x)[:, host - 1, pol, w] for x in self._pairs)
 
     def rows(self, interface, inward, pol, w):
         """(E_t, H_t) of the unit pairs at one interface, of the outward or
-        the inward sweep, at polarization and wavelength indices."""
-        m, e = (self._view(x)[interface - 1, inward.astype(int), :, pol, w] for x in self._rows)
-        return (m[..., 0, :], e[..., 0, :]), (m[..., 1, :], e[..., 1, :])
+        the inward sweep, at polarization and wavelength indices, stacked on
+        a leading axis as one scaled array."""
+        k = inward.astype(int)
+        return tuple(self._view(x)[:, interface - 1, k, pol, w] for x in self._rows)
 
 
 class Prepared:
@@ -283,9 +294,10 @@ class Prepared:
         return self._scalars
 
     def entries(self, region, interface):
-        """Continuity-matrix entries of one region at one interface, TM and
-        TE stacked on a leading axis over the (wavelength, l) entries, with
-        the region's matching determinant.
+        """Continuity-matrix entries (e_x, h_p, h_x, e_p) of one region at
+        one interface, stacked on a leading axis, and the region's matching
+        determinant, with TM and TE stacked on a polarization axis over the
+        (wavelength, l) entries.
 
         Columns (regular, outgoing); rows (tangential-E, tangential-H).  For
         TM the E row carries the Riccati derivatives, for TE the functions
@@ -299,22 +311,20 @@ class Prepared:
             keys, m, e = self._tables
             inv_k, inv_mu, (det_m, det_e) = self.scalars()
             regions = [j - 1 for j, _ in keys]
-            # (e_p, e_x, h_p, h_x) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
-            rows = np.array([[1, 0], [3, 2], [0, 1], [2, 3]])
-            factor = np.stack([inv_k[regions], inv_mu[regions]])[[0, 0, 1, 1], None]
-            m, e = sm.scale((m[rows], e[rows]), factor)
+            # (e_x, h_p, h_x, e_p) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
+            rows = np.array([[3, 2], [0, 1], [2, 3], [1, 0]])
+            factor = np.stack([inv_k[regions], inv_mu[regions]], axis=1)[:, [0, 1, 1, 0], None]
+            # (key, row, polarization, (wavelength, l) entry)
+            m, e = sm.scale((m.swapaxes(0, 1)[:, rows], e.swapaxes(0, 1)[:, rows]), factor)
             self._entries = {
-                (j, i): (
-                    *((m[q, :, n], e[q, :, n]) for q in range(4)),
-                    (det_m[j - 1], det_e[j - 1]),
-                )
+                (j, i): ((m[n], e[n]), (det_m[j - 1], det_e[j - 1]))
                 for n, (j, i) in enumerate(keys)
             }
         return self._entries[region, interface]
 
     def dipole_tables(self, rho):
-        """(psi, dpsi, xi, dxi) pairs over l = 1..l_max at the dipole
-        arguments rho, one table each.  While the interface tables are still
+        """(psi, dpsi, xi, dxi), stacked as :func:`_orders` stacks them, at
+        the dipole arguments rho, one table each.  While the interface tables are still
         missing they are built in the same call."""
         if self._tables is not None:
             return _orders(riccati_scaled(self.l_max, rho))
@@ -347,7 +357,7 @@ class _Closure:
     """
 
     def __init__(self, prepared, sweeps, orientations, kinds, r, w, host,
-                 weight, g, b_out, q_out, scat, a1, b):
+                 weight, g, b_out, q_out, scat, ab):
         self.prepared = prepared
         self.sweeps = sweeps
         self.orientations = tuple(orientations)
@@ -355,7 +365,7 @@ class _Closure:
         self.r, self.w, self.host = r, w, host
         self.weight = weight  # (channel, 1, l)
         self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
-        self.a1, self.b = a1, b
+        self.a1, self.b = _part(ab, 0), _part(ab, 1)
         # each orientation's TM channel, and the TE channel with the
         # orientation it belongs to
         self.first = np.flatnonzero(kinds != 2)
@@ -375,12 +385,12 @@ class _Closure:
             f = np.zeros(self.g.shape)
             if interface > 0:
                 inward = interface >= self.host
-                y_e, y_h = self.sweeps.rows(interface, inward, self.pol[:, None], self.w)
+                rows = self.sweeps.rows(interface, inward, self.pol[:, None], self.w)
                 amp = self.b
                 if not inward.all():
                     amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(self.a1, self.b))
-                y_e, y_h = sm.mul(amp, y_e), sm.mul(amp, y_h)
-                p = sm.collapse(sm.mul((np.conj(y_e[0]), y_e[1]), y_h), "interface flux", 1)
+                m, e = sm.mul(amp, rows)
+                p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
                 f[..., :p.shape[-1]] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
             self._fluxes[interface] = f
         return self._fluxes[interface]
@@ -429,51 +439,54 @@ def _collapse_channels(pol, degenerate, named):
     sm.collapse((x[0][c], x[1][c]), context, 1)
 
 
-def _solve(pairs, s_reg, s_out):
-    """The 2x2 closure of every channel and row with the unit pairs (u1,
-    u2, v1, v2) of its host: the amplitudes a1 and b that multiply the core
-    and the ambient pair, the scattered self-coupling g and the scattered
-    outgoing amplitude, and where the closure is singular.  A singular
-    determinant u1 v2 - u2 v1 is set to one: its rows raise before any
-    result is used, and the others must not divide by zero first."""
-    u1, u2, v1, v2 = pairs
-    t1, t2 = sm.mul(u1, v2), sm.mul(u2, v1)
-    delta = sm.sub(t1, t2)
-    scale_log = np.maximum(sm.log_abs(t1), sm.log_abs(t2))
+def _solve(pairs, s):
+    """The 2x2 closure of every channel and row with the unit pairs (u1, u2,
+    v1, v2) of its host and the sources (regular, outgoing): the amplitudes
+    (a1, b) that multiply the core and the ambient pair, the scattered
+    self-coupling g and outgoing amplitude, and where the closure is
+    singular.  A singular determinant u1 v2 - u2 v1 is set to one: its rows
+    raise before any result is used, and the others must not divide by zero
+    first."""
+    t = sm.mul(_part(pairs, slice(0, 2)), _part(pairs, slice(3, 1, -1)))
+    delta = sm.sub(_part(t, 0), _part(t, 1))
+    scale_log = np.maximum(*sm.log_abs(t))
     degenerate = (delta[0] == 0) | (
         np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
     )
     if degenerate.any():
         delta = np.where(degenerate, 1.0 + 0j, delta[0]), np.where(degenerate, 0.0, delta[1])
-    a1 = sm.div(sm.add(sm.mul(v1, s_reg), sm.mul(v2, s_out)), delta)
-    b = sm.div(sm.add(sm.mul(u1, s_reg), sm.mul(u2, s_out)), delta)
-    # scattered field in the host region; these product forms are exact and
-    # avoid the cancellation in (total - primary)
-    a_s = sm.mul(v1, b)
-    b_s = sm.mul(u2, a1)
-    return a1, b, sm.add(sm.mul(a_s, s_reg), sm.mul(b_s, s_out)), b_s, degenerate
+    # (a1, b) = ((v1, u1) s_reg + (v2, u2) s_out) / delta
+    ab = sm.div(sm.add(sm.mul(_part(pairs, slice(2, None, -2)), _part(s, 0)),
+                       sm.mul(_part(pairs, slice(3, None, -2)), _part(s, 1))), delta)
+    # scattered field in the host region, (a_s, b_s) = (v1 b, u2 a1); these
+    # product forms are exact and avoid the cancellation in (total - primary)
+    scat = sm.mul(_part(pairs, slice(2, 0, -1)), _part(ab, slice(None, None, -1)))
+    g = sm.mul(scat, s)
+    return ab, sm.add(_part(g, 0), _part(g, 1)), _part(scat, 1), degenerate
 
 
 def _sources(prepared, kinds, r, w, host):
-    """Source amplitudes of every channel and row: the projections of the
-    regular and outgoing profiles onto the dipole axis, from one Riccati
+    """Source amplitudes (regular, outgoing) of every channel and row: the
+    projections of the two profiles onto the dipole axis, from one Riccati
     table per row at k r of its host and wavelength.  A row at the origin
     takes their r -> 0 limits instead (``_ORIGIN_REG``) and never reaches a
     table, which rejects a zero argument."""
-    shape = (len(kinds), len(r), prepared.l_max)
-    reg, out = ((np.zeros(shape, dtype=complex), np.zeros(shape)) for _ in range(2))
-    reg[0][:, r == 0.0, 0] = _ORIGIN_REG[kinds, None]
     off = r != 0.0
     if off.any():
         rho = prepared.k[host[off] - 1, w[off]] * r[off]
-        tables = prepared.dipole_tables(rho)
+        m, e = prepared.dipole_tables(rho)
         inv_rho = real_over(1.0, rho)[:, None]
         factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-        for x, profile in zip((reg, out), _KIND_PROFILE[kinds].T):
-            m = np.stack([tables[k][0] for k in profile])
-            e = np.stack([tables[k][1] for k in profile])
-            x[0][:, off], x[1][:, off] = sm.scale((m, e), factor)
-    return reg, out
+        profiles = _KIND_PROFILE[kinds].T
+        s = sm.scale((m[profiles], e[profiles]), factor)
+        if off.all():
+            return s
+    shape = (2, len(kinds), len(r), prepared.l_max)
+    s_all = np.zeros(shape, dtype=complex), np.zeros(shape)
+    s_all[0][0][:, ~off, 0] = _ORIGIN_REG[kinds, None]
+    if off.any():
+        s_all[0][:, :, off], s_all[1][:, :, off] = s
+    return s_all
 
 
 def close(prepared, rows, orientations):
@@ -498,21 +511,21 @@ def close(prepared, rows, orientations):
     host = _hosts(prepared, rows, orientations, r, w)
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
-    s_reg, s_out = _sources(prepared, kinds, r, w, host)
+    s = _sources(prepared, kinds, r, w, host)
     sweeps = prepared.sweeps
     sweeps.reach(prepared, host.min(), host.max())
-    a1, b, g, b_s, degenerate = _solve(sweeps.pairs(host, pol[:, None], w), s_reg, s_out)
+    ab, g, b_s, degenerate = _solve(sweeps.pairs(host, pol[:, None], w), s)
     g, b_out, q_out, scat = _collapse_channels(pol, degenerate, (
         (g, "g"),
-        (b, "ambient amplitude"),
-        (s_reg, "source amplitude"),
+        (_part(ab, 1), "ambient amplitude"),
+        (_part(s, 0), "source amplitude"),
         (b_s, "scattered amplitude"),
     ))
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
     return _Closure(prepared, sweeps, orientations, kinds, r, w, host,
-                    weight, g, b_out, q_out, scat, a1, b)
+                    weight, g, b_out, q_out, scat, ab)
 
 
 def check_l_max(l_max):

@@ -359,10 +359,15 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
     prepared = transfer.Prepared(None, [wavelength_nm], l, [ctx])
     p = transfer.POLS.index(pol)
     m = np.empty((2, 2), dtype=complex)
-    for col, unit in enumerate(((transfer._ONE, sm.ZERO), (sm.ZERO, transfer._ONE))):
+    for col, unit in enumerate(UNIT_PAIRS):
         pair, _ = transfer._cross(unit, prepared.entries(1, 1), prepared.entries(2, 1))
-        m[:, col] = [sm.collapse(c)[p, -1] for c in pair]
+        m[:, col] = sm.collapse(pair)[:, p, -1]
     return m
+
+
+# the unit (regular, outgoing) pairs (1, 0) and (0, 1), each stacked on a
+# leading axis as the solver stacks its pairs
+UNIT_PAIRS = tuple((np.array(c, dtype=complex), np.zeros(2)) for c in ((1, 0), (0, 1)))
 
 
 def states(closure, c):
@@ -373,13 +378,14 @@ def states(closure, c):
     pol, w = closure.pol[c], closure.w[0]
 
     def times(amp, pair):
-        return tuple(sm.mul((amp[0][c, 0], amp[1][c, 0]), x) for x in pair)
+        m, e = sm.mul((amp[0][c, 0], amp[1][c, 0]), pair)
+        return (m[0], e[0]), (m[1], e[1])
 
     out = []
     for j in range(1, closure.prepared.ctxs[0].n_regions + 1):
-        u1, u2, v1, v2 = sweeps.pairs(j, pol, w)
-        below = times(closure.a1, (u1, u2)) if j <= host else None
-        above = times(closure.b, (v1, v2)) if j >= host else None
+        pairs = sweeps.pairs(j, pol, w)
+        below = times(closure.a1, transfer._part(pairs, slice(0, 2))) if j <= host else None
+        above = times(closure.b, transfer._part(pairs, slice(2, 4))) if j >= host else None
         out.append((below or above, above or below))
     return tuple(out)
 

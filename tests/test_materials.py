@@ -48,6 +48,13 @@ def test_table_requires_increasing_wavelengths():
         materials.tabulated_index([(600.0, 1.0), (500.0, 1.1)])
 
 
+@pytest.mark.parametrize("row", [(600.0, complex("nan")), (600.0, complex("inf")),
+                                 (float("nan"), 1.2), (float("inf"), 1.2)])
+def test_table_rejects_non_finite_rows(row):
+    with pytest.raises(DomainError, match=r"^nk.txt: row 2 \(.*\) is not finite$"):
+        materials.tabulated_index([(500.0, 1.1), row, (700.0, 1.3)], name="nk.txt")
+
+
 def test_gain_rejected():
     with pytest.raises(DomainError):
         materials.constant_index(1.5 - 0.2j)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nanoshell import scaledmath as sm
@@ -43,3 +44,65 @@ def test_collapse_names_first_overflowing_order():
     with pytest.raises(RangeError, match=r"^g overflows double precision at order l=2$"):
         sm.collapse((m, e), "g", first_l=1)
     assert_allclose(sm.collapse((m[[0, 2]], e[[0, 2]])), [1.0, 0.0])
+
+
+# mantissas: zeros, and magnitudes well inside and well outside canonical's
+# [1e-100, 1e100] band, so that results take both of its paths
+_NONZERO = st.builds(
+    lambda p, phase: 10.0**p * np.exp(1j * phase),
+    st.floats(-150.0, 150.0),
+    st.floats(0.0, 2.0 * np.pi),
+)
+_MANTISSA = st.one_of(st.just(0j), _NONZERO)
+_EXPONENT = st.floats(-700.0, 700.0)
+
+
+@st.composite
+def _stacked(draw, n, nonzero=False):
+    """A scaled array of shape (2, n), its mantissas nonzero if asked."""
+    mantissa = _NONZERO if nonzero else _MANTISSA
+    m = draw(st.lists(mantissa, min_size=2 * n, max_size=2 * n))
+    e = draw(st.lists(_EXPONENT, min_size=2 * n, max_size=2 * n))
+    return np.array(m, dtype=complex).reshape(2, n), np.array(e).reshape(2, n)
+
+
+def _half(x, k):
+    return x[0][k], x[1][k]
+
+
+@given(data=st.data(), n=st.integers(1, 6), broadcast=st.sampled_from(["none", "0-d", "python"]))
+@settings(max_examples=80, deadline=None)
+def test_ops_on_stacked_operands_match_each_half_bit_for_bit(data, n, broadcast):
+    # every op is elementwise, renormalization included, so a result does
+    # not depend on what shares its array: one op on operands stacked along
+    # a new leading axis gives each unstacked result exactly
+    x = data.draw(_stacked(n))
+    cases = []
+    for op in (sm.mul, sm.div, sm.add, sm.sub):
+        y = data.draw(_stacked(n, nonzero=op is sm.div))
+        if broadcast == "0-d":  # one numpy scalar shared by both halves
+            y = (y[0][0, 0], y[1][0, 0])
+            halves = (y, y)
+        elif broadcast == "python":  # a plain Python scalar pair
+            y = (complex(y[0][0, 0]), float(y[1][0, 0]))
+            halves = (y, y)
+        else:
+            halves = (_half(y, 0), _half(y, 1))
+        cases.append((op, y, halves))
+    c = np.array(data.draw(st.lists(_MANTISSA, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    c_halves = (c[0], c[1]) if broadcast == "none" else (c[0, 0], c[0, 0])
+    cases.append((sm.scale, c if broadcast == "none" else c[0, 0], c_halves))
+    for op, y, halves in cases:
+        m, e = op(x, y)
+        for k in (0, 1):
+            mk, ek = op(_half(x, k), halves[k])
+            assert np.array_equal(m[k], mk) and np.array_equal(e[k], ek), (op.__name__, k)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf),
+                                 complex(np.nan, 0.0)])
+def test_canonical_rejects_a_non_finite_mantissa(bad):
+    # alone, among in-band entries and beside zeros and out-of-band entries
+    for m in ([bad], [1.0, bad, 2.0], [0.0, 1e300, bad]):
+        with pytest.raises(RangeError, match="overflowed"):
+            sm.canonical(np.array(m, dtype=complex), np.zeros(len(m)))

@@ -390,6 +390,18 @@ def _run_config(tmp_path, **overrides):
     return _run_cli("run", str(cfg_path)), out
 
 
+@pytest.mark.parametrize("bad", ["600 nan 0", "600 inf 0"])
+def test_non_finite_material_table_exits_2_before_any_row(tmp_path, bad):
+    table = tmp_path / "nk.txt"
+    table.write_text(f"400 1.5 0\n{bad}\n1100 1.5 0\n")
+    sphere = {"shells": [[150.0, {"table": str(table)}]], "ambient": "water"}
+    proc, out = _run_config(tmp_path, sphere=sphere, grid=[0.5])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {table}: row 2 (600 nm, n = "), proc.stderr
+    assert "is not finite" in proc.stderr and "while evaluating" not in proc.stderr
+    assert not out.exists()
+
+
 def test_nonfinite_wavelength_or_position_rejected_up_front(tmp_path):
     nan, inf = float("nan"), float("inf")
     bad = [

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nanoshell import materials, model, transfer
+from nanoshell import materials, model, sweep, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DegenerateSystemError, RangeError
 
 import oracles
 from oracles import riccati
+from test_golden import FIVE_REGIONS
 
 LAM = 595.0
 
@@ -38,6 +39,31 @@ def test_interface_matrix_reproduces_single_interface_reflection():
             m = oracles.interface_matrix(l, pol, 1.45, 1.33, 150.0, LAM)
             u = m @ np.array([1.0, 0.0])
             assert abs(u[1] / u[0] - ref[l]) <= 1e-10 * abs(ref[l])
+
+
+@pytest.mark.parametrize("l_max", [60, 1000])
+def test_sweeps_start_as_a_generic_crossing_of_the_unit_pairs(l_max):
+    # each sweep starts without arithmetic: its first row is the core's own
+    # regular column, or the ambient's own outgoing column.  A generic
+    # crossing of the explicit unit pairs (1, 0) outward and (0, 1) inward
+    # forms the same pair and (E_t, H_t) row, bit for bit
+    spheres = [model.preset(name) for name in "ABCDEF"] + [sweep.sphere_from_spec(FIVE_REGIONS)]
+    pol, w = np.array([[0], [1]]), np.array([0, 1])
+    for sph in spheres:
+        n = sph.n_regions
+        prepared = transfer.prepare(sph, [LAM, 850.0], l_max)
+        prepared.sweeps.reach(prepared, 1, n)
+        # (unit pair, source and destination regions, interface)
+        for k, (src, dst, i) in enumerate(((1, 2, 1), (n, n - 1, n - 1))):
+            unit = oracles.UNIT_PAIRS[k]
+            want = transfer._cross(unit, prepared.entries(src, i), prepared.entries(dst, i))
+            got = (
+                transfer._part(prepared.sweeps.pairs(dst, pol, w), slice(2 * k, 2 * k + 2)),
+                prepared.sweeps.rows(i, np.array([k == 1] * 2), pol, w),
+            )
+            for g, x in zip(got, want):
+                for g_part, x_part in zip(g, x):
+                    assert np.array_equal(g_part, x_part.reshape(g_part.shape)), (sph, k)
 
 
 def test_no_contrast_sphere_has_zero_scattered_field():
