@@ -8,9 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 benchmark failures, 2 config/geometry error,
 3 material-range error, 4 numerical error.
+
+The argument parser is built once per process, on the first call of main.
 """
 
 import argparse
+import functools
 import sys
 
 from . import benchmarks, model, sweep
@@ -39,6 +42,7 @@ def _exit_code(exc):
     return EXIT_CONFIG
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="nanoshell",

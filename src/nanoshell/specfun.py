@@ -41,6 +41,8 @@ _CHECK_EVERY = 4
 _MIN_ABS_Z = 1e-8
 _MAX_START_ORDER = 10**5
 
+_most, _least = np.maximum.reduce, np.minimum.reduce
+
 
 @dataclass(frozen=True)
 class ScaledRiccati:
@@ -63,6 +65,7 @@ class ScaledRiccati:
 
 
 def _validate(l_max, z):
+    """The argument as a complex array and the start order of its j recurrence."""
     if not isinstance(l_max, (int, np.integer)) or l_max < 1:
         raise DomainError(f"l_max must be an integer >= 1, got {l_max!r}")
     z = np.asarray(z, dtype=complex)
@@ -70,13 +73,14 @@ def _validate(l_max, z):
     small = a[a < _MIN_ABS_Z]
     if small.size:
         raise DomainError(f"argument too close to zero: |z| = {small[0]:.3e}")
-    large = a[~(_start_order(l_max, a) <= _MAX_START_ORDER)]
+    start = _start_order(l_max, a)
+    large = a[~(start <= _MAX_START_ORDER)]
     if large.size:
         raise DomainError(
             f"argument too large: |z| = {large[0]:.3e} needs Riccati orders beyond "
             f"{_MAX_START_ORDER}"
         )
-    return z
+    return z, start.astype(int)
 
 
 def _trig_seeds(z):
@@ -101,19 +105,18 @@ def _start_order(l_max, a):
     return np.maximum(l_max, np.ceil(a)) + pad
 
 
-def _j_scaled(l_max, z, seeds):
-    """Scaled j_l via downward recurrence, closed-form normalized.
+def _j_scaled(l_max, z, seeds, l_start, c):
+    """Scaled j_l via downward recurrence, closed-form normalized, on the
+    ratios c = (2l + 1)/z.
 
-    Each argument starts at its own order, above both l_max and the turning
-    point l ~ |z|; the pad grows like |z|^(1/3) so the admixture of the
-    upward-dominant solution is suppressed below 1e-12 even deep in the
-    oscillatory regime.  Until its start order an argument's recurrence
+    Each argument starts at its own order ``l_start``, above both l_max and
+    the turning point l ~ |z|; the pad grows like |z|^(1/3) so the admixture
+    of the upward-dominant solution is suppressed below 1e-12 even deep in
+    the oscillatory regime.  Until its start order an argument's recurrence
     holds zeros, and renormalization is per argument at fixed orders, so no
     entry depends on the other arguments of the call.
     """
-    l_start = _start_order(l_max, np.abs(z)).astype(int)
     starts = {int(l): l_start == l for l in np.unique(l_start)}
-    c = _ratios(int(l_start.max()), z)
     f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
     f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
     mant = [None] * (l_max + 1)
@@ -126,7 +129,7 @@ def _j_scaled(l_max, z, seeds):
         f, f_hi = c[l] * f - f_hi, f
         if l % _CHECK_EVERY == 0:
             a = np.abs(f)
-            if a.max() > _RENORM:
+            if _most(a, axis=None) > _RENORM:
                 (f, f_hi), lg = _renormalize(a > _RENORM, a, f, f_hi)
                 logs[..., :l] += lg[..., None]  # orders already stored keep theirs
     mant[0] = f
@@ -144,11 +147,10 @@ def _j_scaled(l_max, z, seeds):
     return sm.mul((mant, logs), (norm[0][..., None], norm[1][..., None]))
 
 
-def _upward_scaled(l_max, z, f0, f1):
-    """Scaled upward recurrence from two scaled seeds (for h1_l)."""
+def _upward_scaled(l_max, z, f0, f1, c):
+    """Scaled upward recurrence (for h1_l) from two scaled seeds on ratios c."""
     m_prev, e_prev = f0
     m, e = f1
-    c = _ratios(l_max - 1, z)
     mant = [m_prev, m]
     logs = np.empty(z.shape + (l_max + 1,))
     logs[..., 0] = e_prev
@@ -159,7 +161,7 @@ def _upward_scaled(l_max, z, f0, f1):
         m, m_prev = c[l] * m - m_prev, m
         if l % _CHECK_EVERY == 0:
             a = np.abs(m)
-            if a.max() > _RENORM or a.min() < 1.0 / _RENORM:
+            if _most(a, axis=None) > _RENORM or _least(a, axis=None) < 1.0 / _RENORM:
                 out = (a > _RENORM) | ((a != 0.0) & (a < 1.0 / _RENORM))
                 (m, m_prev), lg = _renormalize(out, a, m, m_prev)
                 logs[..., l + 1:] += lg[..., None]
@@ -188,12 +190,12 @@ def real_over(a, z):
     return np.where(wide, x, y) + 1j * np.where(wide, -y, -x)
 
 
-def _h1_scaled(l_max, z, seeds):
+def _h1_scaled(l_max, z, seeds, c):
     _, _, eiz = seeds
     zz = sm.from_complex(z)
     h0 = sm.scale(sm.div(eiz, zz), -1j)
-    h1 = sm.scale(h0, real_over(1.0, z) - 1j)
-    return _upward_scaled(l_max, z, h0, h1)
+    h1 = sm.scale(h0, c[0] - 1j)  # c[0] = 1/z
+    return _upward_scaled(l_max, z, h0, h1, c)
 
 
 def _derivatives(f, z, d0, c):
@@ -207,10 +209,12 @@ def _derivatives(f, z, d0, c):
 
 
 def _families(l_max, z):
-    """Validated argument, its trig seeds and the scaled j and h1 tables."""
-    z = _validate(l_max, z)
+    """Validated argument, its trig seeds and the scaled j and h1 tables,
+    both recurrences reading one table of ratios (2l + 1)/z."""
+    z, l_start = _validate(l_max, z)
     seeds = _trig_seeds(z)
-    return z, seeds, _j_scaled(l_max, z, seeds), _h1_scaled(l_max, z, seeds)
+    c = _ratios(int(l_start.max()), z)
+    return z, seeds, _j_scaled(l_max, z, seeds, l_start, c), _h1_scaled(l_max, z, seeds, c)
 
 
 def riccati_scaled(l_max, z):

@@ -170,8 +170,9 @@ def ohmic_rate_per_l(closure):
     Altenkirch & Menguc, Appl. Opt. 29, 1551 (1990)): with the solver's own
     continuity rows, eps'' int |E|^2 over the shell between interfaces j-1
     and j is flux(j-1) - flux(j) per channel (see
-    :meth:`transfer._Closure.flux`), and the region's k, mu and eps''
-    cancel.
+    :meth:`transfer._Closure.fluxes`), and the region's k, mu and eps''
+    cancel.  The fluxes of every interface an absorbing shell touches are
+    formed together, in one pass.
     """
     shells = closure.prepared.absorbing[closure.w, :-1]
     rows = np.arange(len(closure.host))
@@ -179,8 +180,11 @@ def ohmic_rate_per_l(closure):
     if (inside & (closure.host <= shells.shape[1])).any():
         raise DomainError("dipole inside an absorbing shell")
     per_l = np.zeros((len(closure.orientations),) + closure.g.shape[1:])
-    for j in np.flatnonzero(shells.any(axis=0)) + 1:
-        d = closure.weight * (closure.flux(j - 1) - closure.flux(j))
+    absorbing = np.flatnonzero(shells.any(axis=0)) + 1
+    touched = np.union1d(absorbing - 1, absorbing)
+    flux = dict(zip(touched.tolist(), closure.fluxes(touched)))
+    for j in absorbing:
+        d = closure.weight * (flux[j - 1] - flux[j])
         if not shells[:, j - 1].all():
             d = np.where(shells[:, j - 1, None], d, 0.0)
         _add_channels(closure, per_l, d)

@@ -167,6 +167,10 @@ def config_from_dict(raw):
     for key in ("out", "plot_dir"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string or null, got {raw[key]!r}")
+    out = raw.get("out")
+    out_dir = os.path.dirname(out or "") or "."
+    if fmt == "csv" and out and (os.path.isdir(out) or not os.path.isdir(out_dir)):
+        raise ConfigError(f"out must be a file path in an existing directory, got {out!r}")
     return SweepConfig(
         sphere_spec=raw["sphere"],
         sweep=sweep,
@@ -177,7 +181,7 @@ def config_from_dict(raw):
         wavelengths_nm=tuple(float(w) for w in wavelengths),
         l_max=l_max,
         interface_margin=float(margin),
-        out=raw.get("out"),
+        out=out,
         format=fmt,
         plot_dir=raw.get("plot_dir"),
         workers=int(workers),

@@ -34,7 +34,9 @@ closure of one dipole, from a prepare and a close of its own.
 
 Each crossing keeps the (E_t, H_t) row its matching step formed at the
 interface; the net radial Poynting flux through an interface, and so a
-shell's Ohmic absorption, is read from it (:meth:`_Closure.flux`).
+shell's Ohmic absorption, is read from it, the fluxes of every interface
+asked for in one pass over (interface, channel, row, l) arrays
+(:meth:`_Closure.fluxes`).
 
 Values a step uses in pairs are stacked on a leading axis, so that each
 scaled operation runs once per operand pair: a region's continuity entries
@@ -372,28 +374,33 @@ class _Closure:
         te = np.flatnonzero(kinds == 2)
         self.te = int(te[0]) if te.size else None
         self.tangential = None if self.te is None else self.orientations.index(model.TANGENTIAL)
-        self._fluxes = {}
+
+    def fluxes(self, interfaces):
+        """Net outward radial power flux through each of the ``interfaces``
+        (ascending) per channel, row and order, s Im(conj(E_t) H_t) with s =
+        +1 for TE and -1 for TM, up to a factor common to every channel, as
+        an (interface, channel, row, l) array formed in one pass; an
+        overflow names the first interface in order.  Interface 0 is the
+        origin, where the flux vanishes; a source-free shell between
+        interfaces i-1 and i absorbs flux(i-1) - flux(i) (Poynting's
+        theorem)."""
+        f = np.zeros((len(interfaces),) + self.g.shape)
+        at = np.flatnonzero(interfaces)
+        if at.size:
+            i = np.asarray(interfaces)[at, None, None]
+            inward = i >= self.host
+            rows = self.sweeps.rows(i, inward, self.pol[:, None], self.w)
+            amp = self.b
+            if not inward.all():
+                amp = tuple(np.where(inward[..., None], y, x) for x, y in zip(self.a1, self.b))
+            m, e = sm.mul(amp, rows)
+            p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
+            f[at] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
+        return f
 
     def flux(self, interface):
-        """Net outward radial power flux through one interface per channel,
-        row and order, s Im(conj(E_t) H_t) with s = +1 for TE and -1 for TM,
-        up to a factor common to every channel.  Interface 0 is the origin,
-        where the flux vanishes; a source-free shell between interfaces i-1
-        and i absorbs flux(i-1) - flux(i) (Poynting's theorem).  Formed once
-        per interface for every channel and row."""
-        if interface not in self._fluxes:
-            f = np.zeros(self.g.shape)
-            if interface > 0:
-                inward = interface >= self.host
-                rows = self.sweeps.rows(interface, inward, self.pol[:, None], self.w)
-                amp = self.b
-                if not inward.all():
-                    amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(self.a1, self.b))
-                m, e = sm.mul(amp, rows)
-                p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
-                f[..., :p.shape[-1]] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
-            self._fluxes[interface] = f
-        return self._fluxes[interface]
+        """The flux through one interface; see :meth:`fluxes`."""
+        return self.fluxes([interface])[0]
 
 
 def _hosts(prepared, rows, orientations, r, w):
@@ -420,13 +427,13 @@ def _hosts(prepared, rows, orientations, r, w):
 
 
 def _collapse_channels(pol, degenerate, named):
-    """Collapse each named scaled (channel, row, l) array.  On failure, what
-    a close channel by channel would raise first is raised: for the first
-    failing channel, its first singular order, else its first overflowing
-    quantity in the order named, each at its first order."""
+    """Collapse the named scaled (channel, row, l) arrays in one pass.  On
+    failure, what a close channel by channel would raise first is raised:
+    for the first failing channel, its first singular order, else its first
+    overflowing quantity in the order named, each at its first order."""
     if not degenerate.any():
         try:
-            return [sm.collapse(x) for x, _ in named]
+            return sm.collapse(tuple(np.stack(x) for x in zip(*(x for x, _ in named))))
         except RangeError:
             pass
     over = [sm.log_abs(x) > sm.LOG_HUGE for x, _ in named]

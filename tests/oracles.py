@@ -9,8 +9,9 @@
   each absorbing shell, the volume-integral route the engine's boundary
   closed form replaces.
 * Views the engine does not need: the plain 2x2 matrix of one interface,
-  the per-region amplitude pairs of a channel of a closure, and the
-  non-retarded image-limit shift.
+  the per-region amplitude pairs of a channel of a closure, the flux
+  through one interface formed alone, and the non-retarded image-limit
+  shift.
 * Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
   :func:`riccati`) collapsed from the engine's own scaled j and h1
   recurrences, with y assembled as -i (h1 - j); they raise RangeError
@@ -388,6 +389,22 @@ def states(closure, c):
         above = times(closure.b, transfer._part(pairs, slice(2, 4))) if j >= host else None
         out.append((below or above, above or below))
     return tuple(out)
+
+
+def interface_flux(closure, interface):
+    """Net outward radial flux through one interface per channel, row and
+    order, formed for that interface alone: the one-interface form of
+    :meth:`transfer._Closure.fluxes`, with interface 0 (the origin) zero."""
+    if interface == 0:
+        return np.zeros(closure.g.shape)
+    inward = interface >= closure.host
+    rows = closure.sweeps.rows(interface, inward, closure.pol[:, None], closure.w)
+    amp = closure.b
+    if not inward.all():
+        amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(closure.a1, closure.b))
+    m, e = sm.mul(amp, rows)
+    p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
+    return np.where(closure.pol[:, None, None] == 1, p.imag, -p.imag)
 
 
 def quasistatic_shift(eps1, eps2, k2_rs, kd_rd, orientation):

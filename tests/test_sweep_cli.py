@@ -286,11 +286,17 @@ def test_convergence_report_slow_near_interface():
 # --- command-line surface ---------------------------------------------------
 
 
-def _run_cli(*args):
+def _run_cli(*args, cwd=None):
+    """`nanoshell` in a fresh interpreter, importing this nanoshell from
+    any working directory."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "nanoshell.cli", *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -334,6 +340,59 @@ def test_cli_preset_rejects_a_non_numeric_grid_value(tmp_path):
     assert proc.stderr.startswith("error:") and "'abc'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def _unusable_outputs(tmp_path):
+    """An output path in a missing directory, and a directory as the path."""
+    return [str(tmp_path / "missing" / "x.csv"), str(tmp_path)]
+
+
+def test_cli_preset_rejects_an_unusable_output_path_before_any_row(tmp_path):
+    for out in _unusable_outputs(tmp_path):
+        proc = _run_cli("preset", "D", "--grid", "0.5", "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and repr(out) in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_run_rejects_an_unusable_output_path_before_any_row(tmp_path):
+    for out in _unusable_outputs(tmp_path):
+        proc, _ = _run_config(tmp_path, grid=[0.5], out=out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and repr(out) in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
+    # in one process every call after the first reuses the first call's
+    # parser; mixed calls, a usage error among them, each give the exit
+    # code, output and files of the same argv in a fresh process
+    calls = [
+        ["preset", "D", "--l-max", "8", "--grid", "0.3,1.2", "--orientations", "tangential",
+         "--out", "a.csv"],
+        ["preset", "D"],
+        ["converge", "C", "--r", "1.2", "--orientation", "tangential", "--l-max", "20"],
+        ["preset", "D", "--l-max", "abc", "--out", "b.csv"],
+        ["preset", "C", "--grid", "1.2", "--out", "c.csv"],
+    ]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    monkeypatch.chdir(reused)
+    for argv in calls:
+        proc = _run_cli(*argv, cwd=fresh)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
+    assert cli._build_parser() is cli._build_parser()
+    names = sorted(os.listdir(fresh))
+    assert names == sorted(os.listdir(reused)) == ["a.csv", "c.csv", "results.csv"]
+    for name in names:
+        assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
 
 
 def test_cli_run_config_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -187,6 +188,38 @@ def test_interface_flux_conserved_through_lossless_shells():
                             bad = np.abs(absorbed) > 1e-10 * scale
                         key = (name, lam, orientation, np.flatnonzero(bad) + 1, pol, j)
                         assert not bad.any(), key
+
+
+def _lossless_host_rows(prepared):
+    """(r_nm, wavelength) midway through every host region that is lossless
+    at each wavelength of a prepare, the ambient at 1.3 r_s."""
+    radii = (0.0, *prepared.sphere.radii, 1.6 * prepared.sphere.outer_radius_nm)
+    return [
+        (0.5 * (radii[j] + radii[j + 1]), wl)
+        for wl, ctx in zip(prepared.wavelengths, prepared.ctxs)
+        for j in range(ctx.n_regions)
+        if not ctx.host_absorbs[j]
+    ]
+
+
+@pytest.mark.parametrize("l_max", [60, 1000])
+def test_fluxes_in_one_pass_match_each_interface_alone(l_max):
+    # one pass over every interface gives each interface's flux bit for bit
+    # as a pass over that interface alone, and the origin's flux is zero;
+    # with rows in every lossless host, and with the first of them alone,
+    # whose interfaces then all lie on one side of its host
+    spheres = [model.preset(name) for name in "ABCDEF"] + [sweep.sphere_from_spec(FIVE_REGIONS)]
+    for sph, first in itertools.product(spheres, (False, True)):
+        prepared = transfer.prepare(sph, [LAM, 850.0], l_max)
+        rows = _lossless_host_rows(prepared)[:1 if first else None]
+        closure = transfer.close(prepared, rows, model.ORIENTATIONS)
+        interfaces = list(range(sph.n_regions))
+        fluxes = closure.fluxes(interfaces)
+        assert not fluxes[0].any() and not closure.flux(0).any()
+        for i in interfaces:
+            want = oracles.interface_flux(closure, i)
+            assert fluxes[i].tobytes() == want.tobytes(), (sph, i)
+            assert closure.flux(i).tobytes() == want.tobytes(), (sph, i)
 
 
 def test_homogeneous_sphere_matches_closed_form():
