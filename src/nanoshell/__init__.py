@@ -9,9 +9,14 @@ Quick start::
     dipole = model.DipoleSource(40.0, "radial", 595.0)
     result = spectro.evaluate(sphere, dipole)
     print(result.wt_norm, result.fluorescence_yield)
+
+``nanoshell.benchmarks``, the paper's benchmark table, is imported on first
+access, so a process that never reads it does not pay for building it.
 """
 
-from . import benchmarks, materials, model, spectro, specfun, sweep, transfer
+import importlib
+
+from . import materials, model, spectro, specfun, sweep, transfer
 from .errors import (
     ConfigError,
     DegenerateSystemError,
@@ -49,3 +54,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # import_module, not `from . import benchmarks`: that looks the name up
+    # on this package first, which calls back into this hook
+    if name == "benchmarks":
+        return importlib.import_module(".benchmarks", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

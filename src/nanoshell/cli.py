@@ -10,13 +10,15 @@ Exit codes: 0 success, 1 benchmark failures, 2 config/geometry error,
 3 material-range error, 4 numerical error.
 
 The argument parser is built once per process, on the first call of main.
+The benchmark table is imported only by ``regress``, so the other commands
+never load it.
 """
 
 import argparse
 import functools
 import sys
 
-from . import benchmarks, model, sweep
+from . import model, sweep
 from .errors import (
     ConfigError,
     DegenerateSystemError,
@@ -124,6 +126,8 @@ def _cmd_preset(args):
 
 
 def _cmd_regress():
+    from . import benchmarks
+
     results = benchmarks.run()
     for line in benchmarks.format_results(results):
         print(line)

@@ -116,7 +116,8 @@ def _j_scaled(l_max, z, seeds, l_start, c):
     holds zeros, and renormalization is per argument at fixed orders, so no
     entry depends on the other arguments of the call.
     """
-    starts = {int(l): l_start == l for l in np.unique(l_start)}
+    # a plain set, not np.unique: numpy's set routines import numpy.ma
+    starts = {l: l_start == l for l in set(l_start.ravel().tolist())}
     f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
     f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
     mant = [None] * (l_max + 1)

@@ -181,8 +181,9 @@ def ohmic_rate_per_l(closure):
         raise DomainError("dipole inside an absorbing shell")
     per_l = np.zeros((len(closure.orientations),) + closure.g.shape[1:])
     absorbing = np.flatnonzero(shells.any(axis=0)) + 1
-    touched = np.union1d(absorbing - 1, absorbing)
-    flux = dict(zip(touched.tolist(), closure.fluxes(touched)))
+    # ascending; not np.union1d, which imports numpy.ma
+    touched = sorted({*(absorbing - 1).tolist(), *absorbing.tolist()})
+    flux = dict(zip(touched, closure.fluxes(touched)))
     for j in absorbing:
         d = closure.weight * (flux[j - 1] - flux[j])
         if not shells[:, j - 1].all():

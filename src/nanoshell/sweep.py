@@ -5,7 +5,8 @@ no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
 row and ``PREPARE_ROWS`` times that per prepared wavelength, so a
 wavelength sweep splits at about a quarter of the rows of a radial one.  A sweep
 too small for two such blocks runs in-process on the sphere it already
-built.
+built, and a process that runs only such sweeps never imports the pool
+machinery (``concurrent.futures``, ``multiprocessing``).
 Each block (a process-pool task when there are several) builds the sphere
 and evaluates its rows in runs of up to ``spectro.batch_size(l_max)``
 distinct wavelengths: one prepare over a run's wavelengths, then all its
@@ -21,7 +22,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,12 +165,20 @@ def config_from_dict(raw):
     if fmt not in ("csv", "plot"):
         raise ConfigError(f"format must be 'csv' or 'plot', got {fmt!r}")
     for key in ("out", "plot_dir"):
-        if not isinstance(raw.get(key), (str, type(None))):
-            raise ConfigError(f"{key} must be a path string or null, got {raw[key]!r}")
+        path = raw.get(key)
+        if not isinstance(path, (str, type(None))) or "\0" in (path or ""):
+            raise ConfigError(f"{key} must be a path string or null, got {path!r}")
     out = raw.get("out")
     out_dir = os.path.dirname(out or "") or "."
     if fmt == "csv" and out and (os.path.isdir(out) or not os.path.isdir(out_dir)):
         raise ConfigError(f"out must be a file path in an existing directory, got {out!r}")
+    plot_dir = raw.get("plot_dir")
+    plot_out = out if fmt == "plot" and not plot_dir else None  # see write_outputs
+    for key, path in (("plot_dir", plot_dir), ("out", plot_out)):
+        if path and not _makeable_dir(path):
+            raise ConfigError(
+                f"{key} must be a directory or a path that can become one, got {path!r}"
+            )
     return SweepConfig(
         sphere_spec=raw["sphere"],
         sweep=sweep,
@@ -183,9 +191,19 @@ def config_from_dict(raw):
         interface_margin=float(margin),
         out=out,
         format=fmt,
-        plot_dir=raw.get("plot_dir"),
+        plot_dir=plot_dir,
         workers=int(workers),
     )
+
+
+def _makeable_dir(path):
+    """Whether ``os.makedirs(path, exist_ok=True)`` can find or make a
+    directory there: its nearest existing ancestor, ``path`` itself
+    included, must be one."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    return os.path.isdir(probe)
 
 
 def _require_finite(name, *values, lo=None, strict=False):
@@ -434,6 +452,15 @@ def _block_task(args):
     return _evaluate_block(sphere_from_spec(sphere_spec), rows, orientations, l_max)
 
 
+def _start_pool(n_workers):
+    """A process pool of ``n_workers``.  The pool machinery is imported here,
+    on the first pooled sweep of a process: it costs a fresh process about
+    30 ms, which a sweep that runs in-process never pays."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers)
+
+
 def block_cuts(n_rows, n_prepares, l_max, workers):
     """Row indices [0, ..., n_rows] that cut a sweep into contiguous blocks
     of near-equal size: at most ``workers`` of them, and no more than one
@@ -456,7 +483,7 @@ def _run_points(cfg, sphere, points):
             (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)
             for lo, hi in zip(cuts, cuts[1:])
         ]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        with _start_pool(len(tasks)) as pool:
             evaluated = [res for block in pool.map(_block_task, tasks) for res in block]
     else:
         evaluated = _evaluate_block(sphere, rows, orientations, cfg.l_max)

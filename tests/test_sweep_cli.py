@@ -9,7 +9,6 @@ import pathlib
 import subprocess
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,13 +124,13 @@ def test_csv_format():
 def _record_pools(monkeypatch):
     """Record the worker count of every process pool a sweep starts."""
     pools = []
+    start = sweep._start_pool
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording_pool(n_workers):
+        pools.append(n_workers)
+        return start(n_workers)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep, "_start_pool", recording_pool)
     return pools
 
 
@@ -286,18 +285,80 @@ def test_convergence_report_slow_near_interface():
 # --- command-line surface ---------------------------------------------------
 
 
-def _run_cli(*args, cwd=None):
-    """`nanoshell` in a fresh interpreter, importing this nanoshell from
-    any working directory."""
+def _run_python(*args, cwd=None):
+    """A fresh interpreter that imports this nanoshell from any working
+    directory, with the test's own PYTHONPATH after it."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "nanoshell.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_cli(*args, cwd=None):
+    """`nanoshell` in a fresh interpreter."""
+    return _run_python("-m", "nanoshell.cli", *args, cwd=cwd)
+
+
+# a `run` of a sweep that runs in-process needs neither the pool machinery,
+# nor numpy.ma, which numpy's set routines (np.unique, np.union1d) import,
+# nor the benchmark table, which only `regress` reads
+UNUSED_BY_RUN = ("numpy.ma", "concurrent.futures.process", "multiprocessing",
+                 "nanoshell.benchmarks")
+
+# numpy is imported first: what it loads by itself (numpy 1.x imports
+# numpy.ma) is not the package's to avoid
+_RUN_AND_LIST_NEW_MODULES = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from nanoshell import cli
+code = cli.main(["run", sys.argv[1]])
+print(json.dumps({"code": code,
+                  "loaded": [m for m in sys.argv[2:] if m in sys.modules and m not in before]}))
+"""
+
+
+def test_a_run_imports_neither_pool_nor_numpy_ma_nor_benchmark_table(tmp_path):
+    # one row outside preset A's gold shells, so the Ohmic step runs too
+    out = tmp_path / "a.csv"
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps(
+        {"sphere": "A", "grid": [1.3], "orientations": ["radial"], "out": str(out)}
+    ))
+    proc = _run_python("-c", _RUN_AND_LIST_NEW_MODULES, str(cfg), *UNUSED_BY_RUN, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+    assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import nanoshell; "
+        "assert 'nanoshell.benchmarks' not in sys.modules; "
+        "n = len(nanoshell.benchmarks.ENTRIES)",
+        "from nanoshell import benchmarks; n = len(benchmarks.ENTRIES)",
+    ],
+)
+def test_benchmark_table_loads_on_first_access(tmp_path, statement):
+    from nanoshell import benchmarks
+
+    proc = _run_python("-c", f"import sys; {statement}; print(n)", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(benchmarks.ENTRIES) > 0
+
+
+def test_cli_regress_runs_the_benchmark_table(tmp_path):
+    # six entries fail by design (README "Benchmark table"), so exit 1
+    proc = _run_cli("regress", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("benchmark entries passed")
+    assert proc.stderr == ""
 
 
 def test_cli_preset_writes_csv(tmp_path):
@@ -363,6 +424,43 @@ def test_cli_run_rejects_an_unusable_output_path_before_any_row(tmp_path):
         assert proc.stderr.startswith("error: ") and repr(out) in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def _unusable_plot_dirs(tmp_path):
+    """An existing file as the plot directory, and a path under that file."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    return [str(afile), str(afile / "plots")]
+
+
+def _rejected_before_any_row(proc, key, path):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {key} ") and repr(path) in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+
+
+def test_cli_preset_rejects_an_unusable_plot_dir_before_any_row(tmp_path):
+    out = tmp_path / "pd.csv"
+    for plot_dir in _unusable_plot_dirs(tmp_path):
+        proc = _run_cli("preset", "D", "--grid", "0.5", "--out", str(out), "--plot-dir", plot_dir)
+        _rejected_before_any_row(proc, "plot_dir", plot_dir)
+    assert os.listdir(tmp_path) == ["afile"]
+
+
+def test_cli_run_rejects_an_unusable_plot_dir_before_any_row(tmp_path):
+    for path in _unusable_plot_dirs(tmp_path):
+        proc, _ = _run_config(tmp_path, grid=[0.5], plot_dir=path)
+        _rejected_before_any_row(proc, "plot_dir", path)
+        # format "plot" writes its files to `out` when there is no plot_dir
+        proc, _ = _run_config(tmp_path, grid=[0.5], format="plot", out=path)
+        _rejected_before_any_row(proc, "out", path)
+    assert sorted(os.listdir(tmp_path)) == ["afile", "cfg.json"]
+    # a missing directory, however deep, is made on write; with a plot_dir,
+    # a plot-format `out` is not written and not checked
+    deep = str(tmp_path / "new" / "plots")
+    assert _cfg(plot_dir=deep).plot_dir == deep
+    assert _cfg(format="plot", out=deep).out == deep
+    assert _cfg(format="plot", out=str(tmp_path / "afile"), plot_dir=deep).plot_dir == deep
 
 
 def test_cli_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
@@ -630,6 +728,8 @@ def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
         ("grid", {"linspace": [0.0, 1.0, 10**12]}),
         ("out", 5),
         ("plot_dir", 3),
+        ("out", "a\0.csv"),
+        ("plot_dir", "a\0b"),
         ("sphere", {"shells": 5}),
         ("sphere", {"shells": [[150.0, {"n": "1.45"}]]}),
     ],
