@@ -728,10 +728,10 @@ def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
         ("grid", {"linspace": [0.0, 1.0, 10**12]}),
         ("out", 5),
         ("plot_dir", 3),
-        ("out", "a\0.csv"),
-        ("plot_dir", "a\0b"),
         ("sphere", {"shells": 5}),
         ("sphere", {"shells": [[150.0, {"n": "1.45"}]]}),
+        ("out", "a\0.csv"),
+        ("plot_dir", "a\0b"),
     ],
 )
 def test_config_values_must_have_exact_types(key, bad):
