@@ -84,8 +84,9 @@ def _build_parser():
     return p
 
 
-def _cmd_run(args):
-    cfg = sweep.load_config(args.config)
+def _run_and_write(cfg):
+    """Run a sweep, then write its files, or its CSV to stdout when the
+    config names none."""
     table = sweep.run_sweep(cfg)
     if cfg.out or cfg.plot_dir:
         sweep.write_outputs(table, cfg)
@@ -93,6 +94,10 @@ def _cmd_run(args):
     else:
         sys.stdout.write(table.to_csv())
     return 0
+
+
+def _cmd_run(args):
+    return _run_and_write(sweep.load_config(args.config))
 
 
 def _grid_point(token):
@@ -106,7 +111,7 @@ def _cmd_preset(args):
     grid = args.grid
     if grid != "default":
         grid = [_grid_point(v) for v in grid.split(",") if v.strip()]
-    cfg = sweep.config_from_dict(
+    return _run_and_write(sweep.config_from_dict(
         {
             "sphere": args.name,
             "sweep": "radial",
@@ -118,11 +123,7 @@ def _cmd_preset(args):
             "workers": args.workers,
             "plot_dir": args.plot_dir,
         }
-    )
-    table = sweep.run_radial_sweep(cfg)
-    sweep.write_outputs(table, cfg)
-    print(f"wrote {len(table.rows)} rows to {cfg.out}")
-    return 0
+    ))
 
 
 def _cmd_regress():

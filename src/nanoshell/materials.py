@@ -6,8 +6,8 @@ finite-feature-size damping term to a bulk base model.
 
 Time convention: fields go like exp(-i omega t), so passive absorption means
 Im(eps) >= 0 and outgoing waves use the first-kind Hankel functions.
-Permeability is a real constant per material (default 1); magnetic loss is
-not modeled.
+Permeability is a positive real constant per material (default 1); magnetic
+loss is not modeled.
 """
 
 import cmath
@@ -46,6 +46,12 @@ class Material:
     feature_size: float = 0.0  # m
     mu: float = 1.0
     name: str = ""
+
+    def __post_init__(self):
+        # mu ** 1.5 enters the rates: mu = 0 divides by zero, mu < 0 makes
+        # them complex
+        if not self.mu > 0:
+            raise DomainError(f"permeability must be positive, got mu = {self.mu!r}")
 
 
 def constant_index(n, mu=1.0, name=""):
@@ -101,18 +107,27 @@ def drude_size_corrected_material(base, feature_size_m, plasma_frequency=None,
 
 def load_index_table(path, mu=1.0, name=""):
     """Read a dispersion table: `wavelength_nm  n_real  n_imag` per row,
-    `#` comments allowed."""
+    `#` comments allowed.  A file that cannot be read, or a row that is not
+    three numbers, raises DomainError naming the path (and line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"cannot read material table {path}: {reason}") from None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{line_no}: expected 3 columns, got {len(parts)}")
+    for line_no, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise DomainError(f"{path}:{line_no}: expected 3 columns, got {len(parts)}")
+        try:
             w, nr, ni = (float(p) for p in parts)
-            rows.append((w, complex(nr, ni)))
+        except ValueError:
+            raise DomainError(f"{path}:{line_no}: expected 3 numbers, got {body!r}") from None
+        rows.append((w, complex(nr, ni)))
     return tabulated_index(rows, mu=mu, name=name or str(path))
 
 

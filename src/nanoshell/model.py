@@ -142,33 +142,42 @@ class DipoleSource:
             raise DomainError("wavelength must be positive")
 
 
-def index_absorbs(n):
-    """Whether a medium of complex refractive index n absorbs, which rules
-    it out as an emitter host."""
-    return abs(n.imag) > 1e-9 * max(1.0, abs(n))
+def absorbs(eps):
+    """Whether a medium of complex permittivity eps (a number or an array)
+    absorbs; it is then an Ohmic shell, and no emitter host."""
+    return eps.imag > 1e-12
 
 
-def region_absorbs(sphere, region, wavelength_nm):
-    """Whether a region's medium absorbs at the wavelength (see
-    :func:`index_absorbs`)."""
-    return index_absorbs(materials.refractive_index(sphere.region_material(region), wavelength_nm))
+def no_host(eps):
+    """Whether a medium of complex permittivity eps (a number or an array)
+    cannot host an emitter: it absorbs, or it is lossless with Re eps <= 0
+    and carries no propagating wave.  Either way the rate in the unbounded
+    medium, which normalizes every output, is undefined there."""
+    return absorbs(eps) | (eps.real <= 0)
+
+
+def region_no_host(sphere, region, wavelength_nm):
+    """Whether a region cannot host an emitter at the wavelength (see
+    :func:`no_host`)."""
+    return no_host(materials.permittivity(sphere.region_material(region), wavelength_nm))
 
 
 def validate_dipole(sphere, dipole):
-    """Host region of the dipole; rejects interface hits and absorbing hosts.
+    """Host region of the dipole; rejects interface hits and hosts that
+    absorb or carry no propagating wave.
 
     The normalization (free-space rate in the medium at the dipole position)
-    only makes sense in a lossless host, so emitters inside absorbing shells
-    are rejected.
+    only makes sense in a lossless host with Re eps > 0, so emitters
+    elsewhere are rejected.
     """
     if dipole.radial_position_nm == 0.0:
         region = 1
     else:
         region = locate_region(sphere, dipole.radial_position_nm)
-    if region_absorbs(sphere, region, dipole.wavelength_nm):
+    if region_no_host(sphere, region, dipole.wavelength_nm):
         raise GeometryError(
-            f"dipole host region {region} is absorbing at {dipole.wavelength_nm} nm; "
-            "rate normalization is undefined there"
+            f"dipole host region {region} is absorbing, or lossless with Re eps <= 0, "
+            f"at {dipole.wavelength_nm} nm; rate normalization is undefined there"
         )
     return region
 
@@ -206,7 +215,7 @@ def interface_margin_nm(sphere, r_nm, absorbing_only=False, wavelength_nm=None):
         if absorbing_only:
             eps_in = materials.permittivity(sphere.region_material(i + 1), wavelength_nm)
             eps_out = materials.permittivity(sphere.region_material(i + 2), wavelength_nm)
-            if eps_in.imag < 1e-12 and eps_out.imag < 1e-12:
+            if not (absorbs(eps_in) or absorbs(eps_out)):
                 continue
         best = min(best, abs(r_nm - R))
     return best

@@ -46,22 +46,16 @@ _most, _least = np.maximum.reduce, np.minimum.reduce
 
 @dataclass(frozen=True)
 class ScaledRiccati:
-    """Riccati functions as (mantissa, log) arrays over l = 0..order_max.
+    """Riccati functions in scaled form over l = 0..order_max.
 
-    value = m[l] * exp(e[l]); psi/dpsi/xi/dxi each carry their own exponent
-    array.  This is the working representation of the interface solver.
+    ``table`` is one (mantissa, log) pair, value = m * exp(e), each array
+    stacking (psi, dpsi, xi, dxi) on a leading axis before the argument's
+    shape and l.  This is the working representation of the interface
+    solver.
     """
 
     order_max: int
-    argument: complex
-    psi: np.ndarray
-    psi_e: np.ndarray
-    dpsi: np.ndarray
-    dpsi_e: np.ndarray
-    xi: np.ndarray
-    xi_e: np.ndarray
-    dxi: np.ndarray
-    dxi_e: np.ndarray
+    table: tuple
 
 
 def _validate(l_max, z):
@@ -221,18 +215,20 @@ def _families(l_max, z):
 def riccati_scaled(l_max, z):
     """psi/xi tables in scaled form; the interface solver's working fuel.
 
-    ``z`` is one argument or an array of them; every field then has the
-    argument's shape plus a last axis over l = 0..l_max, and each argument's
-    entries are the same whatever else shares the call.  A scalar argument
-    runs as a one-element array: numpy's scalar arithmetic rounds some
-    complex products differently from its array loops.
+    ``z`` is one argument or an array of them; each array of the table then
+    has the (psi, dpsi, xi, dxi) axis, the argument's shape and a last axis
+    over l = 0..l_max, and each argument's entries are the same whatever
+    else shares the call.  A scalar argument runs as a one-element array:
+    numpy's scalar arithmetic rounds some complex products differently from
+    its array loops.
     """
     shape = np.shape(z)
     z, (_, cosz, eiz), j, h = _families(l_max, np.reshape(z, -1))
     zz = tuple(x[..., None] for x in sm.from_complex(z))
     # psi and xi stacked on a leading axis, then their derivatives
-    (psi, xi), (psi_e, xi_e) = stacked = sm.mul(tuple(np.stack(x) for x in zip(j, h)), zz)
+    stacked = sm.mul(tuple(np.stack(x) for x in zip(j, h)), zz)
     d0 = tuple(np.stack(x) for x in zip(cosz, eiz))
-    (dpsi, dxi), (dpsi_e, dxi_e) = _derivatives(stacked, z, d0, 0)
-    fields = (psi, psi_e, dpsi, dpsi_e, xi, xi_e, dxi, dxi_e)
-    return ScaledRiccati(l_max, z.reshape(shape), *(f.reshape(*shape, l_max + 1) for f in fields))
+    derived = _derivatives(stacked, z, d0, 0)
+    # interleaved into (psi, dpsi, xi, dxi)
+    table = tuple(np.stack(x, axis=1).reshape(4, *shape, l_max + 1) for x in zip(stacked, derived))
+    return ScaledRiccati(l_max, table)

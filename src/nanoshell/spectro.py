@@ -175,10 +175,6 @@ def ohmic_rate_per_l(closure):
     formed together, in one pass.
     """
     shells = closure.prepared.absorbing[closure.w, :-1]
-    rows = np.arange(len(closure.host))
-    inside = shells[rows, np.minimum(closure.host, shells.shape[1]) - 1]
-    if (inside & (closure.host <= shells.shape[1])).any():
-        raise DomainError("dipole inside an absorbing shell")
     per_l = np.zeros((len(closure.orientations),) + closure.g.shape[1:])
     absorbing = np.flatnonzero(shells.any(axis=0)) + 1
     # ascending; not np.union1d, which imports numpy.ma

@@ -3,16 +3,18 @@
 Rows are split into at most ``workers`` contiguous blocks in declared order,
 no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
 row and ``PREPARE_ROWS`` times that per prepared wavelength, so a
-wavelength sweep splits at about a quarter of the rows of a radial one.  A sweep
-too small for two such blocks runs in-process on the sphere it already
-built, and a process that runs only such sweeps never imports the pool
-machinery (``concurrent.futures``, ``multiprocessing``).
-Each block (a process-pool task when there are several) builds the sphere
-and evaluates its rows in runs of up to ``spectro.batch_size(l_max)``
-distinct wavelengths: one prepare over a run's wavelengths, then all its
-rows closed against it.  A row's result does not depend on its block or on
-the wavelengths prepared with it, and rows are written in declared order,
-so output bytes are identical across runs and across worker counts.
+wavelength sweep splits at about a quarter of the rows of a radial one.  A
+sweep too small for two such blocks runs in-process, and a process that
+runs only such sweeps never imports the pool machinery
+(``concurrent.futures``, ``multiprocessing``).
+The sphere is built once per sweep, when its config is read: building it is
+the check of the ``sphere`` entry.  Every block (a process-pool task when
+there are several) receives that sphere and evaluates its rows in runs of
+up to ``spectro.batch_size(l_max)`` distinct wavelengths: one prepare over a
+run's wavelengths, then all its rows closed against it.  A row's result
+does not depend on its block or on the wavelengths prepared with it, and
+rows are written in declared order, so output bytes are identical across
+runs and across worker counts.
 Output is only written once the whole sweep has succeeded; a failure names
 the first failing row.
 """
@@ -77,7 +79,7 @@ PREPARE_ROWS = 3
 
 @dataclass(frozen=True)
 class SweepConfig:
-    sphere_spec: object  # preset name or {"shells": ..., "ambient": ...}
+    sphere: model.StratifiedSphere
     sweep: str = "radial"
     wavelength_nm: float = 595.0
     grid: object = "default"
@@ -112,7 +114,8 @@ _CONFIG_KEYS = {
 
 
 def config_from_dict(raw):
-    """Validate a JSON-shaped dict; unknown keys are errors."""
+    """Validate a JSON-shaped dict and build its sphere; unknown keys are
+    errors."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -123,7 +126,7 @@ def config_from_dict(raw):
         raise ConfigError(f"sweep must be 'radial' or 'wavelength', got {sweep!r}")
     if "sphere" not in raw:
         raise ConfigError("config needs a 'sphere' entry (preset name or shell spec)")
-    _check_sphere_spec(raw["sphere"])
+    sphere = sphere_from_spec(raw["sphere"])
     orientations = raw.get("orientations")
     if orientations is None:
         single = raw.get("orientation")
@@ -180,7 +183,7 @@ def config_from_dict(raw):
                 f"{key} must be a directory or a path that can become one, got {path!r}"
             )
     return SweepConfig(
-        sphere_spec=raw["sphere"],
+        sphere=sphere,
         sweep=sweep,
         wavelength_nm=float(wavelength_nm),
         grid=grid,
@@ -233,39 +236,6 @@ def _check_linspace(spec):
         )
 
 
-def _check_sphere_spec(spec):
-    """A preset name, or {"shells": [[radius_nm, material], ...], "ambient":
-    material} with materials as :func:`_material_from_spec` reads them;
-    anything else is a ConfigError before any sphere is built."""
-    if isinstance(spec, str):
-        return
-    shells = spec.get("shells") if isinstance(spec, dict) else None
-    if not isinstance(shells, (list, tuple)) or not all(
-        isinstance(shell, (list, tuple)) and len(shell) == 2 for shell in shells
-    ):
-        raise ConfigError(
-            f"sphere must be a preset name or {{'shells': [[radius_nm, material], ...]}}, "
-            f"got {spec!r}"
-        )
-    for radius, material in shells:
-        _require_finite("sphere shell radius", radius)
-        _check_material_spec(material)
-    _check_material_spec(spec.get("ambient", "water"))
-
-
-def _check_material_spec(spec):
-    if isinstance(spec, dict) and ("n" in spec or "table" in spec):
-        if "mu" in spec:
-            _require_finite("sphere material mu", spec["mu"])
-        n = spec.get("n", 0.0)
-        parts = n if isinstance(n, (list, tuple)) and len(n) == 2 else [n]
-        _require_finite("sphere material n", *parts)
-        if not isinstance(spec.get("table", ""), str):
-            raise ConfigError(f"sphere material table must be a path string, got {spec!r}")
-    elif not isinstance(spec, str):
-        raise ConfigError(f"cannot interpret sphere material spec {spec!r}")
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -276,31 +246,50 @@ def load_config(path):
 
 
 def _material_from_spec(spec):
+    """A material: a name, or {"n": n or [re, im]} or {"table": path}, each
+    with an optional "mu"; a relative table path is read from
+    $NANOSHELL_MATERIAL_DIR when that is set."""
     if isinstance(spec, str):
         return materials.material_by_name(spec)
-    if isinstance(spec, dict):
-        mu = float(spec.get("mu", 1.0))
-        if "n" in spec:
-            n = spec["n"]
-            n = complex(n[0], n[1]) if isinstance(n, (list, tuple)) else complex(n)
-            return materials.constant_index(n, mu=mu)
-        if "table" in spec:
-            path = spec["table"]
-            base = os.environ.get("NANOSHELL_MATERIAL_DIR")
-            if base and not os.path.isabs(path):
-                path = os.path.join(base, path)
-            return materials.load_index_table(path, mu=mu)
-    raise ConfigError(f"cannot interpret material spec {spec!r}")
+    if not (isinstance(spec, dict) and ("n" in spec or "table" in spec)):
+        raise ConfigError(f"cannot interpret sphere material spec {spec!r}")
+    mu = spec.get("mu", 1.0)
+    _require_finite("sphere material mu", mu)
+    n = spec.get("n", 0.0)
+    parts = n if isinstance(n, (list, tuple)) and len(n) == 2 else [n]
+    _require_finite("sphere material n", *parts)
+    path = spec.get("table", "")
+    if not isinstance(path, str):
+        raise ConfigError(f"sphere material table must be a path string, got {spec!r}")
+    if "n" in spec:
+        return materials.constant_index(complex(*parts), mu=mu)
+    base = os.environ.get("NANOSHELL_MATERIAL_DIR")
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    return materials.load_index_table(path, mu=mu)
 
 
 def sphere_from_spec(spec):
+    """The sphere of a preset name, or of {"shells": [[radius_nm, material],
+    ...], "ambient": material} with materials as :func:`_material_from_spec`
+    reads them.  Building it is its check: a malformed entry is a
+    ConfigError, and a bad radius, material or table the error its build
+    raises."""
     if isinstance(spec, str):
         return model.preset(spec)
-    if isinstance(spec, dict) and "shells" in spec:
-        shells = [(r, _material_from_spec(m)) for r, m in spec["shells"]]
-        ambient = _material_from_spec(spec.get("ambient", "water"))
-        return model.build_sphere(shells, ambient)
-    raise ConfigError(f"cannot interpret sphere spec {spec!r}")
+    shells = spec.get("shells") if isinstance(spec, dict) else None
+    if not isinstance(shells, (list, tuple)) or not all(
+        isinstance(shell, (list, tuple)) and len(shell) == 2 for shell in shells
+    ):
+        raise ConfigError(
+            f"sphere must be a preset name or {{'shells': [[radius_nm, material], ...]}}, "
+            f"got {spec!r}"
+        )
+    built = []
+    for radius, material in shells:
+        _require_finite("sphere shell radius", radius)
+        built.append((radius, _material_from_spec(material)))
+    return model.build_sphere(built, _material_from_spec(spec.get("ambient", "water")))
 
 
 def _nudge(vals, sphere, margin):
@@ -323,17 +312,18 @@ def default_grid(sphere, n_points=DEFAULT_GRID_POINTS, r_max=DEFAULT_GRID_MAX,
 
 
 def _lossless_hosts(vals, sphere, wavelength_nm):
-    """Drop the points of an implicit grid whose host region absorbs at the
-    sweep wavelength (no emitter rate is defined there); report the count."""
+    """Drop the points of an implicit grid whose host region cannot host an
+    emitter at the sweep wavelength (see :func:`model.no_host`); report the
+    count."""
     rs = sphere.outer_radius_nm
     kept = [
         g for g in vals
-        if not model.region_absorbs(sphere, model.locate_region(sphere, g * rs), wavelength_nm)
+        if not model.region_no_host(sphere, model.locate_region(sphere, g * rs), wavelength_nm)
     ]
     if len(kept) < len(vals):
         print(
             f"note: skipped {len(vals) - len(kept)} of {len(vals)} grid points whose "
-            f"host region absorbs at {wavelength_nm:g} nm",
+            f"host region is absorbing, or lossless with Re eps <= 0, at {wavelength_nm:g} nm",
             file=sys.stderr,
         )
     return kept
@@ -445,13 +435,6 @@ def _evaluate_block(sphere, rows, orientations, l_max):
     return out
 
 
-# module-level so that a block pickles cleanly into a process pool; the
-# worker builds its own sphere and prepares for itself
-def _block_task(args):
-    sphere_spec, rows, orientations, l_max = args
-    return _evaluate_block(sphere_from_spec(sphere_spec), rows, orientations, l_max)
-
-
 def _start_pool(n_workers):
     """A process pool of ``n_workers``.  The pool machinery is imported here,
     on the first pooled sweep of a process: it costs a fresh process about
@@ -471,53 +454,35 @@ def block_cuts(n_rows, n_prepares, l_max, workers):
     return [n_rows * b // n_blocks for b in range(n_blocks + 1)]
 
 
-def _run_points(cfg, sphere, points):
-    """points: list of (r_over_rs, r_nm, wavelength) evaluated in order, in
-    the contiguous blocks of :func:`block_cuts`."""
+def run_sweep(cfg):
+    """One row per (point, orientation), ordered by point then orientation.
+    The points of a radial sweep are its grid at ``wavelength_nm``, those of
+    a wavelength sweep its wavelengths at ``r_over_rs``; they are evaluated
+    in order, in the contiguous blocks of :func:`block_cuts`."""
+    sphere = cfg.sphere
+    rs = sphere.outer_radius_nm
+    if cfg.sweep == "radial":
+        points = [(g, g * rs, cfg.wavelength_nm) for g in resolve_grid(cfg, sphere)]
+    else:
+        points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
     cuts = block_cuts(len(rows), len({wl for _, wl in rows}), cfg.l_max, cfg.workers)
     if len(cuts) > 2:
-        tasks = [
-            (cfg.sphere_spec, rows[lo:hi], orientations, cfg.l_max)
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
-        with _start_pool(len(tasks)) as pool:
-            evaluated = [res for block in pool.map(_block_task, tasks) for res in block]
+        n = len(cuts) - 1
+        blocks = [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with _start_pool(n) as pool:
+            done = pool.map(_evaluate_block, [sphere] * n, blocks, [orientations] * n,
+                            [cfg.l_max] * n)
+            evaluated = [res for block in done for res in block]
     else:
         evaluated = _evaluate_block(sphere, rows, orientations, cfg.l_max)
-    out = []
+    table = ResultTable(config=cfg)
     for (r_rs, _, wl), res in zip(points, evaluated):
         for orientation in cfg.orientations:
-            out.append(ResultRow(r_rs, wl, orientation, res[orientation]))
-    return out
-
-
-def run_radial_sweep(cfg):
-    """One row per (r/r_s, orientation), ordered by radius then orientation."""
-    sphere = sphere_from_spec(cfg.sphere_spec)
-    grid = resolve_grid(cfg, sphere)
-    rs = sphere.outer_radius_nm
-    points = [(g, g * rs, cfg.wavelength_nm) for g in grid]
-    table = ResultTable(config=cfg)
-    table.rows = _run_points(cfg, sphere, points)
+            table.rows.append(ResultRow(r_rs, wl, orientation, res[orientation]))
     return table
-
-
-def run_wavelength_sweep(cfg):
-    """One row per wavelength at a fixed radius and orientation set."""
-    sphere = sphere_from_spec(cfg.sphere_spec)
-    rs = sphere.outer_radius_nm
-    r_nm = cfg.r_over_rs * rs
-    points = [(cfg.r_over_rs, r_nm, wl) for wl in cfg.wavelengths_nm]
-    table = ResultTable(config=cfg)
-    table.rows = _run_points(cfg, sphere, points)
-    return table
-
-
-def run_sweep(cfg):
-    return run_radial_sweep(cfg) if cfg.sweep == "radial" else run_wavelength_sweep(cfg)
 
 
 def write_outputs(table, cfg):

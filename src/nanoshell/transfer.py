@@ -104,7 +104,6 @@ class LayerContext:
     absorbing: tuple
     k0: float  # vacuum wavenumber [1/nm]
     wavelength_nm: float
-    host_absorbs: tuple = ()  # per region: no emitter host (model.index_absorbs)
 
     @property
     def n_regions(self):
@@ -113,7 +112,7 @@ class LayerContext:
 
 def layer_context(sphere, wavelength_nm):
     k0 = 2.0 * math.pi / wavelength_nm
-    ks, mus, epss, absorbing, host_absorbs = [], [], [], [], []
+    ks, mus, epss, absorbing = [], [], [], []
     for j in range(1, sphere.n_regions + 1):
         mat = sphere.region_material(j)
         n = materials.refractive_index(mat, wavelength_nm)
@@ -121,8 +120,7 @@ def layer_context(sphere, wavelength_nm):
         ks.append(k0 * n)
         mus.append(mat.mu)
         epss.append(eps)
-        absorbing.append(eps.imag > 1e-12)
-        host_absorbs.append(model.index_absorbs(n))
+        absorbing.append(model.absorbs(eps))
     if absorbing[-1]:
         raise GeometryError("ambient medium must be lossless at the queried wavelength")
     return LayerContext(
@@ -133,16 +131,6 @@ def layer_context(sphere, wavelength_nm):
         absorbing=tuple(absorbing),
         k0=k0,
         wavelength_nm=wavelength_nm,
-        host_absorbs=tuple(host_absorbs),
-    )
-
-
-def _orders(t, i=...):
-    """(psi, dpsi, xi, dxi) over l = 1..l_max, stacked on a leading axis, of
-    argument i of a batched scaled table (all arguments by default)."""
-    return (
-        np.stack([t.psi[i, 1:], t.dpsi[i, 1:], t.xi[i, 1:], t.dxi[i, 1:]]),
-        np.stack([t.psi_e[i, 1:], t.dpsi_e[i, 1:], t.xi_e[i, 1:], t.dxi_e[i, 1:]]),
     )
 
 
@@ -156,13 +144,13 @@ def _interface_tables(ctxs, l_max, rho=()):
     wavelength: the (region, interface) keys, and (mantissa, exponent)
     arrays over (psi, dpsi, xi, dxi), key and the (wavelength, l =
     1..l_max) entries, flattened wavelength-major so that the chains run on
-    one-dimensional arrays; and in the same call the tables at the extra
-    arguments rho, stacked as :func:`_orders` stacks them."""
+    one-dimensional arrays; and in the same call the (psi, dpsi, xi, dxi)
+    tables over l = 1..l_max at the extra arguments rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
-    t = riccati_scaled(l_max, np.concatenate([z, rho]))
-    m, e = (x.reshape(4, len(keys), -1) for x in _orders(t, slice(len(z))))
-    return (keys, m, e), _orders(t, slice(len(z), None))
+    t = riccati_scaled(l_max, np.concatenate([z, rho])).table
+    m, e = (x[:, :len(z), 1:].reshape(4, len(keys), -1) for x in t)
+    return (keys, m, e), tuple(x[:, len(z):, 1:] for x in t)
 
 
 def _cross(state, src, dst):
@@ -325,11 +313,11 @@ class Prepared:
         return self._entries[region, interface]
 
     def dipole_tables(self, rho):
-        """(psi, dpsi, xi, dxi), stacked as :func:`_orders` stacks them, at
-        the dipole arguments rho, one table each.  While the interface tables are still
-        missing they are built in the same call."""
+        """(psi, dpsi, xi, dxi) over l = 1..l_max, stacked on a leading
+        axis, at the dipole arguments rho, one table each.  While the
+        interface tables are still missing they are built in the same call."""
         if self._tables is not None:
-            return _orders(riccati_scaled(self.l_max, rho))
+            return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 
@@ -415,9 +403,8 @@ def _hosts(prepared, rows, orientations, r, w):
     host = np.where(r == 0.0, 1, np.searchsorted(radii, np.where(finite, r, 0.0), "right") + 1)
     tol = model.INTERFACE_TOL * sphere.outer_radius_nm
     on_interface = (r != 0.0) & (np.abs(r[:, None] - radii) <= tol).any(axis=1)
-    host_absorbs = np.array([c.host_absorbs for c in prepared.ctxs])
     bad = (
-        ~finite | (r < 0.0) | on_interface | host_absorbs[w, host - 1]
+        ~finite | (r < 0.0) | on_interface | model.no_host(prepared.eps[host - 1, w])
         | ~(np.isfinite(wavelengths) & (wavelengths > 0.0))[w]
     )
     if bad.any() or not set(orientations) <= set(model.ORIENTATIONS):

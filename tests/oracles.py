@@ -217,14 +217,9 @@ def _radial_profiles(p, tab):
     """Radial profile f and its argument-derivative, per argument of a
     batched Riccati table (rows) and per order of the channel (columns)."""
     l = p["l"]
-    f = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.psi[:, l], tab.psi_e[:, l],
-        p["c2m"], p["c2e"], tab.xi[:, l], tab.xi_e[:, l],
-    )
-    fd = _scaled_field_sum(
-        p["c1m"], p["c1e"], tab.dpsi[:, l], tab.dpsi_e[:, l],
-        p["c2m"], p["c2e"], tab.dxi[:, l], tab.dxi_e[:, l],
-    )
+    m, e = (x[..., l] for x in tab.table)  # (psi, dpsi, xi, dxi) stacked
+    f = _scaled_field_sum(p["c1m"], p["c1e"], m[0], e[0], p["c2m"], p["c2e"], m[2], e[2])
+    fd = _scaled_field_sum(p["c1m"], p["c1e"], m[1], e[1], p["c2m"], p["c2e"], m[3], e[3])
     return f, fd
 
 

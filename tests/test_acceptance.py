@@ -323,6 +323,6 @@ def test_criterion_12_deterministic_output():
     texts = []
     for workers in (1, 1, 2, 3):
         cfg = sweep.config_from_dict({**base_cfg, "workers": workers})
-        texts.append(sweep.run_radial_sweep(cfg).to_csv().encode())
+        texts.append(sweep.run_sweep(cfg).to_csv().encode())
     ok = all(t == texts[0] for t in texts)
     _finish(12, "byte-identical CSV across runs and worker counts", ok)

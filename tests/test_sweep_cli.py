@@ -78,7 +78,7 @@ def test_explicit_grid_margin_violation():
 
 def test_radial_sweep_reference_rows():
     cfg = _cfg(orientations=["radial", "tangential"])
-    table = sweep.run_radial_sweep(cfg)
+    table = sweep.run_sweep(cfg)
     assert len(table.rows) == 2 * len(D_GRID)
     by_key = {(round(r.r_over_rs, 6), r.orientation): r.result for r in table.rows}
     assert by_key[(1.860746, "tangential")].wt_norm == pytest.approx(1.00414, rel=5e-4)
@@ -92,7 +92,7 @@ def test_center_rows_match_for_both_orientations():
     cfg = sweep.config_from_dict(
         {"sphere": "A", "grid": [0.0], "orientations": ["radial", "tangential"]}
     )
-    table = sweep.run_radial_sweep(cfg)
+    table = sweep.run_sweep(cfg)
     wt = [r.result.wt_norm for r in table.rows]
     assert wt[0] == pytest.approx(wt[1], rel=1e-12)
     assert wt[0] == pytest.approx(0.8751, rel=5e-3)
@@ -100,7 +100,7 @@ def test_center_rows_match_for_both_orientations():
 
 def test_empty_grid_gives_empty_table():
     cfg = _cfg(grid=[])
-    table = sweep.run_radial_sweep(cfg)
+    table = sweep.run_sweep(cfg)
     assert table.rows == []
     csv = table.to_csv()
     assert csv.splitlines() == [",".join(sweep.CSV_COLUMNS)]
@@ -108,7 +108,7 @@ def test_empty_grid_gives_empty_table():
 
 def test_csv_format():
     cfg = _cfg(grid=[0.0, 1.2], orientations=["radial"])
-    csv = sweep.run_radial_sweep(cfg).to_csv()
+    csv = sweep.run_sweep(cfg).to_csv()
     lines = csv.splitlines()
     assert lines[0] == (
         "r_over_rs,wavelength_nm,orientation,shift_norm,wt_norm,wrad_norm,"
@@ -146,8 +146,8 @@ def test_csv_determinism_across_runs_and_workers(monkeypatch):
         grid=[0.0, 0.3, 1.25, 1.9],
         orientations=["radial", "tangential", "average"],
     )
-    base = sweep.run_radial_sweep(cfg).to_csv()
-    again = sweep.run_radial_sweep(cfg).to_csv()
+    base = sweep.run_sweep(cfg).to_csv()
+    again = sweep.run_sweep(cfg).to_csv()
     assert again == base
     # 2 and 3 workers cut the 4 rows into that many pool blocks
     pools = _one_block_per_entry(monkeypatch)
@@ -160,7 +160,7 @@ def test_csv_determinism_across_runs_and_workers(monkeypatch):
                 "workers": workers,
             }
         )
-        assert sweep.run_radial_sweep(cfg_w).to_csv() == base
+        assert sweep.run_sweep(cfg_w).to_csv() == base
     assert pools == [2, 3]
 
 
@@ -174,11 +174,11 @@ def test_wavelength_sweep_consistent_with_radial():
             "orientation": "radial",
         }
     )
-    wrow = sweep.run_wavelength_sweep(wcfg).rows[0]
+    wrow = sweep.run_sweep(wcfg).rows[0]
     rcfg = sweep.config_from_dict(
         {"sphere": "A", "grid": [1.2], "orientations": ["radial"]}
     )
-    rrow = sweep.run_radial_sweep(rcfg).rows[0]
+    rrow = sweep.run_sweep(rcfg).rows[0]
     assert wrow.result == rrow.result
 
 
@@ -192,7 +192,7 @@ def test_wavelength_sweep_lossless_yield_is_unity():
             "orientation": "tangential",
         }
     )
-    for row in sweep.run_wavelength_sweep(cfg).rows:
+    for row in sweep.run_sweep(cfg).rows:
         assert row.result.fluorescence_yield == pytest.approx(1.0, abs=1e-7)
 
 
@@ -206,7 +206,7 @@ def test_wavelength_sweep_broad_band_variation():
             "orientation": "radial",
         }
     )
-    rows = sweep.run_wavelength_sweep(cfg).rows
+    rows = sweep.run_sweep(cfg).rows
     wts = [r.result.wt_norm for r in rows]
     assert max(wts) / min(wts) > 2.0
     # engine values frozen after the first validated run
@@ -225,7 +225,7 @@ def test_wavelength_outside_table_raises_material_error():
         }
     )
     with pytest.raises(MaterialRangeError):
-        sweep.run_wavelength_sweep(cfg)
+        sweep.run_sweep(cfg)
 
 
 def test_material_dir_env_resolution(tmp_path, monkeypatch):
@@ -240,7 +240,7 @@ def test_material_dir_env_resolution(tmp_path, monkeypatch):
 def test_plot_format_routes_out_to_directory(tmp_path):
     cfg = _cfg(grid=[0.5], orientations=["radial"], format="plot",
                out=str(tmp_path / "curves"))
-    table = sweep.run_radial_sweep(cfg)
+    table = sweep.run_sweep(cfg)
     sweep.write_outputs(table, cfg)
     assert (tmp_path / "curves" / "shift_radial.dat").exists()
     assert not (tmp_path / "curves.tmp").exists()
@@ -248,7 +248,7 @@ def test_plot_format_routes_out_to_directory(tmp_path):
 
 def test_plot_files(tmp_path):
     cfg = _cfg(grid=[0.5, 1.5], orientations=["radial"], plot_dir=str(tmp_path / "plots"))
-    table = sweep.run_radial_sweep(cfg)
+    table = sweep.run_sweep(cfg)
     sweep.write_plot_files(table, cfg.plot_dir)
     path = tmp_path / "plots" / "wt_radial.dat"
     lines = path.read_text().splitlines()
@@ -559,6 +559,57 @@ def test_non_finite_material_table_exits_2_before_any_row(tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "bad cell"])
+def test_unreadable_material_table_exits_2_before_any_row(tmp_path, kind):
+    # the sphere is built when the config is read, so a table that cannot be
+    # read stops the run there, on one error line that names it
+    table = tmp_path / "nk.txt"
+    if kind == "directory":
+        table.mkdir()
+    elif kind == "bad cell":
+        table.write_text("400 1.5 0\n700 1.5 x\n1100 1.5 0\n")
+    sphere = {"shells": [[150.0, {"table": str(table)}]], "ambient": "water"}
+    with pytest.raises(DomainError):
+        sweep.config_from_dict({"sphere": sphere, "grid": [1.5]})
+    proc, out = _run_config(tmp_path, sphere=sphere, grid=[1.5])
+    assert proc.returncode == 2, proc.stderr
+    want = f"error: {table}:2: " if kind == "bad cell" else f"error: cannot read material table {table}: "
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(want), proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mu", [0, -1])
+def test_non_positive_permeability_exits_2_before_any_row(tmp_path, mu):
+    # mu = 0 divided by zero in the rates, and mu < 0 made them complex
+    sphere = {"shells": [[150.0, {"n": 1.5, "mu": mu}]], "ambient": "water"}
+    proc, out = _run_config(tmp_path, sphere=sphere, grid=[1.5])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: permeability must be positive, got mu = {float(mu)!r}\n"
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_weakly_absorbing_core_hosts_no_emitter(tmp_path):
+    # Im n = 1e-11 makes Im eps = 3e-11: the core is an absorbing shell for
+    # the Ohmic rate, and so no emitter host.  The default grid skips it and
+    # an explicit point in it stops the run before any row
+    sphere = {"shells": [[100.0, {"n": [1.5, 1e-11]}], [120.0, "gold"]]}
+    proc, out = _run_config(tmp_path, sphere=sphere, grid="default", orientations=["radial"])
+    assert proc.returncode == 0, proc.stderr
+    radii = [float(line.split(",")[0]) * 120.0 for line in out.read_text().splitlines()[1:]]
+    assert radii and min(radii) > 100.0
+    out.unlink()
+    proc, out = _run_config(tmp_path, sphere=sphere, grid=[0.3])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: dipole host region 1 "), proc.stderr
+    assert "while evaluating" not in proc.stderr and not out.exists()
+    # a lossless core with Re eps < 0 carries no wave and hosts none either
+    lossless_metal = {"shells": [[100.0, {"n": [0.0, 2.0]}], [120.0, "silica"]]}
+    cfg = _cfg(sphere=lossless_metal, grid=[0.3])
+    with pytest.raises(GeometryError, match="host region 1 "):
+        sweep.resolve_grid(cfg, cfg.sphere)
+
+
 def test_nonfinite_wavelength_or_position_rejected_up_front(tmp_path):
     nan, inf = float("nan"), float("inf")
     bad = [
@@ -815,7 +866,7 @@ def _raw_configs(draw):
 @given(raw=st.one_of(_raw_configs(), _JSON))
 @settings(max_examples=200, deadline=None)
 def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
-    # only validates: no sphere is built and no row runs, whatever l_max or
+    # validates and builds the sphere, but runs no row, whatever l_max or
     # workers says
     try:
         cfg = sweep.config_from_dict(raw)
@@ -823,6 +874,7 @@ def test_config_from_dict_accepts_or_fails_with_exit_2(raw):
         assert cli._exit_code(exc) == cli.EXIT_CONFIG, repr(exc)
         return
     assert isinstance(cfg, sweep.SweepConfig)
+    assert isinstance(cfg.sphere, model.StratifiedSphere)
     assert not isinstance(cfg.l_max, bool) and 1 <= cfg.l_max <= transfer.L_MAX_CEILING
     assert isinstance(cfg.workers, int) and cfg.workers >= 1
     assert cfg.wavelength_nm > 0 and all(0 < w < math.inf for w in cfg.wavelengths_nm)
@@ -1041,7 +1093,7 @@ def test_csv_bytes_across_one_two_and_three_workers(monkeypatch):
         cfg = sweep.config_from_dict(
             {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 11]}, "workers": workers}
         )
-        texts.add(sweep.run_radial_sweep(cfg).to_csv())
+        texts.add(sweep.run_sweep(cfg).to_csv())
     assert len(texts) == 1
     assert pools == [2, 3]
 

@@ -198,7 +198,7 @@ def _lossless_host_rows(prepared):
         (0.5 * (radii[j] + radii[j + 1]), wl)
         for wl, ctx in zip(prepared.wavelengths, prepared.ctxs)
         for j in range(ctx.n_regions)
-        if not ctx.host_absorbs[j]
+        if not ctx.absorbing[j]
     ]
 
 
