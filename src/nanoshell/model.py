@@ -1,12 +1,13 @@
 """Geometry and source domain model: stratified spheres, dipole sources,
-the built-in benchmark geometries, and region lookup."""
+the built-in benchmark geometries, and the one check of emitter points."""
 
-import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import materials
-from .errors import DomainError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError
 
 RADIAL = "radial"
 TANGENTIAL = "tangential"
@@ -97,20 +98,13 @@ def preset_names():
     return tuple(sorted(_PRESETS))
 
 
-def locate_region(sphere, r_nm):
-    """1-based index of the region containing radius r; N+1 is the ambient.
-
-    Radii sitting on an interface are rejected: the macroscopic fields are
-    discontinuous there and callers must offset.
-    """
-    if r_nm < 0:
-        raise GeometryError(f"negative radius {r_nm}")
-    tol = INTERFACE_TOL * sphere.outer_radius_nm
-    radii = sphere.radii
-    for R in radii:
-        if abs(r_nm - R) <= tol:
-            raise GeometryError(f"radius {r_nm} nm sits on the interface at {R} nm")
-    return bisect.bisect_right(radii, r_nm) + 1
+def locate(sphere, r_nm):
+    """Host region of each radius r_nm [nm] (an array), 1-based with the
+    origin in region 1 and N+1 the ambient, and its distance to each
+    interface, as a (point, interface) array."""
+    r = np.asarray(r_nm, dtype=float)
+    radii = np.array(sphere.radii)
+    return np.searchsorted(radii, r, "right") + 1, np.abs(r[..., None] - radii)
 
 
 @dataclass(frozen=True)
@@ -156,30 +150,70 @@ def no_host(eps):
     return absorbs(eps) | (eps.real <= 0)
 
 
-def region_no_host(sphere, region, wavelength_nm):
-    """Whether a region cannot host an emitter at the wavelength (see
-    :func:`no_host`)."""
-    return no_host(materials.permittivity(sphere.region_material(region), wavelength_nm))
+def unhosted(sphere, host, wavelength_nm, first=False):
+    """Per point: whether its host region cannot host an emitter at its
+    wavelength (see :func:`no_host`).  Each distinct (host, wavelength) is
+    looked up once, in order of first appearance; with ``first``, only up
+    to the first that cannot, so that no lookup runs past the first bad
+    point."""
+    pairs = list(zip(host.tolist(), np.broadcast_to(wavelength_nm, host.shape).tolist()))
+    bad = {}
+    for h, wl in dict.fromkeys(pairs):
+        bad[h, wl] = no_host(materials.permittivity(sphere.region_material(h), wl))
+        if first and bad[h, wl]:
+            break
+    return np.array([bad.get(p, False) for p in pairs], dtype=bool)
+
+
+def check_points(sphere, r_nm, wavelength_nm, host_eps=None, grid=None, margin=0.0):
+    """Host region and interface distances (see :func:`locate`) of emitter
+    points at radii r_nm [nm] and wavelengths wavelength_nm [nm], broadcast
+    together, once every point is checked; the first bad point raises.
+
+    A point is bad when its radius or wavelength is not finite, its radius
+    is negative or its wavelength not positive, it lies within
+    INTERFACE_TOL r_s of an interface, or its host cannot host an emitter
+    at its wavelength (:func:`no_host`), with the permittivities
+    ``host_eps(host)`` or else :func:`unhosted`'s lookups.  Sweep points
+    come with ``grid``, their r/r_s values, which word their errors: off
+    the origin they are also bad within ``margin`` r_s of an interface.
+    """
+    r, wl = np.broadcast_arrays(np.atleast_1d(np.asarray(r_nm, dtype=float)),
+                                np.asarray(wavelength_nm, dtype=float))
+    host, dist = locate(sphere, r)
+    tol = INTERFACE_TOL * sphere.outer_radius_nm
+    off = r != 0.0
+    hit = off & (dist <= tol).any(axis=-1)
+    near = off & (dist < margin * sphere.outer_radius_nm).any(axis=-1)
+    bad = ~(np.isfinite(r) & np.isfinite(wl) & (wl > 0.0)) | (r < 0.0) | hit | near
+    if host_eps is not None:
+        bad |= no_host(host_eps(host))
+    n = int(np.argmax(bad)) if bad.any() else len(r)
+    if host_eps is None:
+        n = int(np.argmax(np.append(unhosted(sphere, host[:n], wl[:n], first=True), True)))
+    if n == len(r):
+        return host, dist
+    if grid is not None and r[n] < 0.0:
+        raise ConfigError(f"grid point {grid[n]} is negative")
+    DipoleSource(float(r[n]), RADIAL, float(wl[n]))  # raises for a bad radius or wavelength
+    if near[n]:
+        raise ConfigError(
+            f"grid point r/r_s = {grid[n]} violates the interface-exclusion margin of "
+            f"{margin} * r_s"
+        )
+    if hit[n]:
+        R = sphere.radii[int(np.argmax(dist[n] <= tol))]
+        raise GeometryError(f"radius {float(r[n])} nm sits on the interface at {R} nm")
+    raise GeometryError(
+        f"dipole host region {host[n]} is absorbing, or lossless with Re eps <= 0, "
+        f"at {float(wl[n])} nm; rate normalization is undefined there"
+    )
 
 
 def validate_dipole(sphere, dipole):
-    """Host region of the dipole; rejects interface hits and hosts that
-    absorb or carry no propagating wave.
-
-    The normalization (free-space rate in the medium at the dipole position)
-    only makes sense in a lossless host with Re eps > 0, so emitters
-    elsewhere are rejected.
-    """
-    if dipole.radial_position_nm == 0.0:
-        region = 1
-    else:
-        region = locate_region(sphere, dipole.radial_position_nm)
-    if region_no_host(sphere, region, dipole.wavelength_nm):
-        raise GeometryError(
-            f"dipole host region {region} is absorbing, or lossless with Re eps <= 0, "
-            f"at {dipole.wavelength_nm} nm; rate normalization is undefined there"
-        )
-    return region
+    """Host region of the dipole, checked as :func:`check_points` checks a
+    point."""
+    return int(check_points(sphere, dipole.radial_position_nm, dipole.wavelength_nm)[0][0])
 
 
 @dataclass(frozen=True)
@@ -210,12 +244,9 @@ class SpectroResult:
 def interface_margin_nm(sphere, r_nm, absorbing_only=False, wavelength_nm=None):
     """Distance from r to the nearest interface; optionally only interfaces
     touching an absorbing region."""
-    best = math.inf
-    for i, R in enumerate(sphere.radii):
-        if absorbing_only:
-            eps_in = materials.permittivity(sphere.region_material(i + 1), wavelength_nm)
-            eps_out = materials.permittivity(sphere.region_material(i + 2), wavelength_nm)
-            if not (absorbs(eps_in) or absorbs(eps_out)):
-                continue
-        best = min(best, abs(r_nm - R))
-    return best
+    dist = locate(sphere, r_nm)[1]
+    if absorbing_only:
+        a = [absorbs(materials.permittivity(sphere.region_material(j), wavelength_nm))
+             for j in range(1, sphere.n_regions + 1)]
+        dist = dist[np.logical_or(a[:-1], a[1:])]
+    return float(dist.min(initial=math.inf))

@@ -188,15 +188,6 @@ def ohmic_rate_per_l(closure):
     return _host_factors(closure)[1][:, None] * per_l
 
 
-def _near_metal(closure, absorbing):
-    """Per row: whether the dipole lies within NEAR_METAL_FRACTION r_s of an
-    interface touching a region that absorbs at its wavelength."""
-    sphere = closure.prepared.sphere
-    touching = absorbing[:, :-1] | absorbing[:, 1:]
-    limit = NEAR_METAL_FRACTION * sphere.outer_radius_nm
-    return (touching & (np.abs(closure.r[:, None] - np.array(sphere.radii)) < limit)).any(axis=1)
-
-
 _FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
            "photostability", "converged", "wt_spread", "wrad_spread", "wohm_spread",
            "shift_tail")
@@ -211,6 +202,10 @@ def _observe(closure):
     absorbing = closure.prepared.absorbing[closure.w]
     shells = absorbing[:, :-1]
     any_absorbing = shells.any(axis=1)
+    # within NEAR_METAL_FRACTION r_s of an interface touching a region that
+    # absorbs at the row's wavelength
+    limit = NEAR_METAL_FRACTION * closure.prepared.sphere.outer_radius_nm
+    near_metal = ((shells | absorbing[:, 1:]) & (closure.dist < limit)).any(axis=1)
     wt_partial, shift_partial, wrad_partial, g_terms = partial_sums(closure)
     zeros = np.zeros(wt_partial.shape[:-1])
     wohm, wohm_spread = zeros, zeros
@@ -232,7 +227,7 @@ def _observe(closure):
         (out["wt_spread"] < _WT_SPREAD_TOL)
         & (out["wrad_spread"] < _WRAD_SPREAD_TOL)
         & (~any_absorbing | (wohm_spread < _WOHM_SPREAD_TOL))
-        & ~(any_absorbing & _near_metal(closure, absorbing))
+        & ~(any_absorbing & near_metal)
     )
     names = closure.orientations
     if len(names) == 2:

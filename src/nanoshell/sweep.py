@@ -15,8 +15,12 @@ run's wavelengths, then all its rows closed against it.  A row's result
 does not depend on its block or on the wavelengths prepared with it, and
 rows are written in declared order, so output bytes are identical across
 runs and across worker counts.
-Output is only written once the whole sweep has succeeded; a failure names
-the first failing row.
+Every point of either sweep kind, an explicit grid point or a wavelength
+sweep's ``r_over_rs`` at each of its wavelengths, is checked once before any
+row (:func:`model.check_points`), and the first bad one raises; default and
+linspace grids are nudged off the interfaces and skip the points no host
+can take.  Output is only written once the whole sweep has succeeded; a
+failure of a row names the first failing row.
 """
 
 import json
@@ -228,7 +232,7 @@ def _check_linspace(spec):
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"linspace grid needs [lo, hi, n], got {spec!r}")
     lo, hi, n = spec
-    _require_finite("linspace bound", lo, hi)
+    _require_finite("linspace bound", lo, hi, lo=0.0)
     whole = isinstance(n, int) or (isinstance(n, float) and n.is_integer())
     if isinstance(n, bool) or not whole or not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(
@@ -292,74 +296,48 @@ def sphere_from_spec(spec):
     return model.build_sphere(built, _material_from_spec(spec.get("ambient", "water")))
 
 
-def _nudge(vals, sphere, margin):
+def _linspace_grid(sphere, lo, hi, n, margin=MARGIN_FRACTION):
+    """``n`` r/r_s values over [lo, hi]; a point closer than ``margin`` r_s
+    to an interface moves to NUDGE_FRACTION r_s outside it, the first such
+    interface in ascending order."""
+    vals = np.linspace(float(lo), float(hi), int(n))
     rs = sphere.outer_radius_nm
-    out = []
-    for g in vals:
-        r = g * rs
-        for R in sphere.radii:
-            if abs(r - R) < margin * rs:
-                g = (R + NUDGE_FRACTION * rs) / rs
-                break
-        out.append(g)
-    return out
+    near = model.locate(sphere, vals * rs)[1] < margin * rs
+    outside = (np.array(sphere.radii)[np.argmax(near, axis=-1)] + NUDGE_FRACTION * rs) / rs
+    return np.where(near.any(axis=-1), outside, vals)
 
 
-def default_grid(sphere, n_points=DEFAULT_GRID_POINTS, r_max=DEFAULT_GRID_MAX,
-                 margin=MARGIN_FRACTION):
-    """Uniform r/r_s grid with interface-adjacent points nudged outward."""
-    return _nudge(list(np.linspace(0.0, r_max, n_points)), sphere, margin)
-
-
-def _lossless_hosts(vals, sphere, wavelength_nm):
-    """Drop the points of an implicit grid whose host region cannot host an
-    emitter at the sweep wavelength (see :func:`model.no_host`); report the
-    count."""
-    rs = sphere.outer_radius_nm
-    kept = [
-        g for g in vals
-        if not model.region_no_host(sphere, model.locate_region(sphere, g * rs), wavelength_nm)
-    ]
-    if len(kept) < len(vals):
-        print(
-            f"note: skipped {len(vals) - len(kept)} of {len(vals)} grid points whose "
-            f"host region is absorbing, or lossless with Re eps <= 0, at {wavelength_nm:g} nm",
-            file=sys.stderr,
-        )
-    return kept
+def default_grid(sphere, margin=MARGIN_FRACTION):
+    """The default r/r_s grid: DEFAULT_GRID_POINTS values over [0,
+    DEFAULT_GRID_MAX], nudged as :func:`_linspace_grid` nudges."""
+    return _linspace_grid(sphere, 0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS, margin).tolist()
 
 
 def resolve_grid(cfg, sphere):
-    """r/r_s values of a radial sweep, every one checked before any row runs.
-
-    Default and linspace grids skip points inside absorbing shells; an
-    explicit grid is taken as written and any invalid point is an error.
-    """
+    """r/r_s values of a radial sweep, checked before any row runs: an
+    explicit grid's first bad point raises (:func:`model.check_points`);
+    default and linspace grids skip, and count on stderr, the points no host
+    region can take at the sweep wavelength (:func:`model.unhosted`)."""
     grid = cfg.grid
-    if grid == "default" or grid is None:
-        vals = default_grid(sphere, margin=cfg.interface_margin)
-        return _lossless_hosts(vals, sphere, cfg.wavelength_nm)
-    if isinstance(grid, dict) and "linspace" in grid:
-        lo, hi, n = grid["linspace"]
-        vals = [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-        vals = _nudge(vals, sphere, cfg.interface_margin)
-        return _lossless_hosts(vals, sphere, cfg.wavelength_nm)
+    rs = sphere.outer_radius_nm
     if isinstance(grid, (list, tuple)):
         vals = [float(v) for v in grid]
-        rs = sphere.outer_radius_nm
-        for v in vals:
-            if v < 0:
-                raise ConfigError(f"grid point {v} is negative")
-            margin = model.interface_margin_nm(sphere, v * rs)
-            if margin < cfg.interface_margin * rs and v != 0.0:
-                raise ConfigError(
-                    f"grid point r/r_s = {v} violates the interface-exclusion "
-                    f"margin of {cfg.interface_margin} * r_s"
-                )
-            dip = model.DipoleSource(v * rs, model.RADIAL, cfg.wavelength_nm)
-            model.validate_dipole(sphere, dip)
+        model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm,
+                           grid=vals, margin=cfg.interface_margin)
         return vals
-    raise ConfigError(f"cannot interpret grid {grid!r}")
+    if grid == "default" or grid is None:
+        grid = {"linspace": [0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS]}
+    if not (isinstance(grid, dict) and "linspace" in grid):
+        raise ConfigError(f"cannot interpret grid {grid!r}")
+    vals = _linspace_grid(sphere, *grid["linspace"], cfg.interface_margin)
+    skip = model.unhosted(sphere, model.locate(sphere, vals * rs)[0], cfg.wavelength_nm)
+    if skip.any():
+        print(
+            f"note: skipped {skip.sum()} of {len(vals)} grid points whose host region "
+            f"is absorbing, or lossless with Re eps <= 0, at {cfg.wavelength_nm:g} nm",
+            file=sys.stderr,
+        )
+    return vals[~skip].tolist()
 
 
 @dataclass(frozen=True)
@@ -465,6 +443,8 @@ def run_sweep(cfg):
         points = [(g, g * rs, cfg.wavelength_nm) for g in resolve_grid(cfg, sphere)]
     else:
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]
+        model.check_points(sphere, cfg.r_over_rs * rs, cfg.wavelengths_nm,
+                           grid=[cfg.r_over_rs] * len(points), margin=cfg.interface_margin)
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]

@@ -341,18 +341,19 @@ class _Closure:
     The channels are those of each orientation in the order asked for (see
     ``_KINDS``), each orientation's TM channel first; ``pol`` holds each
     channel's index into ``POLS``.  Row n is row n of the close, at radius
-    ``r[n]``, wavelength index ``w[n]`` and host region ``host[n]``.  Beside
+    ``r[n]``, wavelength index ``w[n]`` and host region ``host[n]``, and
+    ``dist[n]`` holds its distance to each interface.  Beside
     the collapsed amplitudes the closure keeps the scaled ones, ``a1`` and
     ``b``, that multiply the unit pairs of ``sweeps``.
     """
 
-    def __init__(self, prepared, sweeps, orientations, kinds, r, w, host,
+    def __init__(self, prepared, sweeps, orientations, kinds, r, w, host, dist,
                  weight, g, b_out, q_out, scat, ab):
         self.prepared = prepared
         self.sweeps = sweeps
         self.orientations = tuple(orientations)
         self.pol = _KIND_POL[kinds]
-        self.r, self.w, self.host = r, w, host
+        self.r, self.w, self.host, self.dist = r, w, host, dist
         self.weight = weight  # (channel, 1, l)
         self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
         self.a1, self.b = _part(ab, 0), _part(ab, 1)
@@ -389,28 +390,6 @@ class _Closure:
     def flux(self, interface):
         """The flux through one interface; see :meth:`fluxes`."""
         return self.fluxes([interface])[0]
-
-
-def _hosts(prepared, rows, orientations, r, w):
-    """Host region of each row, checked as :class:`model.DipoleSource` and
-    :func:`model.validate_dipole` check one dipole.  When any row fails,
-    the rows are checked one at a time in order, so that the first failing
-    row raises its own error."""
-    sphere = prepared.sphere
-    radii = np.array(sphere.radii)
-    wavelengths = np.array(prepared.wavelengths)
-    finite = np.isfinite(r)
-    host = np.where(r == 0.0, 1, np.searchsorted(radii, np.where(finite, r, 0.0), "right") + 1)
-    tol = model.INTERFACE_TOL * sphere.outer_radius_nm
-    on_interface = (r != 0.0) & (np.abs(r[:, None] - radii) <= tol).any(axis=1)
-    bad = (
-        ~finite | (r < 0.0) | on_interface | model.no_host(prepared.eps[host - 1, w])
-        | ~(np.isfinite(wavelengths) & (wavelengths > 0.0))[w]
-    )
-    if bad.any() or not set(orientations) <= set(model.ORIENTATIONS):
-        dipoles = [[model.DipoleSource(x, o, wl) for o in orientations] for x, wl in rows]
-        host = np.array([model.validate_dipole(sphere, d[0]) for d in dipoles], dtype=int)
-    return host
 
 
 def _collapse_channels(pol, degenerate, named):
@@ -467,7 +446,8 @@ def _sources(prepared, kinds, r, w, host):
     table, which rejects a zero argument."""
     off = r != 0.0
     if off.any():
-        rho = prepared.k[host[off] - 1, w[off]] * r[off]
+        with np.errstate(over="ignore"):  # an infinite k r is rejected by its table
+            rho = prepared.k[host[off] - 1, w[off]] * r[off]
         m, e = prepared.dipole_tables(rho)
         inv_rho = real_over(1.0, rho)[:, None]
         factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
@@ -496,13 +476,18 @@ def close(prepared, rows, orientations):
     channel of each row gathers its sweep entries by (host, wavelength).
     Every entry is elementwise in the channels, rows and wavelengths, so a
     row's results do not depend on which rows or wavelengths share the
-    call, and a batch raises only where one of its rows alone would.  An
-    error names its order and polarization but not its row: to find the
-    first failing row, close the rows one at a time.
+    call, and a batch raises only where one of its rows alone would.  The
+    rows are checked first (:func:`model.check_points`), and a bad one
+    raises the first bad row's error; an error of the solve names its order
+    and polarization but not its row.
     """
     r = np.array([x for x, _ in rows], dtype=float)
     w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
-    host = _hosts(prepared, rows, orientations, r, w)
+    if not set(orientations) <= set(model.ORIENTATIONS):
+        for o in orientations:  # every row is bad; the first raises as its dipoles do
+            model.DipoleSource(rows[0][0], o, rows[0][1])
+    host, dist = model.check_points(prepared.sphere, r, np.array(prepared.wavelengths)[w],
+                                    host_eps=lambda host: prepared.eps[host - 1, w])
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
     s = _sources(prepared, kinds, r, w, host)
@@ -518,7 +503,7 @@ def close(prepared, rows, orientations):
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
-    return _Closure(prepared, sweeps, orientations, kinds, r, w, host,
+    return _Closure(prepared, sweeps, orientations, kinds, r, w, host, dist,
                     weight, g, b_out, q_out, scat, ab)
 
 

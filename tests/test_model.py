@@ -53,12 +53,12 @@ def test_build_sphere_absorbing_ambient():
 
 def test_locate_region():
     a = model.preset("A")
-    assert model.locate_region(a, 90.0) == 2
-    assert model.locate_region(a, 200.0) == 5
+    assert model.locate(a, 90.0)[0] == 2
+    assert model.locate(a, 200.0)[0] == 5
     with pytest.raises(GeometryError):
-        model.locate_region(a, 107.0)
+        model.check_points(a, 107.0, 595.0)
     with pytest.raises(GeometryError):
-        model.locate_region(a, -1.0)
+        model.check_points(a, -1.0, 595.0)
 
 
 @given(r=st.floats(min_value=0.001, max_value=400.0))
@@ -68,7 +68,7 @@ def test_locate_region_matches_bisect(r):
     tol = 1e-9 * a.outer_radius_nm
     if any(abs(r - R) <= tol for R in a.radii):
         return
-    assert model.locate_region(a, r) == bisect.bisect_right(a.radii, r) + 1
+    assert model.locate(a, r)[0] == bisect.bisect_right(a.radii, r) + 1
 
 
 def test_locate_region_bulk_consistency():
@@ -76,10 +76,10 @@ def test_locate_region_bulk_consistency():
     rng = np.random.default_rng(3)
     rs = rng.uniform(0.0, 300.0, size=100_000)
     tol = 1e-9 * a.outer_radius_nm
-    for r in rs:
+    for r, host in zip(rs, model.locate(a, rs)[0]):
         if any(abs(r - R) <= tol for R in a.radii):
             continue
-        assert model.locate_region(a, r) == bisect.bisect_right(a.radii, r) + 1
+        assert host == bisect.bisect_right(a.radii, r) + 1
 
 
 def test_dipole_source_validation():

@@ -12,7 +12,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nanoshell import cli, model, spectro, sweep, transfer
 from nanoshell.errors import (
@@ -68,6 +68,31 @@ def test_default_grid_respects_margin():
     for g in grid:
         margin = min(abs(g * rs - R) for R in sph.radii)
         assert margin >= 0.001 * rs - 1e-9
+
+
+def _nudged_one_at_a_time(vals, sphere, margin):
+    """The nudge rule point by point: a point within margin r_s of an
+    interface moves to NUDGE_FRACTION r_s outside the first such interface
+    in ascending order."""
+    rs = sphere.outer_radius_nm
+    out = []
+    for g in vals:
+        for R in sphere.radii:
+            if abs(g * rs - R) < margin * rs:
+                g = (R + sweep.NUDGE_FRACTION * rs) / rs
+                break
+        out.append(float(g))
+    return out
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.001, 0.01, 0.03])
+def test_default_grid_nudges_as_the_point_by_point_rule(margin):
+    # the shells of the custom sphere are thinner than the nudge, so a
+    # nudged point can land near the next interface
+    thin = {"shells": [[100.0, "silica"], [100.4, "gold"], [101.0, "silica"], [150.0, "gold"]]}
+    for sphere in [*map(model.preset, model.preset_names()), sweep.sphere_from_spec(thin)]:
+        vals = np.linspace(0.0, sweep.DEFAULT_GRID_MAX, sweep.DEFAULT_GRID_POINTS)
+        assert sweep.default_grid(sphere, margin) == _nudged_one_at_a_time(vals, sphere, margin)
 
 
 def test_explicit_grid_margin_violation():
@@ -675,6 +700,7 @@ def test_l_max_must_be_a_bounded_integer(tmp_path):
     ("converge", "D", "--r", "0.5", "--lambda", "1e-300"),
     ("converge", "D", "--r", "0.5", "--lambda", "0.01", "--l-max", "5"),
     ("preset", "D", "--grid", "1e6", "--l-max", "5"),
+    ("converge", "D", "--r", "1e6", "--lambda", "1e-300", "--l-max", "1"),
 ])
 def test_huge_riccati_arguments_exit_2_up_front(tmp_path, args):
     # a tiny wavelength or a far dipole would start the j recurrence at an
@@ -718,6 +744,33 @@ def test_failing_row_is_named_on_the_error_line(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("r_over_rs, code, message", [
+    # 0.16 nm inside preset A's silica core
+    (0.50924, 2, "error: grid point r/r_s = 0.50924 violates the interface-exclusion margin"),
+    # inside the inner gold shell: the first bad wavelength is named, and
+    # the lookup of gold at 1200 nm, past its table, never runs
+    (0.6, 2, "error: dipole host region 2 is absorbing, or lossless with Re eps <= 0, "
+             "at 595.0 nm;"),
+    # the origin is exempt from the margin, and its silica host takes every
+    # wavelength; gold's table ends at 1100 nm, so the 1200 nm row fails at
+    # that row
+    (0.0, 3, "error: wavelength 1200.0 nm outside table range"),
+], ids=["margin", "in-gold", "origin"])
+def test_wavelength_sweep_checks_its_point_before_any_row(tmp_path, capsys, r_over_rs, code,
+                                                          message):
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sphere": "A", "sweep": "wavelength", "r_over_rs": r_over_rs, "l_max": 8,
+        "wavelengths_nm": [595.0, 1200.0, 700.0], "out": str(out),
+    }))
+    assert cli.main(["run", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert ("while evaluating row" in err) == (code == 3), err
+    assert not out.exists()
+
+
 def test_failing_row_is_named_through_a_pool(tmp_path, monkeypatch, capsys):
     # the 3-row sweep is cut into two pool blocks; the annotated error of
     # the second block crosses back to the parent with its row note
@@ -752,6 +805,7 @@ def test_failing_row_is_named_through_a_pool(tmp_path, monkeypatch, capsys):
                             "wavelengths_nm": [600.0, -700.0]}),
         ("r_over_rs", {"sweep": "wavelength", "r_over_rs": -0.5, "wavelengths_nm": [600.0]}),
         ("interface_margin", {"interface_margin": -0.1}),
+        ("linspace", {"grid": {"linspace": [-1, 2, 5]}}),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
@@ -960,6 +1014,45 @@ def test_cli_main_exits_with_its_documented_code(tmp_path_factory, data):
     if code:
         assert text.startswith(("error: ", "usage: ")), (argv, text)
         assert not os.path.exists(out), argv
+
+
+def _run_main(config_path, raw):
+    """Exit code and output bytes of `nanoshell run` on one config."""
+    out = pathlib.Path(raw["out"])
+    config_path.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["run", str(config_path)])
+    data = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, data
+
+
+@given(
+    name=st.sampled_from(model.preset_names()),
+    at=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 2.1),
+        # an interface of the preset, by index, and an offset from it
+        st.tuples(st.integers(0, 3), st.floats(-0.002, 0.002)),
+    ),
+    wl=st.floats(400.0, 1100.0),
+)
+@example(name="A", at=0.50924, wl=595.0)
+@settings(max_examples=40, deadline=None)
+def test_a_point_is_checked_alike_in_both_sweep_kinds(tmp_path_factory, name, at, wl):
+    # the same (r/r_s, wavelength) as a one-point radial grid and as a
+    # one-wavelength sweep: the same exit code, and the same CSV bytes
+    sphere = model.preset(name)
+    if isinstance(at, tuple):
+        i, offset = at
+        at = sphere.radii[i % len(sphere.radii)] / sphere.outer_radius_nm + offset
+    work = tmp_path_factory.mktemp("kinds")
+    base = {"sphere": name, "l_max": 8, "out": str(work / "out.csv")}
+    radial = _run_main(work / "radial.json", {**base, "grid": [at], "wavelength_nm": wl})
+    scan = _run_main(work / "scan.json", {**base, "sweep": "wavelength", "r_over_rs": at,
+                                          "wavelengths_nm": [wl]})
+    assert radial[0] == scan[0], (at, wl, radial[0], scan[0])
+    assert radial[1] == scan[1], (at, wl)
 
 
 def _rows_of(prepared, rows, orientations):

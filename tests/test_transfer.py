@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nanoshell import materials, model, sweep, transfer
+from nanoshell import materials, model, spectro, sweep, transfer
 from nanoshell import scaledmath as sm
-from nanoshell.errors import DegenerateSystemError, RangeError
+from nanoshell.errors import DegenerateSystemError, GeometryError, RangeError
 
 import oracles
 from oracles import riccati
@@ -281,6 +281,17 @@ def test_closure_failures_are_raised_in_channel_order():
     named[1][0][1][1, 1, 1] = 800.0
     with pytest.raises(RangeError, match="ambient amplitude overflows .* at order l=2"):
         transfer._collapse_channels(pol, degenerate, named)
+
+
+@pytest.mark.parametrize("later", [math.nan, -1.0])
+def test_batched_close_raises_the_first_bad_row(later):
+    # row 0 sits in preset A's inner gold shell; a later row that could not
+    # even be a dipole (NaN or negative radius) must not win over it
+    prepared = transfer.prepare(model.preset("A"), [LAM], 20)
+    with pytest.raises(GeometryError, match="dipole host region 2 is absorbing"):
+        spectro.evaluate_rows(prepared, [(94.2, LAM), (later, LAM)], ("radial",))
+    with pytest.raises(GeometryError, match="dipole host region 2 is absorbing"):
+        transfer.close(prepared, [(40.0, LAM), (94.2, LAM), (later, LAM)], model.ORIENTATIONS)
 
 
 def test_degenerate_l_max_guard():
