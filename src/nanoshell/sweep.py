@@ -317,7 +317,8 @@ def resolve_grid(cfg, sphere):
     """r/r_s values of a radial sweep, checked before any row runs: an
     explicit grid's first bad point raises (:func:`model.check_points`);
     default and linspace grids skip, and count on stderr, the points no host
-    region can take at the sweep wavelength (:func:`model.unhosted`)."""
+    region can take at the sweep wavelength (:func:`model.unhosted`), and
+    then a kept point on an interface raises."""
     grid = cfg.grid
     rs = sphere.outer_radius_nm
     if isinstance(grid, (list, tuple)):
@@ -337,7 +338,11 @@ def resolve_grid(cfg, sphere):
             f"is absorbing, or lossless with Re eps <= 0, at {cfg.wavelength_nm:g} nm",
             file=sys.stderr,
         )
-    return vals[~skip].tolist()
+    # a kept point can still sit on an interface when the margin is below
+    # model.INTERFACE_TOL; the margin itself the nudge has already met
+    vals = vals[~skip].tolist()
+    model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm, grid=vals)
+    return vals
 
 
 @dataclass(frozen=True)

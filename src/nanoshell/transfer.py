@@ -68,8 +68,8 @@ TM = "TM"
 TE = "TE"
 POLS = (TM, TE)  # order of the polarization axis
 
-# relative log-magnitude loss at which the 2x2 closure is declared singular
-_DEGENERACY_LOG = math.log(1e-13)
+# relative loss at which the 2x2 closure is declared singular
+_DEGENERACY = 1e-13
 
 # a region's regular and outgoing column among its (e_x, h_p, h_x, e_p)
 _REGULAR = slice(3, None, -2)
@@ -134,118 +134,139 @@ def layer_context(sphere, wavelength_nm):
     )
 
 
-def _part(x, k):
-    """Index or slice ``k`` along the leading axis of a scaled array."""
-    return x[0][k], x[1][k]
+def _normalized(table):
+    """A scaled (psi, dpsi, xi, dxi) table as plain complex values, each
+    family divided by its norm max(|f|, |f'|), and the log norms of the
+    regular and the outgoing family: the one step out of scaled arithmetic.
+    The norm never vanishes (f and f' have no common zero), so each value
+    is at most 1 and none has a pole."""
+    logs = sm.log_abs(table)
+    norms = np.maximum(logs[::2], logs[1::2])
+    return sm.collapse((table[0], table[1] - np.repeat(norms, 2, axis=0))), norms
 
 
 def _interface_tables(ctxs, l_max, rho=()):
-    """Riccati tables of both regions at every interface, one context per
-    wavelength: the (region, interface) keys, and (mantissa, exponent)
-    arrays over (psi, dpsi, xi, dxi), key and the (wavelength, l =
-    1..l_max) entries, flattened wavelength-major so that the chains run on
-    one-dimensional arrays; and in the same call the (psi, dpsi, xi, dxi)
-    tables over l = 1..l_max at the extra arguments rho."""
+    """Normalized Riccati tables (:func:`_normalized`) of both regions at
+    every interface, one context per wavelength: the (region, interface)
+    keys, and the values and log norms over key and the (wavelength, l =
+    1..l_max) entries, flattened wavelength-major so that the sweeps run on
+    one-dimensional arrays; and from the same call the normalized tables
+    over l = 1..l_max at the extra arguments rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
     t = riccati_scaled(l_max, np.concatenate([z, rho])).table
-    m, e = (x[:, :len(z), 1:].reshape(4, len(keys), -1) for x in t)
-    return (keys, m, e), tuple(x[:, len(z):, 1:] for x in t)
+    values, logs = _normalized(tuple(x[..., 1:] for x in t))
+    n = len(z)
+    return ((keys, values[:, :n].reshape(4, len(keys), -1), logs[:, :n].reshape(2, len(keys), -1)),
+            (values[:, n:], logs[:, n:]))
 
 
 def _cross(state, src, dst):
-    """Carry a (regular, outgoing) amplitude pair across one interface, from
-    the region whose :meth:`Prepared.entries` there are ``src`` to the one
-    whose entries are ``dst``.  The unit pair (1, 0) or (0, 1) may be given
-    as the column it selects, ``_REGULAR`` or ``_OUTGOING``: that column is
-    then its row, as a generic crossing forms it, without arithmetic.
+    """Carry a pair of local (regular, outgoing) amplitudes across one
+    interface, from the region whose :meth:`Prepared.entries` there are
+    ``src`` to the one whose entries are ``dst``.  A unit pair (1, 0) or
+    (0, 1) may be given as the column it selects, ``_REGULAR`` or
+    ``_OUTGOING``: that column is then its row, as a generic crossing forms
+    it, without arithmetic.
 
     Returns the pair on the far side and the (E_t, H_t) continuity row the
     pair forms at the interface; the row is the same on either side.
     """
     x, _ = src
     if isinstance(state, slice):
-        row = _part(x, state)
+        row = x[state]
     else:  # c1 (e_p, h_p) + c2 (e_x, h_x)
-        row = sm.add(sm.mul(_part(state, 0), _part(x, _REGULAR)),
-                     sm.mul(_part(state, 1), _part(x, _OUTGOING)))
+        row = state[0] * x[_REGULAR] + state[1] * x[_OUTGOING]
     # (h_x y_e - e_x y_h, e_p y_h - h_p y_e) / det
     x, d = dst
-    n = sm.sub(sm.mul(_part(x, slice(2, None)), row),
-               sm.mul(_part(x, slice(None, 2)), _part(row, slice(None, None, -1))))
-    return sm.div(n, d), row
+    return (x[2:] * row - x[:2] * row[::-1]) / d, row
 
 
 class _Sweeps:
-    """The two chains of a prepare, TM and TE stacked on a leading axis over
-    the (wavelength, l) entries: unit pairs carried from the core outward
-    (u, from (1, 0)) and from the ambient inward (v, from (0, 1)), and the
-    (E_t, H_t) row each crossing forms.  A dipole hosted in region h closes
-    with u and v at h; the outward rows of the interfaces below h and the
-    inward rows above it carry its fields there.  Each sweep is extended on
-    first use only as far as a close needs, from its unit pair given as the
+    """The two chains of a prepare over the (wavelength, l) entries of each
+    polarization: local amplitude pairs carried from the core outward (u,
+    from (1, 0)) and from the ambient inward (v, from (0, 1)), and the
+    (E_t, H_t) row each crossing forms.  A region's u pair is local to its
+    inner interface and its v pair to its outer one (the core's u and the
+    ambient's v to their one interface).  Stepping through a region, a pair
+    is scaled by that region's cross-radius factor (see
+    :meth:`Prepared.factors`), so every stored value stays bounded.  A
+    dipole hosted in region h closes with u and v at h; the outward rows of
+    the interfaces below h and the inward rows above it carry its fields
+    there.  Each polarization's sweeps are extended on first use only as far
+    as a close of that polarization needs, from the unit pair given as the
     column it selects (see :func:`_cross`)."""
 
     def __init__(self, prepared):
         n = prepared.ctxs[0].n_regions
         # no reference back to the prepare, which owns the sweeps, so both
         # are freed as soon as it goes
-        self._shape = (2, len(prepared.ctxs), prepared.l_max)  # (polarization, wavelength, l)
-        entries = 2 * len(prepared.ctxs) * prepared.l_max
-        # ((u1, u2, v1, v2), region, polarization x (wavelength, l))
-        self._pairs = np.zeros((4, n, entries), dtype=complex), np.zeros((4, n, entries))
-        self._pairs[0][0, 0] = self._pairs[0][3, n - 1] = 1.0
-        # ((E_t, H_t), interface, (outward, inward), polarization x (wavelength, l))
-        rows = (2, n - 1, 2, entries)
-        self._rows = np.zeros(rows, dtype=complex), np.zeros(rows)
-        self._u, self.top = _REGULAR, 1
-        self._v, self.bottom = _OUTGOING, n
-
-    @staticmethod
-    def _store(arrays, at, x):
-        """Store a stacked scaled pair at ``at`` of the scaled ``arrays``."""
-        for dest, v in zip(arrays, x):
-            dest[at] = v.reshape(2, -1)
+        self._shape = (len(prepared.ctxs), prepared.l_max)  # (wavelength, l)
+        entries = len(prepared.ctxs) * prepared.l_max
+        # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
+        self._pairs = np.zeros((4, n, 2, entries), dtype=complex)
+        self._pairs[0, 0] = self._pairs[3, n - 1] = 1.0
+        # ((E_t, H_t), interface, (outward, inward), polarization, (wavelength, l))
+        self._rows = np.zeros((2, n - 1, 2, 2, entries), dtype=complex)
+        # per polarization: the outward sweep's top region, the inward one's bottom
+        self.top, self.bottom = [1, 1], [n, n]
 
     def _view(self, x):
-        """Stored values, their entries split into (polarization, wavelength, l)."""
+        """Stored values, their entries split into (wavelength, l)."""
         return x.reshape(x.shape[:-1] + self._shape)
 
-    def reach(self, p, lo, hi):
+    def reach(self, p, lo, hi, pols=(0, 1)):
         """Carry the outward sweep up to region ``hi`` and the inward sweep
-        down to region ``lo``, with the entries of prepare ``p``."""
-        while self.top < hi:
-            i = self.top
-            self._u, row = _cross(self._u, p.entries(i, i), p.entries(i + 1, i))
-            self.top = i + 1
-            self._store(self._pairs, (slice(0, 2), i), self._u)
-            self._store(self._rows, (slice(None), i - 1, 0), row)
-        while self.bottom > lo:
-            i = self.bottom - 1
-            self._v, row = _cross(self._v, p.entries(i + 1, i), p.entries(i, i))
-            self.bottom = i
-            self._store(self._pairs, (slice(2, 4), i - 1), self._v)
-            self._store(self._rows, (slice(None), i - 1, 1), row)
+        down to region ``lo``, of the polarization indices ``pols`` alone,
+        with the entries and factors of prepare ``p``.  Polarizations that
+        stand at the same region step together."""
+        tau = p.factors()[0]
+        while late := [q for q in pols if self.top[q] < hi]:
+            i = min(self.top[q] for q in late)
+            q = [x for x in late if self.top[x] == i]
+            (x, d), (y, e) = p.entries(i, i), p.entries(i + 1, i)
+            if i == 1:
+                state = _REGULAR
+            else:
+                a, b = self._pairs[:2, i - 1, q]
+                state = a, b * tau[i - 1]
+            self._pairs[:2, i, q], self._rows[:, i - 1, 0, q] = _cross(
+                state, (x[:, q], d[q]), (y[:, q], e[q]))
+            for j in q:
+                self.top[j] = i + 1
+        while late := [q for q in pols if self.bottom[q] > lo]:
+            i = max(self.bottom[q] for q in late) - 1
+            q = [x for x in late if self.bottom[x] == i + 1]
+            (x, d), (y, e) = p.entries(i + 1, i), p.entries(i, i)
+            if i + 1 == len(tau):
+                state = _OUTGOING
+            else:
+                a, b = self._pairs[2:, i, q]
+                state = a * tau[i], b
+            self._pairs[2:, i - 1, q], self._rows[:, i - 1, 1, q] = _cross(
+                state, (x[:, q], d[q]), (y[:, q], e[q]))
+            for j in q:
+                self.bottom[j] = i
 
     def pairs(self, host, pol, w):
         """(u1, u2, v1, v2) at host regions, polarization indices and
-        wavelength indices (broadcast together), stacked on a leading axis
-        as one scaled array with a last axis over l."""
-        return tuple(self._view(x)[:, host - 1, pol, w] for x in self._pairs)
+        wavelength indices (broadcast together), stacked on a leading axis,
+        with a last axis over l."""
+        return self._view(self._pairs)[:, host - 1, pol, w]
 
     def rows(self, interface, inward, pol, w):
-        """(E_t, H_t) of the unit pairs at one interface, of the outward or
-        the inward sweep, at polarization and wavelength indices, stacked on
-        a leading axis as one scaled array."""
-        k = inward.astype(int)
-        return tuple(self._view(x)[:, interface - 1, k, pol, w] for x in self._rows)
+        """(E_t, H_t) of the stored pairs at one interface, of the outward
+        or the inward sweep, at polarization and wavelength indices, stacked
+        on a leading axis."""
+        return self._view(self._rows)[:, interface - 1, inward.astype(int), pol, w]
 
 
 class Prepared:
     """Everything a sphere, a set of wavelengths and l_max fix for every
-    dipole radius: one layer context per wavelength, the Riccati tables at
-    the interfaces, each region's continuity-matrix entries there and the
-    two :class:`_Sweeps`, all over the (wavelength, l) entries and built on
+    dipole radius: one layer context per wavelength, the normalized Riccati
+    tables at the interfaces and their log norms, each region's
+    continuity-matrix entries there, its cross-radius factors and the two
+    :class:`_Sweeps`, all over the (wavelength, l) entries and built on
     first use."""
 
     def __init__(self, sphere, wavelengths_nm, l_max, ctxs=None):
@@ -266,13 +287,21 @@ class Prepared:
         self._tables = None
         self._scalars = None
         self._entries = None
+        self._norms = None
+        self._factors = None
         self._sweeps = None
 
+    def tables(self):
+        """The normalized interface tables; see :func:`_interface_tables`."""
+        if self._tables is None:
+            self._tables, _ = _interface_tables(self.ctxs, self.l_max)
+        return self._tables
+
     def scalars(self):
-        """1/k, 1/mu and the scaled TM and TE matching determinants per
-        (region, (wavelength, l) entry), each formed in Python complex
-        arithmetic at its own wavelength, as a one-wavelength prepare forms
-        it, so no wavelength's entries depend on the others."""
+        """1/k, 1/mu and the TM and TE matching determinants per (region,
+        (wavelength, l) entry), each formed in Python complex arithmetic at
+        its own wavelength, as a one-wavelength prepare forms it, so no
+        wavelength's entries depend on the others."""
         if self._scalars is None:
             per_wavelength = [
                 [(1.0 / k, 1.0 / mu, -1j / (k * mu), 1j / (k * mu)) for k, mu in zip(c.k, c.mu)]
@@ -280,44 +309,94 @@ class Prepared:
             ]
             # (region, quantity, (wavelength, l) entry)
             cols = np.repeat(np.array(per_wavelength).transpose(1, 2, 0), self.l_max, axis=2)
-            self._scalars = cols[:, 0], cols[:, 1], sm.from_complex(cols[:, 2:])
+            self._scalars = cols[:, 0], cols[:, 1], cols[:, 2:]
         return self._scalars
 
     def entries(self, region, interface):
-        """Continuity-matrix entries (e_x, h_p, h_x, e_p) of one region at
-        one interface, stacked on a leading axis, and the region's matching
-        determinant, with TM and TE stacked on a polarization axis over the
-        (wavelength, l) entries.
+        """Normalized continuity-matrix entries (e_x, h_p, h_x, e_p) of one
+        region at one interface, stacked on a leading axis, and the
+        region's matching determinant in the same normalization, with TM
+        and TE on a polarization axis over the (wavelength, l) entries.
 
         Columns (regular, outgoing); rows (tangential-E, tangential-H).  For
         TM the E row carries the Riccati derivatives, for TE the functions
-        themselves; k- and mu-weighting implement the field matching.  The
+        themselves; k- and mu-weighting implement the field matching.  Each
+        column is divided by its family's norm there, so a pair of local
+        amplitudes is the pair of the amplitudes times those norms.  The
         entries of every region at every interface are formed at once, on
         first use.
         """
         if self._entries is None:
-            if self._tables is None:
-                self._tables, _ = _interface_tables(self.ctxs, self.l_max)
-            keys, m, e = self._tables
-            inv_k, inv_mu, (det_m, det_e) = self.scalars()
+            keys, values, logs = self.tables()
+            inv_k, inv_mu, det = self.scalars()
             regions = [j - 1 for j, _ in keys]
             # (e_x, h_p, h_x, e_p) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
             rows = np.array([[3, 2], [0, 1], [2, 3], [1, 0]])
             factor = np.stack([inv_k[regions], inv_mu[regions]], axis=1)[:, [0, 1, 1, 0], None]
             # (key, row, polarization, (wavelength, l) entry)
-            m, e = sm.scale((m.swapaxes(0, 1)[:, rows], e.swapaxes(0, 1)[:, rows]), factor)
-            self._entries = {
-                (j, i): ((m[n], e[n]), (det_m[j - 1], det_e[j - 1]))
-                for n, (j, i) in enumerate(keys)
-            }
+            x = values.swapaxes(0, 1)[:, rows] * factor
+            d = det[regions] * np.exp(-(logs[0] + logs[1]))[:, None]
+            self._entries = {(j, i): (x[n], d[n]) for n, (j, i) in enumerate(keys)}
         return self._entries[region, interface]
 
+    def norms(self):
+        """Log norms of the regular and outgoing families per region at its
+        inner and at its outer interface, as two (family, region, (wavelength,
+        l) entry) arrays, NaN where a region has no such interface (the core
+        inside, the ambient outside); and per region the log of the ambient
+        outgoing amplitude per unit local amplitude of the inward sweep's
+        pair stored there."""
+        if self._norms is None:
+            keys, _, logs = self.tables()
+            n = self.ctxs[0].n_regions
+            inner, outer = np.full((2, 2, n, logs.shape[-1]), np.nan)
+            for key, (j, i) in enumerate(keys):
+                (outer if i == j else inner)[:, j - 1] = logs[:, key]
+            to_ambient = np.empty(inner.shape[1:])
+            to_ambient[-2:] = -inner[1, -1]
+            for j in range(n - 3, -1, -1):
+                to_ambient[j] = to_ambient[j + 1] + outer[1, j + 1] - inner[1, j + 1]
+            self._norms = inner, outer, to_ambient
+        return self._norms
+
+    def factors(self):
+        """Per region, over the (wavelength, l) entries: tau, the factor by
+        which the outgoing local amplitude falls against the regular one
+        from one of the region's interfaces to the other; and the bounded
+        cross-radius factors psi(k r_a)/psi(k r_b) and xi(k r_b)/xi(k r_a),
+        as family norms at its inner and outer radius r_a < r_b, by which
+        the pairs the outward and the inward sweep store in adjacent regions
+        differ.  Core and ambient have none (NaN)."""
+        if self._factors is None:
+            inner, outer, _ = self.norms()
+            rho_p, rho_x = inner[0] - outer[0], outer[1] - inner[1]
+            self._factors = np.exp(rho_p + rho_x), np.exp(rho_p), np.exp(rho_x)
+        return self._factors
+
+    def link(self, interface, host, w):
+        """Per (interface, row, l): the product of cross-radius factors that
+        carries the stored row of the sweep that reaches an interface to the
+        normalization of the pair stored at the row's host, regions strictly
+        between them."""
+        _, rho_p, rho_x = self.factors()
+        shape = (len(self.ctxs), self.l_max)
+        out = np.ones(np.broadcast_shapes(np.shape(interface), host.shape) + (self.l_max,))
+        for k in range(2, self.ctxs[0].n_regions):
+            inward = (host < k) & (k <= interface)
+            outward = (interface < k) & (k < host)
+            if inward.any():
+                out = np.where(inward[..., None], out * rho_x[k - 1].reshape(shape)[w], out)
+            if outward.any():
+                out = np.where(outward[..., None], out * rho_p[k - 1].reshape(shape)[w], out)
+        return out
+
     def dipole_tables(self, rho):
-        """(psi, dpsi, xi, dxi) over l = 1..l_max, stacked on a leading
-        axis, at the dipole arguments rho, one table each.  While the
-        interface tables are still missing they are built in the same call."""
+        """Normalized (psi, dpsi, xi, dxi) over l = 1..l_max and their log
+        norms at the dipole arguments rho, one table each.  While the
+        interface tables are still missing they are built in the same
+        call."""
         if self._tables is not None:
-            return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
+            return _normalized(tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table))
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 
@@ -342,13 +421,14 @@ class _Closure:
     ``_KINDS``), each orientation's TM channel first; ``pol`` holds each
     channel's index into ``POLS``.  Row n is row n of the close, at radius
     ``r[n]``, wavelength index ``w[n]`` and host region ``host[n]``, and
-    ``dist[n]`` holds its distance to each interface.  Beside
-    the collapsed amplitudes the closure keeps the scaled ones, ``a1`` and
-    ``b``, that multiply the unit pairs of ``sweeps``.
+    ``dist[n]`` holds its distance to each interface.  Beside the physical
+    amplitudes the closure keeps ``a`` and ``b``, the amplitudes that
+    multiply the stored rows of ``sweeps`` at the host's inner and outer
+    interface; :meth:`Prepared.link` carries them to the other interfaces.
     """
 
     def __init__(self, prepared, sweeps, orientations, kinds, r, w, host, dist,
-                 weight, g, b_out, q_out, scat, ab):
+                 weight, g, b_out, q_out, scat, a, b):
         self.prepared = prepared
         self.sweeps = sweeps
         self.orientations = tuple(orientations)
@@ -356,7 +436,7 @@ class _Closure:
         self.r, self.w, self.host, self.dist = r, w, host, dist
         self.weight = weight  # (channel, 1, l)
         self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
-        self.a1, self.b = _part(ab, 0), _part(ab, 1)
+        self.a, self.b = a, b
         # each orientation's TM channel, and the TE channel with the
         # orientation it belongs to
         self.first = np.flatnonzero(kinds != 2)
@@ -379,11 +459,9 @@ class _Closure:
             i = np.asarray(interfaces)[at, None, None]
             inward = i >= self.host
             rows = self.sweeps.rows(i, inward, self.pol[:, None], self.w)
-            amp = self.b
-            if not inward.all():
-                amp = tuple(np.where(inward[..., None], y, x) for x, y in zip(self.a1, self.b))
-            m, e = sm.mul(amp, rows)
-            p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
+            amp = np.where(inward[..., None], self.b, self.a) * self.prepared.link(i, self.host, self.w)
+            e, h = amp * rows
+            p = _finite(np.conj(e) * h, "interface flux")
             f[at] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
         return f
 
@@ -392,75 +470,99 @@ class _Closure:
         return self.fluxes([interface])[0]
 
 
+def _finite(x, context):
+    """x, or RangeError naming ``context`` and the order of its first
+    non-finite entry, entry i along the last axis being order i + 1."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise RangeError(f"{context} overflows double precision at order l={bad[0] % x.shape[-1] + 1}")
+    return x
+
+
 def _collapse_channels(pol, degenerate, named):
-    """Collapse the named scaled (channel, row, l) arrays in one pass.  On
-    failure, what a close channel by channel would raise first is raised:
-    for the first failing channel, its first singular order, else its first
-    overflowing quantity in the order named, each at its first order."""
-    if not degenerate.any():
-        try:
-            return sm.collapse(tuple(np.stack(x) for x in zip(*(x for x, _ in named))))
-        except RangeError:
-            pass
-    over = [sm.log_abs(x) > sm.LOG_HUGE for x, _ in named]
-    bad = np.stack([np.broadcast_to(degenerate, over[0].shape), *over])
+    """The named (channel, row, l) arrays, checked in one pass.  On failure,
+    what a close channel by channel would raise first is raised: for the
+    first failing channel, its first singular order, else its first
+    non-finite quantity in the order named, each at its first order."""
+    values = [x for x, _ in named]
+    if not degenerate.any() and np.isfinite(values).all():
+        return values
+    bad = np.stack([np.broadcast_to(degenerate, values[0].shape),
+                    *(~np.isfinite(x) for x in values)])
     c = int(np.argmax(bad.any(axis=(0, 2, 3))))
     q = int(np.argmax(bad[:, c].any(axis=(1, 2))))
     if q == 0:
         raise DegenerateSystemError(int(np.argwhere(bad[0, c])[0][-1]) + 1, POLS[pol[c]])
     x, context = named[q - 1]
-    sm.collapse((x[0][c], x[1][c]), context, 1)
-
-
-def _solve(pairs, s):
-    """The 2x2 closure of every channel and row with the unit pairs (u1, u2,
-    v1, v2) of its host and the sources (regular, outgoing): the amplitudes
-    (a1, b) that multiply the core and the ambient pair, the scattered
-    self-coupling g and outgoing amplitude, and where the closure is
-    singular.  A singular determinant u1 v2 - u2 v1 is set to one: its rows
-    raise before any result is used, and the others must not divide by zero
-    first."""
-    t = sm.mul(_part(pairs, slice(0, 2)), _part(pairs, slice(3, 1, -1)))
-    delta = sm.sub(_part(t, 0), _part(t, 1))
-    scale_log = np.maximum(*sm.log_abs(t))
-    degenerate = (delta[0] == 0) | (
-        np.isfinite(scale_log) & (sm.log_abs(delta) < scale_log + _DEGENERACY_LOG)
-    )
-    if degenerate.any():
-        delta = np.where(degenerate, 1.0 + 0j, delta[0]), np.where(degenerate, 0.0, delta[1])
-    # (a1, b) = ((v1, u1) s_reg + (v2, u2) s_out) / delta
-    ab = sm.div(sm.add(sm.mul(_part(pairs, slice(2, None, -2)), _part(s, 0)),
-                       sm.mul(_part(pairs, slice(3, None, -2)), _part(s, 1))), delta)
-    # scattered field in the host region, (a_s, b_s) = (v1 b, u2 a1); these
-    # product forms are exact and avoid the cancellation in (total - primary)
-    scat = sm.mul(_part(pairs, slice(2, 0, -1)), _part(ab, slice(None, None, -1)))
-    g = sm.mul(scat, s)
-    return ab, sm.add(_part(g, 0), _part(g, 1)), _part(scat, 1), degenerate
+    _finite(x[c], context)
 
 
 def _sources(prepared, kinds, r, w, host):
-    """Source amplitudes (regular, outgoing) of every channel and row: the
-    projections of the two profiles onto the dipole axis, from one Riccati
-    table per row at k r of its host and wavelength.  A row at the origin
-    takes their r -> 0 limits instead (``_ORIGIN_REG``) and never reaches a
-    table, which rejects a zero argument."""
+    """Source amplitudes (regular, outgoing) of every channel and row, the
+    projections of the two profiles onto the dipole axis from one Riccati
+    table per row at k r of its host and wavelength: divided by the log
+    norms of the table's regular and outgoing family, which are returned
+    per (row, l) beside them, and the physical regular amplitude.  A row at
+    the origin takes their r -> 0 limits instead (``_ORIGIN_REG``) and never
+    reaches a table, which rejects a zero argument; its norms are the core's
+    at its interface."""
     off = r != 0.0
     if off.any():
         with np.errstate(over="ignore"):  # an infinite k r is rejected by its table
             rho = prepared.k[host[off] - 1, w[off]] * r[off]
-        m, e = prepared.dipole_tables(rho)
+        values, logs = prepared.dipole_tables(rho)
         inv_rho = real_over(1.0, rho)[:, None]
         factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
-        profiles = _KIND_PROFILE[kinds].T
-        s = sm.scale((m[profiles], e[profiles]), factor)
+        s = values[_KIND_PROFILE[kinds].T] * factor
+        q = s[0] * np.exp(logs[0])
         if off.all():
-            return s
-    shape = (2, len(kinds), len(r), prepared.l_max)
-    s_all = np.zeros(shape, dtype=complex), np.zeros(shape)
-    s_all[0][0][:, ~off, 0] = _ORIGIN_REG[kinds, None]
+            return s, logs, q
+    s_all = np.zeros((2, len(kinds), len(r), prepared.l_max), dtype=complex)
+    q_all = np.zeros(s_all.shape[1:], dtype=complex)
+    logs_all = np.empty((2, len(r), prepared.l_max))
+    logs_all[:, ~off] = prepared.norms()[1][:, 0].reshape(2, len(prepared.ctxs), -1)[:, w[~off]]
+    q_all[:, ~off, 0] = _ORIGIN_REG[kinds, None]
+    s_all[0][:, ~off, 0] = q_all[:, ~off, 0] * np.exp(-logs_all[0, ~off, 0])
     if off.any():
-        s_all[0][:, :, off], s_all[1][:, :, off] = s
-    return s_all
+        s_all[:, :, off], logs_all[:, off], q_all[:, off] = s, logs, q
+    return s_all, logs_all, q_all
+
+
+def _references(prepared, host, w, logs):
+    """Per row, over l: the log norms (regular, outgoing) at the host's
+    inner interface, where its u pair is local, and at its outer one, where
+    its v pair is local, the dipole's own ``logs`` standing in for the
+    core's inner and the ambient's outer interface; and the log of the
+    ambient outgoing amplitude per unit local amplitude there."""
+    n = prepared.ctxs[0].n_regions
+    inner, outer, to_ambient = (x.reshape(x.shape[:-1] + (len(prepared.ctxs), -1))[..., host - 1, w, :]
+                                for x in prepared.norms())
+    ambient = host[:, None] == n
+    return (np.where(host[:, None] == 1, logs, inner), np.where(ambient, logs, outer),
+            np.where(ambient, -logs[1], to_ambient))
+
+
+def _solve(pairs, s):
+    """The 2x2 closure of every channel and row with the pairs (u1, u2, v1,
+    v2) of its host and the sources (regular, outgoing), both in the
+    dipole's normalization: the amplitudes (a, b) that multiply the core and
+    the ambient pair, the self-coupling g and the scattered outgoing
+    amplitude over the product of the dipole's norms, and where the closure
+    is singular.  A singular determinant u1 v2 - u2 v1 is set to one: its
+    rows raise before any result is used, and the others must not divide by
+    zero first."""
+    u1, u2, v1, v2 = pairs
+    t1, t2 = u1 * v2, u2 * v1
+    delta = t1 - t2
+    degenerate = (delta == 0) | (np.abs(delta) < _DEGENERACY * np.maximum(np.abs(t1), np.abs(t2)))
+    if degenerate.any():
+        delta = np.where(degenerate, 1.0, delta)
+    a = (v1 * s[0] + v2 * s[1]) / delta
+    b = (u1 * s[0] + u2 * s[1]) / delta
+    # scattered field in the host region, (a_s, b_s) = (v1 b, u2 a); these
+    # product forms are exact and avoid the cancellation in (total - primary)
+    b_s = u2 * a
+    return a, b, v1 * b * s[0] + b_s * s[1], b_s, degenerate
 
 
 def close(prepared, rows, orientations):
@@ -473,13 +575,17 @@ def close(prepared, rows, orientations):
 
     The dipole Riccati tables of all rows off the origin are built in one
     call, one per row, with k r formed at each row's own wavelength.  Each
-    channel of each row gathers its sweep entries by (host, wavelength).
-    Every entry is elementwise in the channels, rows and wavelengths, so a
-    row's results do not depend on which rows or wavelengths share the
-    call, and a batch raises only where one of its rows alone would.  The
-    rows are checked first (:func:`model.check_points`), and a bad one
-    raises the first bad row's error; an error of the solve names its order
-    and polarization but not its row.
+    channel of each row gathers its sweep entries by (host, wavelength), and
+    only the polarizations the channels use are swept.  Each host pair is
+    carried to the dipole by one factor per row and order, of at most about
+    one, formed from the log norms at the dipole and at the host's
+    interfaces, so the closure runs on bounded plain complex values.  Every
+    entry is elementwise in the channels, rows and wavelengths, so a row's
+    results do not depend on which rows or wavelengths share the call, and
+    a batch raises only where one of its rows alone would.  The rows are
+    checked first (:func:`model.check_points`), and a bad one raises the
+    first bad row's error; an error of the solve names its order and
+    polarization but not its row.
     """
     r = np.array([x for x, _ in rows], dtype=float)
     w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
@@ -490,21 +596,26 @@ def close(prepared, rows, orientations):
                                     host_eps=lambda host: prepared.eps[host - 1, w])
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
-    s = _sources(prepared, kinds, r, w, host)
+    s, (lp, lx), q_out = _sources(prepared, kinds, r, w, host)
     sweeps = prepared.sweeps
-    sweeps.reach(prepared, host.min(), host.max())
-    ab, g, b_s, degenerate = _solve(sweeps.pairs(host, pol[:, None], w), s)
+    sweeps.reach(prepared, host.min(), host.max(), sorted(set(pol.tolist())))
+    (ip, ix), (op, ox), to_ambient = _references(prepared, host, w, (lp, lx))
+    u1, u2, v1, v2 = sweeps.pairs(host, pol[:, None], w)
+    # the host's pairs as (regular, outgoing) fields at the dipole, each
+    # pair scaled so that its larger part stays of order one
+    a, b, g, b_s, degenerate = _solve(
+        (u1, u2 * np.exp(lx - ix + ip - lp), v1 * np.exp(lp - op + ox - lx), v2), s)
     g, b_out, q_out, scat = _collapse_channels(pol, degenerate, (
-        (g, "g"),
-        (_part(ab, 1), "ambient amplitude"),
-        (_part(s, 0), "source amplitude"),
-        (b_s, "scattered amplitude"),
+        (g * np.exp(lp + lx), "g"),
+        (b * np.exp(lp + ox + to_ambient), "ambient amplitude"),
+        (q_out, "source amplitude"),
+        (b_s * np.exp(lp), "scattered amplitude"),
     ))
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
-    return _Closure(prepared, sweeps, orientations, kinds, r, w, host, dist,
-                    weight, g, b_out, q_out, scat, ab)
+    return _Closure(prepared, sweeps, orientations, kinds, r, w, host, dist, weight,
+                    g, b_out, q_out, scat, a * np.exp(lx + ip), b * np.exp(lp + ox))
 
 
 def check_l_max(l_max):

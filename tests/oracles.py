@@ -338,7 +338,7 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
     """Plain 2x2 matrix carrying (regular, outgoing) amplitudes of order l >= 1
     from the inner medium to the outer one across a single interface; the
     solver's own matching step applied to the unit pairs of a two-region
-    sphere."""
+    sphere, taken to and from local amplitudes with the family norms."""
     k0 = 2.0 * math.pi / wavelength_nm
     n = (complex(n_in), complex(n_out))
     mu = (mu_in, mu_out)
@@ -354,34 +354,48 @@ def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, m
     )
     prepared = transfer.Prepared(None, [wavelength_nm], l, [ctx])
     p = transfer.POLS.index(pol)
+    inner, outer, _ = prepared.norms()
     m = np.empty((2, 2), dtype=complex)
     for col, unit in enumerate(UNIT_PAIRS):
-        pair, _ = transfer._cross(unit, prepared.entries(1, 1), prepared.entries(2, 1))
-        m[:, col] = sm.collapse(pair)[:, p, -1]
+        local = unit * np.exp(outer[:, 0, -1])
+        pair, _ = transfer._cross(local, prepared.entries(1, 1), prepared.entries(2, 1))
+        m[:, col] = pair[:, p, -1] * np.exp(-inner[:, 1, -1])
     return m
 
 
-# the unit (regular, outgoing) pairs (1, 0) and (0, 1), each stacked on a
-# leading axis as the solver stacks its pairs
-UNIT_PAIRS = tuple((np.array(c, dtype=complex), np.zeros(2)) for c in ((1, 0), (0, 1)))
+# the unit (regular, outgoing) pairs (1, 0) and (0, 1)
+UNIT_PAIRS = tuple(np.array(c, dtype=complex) for c in ((1, 0), (0, 1)))
 
 
 def states(closure, c):
     """Per region 1..N+1 of channel c of the one row of a closure:
-    (inner_state, outer_state) scaled pairs over l = 1..l_max.  The two
-    differ only in the host region, across the source."""
-    sweeps, host = closure.sweeps, closure.host[0]
-    pol, w = closure.pol[c], closure.w[0]
+    (inner_state, outer_state) scaled pairs over l = 1..l_max of physical
+    amplitudes.  The two differ only in the host region, across the source.
+    Each region's stored sweep pair is carried to the host by the prepare's
+    link and taken out of its local normalization with its family norms."""
+    prepared, sweeps = closure.prepared, closure.sweeps
+    host, pol, w = closure.host[:1], closure.pol[c], closure.w[:1]
+    n = prepared.ctxs[0].n_regions
+    _, logs, _ = transfer._sources(prepared, closure.pol[:1], closure.r[:1], w, host)
+    ref_in, ref_out, _ = transfer._references(prepared, host, w, logs)
+    inner, outer = (x.reshape(2, n, len(prepared.ctxs), -1)[:, :, w[0]]
+                    for x in prepared.norms()[:2])
 
-    def times(amp, pair):
-        m, e = sm.mul((amp[0][c, 0], amp[1][c, 0]), pair)
-        return (m[0], e[0]), (m[1], e[1])
+    def physical(amp, pair, ref):
+        return tuple((amp * x, -lg) for x, lg in zip(pair, ref))
 
     out = []
-    for j in range(1, closure.prepared.ctxs[0].n_regions + 1):
-        pairs = sweeps.pairs(j, pol, w)
-        below = times(closure.a1, transfer._part(pairs, slice(0, 2))) if j <= host else None
-        above = times(closure.b, transfer._part(pairs, slice(2, 4))) if j >= host else None
+    for j in range(1, n + 1):
+        pairs = sweeps.pairs(np.array([j]), pol, w)[:, 0]
+        below = above = None
+        if j <= host[0]:
+            ref = ref_in[:, 0] if j == host[0] else (inner if j > 1 else outer)[:, j - 1]
+            link = prepared.link(max(j - 1, 1), host, w)[0] if j < host[0] else 1.0
+            below = physical(closure.a[c, 0] * link, pairs[:2], ref)
+        if j >= host[0]:
+            ref = ref_out[:, 0] if j == host[0] else (outer if j < n else inner)[:, j - 1]
+            link = prepared.link(min(j, n - 1), host, w)[0] if j > host[0] else 1.0
+            above = physical(closure.b[c, 0] * link, pairs[2:], ref)
         out.append((below or above, above or below))
     return tuple(out)
 
@@ -394,11 +408,9 @@ def interface_flux(closure, interface):
         return np.zeros(closure.g.shape)
     inward = interface >= closure.host
     rows = closure.sweeps.rows(interface, inward, closure.pol[:, None], closure.w)
-    amp = closure.b
-    if not inward.all():
-        amp = tuple(np.where(inward[:, None], y, x) for x, y in zip(closure.a1, closure.b))
-    m, e = sm.mul(amp, rows)
-    p = sm.collapse(sm.mul((np.conj(m[0]), e[0]), (m[1], e[1])), "interface flux", 1)
+    link = closure.prepared.link(interface, closure.host, closure.w)
+    e, h = np.where(inward[:, None], closure.b, closure.a) * link * rows
+    p = np.conj(e) * h
     return np.where(closure.pol[:, None, None] == 1, p.imag, -p.imag)
 
 

@@ -744,6 +744,27 @@ def test_failing_row_is_named_on_the_error_line(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sphere, grid, radius", [
+    # linspace's r/r_s = 1 is preset D's surface
+    ("D", {"linspace": [0, 2, 3]}, "150.0"),
+    # the default grid's 101st point, r/r_s = 100 * 2.01 / 400, is the core's surface
+    ({"shells": [[101.0025, {"n": 1.45}], [201.0, {"n": 1.6}]], "ambient": "water"},
+     "default", "101.002"),
+], ids=["linspace", "default"])
+def test_implicit_grid_point_on_an_interface_fails_before_any_row(tmp_path, capsys, sphere,
+                                                                  grid, radius):
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sphere": sphere, "grid": grid, "interface_margin": 0,
+                                    "l_max": 8, "out": str(out)}))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: radius {radius}"), err
+    assert "sits on the interface" in err
+    assert "while evaluating row" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r_over_rs, code, message", [
     # 0.16 nm inside preset A's silica core
     (0.50924, 2, "error: grid point r/r_s = 0.50924 violates the interface-exclusion margin"),
@@ -1167,7 +1188,7 @@ def test_batched_wavelengths_match_rows_prepared_alone(spec, r_over_rs):
     assert _rows_of(shuffled, rows[::-1], model.ORIENTATIONS) == one_by_one[::-1]
     # each wavelength's 1/k, 1/mu and matching determinant are the Python
     # complex arithmetic of a one-wavelength prepare, not numpy's division
-    inv_k, inv_mu, (det, _) = prepared.scalars()
+    inv_k, inv_mu, det = prepared.scalars()
     for region in range(1, sphere.n_regions + 1):
         for pol, sign in enumerate((-1j, 1j)):  # TM, TE
             for w, ctx in enumerate(prepared.ctxs):
