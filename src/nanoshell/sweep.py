@@ -338,8 +338,6 @@ def resolve_grid(cfg, sphere):
             f"is absorbing, or lossless with Re eps <= 0, at {cfg.wavelength_nm:g} nm",
             file=sys.stderr,
         )
-    # a kept point can still sit on an interface when the margin is below
-    # model.INTERFACE_TOL; the margin itself the nudge has already met
     vals = vals[~skip].tolist()
     model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm, grid=vals)
     return vals

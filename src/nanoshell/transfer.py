@@ -5,54 +5,29 @@ problem: regularity at the origin, an outgoing-only scattered wave in the
 ambient, and the point-source jump at the dipole radius.  Interface
 continuity (tangential E and H) couples the (regular, outgoing) amplitude
 pair of adjacent regions through 2x2 matrices built from Riccati-Bessel
-functions; the solution composes ordered matrix products from the core
-outward and from the ambient inward and closes them with a single 2x2 solve
-per channel.  No large block system is ever formed.
+functions; the solution composes them from the core outward and from the
+ambient inward and closes them with a single 2x2 solve per channel.
 
-Only the source jump depends on the dipole radius, so the solve has two
-steps.  :func:`prepare` holds what a sphere, a set of wavelengths and l_max
-fix: one layer context per wavelength, the interface tables of every
-wavelength from one Riccati call, and two sweeps of unit pairs, one outward
-from the core and one inward from the ambient, with TM and TE stacked on a
-leading polarization axis over the (wavelength, l) entries.  Each sweep is
-extended on first use only as far as a close needs, and every host region
-shares them: a dipole in region h reads both sweeps' pairs at h, the outward
-rows of the interfaces below h and the inward rows above it.
+Only the source jump depends on the dipole radius.  :func:`prepare` holds
+what a sphere, a set of wavelengths and l_max fix: the interface tables from
+one Riccati call, and per polarization an outward and an inward sweep over
+the (wavelength, l) entries, each extended on first use only as far as a
+close needs.  :func:`close` closes every channel of its rows at once on
+(channel, row, l) arrays, a row at the origin as the r -> 0 limit.  Every
+step is elementwise in the channels, rows and wavelengths, so a row's result
+does not depend on what shares its prepare and close.  The :class:`_Closure`
+is the one solved form; its interface fluxes give each shell's absorption.
 
-:func:`close` takes rows of (radius, wavelength), builds their dipole
-tables in one call and closes every channel of every row at once on
-(channel, row, l) arrays: the radial TM, tangential TM and tangential TE
-channels each gather their row's entries by (host, wavelength).  A row at
-the origin is the r -> 0 limit of the same closure: its sources keep the
-l = 1 TM channel alone.  Every step is elementwise in the channels, rows
-and wavelengths, and each wavelength's scalars (1/k, 1/mu, the matching
-determinant, k r) are formed at that wavelength alone, so a row's result
-does not depend on which rows or wavelengths share its prepare and close.
-The :class:`_Closure` it returns is the one solved form: every observable
-reads its arrays by (channel, row), and :func:`solve_dipole_fields` is the
-closure of one dipole, from a prepare and a close of its own.
-
-Each crossing keeps the (E_t, H_t) row its matching step formed at the
-interface; the net radial Poynting flux through an interface, and so a
-shell's Ohmic absorption, is read from it, the fluxes of every interface
-asked for in one pass over (interface, channel, row, l) arrays
-(:meth:`_Closure.fluxes`).
-
-Values a step uses in pairs are stacked on a leading axis, so that each
-scaled operation runs once per operand pair: a region's continuity entries
-at an interface in the order (e_x, h_p, h_x, e_p), whose regular column
-(e_p, h_p), outgoing column (e_x, h_x) and crossing terms (h_x, e_p) and
-(e_x, h_p) are views; each carried (regular, outgoing) pair and (E_t, H_t)
-row, the unit pairs (u1, u2, v1, v2) of :meth:`_Sweeps.pairs` and the rows
-of :meth:`_Sweeps.rows`; the sources and the amplitudes (a1, b).  Scaled
-operations are elementwise, so stacking changes no bit of a result.
-
-Azimuthal sums are folded analytically: a radial dipole drives only
-electric-type (TM) waves, a tangential dipole drives TM and TE, and each
-channel carries an m-summed scalar weight.  Amplitudes are propagated as
-(mantissa, log) arrays (:mod:`~nanoshell.scaledmath`) so products of
-strongly growing/decaying Riccati functions never overflow; scale factors
-cancel in every observable.
+The Riccati tables are (mantissa, log) pairs (:mod:`~nanoshell.scaledmath`),
+whose magnitudes grow and decay like (2l-1)!!.  Each is converted once into
+plain complex values, each family divided by its own norm, beside the log
+norms.  The sweeps step through a region with one cross-radius factor, a
+ratio of norms of at most about one, and the closure meets the host's pairs
+at the dipole through one such factor per row and order, so every amplitude
+between the dipole and an interface is a product of bounded factors: it may
+underflow to zero but never overflows.  Azimuthal sums are folded
+analytically: a radial dipole drives only electric-type (TM) waves, a
+tangential one TM and TE, and each channel carries an m-summed weight.
 """
 
 import math
@@ -123,15 +98,8 @@ def layer_context(sphere, wavelength_nm):
         absorbing.append(model.absorbs(eps))
     if absorbing[-1]:
         raise GeometryError("ambient medium must be lossless at the queried wavelength")
-    return LayerContext(
-        radii=sphere.radii,
-        k=tuple(ks),
-        mu=tuple(mus),
-        eps=tuple(epss),
-        absorbing=tuple(absorbing),
-        k0=k0,
-        wavelength_nm=wavelength_nm,
-    )
+    return LayerContext(sphere.radii, tuple(ks), tuple(mus), tuple(epss), tuple(absorbing), k0,
+                        wavelength_nm)
 
 
 def _normalized(table):
@@ -146,12 +114,11 @@ def _normalized(table):
 
 
 def _interface_tables(ctxs, l_max, rho=()):
-    """Normalized Riccati tables (:func:`_normalized`) of both regions at
-    every interface, one context per wavelength: the (region, interface)
-    keys, and the values and log norms over key and the (wavelength, l =
-    1..l_max) entries, flattened wavelength-major so that the sweeps run on
-    one-dimensional arrays; and from the same call the normalized tables
-    over l = 1..l_max at the extra arguments rho."""
+    """Normalized tables (:func:`_normalized`) of both regions at every
+    interface, one context per wavelength: the (region, interface) keys, the
+    values and the log norms over key and the (wavelength, l = 1..l_max)
+    entries, flattened wavelength-major; and from the same Riccati call the
+    normalized tables over l = 1..l_max at the extra arguments rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
     t = riccati_scaled(l_max, np.concatenate([z, rho])).table
@@ -164,14 +131,11 @@ def _interface_tables(ctxs, l_max, rho=()):
 def _cross(state, src, dst):
     """Carry a pair of local (regular, outgoing) amplitudes across one
     interface, from the region whose :meth:`Prepared.entries` there are
-    ``src`` to the one whose entries are ``dst``.  A unit pair (1, 0) or
-    (0, 1) may be given as the column it selects, ``_REGULAR`` or
+    ``src`` to the one whose entries are ``dst``: the pair on the far side
+    and the (E_t, H_t) row it forms at the interface.  A unit pair (1, 0)
+    or (0, 1) may be given as the column it selects, ``_REGULAR`` or
     ``_OUTGOING``: that column is then its row, as a generic crossing forms
-    it, without arithmetic.
-
-    Returns the pair on the far side and the (E_t, H_t) continuity row the
-    pair forms at the interface; the row is the same on either side.
-    """
+    it, without arithmetic."""
     x, _ = src
     if isinstance(state, slice):
         row = x[state]
@@ -184,23 +148,17 @@ def _cross(state, src, dst):
 
 class _Sweeps:
     """The two chains of a prepare over the (wavelength, l) entries of each
-    polarization: local amplitude pairs carried from the core outward (u,
-    from (1, 0)) and from the ambient inward (v, from (0, 1)), and the
-    (E_t, H_t) row each crossing forms.  A region's u pair is local to its
-    inner interface and its v pair to its outer one (the core's u and the
-    ambient's v to their one interface).  Stepping through a region, a pair
-    is scaled by that region's cross-radius factor (see
-    :meth:`Prepared.factors`), so every stored value stays bounded.  A
-    dipole hosted in region h closes with u and v at h; the outward rows of
-    the interfaces below h and the inward rows above it carry its fields
-    there.  Each polarization's sweeps are extended on first use only as far
-    as a close of that polarization needs, from the unit pair given as the
-    column it selects (see :func:`_cross`)."""
+    polarization: pairs of local amplitudes (:meth:`Prepared.entries`)
+    carried from the core outward (u, from (1, 0)) and from the ambient
+    inward (v, from (0, 1)), and the (E_t, H_t) row each crossing forms.  A
+    region's u pair is local to its inner interface and its v pair to its
+    outer one (the core's u and the ambient's v to their one interface).  A
+    dipole in region h closes with u and v at h; the outward rows below h
+    and the inward rows above it carry its fields there."""
 
     def __init__(self, prepared):
         n = prepared.ctxs[0].n_regions
-        # no reference back to the prepare, which owns the sweeps, so both
-        # are freed as soon as it goes
+        # no reference back to the prepare that owns them: both free together
         self._shape = (len(prepared.ctxs), prepared.l_max)  # (wavelength, l)
         entries = len(prepared.ctxs) * prepared.l_max
         # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
@@ -208,7 +166,7 @@ class _Sweeps:
         self._pairs[0, 0] = self._pairs[3, n - 1] = 1.0
         # ((E_t, H_t), interface, (outward, inward), polarization, (wavelength, l))
         self._rows = np.zeros((2, n - 1, 2, 2, entries), dtype=complex)
-        # per polarization: the outward sweep's top region, the inward one's bottom
+        # per polarization: the region each sweep has reached
         self.top, self.bottom = [1, 1], [n, n]
 
     def _view(self, x):
@@ -218,35 +176,27 @@ class _Sweeps:
     def reach(self, p, lo, hi, pols=(0, 1)):
         """Carry the outward sweep up to region ``hi`` and the inward sweep
         down to region ``lo``, of the polarization indices ``pols`` alone,
-        with the entries and factors of prepare ``p``.  Polarizations that
-        stand at the same region step together."""
+        with prepare ``p``.  A step through a region scales its pair by the
+        region's tau (:meth:`Prepared.factors`), and a sweep's first step
+        takes its unit pair as the column it selects (see :func:`_cross`);
+        polarizations that stand at the same region step together."""
         tau = p.factors()[0]
-        while late := [q for q in pols if self.top[q] < hi]:
-            i = min(self.top[q] for q in late)
-            q = [x for x in late if self.top[x] == i]
-            (x, d), (y, e) = p.entries(i, i), p.entries(i + 1, i)
-            if i == 1:
-                state = _REGULAR
-            else:
-                a, b = self._pairs[:2, i - 1, q]
-                state = a, b * tau[i - 1]
-            self._pairs[:2, i, q], self._rows[:, i - 1, 0, q] = _cross(
-                state, (x[:, q], d[q]), (y[:, q], e[q]))
-            for j in q:
-                self.top[j] = i + 1
-        while late := [q for q in pols if self.bottom[q] > lo]:
-            i = max(self.bottom[q] for q in late) - 1
-            q = [x for x in late if self.bottom[x] == i + 1]
-            (x, d), (y, e) = p.entries(i + 1, i), p.entries(i, i)
-            if i + 1 == len(tau):
-                state = _OUTGOING
-            else:
-                a, b = self._pairs[2:, i, q]
-                state = a * tau[i], b
-            self._pairs[2:, i - 1, q], self._rows[:, i - 1, 1, q] = _cross(
-                state, (x[:, q], d[q]), (y[:, q], e[q]))
-            for j in q:
-                self.bottom[j] = i
+        for inward, at, half in ((False, self.top, slice(0, 2)),
+                                 (True, self.bottom, slice(2, 4))):
+            while late := [q for q in pols if (lo < at[q] if inward else at[q] < hi)]:
+                src = (max if inward else min)(at[q] for q in late)  # the region left
+                q = [x for x in late if at[x] == src]
+                q, dst = slice(q[0], q[-1] + 1), src - 1 if inward else src + 1
+                i = min(src, dst)  # the interface crossed
+                if src == (len(tau) if inward else 1):
+                    state = _OUTGOING if inward else _REGULAR
+                else:
+                    a, b = self._pairs[half, src - 1, q]
+                    state = (a * tau[src - 1], b) if inward else (a, b * tau[src - 1])
+                (x, d), (y, e) = p.entries(src, i), p.entries(dst, i)
+                self._pairs[half, dst - 1, q], self._rows[:, i - 1, int(inward), q] = _cross(
+                    state, (x[:, q], d[q]), (y[:, q], e[q]))
+                at[q] = [dst] * len(at[q])
 
     def pairs(self, host, pol, w):
         """(u1, u2, v1, v2) at host regions, polarization indices and
@@ -264,10 +214,9 @@ class _Sweeps:
 class Prepared:
     """Everything a sphere, a set of wavelengths and l_max fix for every
     dipole radius: one layer context per wavelength, the normalized Riccati
-    tables at the interfaces and their log norms, each region's
-    continuity-matrix entries there, its cross-radius factors and the two
-    :class:`_Sweeps`, all over the (wavelength, l) entries and built on
-    first use."""
+    tables at the interfaces, each region's continuity-matrix entries, log
+    norms and cross-radius factors, and the :class:`_Sweeps`, all over the
+    (wavelength, l) entries and built on first use."""
 
     def __init__(self, sphere, wavelengths_nm, l_max, ctxs=None):
         check_l_max(l_max)
@@ -284,18 +233,7 @@ class Prepared:
         self.k0 = np.array([c.k0 for c in self.ctxs])
         # per (wavelength, region)
         self.absorbing = np.array([c.absorbing for c in self.ctxs])
-        self._tables = None
-        self._scalars = None
-        self._entries = None
-        self._norms = None
-        self._factors = None
-        self._sweeps = None
-
-    def tables(self):
-        """The normalized interface tables; see :func:`_interface_tables`."""
-        if self._tables is None:
-            self._tables, _ = _interface_tables(self.ctxs, self.l_max)
-        return self._tables
+        self._tables = self._scalars = self._derived = self._sweeps = None
 
     def scalars(self):
         """1/k, 1/mu and the TM and TE matching determinants per (region,
@@ -312,22 +250,11 @@ class Prepared:
             self._scalars = cols[:, 0], cols[:, 1], cols[:, 2:]
         return self._scalars
 
-    def entries(self, region, interface):
-        """Normalized continuity-matrix entries (e_x, h_p, h_x, e_p) of one
-        region at one interface, stacked on a leading axis, and the
-        region's matching determinant in the same normalization, with TM
-        and TE on a polarization axis over the (wavelength, l) entries.
-
-        Columns (regular, outgoing); rows (tangential-E, tangential-H).  For
-        TM the E row carries the Riccati derivatives, for TE the functions
-        themselves; k- and mu-weighting implement the field matching.  Each
-        column is divided by its family's norm there, so a pair of local
-        amplitudes is the pair of the amplitudes times those norms.  The
-        entries of every region at every interface are formed at once, on
-        first use.
-        """
-        if self._entries is None:
-            keys, values, logs = self.tables()
+    def _derive(self):
+        if self._derived is None:
+            if self._tables is None:
+                self._tables, _ = _interface_tables(self.ctxs, self.l_max)
+            keys, values, logs = self._tables
             inv_k, inv_mu, det = self.scalars()
             regions = [j - 1 for j, _ in keys]
             # (e_x, h_p, h_x, e_p) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
@@ -336,65 +263,63 @@ class Prepared:
             # (key, row, polarization, (wavelength, l) entry)
             x = values.swapaxes(0, 1)[:, rows] * factor
             d = det[regions] * np.exp(-(logs[0] + logs[1]))[:, None]
-            self._entries = {(j, i): (x[n], d[n]) for n, (j, i) in enumerate(keys)}
-        return self._entries[region, interface]
-
-    def norms(self):
-        """Log norms of the regular and outgoing families per region at its
-        inner and at its outer interface, as two (family, region, (wavelength,
-        l) entry) arrays, NaN where a region has no such interface (the core
-        inside, the ambient outside); and per region the log of the ambient
-        outgoing amplitude per unit local amplitude of the inward sweep's
-        pair stored there."""
-        if self._norms is None:
-            keys, _, logs = self.tables()
-            n = self.ctxs[0].n_regions
+            n = len(self.k)
             inner, outer = np.full((2, 2, n, logs.shape[-1]), np.nan)
             for key, (j, i) in enumerate(keys):
                 (outer if i == j else inner)[:, j - 1] = logs[:, key]
-            to_ambient = np.empty(inner.shape[1:])
+            log_p, log_x = inner[0] - outer[0], outer[1] - inner[1]
+            to_ambient = np.empty(log_x.shape)
             to_ambient[-2:] = -inner[1, -1]
             for j in range(n - 3, -1, -1):
-                to_ambient[j] = to_ambient[j + 1] + outer[1, j + 1] - inner[1, j + 1]
-            self._norms = inner, outer, to_ambient
-        return self._norms
+                to_ambient[j] = to_ambient[j + 1] + log_x[j + 1]
+            self._derived = ({(j, i): (x[k], d[k]) for k, (j, i) in enumerate(keys)},
+                             (inner, outer, to_ambient),
+                             (np.exp(log_p + log_x), np.exp(log_p), np.exp(log_x)))
+        return self._derived
+
+    def entries(self, region, interface):
+        """Continuity-matrix entries (e_x, h_p, h_x, e_p) of one region at one
+        interface, stacked on a leading axis, and its matching determinant,
+        with TM and TE on a polarization axis over the (wavelength, l)
+        entries.  Columns (regular, outgoing); rows (tangential-E, -H); for
+        TM the E row carries the Riccati derivatives, for TE the functions.
+        Each column is divided by its family's norm there, and the
+        determinant by both, so they act on local amplitudes: amplitudes
+        times those norms."""
+        return self._derive()[0][region, interface]
+
+    def norms(self):
+        """Log norms of the regular and the outgoing family of each region
+        at its inner and at its outer interface, as (family, region,
+        (wavelength, l) entry) arrays, NaN where there is none; and per
+        region the log of the ambient outgoing amplitude per local v
+        amplitude."""
+        return self._derive()[1]
 
     def factors(self):
-        """Per region, over the (wavelength, l) entries: tau, the factor by
-        which the outgoing local amplitude falls against the regular one
-        from one of the region's interfaces to the other; and the bounded
-        cross-radius factors psi(k r_a)/psi(k r_b) and xi(k r_b)/xi(k r_a),
-        as family norms at its inner and outer radius r_a < r_b, by which
-        the pairs the outward and the inward sweep store in adjacent regions
-        differ.  Core and ambient have none (NaN)."""
-        if self._factors is None:
-            inner, outer, _ = self.norms()
-            rho_p, rho_x = inner[0] - outer[0], outer[1] - inner[1]
-            self._factors = np.exp(rho_p + rho_x), np.exp(rho_p), np.exp(rho_x)
-        return self._factors
+        """Per region, from its inner radius r_a to its outer one r_b: tau,
+        then the bounded cross-radius factors psi(k r_a)/psi(k r_b) and
+        xi(k r_b)/xi(k r_a) as family norms, tau their product, by which the
+        pairs of adjacent regions differ; NaN in the core and the ambient."""
+        return self._derive()[2]
 
     def link(self, interface, host, w):
-        """Per (interface, row, l): the product of cross-radius factors that
-        carries the stored row of the sweep that reaches an interface to the
-        normalization of the pair stored at the row's host, regions strictly
-        between them."""
-        _, rho_p, rho_x = self.factors()
-        shape = (len(self.ctxs), self.l_max)
+        """Per (interface, row, l): the product of the cross-radius factors
+        of the regions strictly between an interface and a row's host, which
+        carries the host's amplitude to the sweep row stored there."""
+        _, rho_p, rho_x = (x.reshape(-1, len(self.ctxs), self.l_max) for x in self.factors())
         out = np.ones(np.broadcast_shapes(np.shape(interface), host.shape) + (self.l_max,))
-        for k in range(2, self.ctxs[0].n_regions):
-            inward = (host < k) & (k <= interface)
-            outward = (interface < k) & (k < host)
-            if inward.any():
-                out = np.where(inward[..., None], out * rho_x[k - 1].reshape(shape)[w], out)
-            if outward.any():
-                out = np.where(outward[..., None], out * rho_p[k - 1].reshape(shape)[w], out)
+        for k in range(2, len(self.k)):
+            for between, rho in (((host < k) & (k <= interface), rho_x),
+                                 ((interface < k) & (k < host), rho_p)):
+                if between.any():
+                    out = np.where(between[..., None], out * rho[k - 1, w], out)
         return out
 
     def dipole_tables(self, rho):
         """Normalized (psi, dpsi, xi, dxi) over l = 1..l_max and their log
-        norms at the dipole arguments rho, one table each.  While the
-        interface tables are still missing they are built in the same
-        call."""
+        norms at the dipole arguments rho, one table each; while the
+        interface tables are missing, built in the same call."""
         if self._tables is not None:
             return _normalized(tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table))
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
@@ -415,17 +340,12 @@ def prepare(sphere, wavelengths_nm, l_max):
 
 class _Closure:
     """Rows closed together against one prepare, as (channel, row, l)
-    arrays over l = 1..l_max.
-
-    The channels are those of each orientation in the order asked for (see
-    ``_KINDS``), each orientation's TM channel first; ``pol`` holds each
-    channel's index into ``POLS``.  Row n is row n of the close, at radius
-    ``r[n]``, wavelength index ``w[n]`` and host region ``host[n]``, and
-    ``dist[n]`` holds its distance to each interface.  Beside the physical
-    amplitudes the closure keeps ``a`` and ``b``, the amplitudes that
-    multiply the stored rows of ``sweeps`` at the host's inner and outer
-    interface; :meth:`Prepared.link` carries them to the other interfaces.
-    """
+    arrays over l = 1..l_max: the channels of each orientation in the order
+    asked for (``_KINDS``), TM first, ``pol`` their indices into ``POLS``;
+    row n at radius ``r[n]``, wavelength index ``w[n]``, host ``host[n]``
+    and distances ``dist[n]`` to the interfaces.  Beside the physical
+    amplitudes, ``a`` and ``b`` multiply the rows ``sweeps`` stores at the
+    host's inner and outer interface (see :meth:`Prepared.link`)."""
 
     def __init__(self, prepared, sweeps, orientations, kinds, r, w, host, dist,
                  weight, g, b_out, q_out, scat, a, b):
@@ -459,8 +379,8 @@ class _Closure:
             i = np.asarray(interfaces)[at, None, None]
             inward = i >= self.host
             rows = self.sweeps.rows(i, inward, self.pol[:, None], self.w)
-            amp = np.where(inward[..., None], self.b, self.a) * self.prepared.link(i, self.host, self.w)
-            e, h = amp * rows
+            amp = np.where(inward[..., None], self.b, self.a)
+            e, h = amp * self.prepared.link(i, self.host, self.w) * rows
             p = _finite(np.conj(e) * h, "interface flux")
             f[at] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
         return f
@@ -475,7 +395,8 @@ def _finite(x, context):
     non-finite entry, entry i along the last axis being order i + 1."""
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise RangeError(f"{context} overflows double precision at order l={bad[0] % x.shape[-1] + 1}")
+        l = bad[0] % x.shape[-1] + 1
+        raise RangeError(f"{context} overflows double precision at order l={l}")
     return x
 
 
@@ -500,12 +421,11 @@ def _collapse_channels(pol, degenerate, named):
 def _sources(prepared, kinds, r, w, host):
     """Source amplitudes (regular, outgoing) of every channel and row, the
     projections of the two profiles onto the dipole axis from one Riccati
-    table per row at k r of its host and wavelength: divided by the log
-    norms of the table's regular and outgoing family, which are returned
-    per (row, l) beside them, and the physical regular amplitude.  A row at
-    the origin takes their r -> 0 limits instead (``_ORIGIN_REG``) and never
-    reaches a table, which rejects a zero argument; its norms are the core's
-    at its interface."""
+    table per row at k r of its host and wavelength, each divided by its
+    family's norm; the log norms per (row, l); and the physical regular
+    amplitude.  A row at the origin takes the r -> 0 limits
+    (``_ORIGIN_REG``), never reaching a table, which rejects a zero
+    argument, and the core's norms at its interface."""
     off = r != 0.0
     if off.any():
         with np.errstate(over="ignore"):  # an infinite k r is rejected by its table
@@ -514,79 +434,45 @@ def _sources(prepared, kinds, r, w, host):
         inv_rho = real_over(1.0, rho)[:, None]
         factor = np.stack([inv_rho, inv_rho * inv_rho])[_KIND_POWER[kinds] - 1]
         s = values[_KIND_PROFILE[kinds].T] * factor
-        q = s[0] * np.exp(logs[0])
         if off.all():
-            return s, logs, q
+            return s, logs, s[0] * np.exp(logs[0])
     s_all = np.zeros((2, len(kinds), len(r), prepared.l_max), dtype=complex)
-    q_all = np.zeros(s_all.shape[1:], dtype=complex)
     logs_all = np.empty((2, len(r), prepared.l_max))
     logs_all[:, ~off] = prepared.norms()[1][:, 0].reshape(2, len(prepared.ctxs), -1)[:, w[~off]]
-    q_all[:, ~off, 0] = _ORIGIN_REG[kinds, None]
-    s_all[0][:, ~off, 0] = q_all[:, ~off, 0] * np.exp(-logs_all[0, ~off, 0])
+    s_all[0][:, ~off, 0] = _ORIGIN_REG[kinds, None] * np.exp(-logs_all[0, ~off, 0])
     if off.any():
-        s_all[:, :, off], logs_all[:, off], q_all[:, off] = s, logs, q
-    return s_all, logs_all, q_all
+        s_all[:, :, off], logs_all[:, off] = s, logs
+    q = s_all[0] * np.exp(logs_all[0])
+    q[:, ~off, 0] = _ORIGIN_REG[kinds, None]  # exactly
+    return s_all, logs_all, q
 
 
 def _references(prepared, host, w, logs):
-    """Per row, over l: the log norms (regular, outgoing) at the host's
-    inner interface, where its u pair is local, and at its outer one, where
-    its v pair is local, the dipole's own ``logs`` standing in for the
-    core's inner and the ambient's outer interface; and the log of the
-    ambient outgoing amplitude per unit local amplitude there."""
-    n = prepared.ctxs[0].n_regions
-    inner, outer, to_ambient = (x.reshape(x.shape[:-1] + (len(prepared.ctxs), -1))[..., host - 1, w, :]
+    """Per row over l: the log norms (regular, outgoing) at the host's inner
+    interface, where its u pair is local, and at its outer one, where its v
+    pair is local, the dipole's ``logs`` standing in for the core's inner
+    and the ambient's outer one; and the log of the ambient outgoing
+    amplitude per unit of the host's local v amplitudes."""
+    shape = (len(prepared.ctxs), prepared.l_max)
+    inner, outer, to_ambient = (x.reshape(x.shape[:-1] + shape)[..., host - 1, w, :]
                                 for x in prepared.norms())
-    ambient = host[:, None] == n
+    ambient = host[:, None] == len(prepared.k)
     return (np.where(host[:, None] == 1, logs, inner), np.where(ambient, logs, outer),
             np.where(ambient, -logs[1], to_ambient))
-
-
-def _solve(pairs, s):
-    """The 2x2 closure of every channel and row with the pairs (u1, u2, v1,
-    v2) of its host and the sources (regular, outgoing), both in the
-    dipole's normalization: the amplitudes (a, b) that multiply the core and
-    the ambient pair, the self-coupling g and the scattered outgoing
-    amplitude over the product of the dipole's norms, and where the closure
-    is singular.  A singular determinant u1 v2 - u2 v1 is set to one: its
-    rows raise before any result is used, and the others must not divide by
-    zero first."""
-    u1, u2, v1, v2 = pairs
-    t1, t2 = u1 * v2, u2 * v1
-    delta = t1 - t2
-    degenerate = (delta == 0) | (np.abs(delta) < _DEGENERACY * np.maximum(np.abs(t1), np.abs(t2)))
-    if degenerate.any():
-        delta = np.where(degenerate, 1.0, delta)
-    a = (v1 * s[0] + v2 * s[1]) / delta
-    b = (u1 * s[0] + u2 * s[1]) / delta
-    # scattered field in the host region, (a_s, b_s) = (v1 b, u2 a); these
-    # product forms are exact and avoid the cancellation in (total - primary)
-    b_s = u2 * a
-    return a, b, v1 * b * s[0] + b_s * s[1], b_s, degenerate
 
 
 def close(prepared, rows, orientations):
     """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
     against one prepare that holds every row's wavelength, closed on
     (channel, row, l) arrays: one :class:`_Closure` with the rows in the
-    order given.  The source amplitudes enter swapped (outgoing content
+    order given.  The rows are checked first (:func:`model.check_points`);
+    an error of the solve names its order and polarization, not its row.
+    Each channel gathers its host's sweep pairs by (host, wavelength),
+    scales them into fields at the dipole by one bounded factor each, and
+    closes them against the sources, which enter swapped (outgoing content
     above the source is proportional to the regular profile and vice
-    versa); at the origin only the l = 1 TM channels have a source.
-
-    The dipole Riccati tables of all rows off the origin are built in one
-    call, one per row, with k r formed at each row's own wavelength.  Each
-    channel of each row gathers its sweep entries by (host, wavelength), and
-    only the polarizations the channels use are swept.  Each host pair is
-    carried to the dipole by one factor per row and order, of at most about
-    one, formed from the log norms at the dipole and at the host's
-    interfaces, so the closure runs on bounded plain complex values.  Every
-    entry is elementwise in the channels, rows and wavelengths, so a row's
-    results do not depend on which rows or wavelengths share the call, and
-    a batch raises only where one of its rows alone would.  The rows are
-    checked first (:func:`model.check_points`), and a bad one raises the
-    first bad row's error; an error of the solve names its order and
-    polarization but not its row.
-    """
+    versa).  A singular determinant is set to one: its rows raise before any
+    result is used, and the others must not divide by zero first."""
     r = np.array([x for x, _ in rows], dtype=float)
     w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
     if not set(orientations) <= set(model.ORIENTATIONS):
@@ -596,17 +482,24 @@ def close(prepared, rows, orientations):
                                     host_eps=lambda host: prepared.eps[host - 1, w])
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
-    s, (lp, lx), q_out = _sources(prepared, kinds, r, w, host)
+    (s_reg, s_out), (lp, lx), q_out = _sources(prepared, kinds, r, w, host)
     sweeps = prepared.sweeps
     sweeps.reach(prepared, host.min(), host.max(), sorted(set(pol.tolist())))
     (ip, ix), (op, ox), to_ambient = _references(prepared, host, w, (lp, lx))
     u1, u2, v1, v2 = sweeps.pairs(host, pol[:, None], w)
-    # the host's pairs as (regular, outgoing) fields at the dipole, each
-    # pair scaled so that its larger part stays of order one
-    a, b, g, b_s, degenerate = _solve(
-        (u1, u2 * np.exp(lx - ix + ip - lp), v1 * np.exp(lp - op + ox - lx), v2), s)
+    u2, v1 = u2 * np.exp(lx - ix + ip - lp), v1 * np.exp(lp - op + ox - lx)
+    t1, t2 = u1 * v2, u2 * v1
+    delta = t1 - t2
+    degenerate = (delta == 0) | (np.abs(delta) < _DEGENERACY * np.maximum(np.abs(t1), np.abs(t2)))
+    if degenerate.any():
+        delta = np.where(degenerate, 1.0, delta)
+    a = (v1 * s_reg + v2 * s_out) / delta
+    b = (u1 * s_reg + u2 * s_out) / delta
+    # the scattered field in the host region is (a_s, b_s) = (v1 b, u2 a):
+    # exact product forms, free of the cancellation in (total - primary)
+    b_s = u2 * a
     g, b_out, q_out, scat = _collapse_channels(pol, degenerate, (
-        (g * np.exp(lp + lx), "g"),
+        ((v1 * b * s_reg + b_s * s_out) * np.exp(lp + lx), "g"),
         (b * np.exp(lp + ox + to_ambient), "ambient amplitude"),
         (q_out, "source amplitude"),
         (b_s * np.exp(lp), "scattered amplitude"),
@@ -620,22 +513,15 @@ def close(prepared, rows, orientations):
 
 def check_l_max(l_max):
     """Reject an l_max that is not an integer in 1..L_MAX_CEILING."""
-    if (
-        isinstance(l_max, bool)
-        or not isinstance(l_max, (int, np.integer))
-        or not 1 <= l_max <= L_MAX_CEILING
-    ):
+    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or not (
+            1 <= l_max <= L_MAX_CEILING):
         raise ConfigError(f"l_max must be an integer in 1..{L_MAX_CEILING}, got {l_max!r}")
 
 
 def solve_dipole_fields(sphere, dipole, l_max):
     """The :class:`_Closure` of one dipole, a single row holding each channel
-    its orientation drives, TM first: a prepare and a close of its own.
-
-    The overall source normalization is fixed so that a contrast-free sphere
-    returns zero scattered amplitudes and unit normalized rates.
-    """
-    wavelength_nm = dipole.wavelength_nm
-    prepared = prepare(sphere, [wavelength_nm], l_max)
-    row = (dipole.radial_position_nm, wavelength_nm)
-    return close(prepared, [row], (dipole.orientation,))
+    its orientation drives, TM first: a prepare and a close of its own.  The
+    source normalization makes a contrast-free sphere return zero scattered
+    amplitudes and unit normalized rates."""
+    row = (dipole.radial_position_nm, dipole.wavelength_nm)
+    return close(prepare(sphere, [row[1]], l_max), [row], (dipole.orientation,))
