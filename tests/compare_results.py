@@ -93,13 +93,14 @@ def main(other_src):
         sys.exit("the two trees return different rows")
     wt = FIELDS.index("wt_norm")
     print(f"{len(here['rows'])} results; per field: largest |change| / max(|value|, wt), "
-          "share bit-identical, the result with the largest change")
+          "share bit-identical, count beyond 1e-12, the result with the largest change")
     for k, field in enumerate(FIELDS):
         pairs = {key: (new[k], other["rows"][key][k], other["rows"][key][wt])
                  for key, new in here["rows"].items()}
         worst = max(pairs, key=lambda key: _relative(*pairs[key]))
         same = sum(json.dumps(a) == json.dumps(b) for a, b, _ in pairs.values()) / len(pairs)
-        print(f"  {field:20s} {_relative(*pairs[worst]):.3e}  {same:.4f}  {worst}")
+        beyond = sum(_relative(*p) > 1e-12 for p in pairs.values())
+        print(f"  {field:20s} {_relative(*pairs[worst]):.3e}  {same:.4f}  {beyond:4d}  {worst}")
     moved = 0
     for name, text in here["golden"].items():
         old_text = other["golden"][name]
