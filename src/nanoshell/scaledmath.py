@@ -5,12 +5,12 @@ mantissa ``m`` and real ``e``; both are numpy arrays (or scalars and 0-d
 arrays, which broadcast), and every operation acts elementwise: an entry's
 result does not depend on what shares its array, renormalization included,
 so callers stack operand pairs on a leading axis and run one operation per
-pair.  The multilayer recurrences run on these pairs, one array entry per
-angular momentum, so that Riccati-Bessel magnitudes, which grow roughly like
-(2l-1)!!, stay representable at angular momenta far beyond the
-physical-optics regime.  Scale factors cancel analytically in matched
-products, so observable quantities collapse back to ordinary doubles at the
-end.
+pair.  The Riccati recurrences of :mod:`~nanoshell.specfun` run on these
+pairs, one array entry per angular momentum, so that magnitudes growing
+roughly like (2l-1)!! stay representable at angular momenta far beyond the
+physical-optics regime.  Their tables leave scaled form once, in
+:mod:`~nanoshell.transfer`'s conversion into bounded plain complex values
+and log norms; the interface solve itself uses no scaled operation.
 """
 
 import numpy as np

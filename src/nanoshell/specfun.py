@@ -50,8 +50,8 @@ class ScaledRiccati:
 
     ``table`` is one (mantissa, log) pair, value = m * exp(e), each array
     stacking (psi, dpsi, xi, dxi) on a leading axis before the argument's
-    shape and l.  This is the working representation of the interface
-    solver.
+    shape and l; the interface solver converts it once into plain complex
+    values over their norms.
     """
 
     order_max: int

@@ -297,10 +297,10 @@ class Prepared:
         return self._derive()[1]
 
     def factors(self):
-        """Per region, from its inner radius r_a to its outer one r_b: tau,
-        then the bounded cross-radius factors psi(k r_a)/psi(k r_b) and
-        xi(k r_b)/xi(k r_a) as family norms, tau their product, by which the
-        pairs of adjacent regions differ; NaN in the core and the ambient."""
+        """Per region, with r_a < r_b its inner and outer radius: tau, the
+        product of the bounded cross-radius factors that follow, psi(k
+        r_a)/psi(k r_b) and xi(k r_b)/xi(k r_a) as family norms, by which the
+        sweeps' pairs of adjacent regions differ; NaN in core and ambient."""
         return self._derive()[2]
 
     def link(self, interface, host, w):

@@ -376,7 +376,8 @@ def states(closure, c):
     prepared, sweeps = closure.prepared, closure.sweeps
     host, pol, w = closure.host[:1], closure.pol[c], closure.w[:1]
     n = prepared.ctxs[0].n_regions
-    _, logs, _ = transfer._sources(prepared, closure.pol[:1], closure.r[:1], w, host)
+    # the dipole's log norms, which do not depend on the channel kind
+    _, logs, _ = transfer._sources(prepared, np.array([0]), closure.r[:1], w, host)
     ref_in, ref_out, _ = transfer._references(prepared, host, w, logs)
     inner, outer = (x.reshape(2, n, len(prepared.ctxs), -1)[:, :, w[0]]
                     for x in prepared.norms()[:2])
