@@ -5,12 +5,12 @@ mantissa ``m`` and real ``e``; both are numpy arrays (or scalars and 0-d
 arrays, which broadcast), and every operation acts elementwise: an entry's
 result does not depend on what shares its array, renormalization included,
 so callers stack operand pairs on a leading axis and run one operation per
-pair.  The Riccati recurrences of :mod:`~nanoshell.specfun` run on these
-pairs, one array entry per angular momentum, so that magnitudes growing
-roughly like (2l-1)!! stay representable at angular momenta far beyond the
-physical-optics regime.  Their tables leave scaled form once, in
-:mod:`~nanoshell.transfer`'s conversion into bounded plain complex values
-and log norms; the interface solve itself uses no scaled operation.
+pair.  No module of the package uses it: :mod:`~nanoshell.specfun` builds
+its Riccati tables as bounded values and log norms directly.  It is kept
+for ``tests/oracles.py``, whose plain j/y/h1 and psi/chi/xi tables are
+built on it, and for the benchmark tracer (``perfbench/tracing.py``), which
+imports it and counts its operations by name; it goes once the tracer no
+longer needs it.
 """
 
 import numpy as np

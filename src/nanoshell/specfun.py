@@ -12,24 +12,29 @@ momentum.  The two families come from numerically independent routes:
   formed as ``j + i*y``: in absorbing media ``y_l ~ i*j_l`` to nearly every
   double-precision digit, and the naive sum cancels catastrophically.
 
-Tables are carried as (mantissa, log-scale) arrays over l (see
-:mod:`~nanoshell.scaledmath`), so entries stay finite at angular momenta where
-(2l-1)!!-type growth overflows doubles.  Only the sequential j and h1
-recurrences step through the orders; derivatives and products act on whole
-arrays.  :func:`riccati_scaled` takes an array of arguments and returns one
-table per argument (last axis l); the recurrences run elementwise across the
-arguments, each from its own start order and with its own renormalizations,
-so an argument's table is the same whatever else shares the call.  Plain
-complex j/y/h1 and psi/chi/xi tables built on the same recurrences are test
-oracles (``tests/oracles.py``).
+A table is bounded values and log norms over l: each family, psi or xi,
+with its derivative divided by its norm max(|f|, |f'|), which never
+vanishes, and the log of that norm, so entries stay finite at angular
+momenta where (2l-1)!!-type growth overflows doubles (see Yang, Appl. Opt.
+42, 1710 (2003), for a multilayer recursion on such bounded values).  The
+recurrences carry plain mantissas and per-block logs; the trig seeds share
+one exponent per argument, each derivative is formed from neighbouring
+mantissas of one block, and the Miller normalization is a unit phase
+times a log, so no two large logs are subtracted at low orders.  Only the
+sequential j and h1 recurrences step through the orders; derivatives and
+norms act on whole arrays.  :func:`riccati_scaled` takes an array of
+arguments and returns one table per argument (last axis l); the recurrences
+run elementwise across the arguments, each from its own start order and
+with its own renormalizations, so an argument's table is the same whatever
+else shares the call.  Plain complex j/y/h1 and psi/chi/xi tables built on
+this table are test oracles (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import scaledmath as sm
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 _PAD_MIN = 15
 _RENORM = 1e250
@@ -46,12 +51,14 @@ _most, _least = np.maximum.reduce, np.minimum.reduce
 
 @dataclass(frozen=True)
 class ScaledRiccati:
-    """Riccati functions in scaled form over l = 0..order_max.
+    """Riccati functions over l = 0..order_max as bounded values and log
+    norms.
 
-    ``table`` is one (mantissa, log) pair, value = m * exp(e), each array
-    stacking (psi, dpsi, xi, dxi) on a leading axis before the argument's
-    shape and l; the interface solver converts it once into plain complex
-    values over their norms.
+    ``table`` is the pair (values, logs): values stacks (psi, dpsi, xi, dxi)
+    on a leading axis before the argument's shape and l, each family divided
+    by its norm max(|f|, |f'|), and logs stacks the log norms of psi and xi
+    the same way, so psi = values[0] * exp(logs[0]).  The interface solver
+    reads it as it comes.
     """
 
     order_max: int
@@ -77,15 +84,6 @@ def _validate(l_max, z):
     return z, start.astype(int)
 
 
-def _trig_seeds(z):
-    """Scaled sin z, cos z, exp(iz); safe for large |Im z|."""
-    eiz = sm.scaled_exp(1j * z)
-    emiz = sm.scaled_exp(-1j * z)
-    sinz = sm.scale(sm.sub(eiz, emiz), -0.5j)
-    cosz = sm.scale(sm.add(eiz, emiz), 0.5)
-    return sinz, cosz, eiz
-
-
 def _renormalize(out, a, *fs):
     """Divide each f by a where ``out`` is set; returns the divided fs and
     the log of the divisor."""
@@ -99,9 +97,11 @@ def _start_order(l_max, a):
     return np.maximum(l_max, np.ceil(a)) + pad
 
 
-def _j_scaled(l_max, z, seeds, l_start, c):
-    """Scaled j_l via downward recurrence, closed-form normalized, on the
-    ratios c = (2l + 1)/z.
+def _j_downward(l_max, z, l_start, c):
+    """j_l up to one factor per argument, by downward (Miller) recurrence on
+    the ratios c = (2l + 1)/z: per order l = 0..l_max its mantissa, the
+    mantissa of order l - 1 in the same block (zero at l = 0) and the block
+    log, j_l being the mantissa times exp(block log) times that factor.
 
     Each argument starts at its own order ``l_start``, above both l_max and
     the turning point l ~ |z|; the pad grows like |z|^(1/3) so the admixture
@@ -115,6 +115,7 @@ def _j_scaled(l_max, z, seeds, l_start, c):
     f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
     f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
     mant = [None] * (l_max + 1)
+    lower = [f] * (l_max + 1)
     logs = np.zeros(z.shape + (l_max + 1,))
     for l in range(len(c) - 1, 0, -1):
         if l in starts:
@@ -122,36 +123,23 @@ def _j_scaled(l_max, z, seeds, l_start, c):
         if l <= l_max:
             mant[l] = f
         f, f_hi = c[l] * f - f_hi, f
+        if l <= l_max:
+            lower[l] = f
         if l % _CHECK_EVERY == 0:
             a = np.abs(f)
             if _most(a, axis=None) > _RENORM:
                 (f, f_hi), lg = _renormalize(a > _RENORM, a, f, f_hi)
                 logs[..., :l] += lg[..., None]  # orders already stored keep theirs
     mant[0] = f
-    mant = np.stack(mant, axis=-1)
-
-    sinz, cosz, _ = seeds
-    zz = sm.from_complex(z)
-    j0 = sm.div(sinz, zz)
-    j1 = sm.sub(sm.div(j0, zz), sm.div(cosz, zz))
-    # normalize against whichever closed form is larger (j0 can sit on a zero)
-    ref = sm.log_abs(j0) < sm.log_abs(j1)
-    closed = tuple(np.where(ref, c1, c0) for c0, c1 in zip(j0, j1))
-    raw = tuple(np.where(ref, x[..., 1], x[..., 0]) for x in (mant, logs))
-    norm = sm.div(closed, raw)
-    return sm.mul((mant, logs), (norm[0][..., None], norm[1][..., None]))
+    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs
 
 
-def _upward_scaled(l_max, z, f0, f1, c):
-    """Scaled upward recurrence (for h1_l) from two scaled seeds on ratios c."""
-    m_prev, e_prev = f0
-    m, e = f1
-    mant = [m_prev, m]
-    logs = np.empty(z.shape + (l_max + 1,))
-    logs[..., 0] = e_prev
-    logs[..., 1:] = e[..., None]
-    # bring seeds to a common block exponent
-    m_prev = m_prev * np.exp(np.clip(e_prev - e, sm.LOG_TINY, sm.LOG_HUGE))
+def _h1_upward(l_max, z, h0, c):
+    """h1_l up to exp(-Im z) by upward recurrence on the ratios c from h_0 =
+    h0 and h_1 = h0 (1/z - i), in the form of :func:`_j_downward`."""
+    m_prev, m = h0, h0 * (c[0] - 1j)  # c[0] = 1/z
+    mant, lower = [m_prev, m], [np.zeros_like(h0), m_prev]
+    logs = np.zeros(z.shape + (l_max + 1,))
     for l in range(1, l_max):
         m, m_prev = c[l] * m - m_prev, m
         if l % _CHECK_EVERY == 0:
@@ -161,7 +149,8 @@ def _upward_scaled(l_max, z, f0, f1, c):
                 (m, m_prev), lg = _renormalize(out, a, m, m_prev)
                 logs[..., l + 1:] += lg[..., None]
         mant.append(m)
-    return sm.canonical(np.stack(mant, axis=-1), logs)
+        lower.append(m_prev)
+    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs
 
 
 def _ratios(l_top, z):
@@ -185,50 +174,60 @@ def real_over(a, z):
     return np.where(wide, x, y) + 1j * np.where(wide, -y, -x)
 
 
-def _h1_scaled(l_max, z, seeds, c):
-    _, _, eiz = seeds
-    zz = sm.from_complex(z)
-    h0 = sm.scale(sm.div(eiz, zz), -1j)
-    h1 = sm.scale(h0, c[0] - 1j)  # c[0] = 1/z
-    return _upward_scaled(l_max, z, h0, h1, c)
-
-
-def _derivatives(f, z, d0, c):
-    """f'_l = f_{l-1} - (l + c)/z f_l for l >= 1 along the last axis, after
-    the given f'_0: c = 0 for any Riccati family, c = 1 for a spherical one."""
-    m, e = f
-    ls = np.arange(1, m.shape[-1])
-    step = sm.scale((m[..., 1:], e[..., 1:]), -(ls + c) / z[..., None])
-    dm, de = sm.add((m[..., :-1], e[..., :-1]), step)
-    return tuple(np.concatenate([d[..., None], x], axis=-1) for d, x in zip(d0, (dm, de)))
-
-
-def _families(l_max, z):
-    """Validated argument, its trig seeds and the scaled j and h1 tables,
-    both recurrences reading one table of ratios (2l + 1)/z."""
-    z, l_start = _validate(l_max, z)
-    seeds = _trig_seeds(z)
-    c = _ratios(int(l_start.max()), z)
-    return z, seeds, _j_scaled(l_max, z, seeds, l_start, c), _h1_scaled(l_max, z, seeds, c)
+def _over_norm(f, df):
+    """A family and its derivative over the norm max(|f|, |f'|), and the log
+    of that norm."""
+    norm = np.maximum(np.abs(f), np.abs(df))
+    return f / norm, df / norm, np.log(norm)
 
 
 def riccati_scaled(l_max, z):
-    """psi/xi tables in scaled form; the interface solver's working fuel.
+    """psi/xi tables as bounded values and log norms; see :class:`ScaledRiccati`.
 
-    ``z`` is one argument or an array of them; each array of the table then
-    has the (psi, dpsi, xi, dxi) axis, the argument's shape and a last axis
-    over l = 0..l_max, and each argument's entries are the same whatever
-    else shares the call.  A scalar argument runs as a one-element array:
-    numpy's scalar arithmetic rounds some complex products differently from
-    its array loops.
+    ``z`` is one argument or an array of them; ``values`` then has the
+    (psi, dpsi, xi, dxi) axis, the argument's shape and a last axis over l =
+    0..l_max, and ``logs`` the (psi, xi) axis before the same two, and each
+    argument's entries are the same whatever else shares the call.  A scalar
+    argument runs as a one-element array: numpy's scalar arithmetic rounds
+    some complex products differently from its array loops.  A non-finite
+    entry raises RangeError naming its order.
     """
     shape = np.shape(z)
-    z, (_, cosz, eiz), j, h = _families(l_max, np.reshape(z, -1))
-    zz = tuple(x[..., None] for x in sm.from_complex(z))
-    # psi and xi stacked on a leading axis, then their derivatives
-    stacked = sm.mul(tuple(np.stack(x) for x in zip(j, h)), zz)
-    d0 = tuple(np.stack(x) for x in zip(cosz, eiz))
-    derived = _derivatives(stacked, z, d0, 0)
-    # interleaved into (psi, dpsi, xi, dxi)
-    table = tuple(np.stack(x, axis=1).reshape(4, *shape, l_max + 1) for x in zip(stacked, derived))
-    return ScaledRiccati(l_max, table)
+    z, l_start = _validate(l_max, np.reshape(z, -1))
+    c = _ratios(int(l_start.max()), z)
+    # sin z and cos z as mantissas at the common log |Im z|, exp(iz) at -Im z
+    a = np.abs(z.imag)
+    eix = np.exp(1j * z.real)
+    up, down = eix * np.exp(-z.imag - a), np.conj(eix) * np.exp(z.imag - a)
+    sin_m, cos_m = (up - down) * -0.5j, (up + down) * 0.5
+    zz, ls = z[:, None], np.arange(l_max + 1)
+
+    # psi = z j, the recurrence normalized against whichever closed form is
+    # larger (j0 can sit on a zero); orders 0 and 1 share a block.  The
+    # normalization n exp(|Im z| - block log) is a unit phase times a log
+    mant, lower, block = _j_downward(l_max, z, l_start, c)
+    j0 = sin_m / z
+    j1 = (j0 - cos_m) / z
+    ref = np.abs(j0) < np.abs(j1)
+    n = np.where(ref, j1, j0) / np.where(ref, mant[:, 1], mant[:, 0])
+    d = zz * lower - ls * mant  # psi'_l = z j_{l-1} - l j_l
+    d[:, 0] = cos_m / n
+    psi, dpsi, log_psi = _over_norm(zz * mant, d)
+    phase = (n / np.abs(n))[:, None]
+    log_psi = ((block - block[:, :1]) + log_psi) + (a + np.log(np.abs(n)))[:, None]
+
+    # xi = z h1 from exp(iz)
+    mant, lower, block = _h1_upward(l_max, z, -1j * eix / z, c)
+    d = zz * lower - ls * mant
+    d[:, 0] = eix
+    xi, dxi, log_xi = _over_norm(zz * mant, d)
+    log_xi = (block + log_xi) - z.imag[:, None]
+
+    logs = np.stack([log_psi, log_xi])
+    bad = ~np.isfinite(logs).all(axis=(0, 1))
+    if bad.any():
+        l = int(np.flatnonzero(bad)[0])
+        raise RangeError(f"Riccati table overflows double precision at order l={l}")
+    values = np.stack([psi * phase, dpsi * phase, xi, dxi])
+    return ScaledRiccati(l_max, (values.reshape(4, *shape, l_max + 1),
+                                 logs.reshape(2, *shape, l_max + 1)))

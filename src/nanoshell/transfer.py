@@ -18,16 +18,16 @@ step is elementwise in the channels, rows and wavelengths, so a row's result
 does not depend on what shares its prepare and close.  The :class:`_Closure`
 is the one solved form; its interface fluxes give each shell's absorption.
 
-The Riccati tables are (mantissa, log) pairs (:mod:`~nanoshell.scaledmath`),
-whose magnitudes grow and decay like (2l-1)!!.  Each is converted once into
-plain complex values, each family divided by its own norm, beside the log
-norms.  The sweeps step through a region with one cross-radius factor, a
-ratio of norms of at most about one, and the closure meets the host's pairs
-at the dipole through one such factor per row and order, so every amplitude
-between the dipole and an interface is a product of bounded factors: it may
-underflow to zero but never overflows.  Azimuthal sums are folded
-analytically: a radial dipole drives only electric-type (TM) waves, a
-tangential one TM and TE, and each channel carries an m-summed weight.
+The Riccati tables (:func:`~nanoshell.specfun.riccati_scaled`), whose
+magnitudes grow and decay like (2l-1)!!, come as plain complex values, each
+family divided by its own norm, beside the log norms.  The sweeps step
+through a region with one cross-radius factor, a ratio of norms of at most
+about one, and the closure meets the host's pairs at the dipole through one
+such factor per row and order, so every amplitude between the dipole and an
+interface is a product of bounded factors: it may underflow to zero but
+never overflows.  Azimuthal sums are folded analytically: a radial dipole
+drives only electric-type (TM) waves, a tangential one TM and TE, and each
+channel carries an m-summed weight.
 """
 
 import math
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import materials, model, scaledmath as sm
+from . import materials, model
 from .errors import ConfigError, DegenerateSystemError, GeometryError, RangeError
 from .specfun import real_over, riccati_scaled
 
@@ -50,7 +50,7 @@ _DEGENERACY = 1e-13
 _REGULAR = slice(3, None, -2)
 _OUTGOING = slice(None, None, 2)
 
-# largest accepted l_max; the scaled arithmetic holds well beyond it
+# largest accepted l_max; the log-norm tables hold well beyond it
 L_MAX_CEILING = 4000
 
 # channel kinds: 0 the radial dipole's TM channel, 1 and 2 the tangential
@@ -102,27 +102,22 @@ def layer_context(sphere, wavelength_nm):
                         wavelength_nm)
 
 
-def _normalized(table):
-    """A scaled (psi, dpsi, xi, dxi) table as plain complex values, each
-    family divided by its norm max(|f|, |f'|), and the log norms of the
-    regular and the outgoing family: the one step out of scaled arithmetic.
-    The norm never vanishes (f and f' have no common zero), so each value
-    is at most 1 and none has a pole."""
-    logs = sm.log_abs(table)
-    norms = np.maximum(logs[::2], logs[1::2])
-    return sm.collapse((table[0], table[1] - np.repeat(norms, 2, axis=0))), norms
+def _tables(l_max, z):
+    """The normalized (psi, dpsi, xi, dxi) values and the (psi, xi) log
+    norms (:func:`~nanoshell.specfun.riccati_scaled`) over l = 1..l_max at
+    the arguments z."""
+    return tuple(x[..., 1:] for x in riccati_scaled(l_max, z).table)
 
 
 def _interface_tables(ctxs, l_max, rho=()):
-    """Normalized tables (:func:`_normalized`) of both regions at every
+    """Normalized tables (:func:`_tables`) of both regions at every
     interface, one context per wavelength: the (region, interface) keys, the
     values and the log norms over key and the (wavelength, l = 1..l_max)
     entries, flattened wavelength-major; and from the same Riccati call the
-    normalized tables over l = 1..l_max at the extra arguments rho."""
+    tables at the extra arguments rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
-    t = riccati_scaled(l_max, np.concatenate([z, rho])).table
-    values, logs = _normalized(tuple(x[..., 1:] for x in t))
+    values, logs = _tables(l_max, np.concatenate([z, rho]))
     n = len(z)
     return ((keys, values[:, :n].reshape(4, len(keys), -1), logs[:, :n].reshape(2, len(keys), -1)),
             (values[:, n:], logs[:, n:]))
@@ -321,7 +316,7 @@ class Prepared:
         norms at the dipole arguments rho, one table each; while the
         interface tables are missing, built in the same call."""
         if self._tables is not None:
-            return _normalized(tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table))
+            return _tables(self.l_max, rho)
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 

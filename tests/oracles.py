@@ -13,9 +13,10 @@
   through one interface formed alone, and the non-retarded image-limit
   shift.
 * Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
-  :func:`riccati`) collapsed from the engine's own scaled j and h1
-  recurrences, with y assembled as -i (h1 - j); they raise RangeError
-  naming the first order that cannot be represented.
+  :func:`riccati`) collapsed from the engine's own normalized Riccati
+  table, taken into scaled pairs (:mod:`~nanoshell.scaledmath`), with y
+  assembled as -i (h1 - j); they raise RangeError naming the first order
+  that cannot be represented.
 """
 
 import functools
@@ -29,7 +30,7 @@ from scipy.special import spherical_jn, spherical_yn
 from nanoshell import model, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DomainError, NanoshellError, RangeError
-from nanoshell.specfun import _derivatives, _families, riccati_scaled
+from nanoshell.specfun import riccati_scaled
 
 mp.mp.dps = 40
 
@@ -217,9 +218,9 @@ def _radial_profiles(p, tab):
     """Radial profile f and its argument-derivative, per argument of a
     batched Riccati table (rows) and per order of the channel (columns)."""
     l = p["l"]
-    m, e = (x[..., l] for x in tab.table)  # (psi, dpsi, xi, dxi) stacked
-    f = _scaled_field_sum(p["c1m"], p["c1e"], m[0], e[0], p["c2m"], p["c2e"], m[2], e[2])
-    fd = _scaled_field_sum(p["c1m"], p["c1e"], m[1], e[1], p["c2m"], p["c2e"], m[3], e[3])
+    v, e = (x[..., l] for x in tab.table)  # (psi, dpsi, xi, dxi) values, (psi, xi) log norms
+    f = _scaled_field_sum(p["c1m"], p["c1e"], v[0], e[0], p["c2m"], p["c2e"], v[2], e[1])
+    fd = _scaled_field_sum(p["c1m"], p["c1e"], v[1], e[0], p["c2m"], p["c2e"], v[3], e[1])
     return f, fd
 
 
@@ -465,44 +466,45 @@ def _y_scaled(j, h):
     return sm.scale(sm.sub(h, j), -1j)
 
 
-def _sph_derivatives(f, z):
-    """Spherical-family derivatives; f'_0 = -f_1."""
-    return _derivatives(f, z, (-f[0][..., 1], f[1][..., 1]), 1)
+def _scaled_table(l_max, z):
+    """The engine's normalized psi, psi', xi, xi' at z as scaled pairs
+    (:mod:`~nanoshell.scaledmath`), the values over their log norms."""
+    values, logs = riccati_scaled(l_max, z).table
+    return [(v, logs[f // 2]) for f, v in enumerate(values)]
 
 
 def bessel_table(l_max, z):
-    """Full j/y/h1 table with derivatives at complex argument z.
+    """Full j/y/h1 table with derivatives at complex argument z, with j =
+    psi/z, j' = (psi' - j)/z and h1 alike.
 
     h1 comes from its own upward recurrence, not from j + i*y.
     """
-    z, _, j, h = _families(l_max, z)
-    y = _y_scaled(j, h)
+    psi, dpsi, xi, dxi = _scaled_table(l_max, z)
+    j, h = sm.scale(psi, 1 / z), sm.scale(xi, 1 / z)
+    dj, dh = sm.scale(sm.sub(dpsi, j), 1 / z), sm.scale(sm.sub(dxi, h), 1 / z)
     return BesselTable(
         order_max=l_max,
         argument=complex(z),
         j=sm.collapse(j, "j"),
-        y=sm.collapse(y, "y"),
+        y=sm.collapse(_y_scaled(j, h), "y"),
         h1=sm.collapse(h, "h1"),
-        dj=sm.collapse(_sph_derivatives(j, z), "j'"),
-        dy=sm.collapse(_sph_derivatives(y, z), "y'"),
-        dh1=sm.collapse(_sph_derivatives(h, z), "h1'"),
+        dj=sm.collapse(dj, "j'"),
+        dy=sm.collapse(_y_scaled(dj, dh), "y'"),
+        dh1=sm.collapse(dh, "h1'"),
     )
 
 
 def riccati(l_max, z):
-    """Riccati-Bessel table psi, chi, xi with derivatives at argument z."""
-    z, (sinz, cosz, eiz), j, h = _families(l_max, z)
-    zz = sm.from_complex(z)
-    psi = sm.mul(j, zz)
-    chi = sm.scale(sm.mul(_y_scaled(j, h), zz), -1.0)
-    xi = sm.mul(h, zz)
+    """Riccati-Bessel table psi, chi, xi with derivatives at argument z,
+    with chi = -z y = i (xi - psi)."""
+    psi, dpsi, xi, dxi = _scaled_table(l_max, z)
     return RiccatiTable(
         order_max=l_max,
         argument=complex(z),
         psi=sm.collapse(psi, "psi"),
-        chi=sm.collapse(chi, "chi"),
+        chi=sm.collapse(sm.scale(sm.sub(xi, psi), 1j), "chi"),
         xi=sm.collapse(xi, "xi"),
-        dpsi=sm.collapse(_derivatives(psi, z, cosz, 0), "psi'"),
-        dchi=sm.collapse(_derivatives(chi, z, sm.scale(sinz, -1.0), 0), "chi'"),
-        dxi=sm.collapse(_derivatives(xi, z, eiz, 0), "xi'"),
+        dpsi=sm.collapse(dpsi, "psi'"),
+        dchi=sm.collapse(sm.scale(sm.sub(dxi, dpsi), 1j), "chi'"),
+        dxi=sm.collapse(dxi, "xi'"),
     )

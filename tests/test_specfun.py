@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from nanoshell import specfun
 from nanoshell.errors import DomainError, RangeError
 from nanoshell.specfun import riccati_scaled
 
@@ -96,11 +98,41 @@ def test_overflow_names_failing_order():
 
 
 def test_scaled_tables_stay_finite_far_beyond_double_range():
-    m, e = riccati_scaled(2000, 2.1).table  # (psi, dpsi, xi, dxi) stacked
-    assert np.all(np.isfinite(m[2])) and np.all(np.isfinite(e[2]))
-    assert np.all(np.isfinite(m[0])) and np.all(np.isfinite(e[0]))
-    # xi_l at small argument dwarfs double range; the log scale carries it
-    assert e[2, -1] > 800
+    # (psi, dpsi, xi, dxi) values and (psi, xi) log norms
+    values, logs = riccati_scaled(2000, 2.1).table
+    assert np.all(np.isfinite(values[2])) and np.all(np.isfinite(logs[1]))
+    assert np.all(np.isfinite(values[0])) and np.all(np.isfinite(logs[0]))
+    # xi_l at small argument dwarfs double range; the log norm carries it
+    assert logs[1, -1] > 800
+
+
+@pytest.mark.parametrize("z", [2.1 + 0.3j, 15.0, 7.5 + 22j, 40.0 + 1j])
+def test_normalized_table_matches_mpmath(z):
+    # each family over its norm max(|f|, |f'|), and the log of that norm,
+    # against psi_l = sqrt(pi z / 2) J_{l+1/2}(z) and xi_l with H1 at 40 digits
+    with mp.workdps(40):
+        zc = mp.mpc(z)
+        pref = mp.sqrt(mp.pi * zc / 2)
+    for l_max in (60, 1000, 4000):
+        values, logs = riccati_scaled(l_max, z).table
+        for l in (1, 7, l_max // 2, l_max):
+            for fam, bessel in enumerate((mp.besselj, mp.hankel1)):
+                with mp.workdps(40):
+                    f_lo, f = (pref * bessel(k + mp.mpf(1) / 2, zc) for k in (l - 1, l))
+                    df = f_lo - l / zc * f
+                    norm = max(abs(f), abs(df))
+                    want = [complex(f / norm), complex(df / norm)]
+                    log_norm = float(mp.log(norm))
+                assert np.abs(values[2 * fam:2 * fam + 2, l] - want).max() <= 2e-13, (l_max, l)
+                assert abs(logs[fam, l] - log_norm) <= 2e-11, (l_max, l)
+
+
+def test_non_finite_table_entry_names_its_order(monkeypatch):
+    # without renormalization the recurrences leave double range
+    monkeypatch.setattr(specfun, "_RENORM", math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RangeError, match=r"order l=\d+"):
+            riccati_scaled(400, 0.5)
 
 
 def test_derivative_matches_finite_difference():
@@ -186,14 +218,15 @@ def test_tables_finite_over_spec_domain():
 
 def test_scaled_table_of_an_argument_does_not_depend_on_its_call():
     # a scalar, a one-element array and the same argument inside a batch of
-    # 30 give the same bits in every function and exponent
+    # 30 give the same bits in every value and log norm
     z = (0.1 + 0.05j) * np.linspace(1.0, 40.0, 30)
     batch = riccati_scaled(60, z).table
     for i in range(len(z)):
         scalar = riccati_scaled(60, z[i]).table
         single = riccati_scaled(60, z[i:i + 1]).table
-        for part, b, s, o in zip(("mantissa", "exponent"), batch, scalar, single):
-            for f, name in enumerate(("psi", "dpsi", "xi", "dxi")):
+        for names, b, s, o in zip((("psi", "dpsi", "xi", "dxi"), ("log psi", "log xi")),
+                                  batch, scalar, single):
+            for f, name in enumerate(names):
                 want = b[f, i].tobytes()
-                assert s[f].tobytes() == want, (i, name, part)
-                assert o[f, 0].tobytes() == want, (i, name, part)
+                assert s[f].tobytes() == want, (i, name)
+                assert o[f, 0].tobytes() == want, (i, name)
