@@ -223,8 +223,11 @@ def _observe(closure):
         "wohm_spread": wohm_spread,
         "shift_tail": _geometric_tail(-0.5 * np.real(g_terms)),
     }
+    # the shift's last partial sums, held to the wt rule's spread
+    shift_spread = np.ptp(shift_partial[..., -_SPREAD_ORDERS:], axis=-1)
     out["converged"] = (
         (out["wt_spread"] < _WT_SPREAD_TOL)
+        & (shift_spread < _WT_SPREAD_TOL * np.maximum(np.abs(out["shift_norm"]), out["wt_norm"]))
         & (out["wrad_spread"] < _WRAD_SPREAD_TOL)
         & (~any_absorbing | (wohm_spread < _WOHM_SPREAD_TOL))
         & ~(any_absorbing & near_metal)

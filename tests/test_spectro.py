@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn
 
-from nanoshell import model, spectro, transfer
+from nanoshell import model, spectro, sweep, transfer
 from nanoshell.errors import DomainError, GeometryError
 
 import oracles
@@ -227,6 +227,25 @@ def test_result_converged_away_from_metal():
     res = spectro.evaluate(model.preset("D"), model.DipoleSource(75.0, "radial", LAM))
     assert res.converged
     assert res.wt_spread < 1e-8 and res.wrad_spread < 1e-8
+
+
+def test_converged_holds_the_shift_to_the_wt_rule():
+    # a lossless four-shell sphere, the dipole 1.8 nm outside the interface
+    # at 108.89 nm: wt has converged, but the last shift terms are ~3 each
+    # (shift_norm 113, shift_tail 12665), so the row is not converged
+    sph = sweep.sphere_from_spec({
+        "shells": [[47.162934, {"n": [2.063453, 0.0]}], [70.46254, {"n": [1.892999, 0.0]}],
+                   [108.885882, {"n": [1.66032, 0.0]}], [157.436854, {"n": [1.790942, 0.0]}]],
+        "ambient": "water"})
+    r = 0.7032595472339793 * sph.outer_radius_nm
+    res = spectro.evaluate(sph, model.DipoleSource(r, "radial", LAM))
+    assert res.wt_spread < 1e-8 and res.wrad_spread < 1e-8 and res.shift_tail > 1e4
+    assert not res.converged
+    # preset D at 0.5 r_s: every series, the shift's too, has converged
+    d = model.preset("D")
+    for orientation in model.ORIENTATIONS:
+        dip = model.DipoleSource(0.5 * d.outer_radius_nm, orientation, LAM)
+        assert spectro.evaluate(d, dip).converged
 
 
 def test_self_field_partial_sums_monotone_convergence():
