@@ -318,10 +318,13 @@ def resolve_grid(cfg, sphere):
     explicit grid's first bad point raises (:func:`model.check_points`);
     default and linspace grids skip, and count on stderr, the points no host
     region can take at the sweep wavelength (:func:`model.unhosted`), and
-    then a kept point on an interface raises."""
+    then a kept point on an interface raises.  A grid with no point to
+    evaluate, empty or every point skipped, raises."""
     grid = cfg.grid
     rs = sphere.outer_radius_nm
     if isinstance(grid, (list, tuple)):
+        if not grid:
+            raise ConfigError("grid is empty: a radial sweep needs at least one point")
         vals = [float(v) for v in grid]
         model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm,
                            grid=vals, margin=cfg.interface_margin)
@@ -332,12 +335,14 @@ def resolve_grid(cfg, sphere):
         raise ConfigError(f"cannot interpret grid {grid!r}")
     vals = _linspace_grid(sphere, *grid["linspace"], cfg.interface_margin)
     skip = model.unhosted(sphere, model.locate(sphere, vals * rs)[0], cfg.wavelength_nm)
+    cause = (f"host region is absorbing, or lossless with Re eps <= 0, at "
+             f"{cfg.wavelength_nm:g} nm")
+    if skip.all():
+        raise ConfigError(f"no grid point to evaluate: skipped all {len(vals)} grid points, "
+                          f"whose {cause}")
     if skip.any():
-        print(
-            f"note: skipped {skip.sum()} of {len(vals)} grid points whose host region "
-            f"is absorbing, or lossless with Re eps <= 0, at {cfg.wavelength_nm:g} nm",
-            file=sys.stderr,
-        )
+        print(f"note: skipped {skip.sum()} of {len(vals)} grid points whose {cause}",
+              file=sys.stderr)
     vals = vals[~skip].tolist()
     model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm, grid=vals)
     return vals

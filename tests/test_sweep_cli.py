@@ -123,12 +123,19 @@ def test_center_rows_match_for_both_orientations():
     assert wt[0] == pytest.approx(0.8751, rel=5e-3)
 
 
-def test_empty_grid_gives_empty_table():
-    cfg = _cfg(grid=[])
-    table = sweep.run_sweep(cfg)
-    assert table.rows == []
-    csv = table.to_csv()
-    assert csv.splitlines() == [",".join(sweep.CSV_COLUMNS)]
+def test_a_grid_with_no_point_to_evaluate_exits_2_before_any_row(tmp_path):
+    # an empty grid, from a config or from `--grid ,`, and a linspace grid
+    # whose every point lies in preset A's outer gold shell
+    proc, out = _run_config(tmp_path, grid=[])
+    assert proc.returncode == 2 and proc.stderr == (
+        "error: grid is empty: a radial sweep needs at least one point\n")
+    proc = _run_cli("preset", "D", "--grid", ",", "--out", str(out))
+    assert proc.returncode == 2 and "grid is empty" in proc.stderr
+    proc, _ = _run_config(tmp_path, sphere="A", grid={"linspace": [0.9, 0.95, 3]})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: no grid point to evaluate: skipped all 3 grid points")
+    assert "absorbing" in proc.stderr and proc.stdout == ""
+    assert not out.exists()
 
 
 def test_csv_format():
