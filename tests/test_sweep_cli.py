@@ -340,7 +340,7 @@ def _run_cli(*args, cwd=None):
 # nor numpy.ma, which numpy's set routines (np.unique, np.union1d) import,
 # nor the benchmark table, which only `regress` reads
 UNUSED_BY_RUN = ("numpy.ma", "concurrent.futures.process", "multiprocessing",
-                 "nanoshell.benchmarks")
+                 "nanoshell.benchmarks", "nanoshell.scaledmath")
 
 # numpy is imported first: what it loads by itself (numpy 1.x imports
 # numpy.ma) is not the package's to avoid
