@@ -12,22 +12,19 @@ momentum.  The two families come from numerically independent routes:
   formed as ``j + i*y``: in absorbing media ``y_l ~ i*j_l`` to nearly every
   double-precision digit, and the naive sum cancels catastrophically.
 
-A table is bounded values and log norms over l: each family, psi or xi,
-with its derivative divided by its norm max(|f|, |f'|), which never
-vanishes, and the log of that norm, so entries stay finite at angular
-momenta where (2l-1)!!-type growth overflows doubles (see Yang, Appl. Opt.
-42, 1710 (2003), for a multilayer recursion on such bounded values).  The
-recurrences carry plain mantissas and per-block logs; the trig seeds share
-one exponent per argument, each derivative is formed from neighbouring
-mantissas of one block, and the Miller normalization is a unit phase
-times a log, so no two large logs are subtracted at low orders.  Only the
-sequential j and h1 recurrences step through the orders; derivatives and
-norms act on whole arrays.  :func:`riccati_scaled` takes an array of
-arguments and returns one table per argument (last axis l); the recurrences
-run elementwise across the arguments, each from its own start order and
-with its own renormalizations, so an argument's table is the same whatever
-else shares the call.  Plain complex j/y/h1 and psi/chi/xi tables built on
-this table are test oracles (``tests/oracles.py``).
+A table (:class:`ScaledRiccati`) holds each family over its norm and the
+log norms, so entries stay finite at angular momenta where (2l-1)!!-type
+growth overflows doubles (Yang, Appl. Opt. 42, 1710 (2003), runs a
+multilayer recursion on such bounded values).  It is formed from the
+recurrences' mantissas and per-block logs: the trig seeds share one
+exponent per argument, each derivative comes from neighbouring mantissas of
+one block, and the Miller normalization is a unit phase times a log, so no
+two large logs are subtracted at low orders.  Only the sequential j and h1
+recurrences step through the orders, elementwise across the arguments of a
+call, each from its own start order and with its own renormalizations, so
+an argument's table is the same whatever else shares the call.  Plain
+complex j/y/h1 and psi/chi/xi tables built on this table are test oracles
+(``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -120,11 +117,9 @@ def _j_downward(l_max, z, l_start, c):
     for l in range(len(c) - 1, 0, -1):
         if l in starts:
             f = np.where(starts[l], 1.0 + 0j, f)
-        if l <= l_max:
-            mant[l] = f
         f, f_hi = c[l] * f - f_hi, f
         if l <= l_max:
-            lower[l] = f
+            mant[l], lower[l] = f_hi, f
         if l % _CHECK_EVERY == 0:
             a = np.abs(f)
             if _most(a, axis=None) > _RENORM:
@@ -182,15 +177,11 @@ def _over_norm(f, df):
 
 
 def riccati_scaled(l_max, z):
-    """psi/xi tables as bounded values and log norms; see :class:`ScaledRiccati`.
-
-    ``z`` is one argument or an array of them; ``values`` then has the
-    (psi, dpsi, xi, dxi) axis, the argument's shape and a last axis over l =
-    0..l_max, and ``logs`` the (psi, xi) axis before the same two, and each
-    argument's entries are the same whatever else shares the call.  A scalar
-    argument runs as a one-element array: numpy's scalar arithmetic rounds
-    some complex products differently from its array loops.  A non-finite
-    entry raises RangeError naming its order.
+    """psi/xi tables (:class:`ScaledRiccati`) at ``z``, one argument or an
+    array of them, whose shape the table's arrays take between their
+    leading axis and l.  A scalar argument runs as a one-element array:
+    numpy's scalar arithmetic rounds some complex products differently from
+    its array loops.  A non-finite entry raises RangeError naming its order.
     """
     shape = np.shape(z)
     z, l_start = _validate(l_max, np.reshape(z, -1))

@@ -223,7 +223,8 @@ def _observe(closure):
         "wohm_spread": wohm_spread,
         "shift_tail": _geometric_tail(-0.5 * np.real(g_terms)),
     }
-    # the shift's last partial sums, held to the wt rule's spread
+    # a shift may be a small difference of large terms, so the spread of its
+    # last partial sums is held to the wt tolerance times max(|shift|, wt)
     shift_spread = np.ptp(shift_partial[..., -_SPREAD_ORDERS:], axis=-1)
     out["converged"] = (
         (out["wt_spread"] < _WT_SPREAD_TOL)

@@ -102,22 +102,15 @@ def layer_context(sphere, wavelength_nm):
                         wavelength_nm)
 
 
-def _tables(l_max, z):
-    """The normalized (psi, dpsi, xi, dxi) values and the (psi, xi) log
-    norms (:func:`~nanoshell.specfun.riccati_scaled`) over l = 1..l_max at
-    the arguments z."""
-    return tuple(x[..., 1:] for x in riccati_scaled(l_max, z).table)
-
-
 def _interface_tables(ctxs, l_max, rho=()):
-    """Normalized tables (:func:`_tables`) of both regions at every
-    interface, one context per wavelength: the (region, interface) keys, the
-    values and the log norms over key and the (wavelength, l = 1..l_max)
-    entries, flattened wavelength-major; and from the same Riccati call the
-    tables at the extra arguments rho."""
+    """Riccati tables (:func:`~nanoshell.specfun.riccati_scaled`) over l =
+    1..l_max of both regions at every interface, one context per
+    wavelength: the (region, interface) keys, the values and the log norms
+    over key and the (wavelength, l) entries, flattened wavelength-major;
+    and from the same Riccati call the tables at the extra arguments rho."""
     keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
     z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
-    values, logs = _tables(l_max, np.concatenate([z, rho]))
+    values, logs = (x[..., 1:] for x in riccati_scaled(l_max, np.concatenate([z, rho])).table)
     n = len(z)
     return ((keys, values[:, :n].reshape(4, len(keys), -1), logs[:, :n].reshape(2, len(keys), -1)),
             (values[:, n:], logs[:, n:]))
@@ -316,7 +309,7 @@ class Prepared:
         norms at the dipole arguments rho, one table each; while the
         interface tables are missing, built in the same call."""
         if self._tables is not None:
-            return _tables(self.l_max, rho)
+            return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 
