@@ -186,11 +186,13 @@ def riccati_scaled(l_max, z):
     shape = np.shape(z)
     z, l_start = _validate(l_max, np.reshape(z, -1))
     c = _ratios(int(l_start.max()), z)
-    # sin z and cos z as mantissas at the common log |Im z|, exp(iz) at -Im z
-    a = np.abs(z.imag)
-    eix = np.exp(1j * z.real)
-    up, down = eix * np.exp(-z.imag - a), np.conj(eix) * np.exp(z.imag - a)
-    sin_m, cos_m = (up - down) * -0.5j, (up + down) * 0.5
+    # sin z and cos z as mantissas at the common log |Im z|, from their
+    # components, which do not cancel where sin z is small; exp(iz) at -Im z
+    x, a = z.real, np.abs(z.imag)
+    cosh_m, sinh_m = 0.5 * (1.0 + np.exp(-2.0 * a)), -0.5 * np.sign(z.imag) * np.expm1(-2.0 * a)
+    sin_m = np.sin(x) * cosh_m + 1j * np.cos(x) * sinh_m
+    cos_m = np.cos(x) * cosh_m - 1j * np.sin(x) * sinh_m
+    eix = np.exp(1j * x)
     zz, ls = z[:, None], np.arange(l_max + 1)
 
     # psi = z j, the recurrence normalized against whichever closed form is

@@ -106,25 +106,28 @@ def test_scaled_tables_stay_finite_far_beyond_double_range():
     assert logs[1, -1] > 800
 
 
-@pytest.mark.parametrize("z", [2.1 + 0.3j, 15.0, 7.5 + 22j, 40.0 + 1j])
-def test_normalized_table_matches_mpmath(z):
+@pytest.mark.parametrize("z, l_max", [
+    *((z, l_max) for z in (2.1 + 0.3j, 15.0, 7.5 + 22j, 40.0 + 1j) for l_max in (60, 1000, 4000)),
+    # near the origin, where sin z formed from exp(+-iz) would cancel
+    (1e-5 + 4e-5j, 60), (1.05e-8 + 4.42e-8j, 60),
+])
+def test_normalized_table_matches_mpmath(z, l_max):
     # each family over its norm max(|f|, |f'|), and the log of that norm,
     # against psi_l = sqrt(pi z / 2) J_{l+1/2}(z) and xi_l with H1 at 40 digits
-    with mp.workdps(40):
-        zc = mp.mpc(z)
-        pref = mp.sqrt(mp.pi * zc / 2)
-    for l_max in (60, 1000, 4000):
-        values, logs = riccati_scaled(l_max, z).table
-        for l in (1, 7, l_max // 2, l_max):
-            for fam, bessel in enumerate((mp.besselj, mp.hankel1)):
-                with mp.workdps(40):
-                    f_lo, f = (pref * bessel(k + mp.mpf(1) / 2, zc) for k in (l - 1, l))
-                    df = f_lo - l / zc * f
-                    norm = max(abs(f), abs(df))
-                    want = [complex(f / norm), complex(df / norm)]
-                    log_norm = float(mp.log(norm))
-                assert np.abs(values[2 * fam:2 * fam + 2, l] - want).max() <= 2e-13, (l_max, l)
-                assert abs(logs[fam, l] - log_norm) <= 2e-11, (l_max, l)
+    values, logs = riccati_scaled(l_max, z).table
+    for l in (1, 7, l_max // 2, l_max):
+        with mp.workdps(40):
+            zc = mp.mpc(z)
+            pref = mp.sqrt(mp.pi * zc / 2)
+            want, want_logs = [], []
+            for bessel in (mp.besselj, mp.hankel1):
+                f_lo, f = (pref * bessel(k + mp.mpf(1) / 2, zc) for k in (l - 1, l))
+                df = f_lo - l / zc * f
+                norm = max(abs(f), abs(df))
+                want += [complex(f / norm), complex(df / norm)]
+                want_logs.append(float(mp.log(norm)))
+        assert np.abs(values[:, l] - want).max() <= 2e-13, l
+        assert np.abs(logs[:, l] - want_logs).max() <= 2e-11, l
 
 
 def test_non_finite_table_entry_names_its_order(monkeypatch):
