@@ -338,7 +338,8 @@ def _run_cli(*args, cwd=None):
 
 # a `run` of a sweep that runs in-process needs neither the pool machinery,
 # nor numpy.ma, which numpy's set routines (np.unique, np.union1d) import,
-# nor the benchmark table, which only `regress` reads
+# nor the benchmark table, which only `regress` reads, nor scaled
+# arithmetic, which only the test oracles and the benchmark tracer use
 UNUSED_BY_RUN = ("numpy.ma", "concurrent.futures.process", "multiprocessing",
                  "nanoshell.benchmarks", "nanoshell.scaledmath")
 
