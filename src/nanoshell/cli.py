@@ -85,12 +85,12 @@ def _build_parser():
 
 
 def _run_and_write(cfg):
-    """Run a sweep, then write its files, or its CSV to stdout when the
-    config names none."""
+    """Run a sweep, then write its files, naming where its rows went, or
+    its CSV to stdout when the config names none."""
     table = sweep.run_sweep(cfg)
     if cfg.out or cfg.plot_dir:
-        sweep.write_outputs(table, cfg)
-        print(f"wrote {len(table.rows)} rows" + (f" to {cfg.out}" if cfg.out else ""))
+        target = sweep.write_outputs(table, cfg)
+        print(f"wrote {len(table.rows)} rows to {target}")
     else:
         sys.stdout.write(table.to_csv())
     return 0

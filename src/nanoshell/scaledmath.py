@@ -100,7 +100,3 @@ def collapse(x, context="value", first_l=0):
     e_hi = np.minimum(e, LOG_HUGE)
     return np.where(t < LOG_TINY, 0j, m * np.exp(e - e_hi) * np.exp(e_hi))
 
-
-def scaled_exp(w):
-    """exp(w) for complex w as a scaled number (never overflows)."""
-    return np.exp(1j * np.imag(w)), np.real(w)

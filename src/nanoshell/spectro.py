@@ -73,7 +73,7 @@ def _host_factors(closure):
     the operation order of a one-row evaluation.  mu is a per-region
     constant, so its powers are formed in Python arithmetic per region."""
     prepared = closure.prepared
-    mu = prepared.ctxs[0].mu
+    mu = prepared.mu
     mu_15 = np.array([m ** 1.5 for m in mu])
     ratio_15 = np.array([(m / mu[-1]) ** 1.5 for m in mu])
     host = closure.host - 1
@@ -86,7 +86,7 @@ def _host_factors(closure):
 def _radiated(closure):
     """Per-channel radiated power terms: from the scattered amplitudes for a
     dipole in the ambient, from the total outgoing ones below it."""
-    ambient = closure.host == len(closure.prepared.ctxs[0].k)
+    ambient = closure.host == closure.prepared.n_regions
     rad = np.empty(closure.g.shape)
     scat = closure.scat[:, ambient]
     rad[:, ambient] = closure.weight * (
@@ -104,7 +104,7 @@ def partial_sums(closure):
     g_terms = _by_orientation(closure, 1j * closure.weight * closure.g)
     rad = np.cumsum(_by_orientation(closure, _radiated(closure)), axis=-1)
     g_partial = np.cumsum(g_terms, axis=-1)
-    ambient = (closure.host == len(closure.prepared.ctxs[0].k))[:, None]
+    ambient = (closure.host == closure.prepared.n_regions)[:, None]
     wrad = np.where(ambient, 1.0 + rad, ratio[:, None] * rad)
     return 1.0 + np.imag(g_partial), -0.5 * np.real(g_partial), wrad, g_terms
 

@@ -474,7 +474,9 @@ def run_sweep(cfg):
 
 
 def write_outputs(table, cfg):
-    """Write CSV and/or per-quantity plot files; all-or-nothing.
+    """Write CSV and/or per-quantity plot files; all-or-nothing.  Returns
+    the path the rows went to: the CSV file, else the plot directory, None
+    when neither is written.
 
     format="plot" routes `out` to a plot directory instead of a CSV file.
     """
@@ -482,7 +484,7 @@ def write_outputs(table, cfg):
         target = cfg.plot_dir or cfg.out
         if target:
             write_plot_files(table, target)
-        return
+        return target
     if cfg.out:
         text = table.to_csv()
         tmp = cfg.out + ".tmp"
@@ -491,6 +493,7 @@ def write_outputs(table, cfg):
         os.replace(tmp, cfg.out)
     if cfg.plot_dir:
         write_plot_files(table, cfg.plot_dir)
+    return cfg.out or cfg.plot_dir
 
 
 _PLOT_QUANTITIES = {

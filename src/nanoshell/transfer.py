@@ -8,11 +8,14 @@ pair of adjacent regions through 2x2 matrices built from Riccati-Bessel
 functions; the solution composes them from the core outward and from the
 ambient inward and closes them with a single 2x2 solve per channel.
 
-Only the source jump depends on the dipole radius.  :func:`prepare` holds
-what a sphere, a set of wavelengths and l_max fix: the interface tables from
-one Riccati call, and per polarization an outward and an inward sweep over
-the (wavelength, l) entries, each extended on first use only as far as a
-close needs.  :func:`close` closes every channel of its rows at once on
+Only the source jump depends on the dipole radius.  One
+:class:`Prepared` (:func:`prepare`) holds what a sphere, a set of
+wavelengths and l_max fix: the interface tables from one Riccati call, and
+per polarization an outward and an inward sweep over the (wavelength, l)
+entries, each started from its unit pair by the crossing every interface
+takes and extended on first use only as far as a close needs.  It holds no
+reference to what is closed against it, so it is freed by reference counting
+alone.  :func:`close` closes every channel of its rows at once on
 (channel, row, l) arrays, a row at the origin as the r -> 0 limit.  Every
 step is elementwise in the channels, rows and wavelengths, so a row's result
 does not depend on what shares its prepare and close.  The :class:`_Closure`
@@ -120,100 +123,38 @@ def _cross(state, src, dst):
     """Carry a pair of local (regular, outgoing) amplitudes across one
     interface, from the region whose :meth:`Prepared.entries` there are
     ``src`` to the one whose entries are ``dst``: the pair on the far side
-    and the (E_t, H_t) row it forms at the interface.  A unit pair (1, 0)
-    or (0, 1) may be given as the column it selects, ``_REGULAR`` or
-    ``_OUTGOING``: that column is then its row, as a generic crossing forms
-    it, without arithmetic."""
+    and the (E_t, H_t) row it forms at the interface."""
     x, _ = src
-    if isinstance(state, slice):
-        row = x[state]
-    else:  # c1 (e_p, h_p) + c2 (e_x, h_x)
-        row = state[0] * x[_REGULAR] + state[1] * x[_OUTGOING]
+    row = state[0] * x[_REGULAR] + state[1] * x[_OUTGOING]  # c1 (e_p, h_p) + c2 (e_x, h_x)
     # (h_x y_e - e_x y_h, e_p y_h - h_p y_e) / det
     x, d = dst
     return (x[2:] * row - x[:2] * row[::-1]) / d, row
 
 
-class _Sweeps:
-    """The two chains of a prepare over the (wavelength, l) entries of each
-    polarization: pairs of local amplitudes (:meth:`Prepared.entries`)
-    carried from the core outward (u, from (1, 0)) and from the ambient
-    inward (v, from (0, 1)), and the (E_t, H_t) row each crossing forms.  A
-    region's u pair is local to its inner interface and its v pair to its
-    outer one (the core's u and the ambient's v to their one interface).  A
-    dipole in region h closes with u and v at h; the outward rows below h
-    and the inward rows above it carry its fields there."""
-
-    def __init__(self, prepared):
-        n = prepared.ctxs[0].n_regions
-        # no reference back to the prepare that owns them: both free together
-        self._shape = (len(prepared.ctxs), prepared.l_max)  # (wavelength, l)
-        entries = len(prepared.ctxs) * prepared.l_max
-        # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
-        self._pairs = np.zeros((4, n, 2, entries), dtype=complex)
-        self._pairs[0, 0] = self._pairs[3, n - 1] = 1.0
-        # ((E_t, H_t), interface, (outward, inward), polarization, (wavelength, l))
-        self._rows = np.zeros((2, n - 1, 2, 2, entries), dtype=complex)
-        # per polarization: the region each sweep has reached
-        self.top, self.bottom = [1, 1], [n, n]
-
-    def _view(self, x):
-        """Stored values, their entries split into (wavelength, l)."""
-        return x.reshape(x.shape[:-1] + self._shape)
-
-    def reach(self, p, lo, hi, pols=(0, 1)):
-        """Carry the outward sweep up to region ``hi`` and the inward sweep
-        down to region ``lo``, of the polarization indices ``pols`` alone,
-        with prepare ``p``.  A step through a region scales its pair by the
-        region's tau (:meth:`Prepared.factors`), and a sweep's first step
-        takes its unit pair as the column it selects (see :func:`_cross`);
-        polarizations that stand at the same region step together."""
-        tau = p.factors()[0]
-        for inward, at, half in ((False, self.top, slice(0, 2)),
-                                 (True, self.bottom, slice(2, 4))):
-            while late := [q for q in pols if (lo < at[q] if inward else at[q] < hi)]:
-                src = (max if inward else min)(at[q] for q in late)  # the region left
-                q = [x for x in late if at[x] == src]
-                q, dst = slice(q[0], q[-1] + 1), src - 1 if inward else src + 1
-                i = min(src, dst)  # the interface crossed
-                if src == (len(tau) if inward else 1):
-                    state = _OUTGOING if inward else _REGULAR
-                else:
-                    a, b = self._pairs[half, src - 1, q]
-                    state = (a * tau[src - 1], b) if inward else (a, b * tau[src - 1])
-                (x, d), (y, e) = p.entries(src, i), p.entries(dst, i)
-                self._pairs[half, dst - 1, q], self._rows[:, i - 1, int(inward), q] = _cross(
-                    state, (x[:, q], d[q]), (y[:, q], e[q]))
-                at[q] = [dst] * len(at[q])
-
-    def pairs(self, host, pol, w):
-        """(u1, u2, v1, v2) at host regions, polarization indices and
-        wavelength indices (broadcast together), stacked on a leading axis,
-        with a last axis over l."""
-        return self._view(self._pairs)[:, host - 1, pol, w]
-
-    def rows(self, interface, inward, pol, w):
-        """(E_t, H_t) of the stored pairs at one interface, of the outward
-        or the inward sweep, at polarization and wavelength indices, stacked
-        on a leading axis."""
-        return self._view(self._rows)[:, interface - 1, inward.astype(int), pol, w]
-
-
 class Prepared:
     """Everything a sphere, a set of wavelengths and l_max fix for every
-    dipole radius: one layer context per wavelength, the normalized Riccati
-    tables at the interfaces, each region's continuity-matrix entries, log
-    norms and cross-radius factors, and the :class:`_Sweeps`, all over the
-    (wavelength, l) entries and built on first use."""
+    dipole radius, over the (wavelength, l) entries: one layer context per
+    wavelength, the normalized Riccati tables at the interfaces, each
+    region's continuity-matrix entries, log norms and cross-radius factors,
+    built on first use; and per polarization the two sweeps.  These are
+    chains of pairs of local amplitudes (:meth:`entries`) carried from the
+    core outward (u, from (1, 0)) and from the ambient inward (v, from (0,
+    1)), and the (E_t, H_t) row each crossing forms.  A region's u pair is
+    local to its inner interface and its v pair to its outer one (the
+    core's u and the ambient's v to their one interface).  A dipole in
+    region h closes with u and v at h; the outward rows below h and the
+    inward rows above it carry its fields there."""
 
-    def __init__(self, sphere, wavelengths_nm, l_max, ctxs=None):
+    def __init__(self, sphere, wavelengths_nm, l_max):
         check_l_max(l_max)
         self.sphere = sphere
         self.wavelengths = tuple(dict.fromkeys(wavelengths_nm))
         self.index = {wl: w for w, wl in enumerate(self.wavelengths)}
         self.l_max = l_max
-        self.ctxs = [layer_context(sphere, wl) for wl in self.wavelengths] if ctxs is None else ctxs
+        self.ctxs = [layer_context(sphere, wl) for wl in self.wavelengths]
         self.ls = np.arange(1, l_max + 1)
+        self.n_regions = n = sphere.n_regions
+        self.mu = self.ctxs[0].mu  # per region
         # per (region, wavelength)
         self.k = np.array([c.k for c in self.ctxs]).T
         self.eps = np.array([c.eps for c in self.ctxs]).T
@@ -221,7 +162,15 @@ class Prepared:
         self.k0 = np.array([c.k0 for c in self.ctxs])
         # per (wavelength, region)
         self.absorbing = np.array([c.absorbing for c in self.ctxs])
-        self._tables = self._scalars = self._derived = self._sweeps = None
+        self._tables = self._scalars = self._derived = None
+        entries = len(self.ctxs) * l_max
+        # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
+        self._pairs = np.zeros((4, n, 2, entries), dtype=complex)
+        self._pairs[0, 0] = self._pairs[3, n - 1] = 1.0
+        # ((E_t, H_t), interface, (outward, inward), polarization, (wavelength, l))
+        self._rows = np.zeros((2, n - 1, 2, 2, entries), dtype=complex)
+        # per polarization: the region each sweep has reached
+        self.top, self.bottom = [1, 1], [n, n]
 
     def scalars(self):
         """1/k, 1/mu and the TM and TE matching determinants per (region,
@@ -251,7 +200,7 @@ class Prepared:
             # (key, row, polarization, (wavelength, l) entry)
             x = values.swapaxes(0, 1)[:, rows] * factor
             d = det[regions] * np.exp(-(logs[0] + logs[1]))[:, None]
-            n = len(self.k)
+            n = self.n_regions
             inner, outer = np.full((2, 2, n, logs.shape[-1]), np.nan)
             for key, (j, i) in enumerate(keys):
                 (outer if i == j else inner)[:, j - 1] = logs[:, key]
@@ -297,7 +246,7 @@ class Prepared:
         carries the host's amplitude to the sweep row stored there."""
         _, rho_p, rho_x = (x.reshape(-1, len(self.ctxs), self.l_max) for x in self.factors())
         out = np.ones(np.broadcast_shapes(np.shape(interface), host.shape) + (self.l_max,))
-        for k in range(2, len(self.k)):
+        for k in range(2, self.n_regions):
             for between, rho in (((host < k) & (k <= interface), rho_x),
                                  ((interface < k) & (k < host), rho_p)):
                 if between.any():
@@ -313,11 +262,43 @@ class Prepared:
         self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
         return tables
 
-    @property
-    def sweeps(self):
-        if self._sweeps is None:
-            self._sweeps = _Sweeps(self)
-        return self._sweeps
+    def _view(self, x):
+        """Stored values, their entries split into (wavelength, l)."""
+        return x.reshape(x.shape[:-1] + (len(self.ctxs), self.l_max))
+
+    def reach(self, lo, hi, pols=(0, 1)):
+        """Carry the outward sweep up to region ``hi`` and the inward sweep
+        down to region ``lo``, of the polarization indices ``pols`` alone.
+        A step through a region scales its pair by the region's tau
+        (:meth:`factors`), taken as 1 in the core and the ambient, whose
+        pairs are the unit pairs; polarizations that stand at the same
+        region step together."""
+        tau, n = self.factors()[0], self.n_regions
+        for inward, at, half in ((False, self.top, slice(0, 2)),
+                                 (True, self.bottom, slice(2, 4))):
+            while late := [q for q in pols if (lo < at[q] if inward else at[q] < hi)]:
+                src = (max if inward else min)(at[q] for q in late)  # the region left
+                q = [x for x in late if at[x] == src]
+                q, dst = slice(q[0], q[-1] + 1), src - 1 if inward else src + 1
+                i = min(src, dst)  # the interface crossed
+                t = tau[src - 1] if 1 < src < n else 1.0
+                a, b = self._pairs[half, src - 1, q]
+                (x, d), (y, e) = self.entries(src, i), self.entries(dst, i)
+                self._pairs[half, dst - 1, q], self._rows[:, i - 1, int(inward), q] = _cross(
+                    (a * t, b) if inward else (a, b * t), (x[:, q], d[q]), (y[:, q], e[q]))
+                at[q] = [dst] * len(at[q])
+
+    def pairs(self, host, pol, w):
+        """(u1, u2, v1, v2) at host regions, polarization indices and
+        wavelength indices (broadcast together), stacked on a leading axis,
+        with a last axis over l."""
+        return self._view(self._pairs)[:, host - 1, pol, w]
+
+    def rows(self, interface, inward, pol, w):
+        """(E_t, H_t) of the stored pairs at one interface, of the outward
+        or the inward sweep, at polarization and wavelength indices, stacked
+        on a leading axis."""
+        return self._view(self._rows)[:, interface - 1, inward.astype(int), pol, w]
 
 
 def prepare(sphere, wavelengths_nm, l_max):
@@ -332,13 +313,13 @@ class _Closure:
     asked for (``_KINDS``), TM first, ``pol`` their indices into ``POLS``;
     row n at radius ``r[n]``, wavelength index ``w[n]``, host ``host[n]``
     and distances ``dist[n]`` to the interfaces.  Beside the physical
-    amplitudes, ``a`` and ``b`` multiply the rows ``sweeps`` stores at the
-    host's inner and outer interface (see :meth:`Prepared.link`)."""
+    amplitudes, ``a`` and ``b`` multiply the sweep rows ``prepared``
+    stores at the host's inner and outer interface (see
+    :meth:`Prepared.link`)."""
 
-    def __init__(self, prepared, sweeps, orientations, kinds, r, w, host, dist,
+    def __init__(self, prepared, orientations, kinds, r, w, host, dist,
                  weight, g, b_out, q_out, scat, a, b):
         self.prepared = prepared
-        self.sweeps = sweeps
         self.orientations = tuple(orientations)
         self.pol = _KIND_POL[kinds]
         self.r, self.w, self.host, self.dist = r, w, host, dist
@@ -366,7 +347,7 @@ class _Closure:
         if at.size:
             i = np.asarray(interfaces)[at, None, None]
             inward = i >= self.host
-            rows = self.sweeps.rows(i, inward, self.pol[:, None], self.w)
+            rows = self.prepared.rows(i, inward, self.pol[:, None], self.w)
             amp = np.where(inward[..., None], self.b, self.a)
             e, h = amp * self.prepared.link(i, self.host, self.w) * rows
             p = _finite(np.conj(e) * h, "interface flux")
@@ -444,7 +425,7 @@ def _references(prepared, host, w, logs):
     shape = (len(prepared.ctxs), prepared.l_max)
     inner, outer, to_ambient = (x.reshape(x.shape[:-1] + shape)[..., host - 1, w, :]
                                 for x in prepared.norms())
-    ambient = host[:, None] == len(prepared.k)
+    ambient = host[:, None] == prepared.n_regions
     return (np.where(host[:, None] == 1, logs, inner), np.where(ambient, logs, outer),
             np.where(ambient, -logs[1], to_ambient))
 
@@ -471,10 +452,9 @@ def close(prepared, rows, orientations):
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
     (s_reg, s_out), (lp, lx), q_out = _sources(prepared, kinds, r, w, host)
-    sweeps = prepared.sweeps
-    sweeps.reach(prepared, host.min(), host.max(), sorted(set(pol.tolist())))
+    prepared.reach(host.min(), host.max(), sorted(set(pol.tolist())))
     (ip, ix), (op, ox), to_ambient = _references(prepared, host, w, (lp, lx))
-    u1, u2, v1, v2 = sweeps.pairs(host, pol[:, None], w)
+    u1, u2, v1, v2 = prepared.pairs(host, pol[:, None], w)
     u2, v1 = u2 * np.exp(lx - ix + ip - lp), v1 * np.exp(lp - op + ox - lx)
     t1, t2 = u1 * v2, u2 * v1
     delta = t1 - t2
@@ -495,7 +475,7 @@ def close(prepared, rows, orientations):
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
-    return _Closure(prepared, sweeps, orientations, kinds, r, w, host, dist, weight,
+    return _Closure(prepared, orientations, kinds, r, w, host, dist, weight,
                     g, b_out, q_out, scat, a * np.exp(lx + ip), b * np.exp(lp + ox))
 
 

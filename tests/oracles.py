@@ -27,7 +27,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from nanoshell import model, transfer
+from nanoshell import materials, model, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DomainError, NanoshellError, RangeError
 from nanoshell.specfun import riccati_scaled
@@ -338,22 +338,11 @@ def quadrature_ohmic_rate(sphere, dipole, l_max=60, rtol=1e-7, max_panels=400):
 def interface_matrix(l, pol, n_in, n_out, radius_nm, wavelength_nm, mu_in=1.0, mu_out=1.0):
     """Plain 2x2 matrix carrying (regular, outgoing) amplitudes of order l >= 1
     from the inner medium to the outer one across a single interface; the
-    solver's own matching step applied to the unit pairs of a two-region
+    solver's own matching step applied to the unit pairs of a one-shell
     sphere, taken to and from local amplitudes with the family norms."""
-    k0 = 2.0 * math.pi / wavelength_nm
-    n = (complex(n_in), complex(n_out))
-    mu = (mu_in, mu_out)
-    eps = tuple(n_j * n_j / mu_j for n_j, mu_j in zip(n, mu))
-    ctx = transfer.LayerContext(
-        radii=(radius_nm,),
-        k=tuple(k0 * n_j for n_j in n),
-        mu=mu,
-        eps=eps,
-        absorbing=tuple(e.imag > 1e-12 for e in eps),
-        k0=k0,
-        wavelength_nm=wavelength_nm,
-    )
-    prepared = transfer.Prepared(None, [wavelength_nm], l, [ctx])
+    sphere = model.build_sphere([(radius_nm, materials.constant_index(n_in, mu_in))],
+                                materials.constant_index(n_out, mu_out))
+    prepared = transfer.prepare(sphere, [wavelength_nm], l)
     p = transfer.POLS.index(pol)
     inner, outer, _ = prepared.norms()
     m = np.empty((2, 2), dtype=complex)
@@ -374,9 +363,9 @@ def states(closure, c):
     amplitudes.  The two differ only in the host region, across the source.
     Each region's stored sweep pair is carried to the host by the prepare's
     link and taken out of its local normalization with its family norms."""
-    prepared, sweeps = closure.prepared, closure.sweeps
+    prepared = closure.prepared
     host, pol, w = closure.host[:1], closure.pol[c], closure.w[:1]
-    n = prepared.ctxs[0].n_regions
+    n = prepared.n_regions
     # the dipole's log norms, which do not depend on the channel kind
     _, logs, _ = transfer._sources(prepared, np.array([0]), closure.r[:1], w, host)
     ref_in, ref_out, _ = transfer._references(prepared, host, w, logs)
@@ -388,7 +377,7 @@ def states(closure, c):
 
     out = []
     for j in range(1, n + 1):
-        pairs = sweeps.pairs(np.array([j]), pol, w)[:, 0]
+        pairs = prepared.pairs(np.array([j]), pol, w)[:, 0]
         below = above = None
         if j <= host[0]:
             ref = ref_in[:, 0] if j == host[0] else (inner if j > 1 else outer)[:, j - 1]
@@ -409,7 +398,7 @@ def interface_flux(closure, interface):
     if interface == 0:
         return np.zeros(closure.g.shape)
     inward = interface >= closure.host
-    rows = closure.sweeps.rows(interface, inward, closure.pol[:, None], closure.w)
+    rows = closure.prepared.rows(interface, inward, closure.pol[:, None], closure.w)
     link = closure.prepared.link(interface, closure.host, closure.w)
     e, h = np.where(inward[:, None], closure.b, closure.a) * link * rows
     p = np.conj(e) * h

@@ -496,6 +496,22 @@ def test_cli_run_rejects_an_unusable_plot_dir_before_any_row(tmp_path):
     assert _cfg(format="plot", out=str(tmp_path / "afile"), plot_dir=deep).plot_dir == deep
 
 
+def test_cli_run_names_the_plot_directory_when_it_writes_no_csv(tmp_path, monkeypatch, capsys):
+    # a plot-format run writes no CSV, so its message names the directory
+    # its plot files went to: plot_dir when given, else `out`; so does a
+    # CSV-format run with a plot_dir and no `out`
+    monkeypatch.chdir(tmp_path)
+    base = {"sphere": "D", "grid": [0.5, 1.5], "orientations": ["radial"], "format": "plot"}
+    for extra, target in (({"out": "res.csv", "plot_dir": "plots"}, "plots"),
+                          ({"out": "curves"}, "curves"),
+                          ({"format": "csv", "plot_dir": "only"}, "only")):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(base, **extra)))
+        assert cli.main(["run", "cfg.json"]) == 0
+        assert capsys.readouterr().out == f"wrote 2 rows to {target}\n"
+        assert (tmp_path / target / "wt_radial.dat").is_file()
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "curves", "only", "plots"]
+
+
 def test_cli_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
     # in one process every call after the first reuses the first call's
     # parser; mixed calls, a usage error among them, each give the exit

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -44,23 +46,23 @@ def test_interface_matrix_reproduces_single_interface_reflection():
 
 @pytest.mark.parametrize("l_max", [60, 1000])
 def test_sweeps_start_as_a_generic_crossing_of_the_unit_pairs(l_max):
-    # each sweep starts without arithmetic: its first row is the core's own
-    # regular column, or the ambient's own outgoing column.  A generic
-    # crossing of the explicit unit pairs (1, 0) outward and (0, 1) inward
-    # forms the same pair and (E_t, H_t) row, bit for bit
+    # each sweep starts from its stored unit pair, taking tau as 1 in the
+    # core and the ambient: a crossing of the explicit unit pairs (1, 0)
+    # outward and (0, 1) inward forms the same pair and (E_t, H_t) row, bit
+    # for bit
     spheres = [model.preset(name) for name in "ABCDEF"] + [sweep.sphere_from_spec(FIVE_REGIONS)]
     pol, w = np.array([[0], [1]]), np.array([0, 1])
     for sph in spheres:
         n = sph.n_regions
         prepared = transfer.prepare(sph, [LAM, 850.0], l_max)
-        prepared.sweeps.reach(prepared, 1, n)
+        prepared.reach(1, n)
         # (unit pair, source and destination regions, interface)
         for k, (src, dst, i) in enumerate(((1, 2, 1), (n, n - 1, n - 1))):
             unit = oracles.UNIT_PAIRS[k]
             want = transfer._cross(unit, prepared.entries(src, i), prepared.entries(dst, i))
             got = (
-                prepared.sweeps.pairs(dst, pol, w)[2 * k:2 * k + 2],
-                prepared.sweeps.rows(i, np.array([k == 1] * 2), pol, w),
+                prepared.pairs(dst, pol, w)[2 * k:2 * k + 2],
+                prepared.rows(i, np.array([k == 1] * 2), pol, w),
             )
             for g, x in zip(got, want):
                 for g_part, x_part in zip(g, x):
@@ -76,12 +78,33 @@ def test_radial_close_sweeps_only_tm_and_a_later_tangential_close_matches():
     prepared = transfer.prepare(sph, [LAM], 30)
     transfer.close(prepared, rows, (model.RADIAL,))
     n = sph.n_regions
-    assert prepared.sweeps.top == [n, 1] and prepared.sweeps.bottom == [2, n]
+    assert prepared.top == [n, 1] and prepared.bottom == [2, n]
     later = transfer.close(prepared, rows, model.ORIENTATIONS)
     fresh = transfer.close(transfer.prepare(sph, [LAM], 30), rows, model.ORIENTATIONS)
     for name in ("g", "b_out", "q_out", "scat", "a", "b"):
         assert getattr(later, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert later.fluxes(range(n)).tobytes() == fresh.fluxes(range(n)).tobytes()
+
+
+def test_a_prepare_is_freed_without_the_cycle_collector():
+    # a prepare holds its sweeps and no reference back to what is closed
+    # against it, so once the closure and the prepare are dropped, reference
+    # counting alone frees it.  A cycle would keep every prepare of a sweep
+    # alive until the collector ran, and raise the peak memory of a run
+    sph = model.preset("A")
+    gc.disable()
+    try:
+        prepared = transfer.prepare(sph, [LAM], 30)
+        # in the silica shell between the two gold ones: both sweeps of both
+        # polarizations run
+        closure = transfer.close(prepared, [(120.0, LAM)], (model.TANGENTIAL,))
+        assert prepared.top == [3, 3] and prepared.bottom == [3, 3]
+        spectro.evaluate_from_coefficients(closure)
+        ref = weakref.ref(prepared)
+        del closure, prepared
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_no_contrast_sphere_has_zero_scattered_field():
