@@ -90,7 +90,7 @@ def _run_and_write(cfg):
     table = sweep.run_sweep(cfg)
     if cfg.out or cfg.plot_dir:
         target = sweep.write_outputs(table, cfg)
-        print(f"wrote {len(table.rows)} rows to {target}")
+        print(f"wrote {table.n_rows} rows to {target}")
     else:
         sys.stdout.write(table.to_csv())
     return 0

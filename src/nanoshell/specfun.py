@@ -81,11 +81,12 @@ def _validate(l_max, z):
     return z, start.astype(int)
 
 
-def _renormalize(out, a, *fs):
-    """Divide each f by a where ``out`` is set; returns the divided fs and
-    the log of the divisor."""
+def _renormalize(out, a, newest, other):
+    """Divide ``newest`` in place, and ``other`` into a copy, by a where
+    ``out`` is set; returns the copy and the log of the divisor."""
     s = np.where(out, a, 1.0)
-    return [f / s for f in fs], np.log(s)
+    np.divide(newest, s, out=newest)
+    return other / s, np.log(s)
 
 
 def _start_order(l_max, a):
@@ -98,54 +99,78 @@ def _j_downward(l_max, z, l_start, c):
     """j_l up to one factor per argument, by downward (Miller) recurrence on
     the ratios c = (2l + 1)/z: per order l = 0..l_max its mantissa, the
     mantissa of order l - 1 in the same block (zero at l = 0) and the block
-    log, j_l being the mantissa times exp(block log) times that factor.
+    log, j_l being the mantissa times exp(block log) times that factor: the
+    mantissas and lower neighbours as (l, argument) tables, the logs as an
+    (argument, l) one.
 
     Each argument starts at its own order ``l_start``, above both l_max and
     the turning point l ~ |z|; the pad grows like |z|^(1/3) so the admixture
     of the upward-dominant solution is suppressed below 1e-12 even deep in
     the oscillatory regime.  Until its start order an argument's recurrence
     holds zeros, and renormalization is per argument at fixed orders, so no
-    entry depends on the other arguments of the call.
+    entry depends on the other arguments of the call.  Each order is
+    formed in place in its row of one table; a renormalization divides the
+    newest order there, while the order above it keeps its stored mantissa
+    and the recurrence goes on from a divided copy.
     """
     # a plain set, not np.unique: numpy's set routines import numpy.ma
     starts = {l: l_start == l for l in set(l_start.ravel().tolist())}
-    f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
-    f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
-    mant = [None] * (l_max + 1)
-    lower = [f] * (l_max + 1)
+    top = len(c) - 1
+    mant = np.zeros((top + 2,) + z.shape, dtype=complex)  # unnormalized f_l at row l
     logs = np.zeros(z.shape + (l_max + 1,))
-    for l in range(len(c) - 1, 0, -1):
-        if l in starts:
-            f = np.where(starts[l], 1.0 + 0j, f)
-        f, f_hi = c[l] * f - f_hi, f
-        if l <= l_max:
-            mant[l], lower[l] = f_hi, f
+    unscaled = {}  # f_{l-1} as formed, at the orders l whose block it ends
+    hi = mant[top + 1]
+    for l, c_l in zip(range(top, 0, -1), c[top:0:-1]):
+        f, f_l = mant[l - 1], mant[l]
+        if l in starts:  # above l_max, so no stored lower neighbour sees it
+            f_l[starts[l]] = 1.0
+        np.multiply(c_l, f_l, out=f)
+        np.subtract(f, hi, out=f)
+        hi = f_l
         if l % _CHECK_EVERY == 0:
             a = np.abs(f)
             if _most(a, axis=None) > _RENORM:
-                (f, f_hi), lg = _renormalize(a > _RENORM, a, f, f_hi)
+                if l <= l_max:
+                    unscaled[l] = f.copy()
+                hi, lg = _renormalize(a > _RENORM, a, f, f_l)
                 logs[..., :l] += lg[..., None]  # orders already stored keep theirs
-    mant[0] = f
-    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs
+    lower = np.empty((l_max + 1,) + z.shape, dtype=complex)
+    lower[0] = 0.0
+    lower[1:] = mant[:l_max]
+    for l, f in unscaled.items():
+        lower[l] = f
+    return mant[:l_max + 1], lower, logs
 
 
 def _h1_upward(l_max, z, h0, c):
     """h1_l up to exp(-Im z) by upward recurrence on the ratios c from h_0 =
-    h0 and h_1 = h0 (1/z - i), in the form of :func:`_j_downward`."""
-    m_prev, m = h0, h0 * (c[0] - 1j)  # c[0] = 1/z
-    mant, lower = [m_prev, m], [np.zeros_like(h0), m_prev]
+    h0 and h_1 = h0 (1/z - i), in the form of :func:`_j_downward`; here the
+    divided copy of the order below a renormalization is also the newest
+    order's lower neighbour."""
+    mant = np.empty((l_max + 1,) + z.shape, dtype=complex)
+    mant[0] = h0
+    mant[1] = h0 * (c[0] - 1j)  # c[0] = 1/z
     logs = np.zeros(z.shape + (l_max + 1,))
-    for l in range(1, l_max):
-        m, m_prev = c[l] * m - m_prev, m
+    scaled = {}  # f_{l-1} divided, at the orders l whose block it starts
+    lo = mant[0]
+    for l, c_l in zip(range(1, l_max), c[1:l_max]):
+        m, m_l = mant[l + 1], mant[l]
+        np.multiply(c_l, m_l, out=m)
+        np.subtract(m, lo, out=m)
+        lo = m_l
         if l % _CHECK_EVERY == 0:
             a = np.abs(m)
             if _most(a, axis=None) > _RENORM or _least(a, axis=None) < 1.0 / _RENORM:
                 out = (a > _RENORM) | ((a != 0.0) & (a < 1.0 / _RENORM))
-                (m, m_prev), lg = _renormalize(out, a, m, m_prev)
+                lo, lg = _renormalize(out, a, m, m_l)
+                scaled[l + 1] = lo
                 logs[..., l + 1:] += lg[..., None]
-        mant.append(m)
-        lower.append(m_prev)
-    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs
+    lower = np.empty_like(mant)
+    lower[0] = 0.0
+    lower[1:] = mant[:-1]
+    for l, f in scaled.items():
+        lower[l] = f
+    return mant, lower, logs
 
 
 def _ratios(l_top, z):
@@ -199,6 +224,7 @@ def riccati_scaled(l_max, z):
     # larger (j0 can sit on a zero); orders 0 and 1 share a block.  The
     # normalization n exp(|Im z| - block log) is a unit phase times a log
     mant, lower, block = _j_downward(l_max, z, l_start, c)
+    mant, lower = mant.T, lower.T
     j0 = sin_m / z
     j1 = (j0 - cos_m) / z
     ref = np.abs(j0) < np.abs(j1)
@@ -211,6 +237,7 @@ def riccati_scaled(l_max, z):
 
     # xi = z h1 from exp(iz)
     mant, lower, block = _h1_upward(l_max, z, -1j * eix / z, c)
+    mant, lower = mant.T, lower.T
     d = zz * lower - ls * mant
     d[:, 0] = eix
     xi, dxi, log_xi = _over_norm(zz * mant, d)

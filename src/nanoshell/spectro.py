@@ -20,10 +20,15 @@ Every output of a batch of rows is computed in one array pass,
 closure :func:`transfer.close` returns: the per-order terms,
 partial sums, spreads, shift tail, interface fluxes and convergence flags of
 every row and orientation at once, each operation elementwise in the rows,
-so a row's results are bit for bit those of the row evaluated alone.
-:class:`model.SpectroResult` objects are built only at the end.  A closure
-of any number of rows, one dipole's from
+so a row's results are bit for bit those of the row evaluated alone.  A
+closure of any number of rows, one dipole's from
 :func:`transfer.solve_dipole_fields` among them, goes through the same pass.
+:func:`observe_rows` closes and observes many rows against one prepare, in
+closes sized by the sphere's regions (:func:`close_size`), and returns
+their outputs as (orientation, row) arrays, the columns a sweep writes from.
+:class:`model.SpectroResult` objects are built from those columns only for
+the library API (:func:`evaluate_rows`, :func:`evaluate`,
+:func:`evaluate_orientations`) and for a sweep table's rows on demand.
 """
 
 import math
@@ -40,11 +45,18 @@ from .specfun import riccati_scaled  # noqa: F401
 # reported as unconverged rather than silently inaccurate
 NEAR_METAL_FRACTION = 0.005
 
-# rows closed at once, and wavelengths prepared at once, times (l_max + 1),
-# are capped at this many: 33 at l_max = 60, one at 2047 and above; that
-# bounds the memory of their (row, l) and (wavelength, l) arrays, and larger
-# batches gain little
+# wavelengths prepared at once, times (l_max + 1), are capped at this many:
+# 33 at l_max = 60, one at 2047 and above; that bounds the memory of a
+# prepare's (wavelength, l) arrays, and larger batches gain little
 _BATCH_ENTRIES = 2048
+# rows closed at once, times (l_max + 1) and the sphere's regions, are capped
+# at this many, which bounds a close's (channel, row, l) arrays and its
+# fluxes' (interface, channel, row, l) ones.  At l_max = 60 that is 33 rows
+# of a five-region sphere, as many as a cap of _BATCH_ENTRIES on rows times
+# (l_max + 1) allowed, and 83 of a core-and-ambient one, which that cap
+# closed in runs of 33; one row once (l_max + 1) times the regions passes
+# 5,120
+_CLOSE_ENTRIES = 5 * _BATCH_ENTRIES
 
 _SPREAD_ORDERS = 10
 _WT_SPREAD_TOL = 1e-8
@@ -255,13 +267,11 @@ def _average(closure, field, v):
     return orientation_average(ra, ta)
 
 
-def evaluate_from_coefficients(closure):
-    """Full normalized result set of every row of one closure: per row, a
-    dict orientation -> :class:`model.SpectroResult`, plus "average" when
-    both orientations were closed."""
-    names, out = _observe(closure)
+def as_results(names, out, l_used):
+    """Per row of the (orientation, row) arrays ``out`` of :func:`_observe`,
+    over the orientation ``names``, a dict orientation ->
+    :class:`model.SpectroResult`."""
     cols = [out[f].tolist() for f in _FIELDS]
-    l_used = closure.prepared.l_max
     return [
         {
             name: model.SpectroResult(
@@ -270,8 +280,15 @@ def evaluate_from_coefficients(closure):
             )
             for o, name in enumerate(names)
         }
-        for n in range(len(closure.r))
+        for n in range(len(cols[0][0]))
     ]
+
+
+def evaluate_from_coefficients(closure):
+    """Full normalized result set of every row of one closure: per row, a
+    dict orientation -> :class:`model.SpectroResult`, plus "average" when
+    both orientations were closed."""
+    return as_results(*_observe(closure), closure.prepared.l_max)
 
 
 def evaluate(sphere, dipole, l_max=60):
@@ -282,26 +299,47 @@ def evaluate(sphere, dipole, l_max=60):
 
 
 def batch_size(l_max):
-    """Rows closed at once, and wavelengths prepared at once, at this l_max."""
+    """Wavelengths prepared at once at this l_max."""
     return max(1, _BATCH_ENTRIES // (l_max + 1))
 
 
-def evaluate_rows(prepared, rows, orientations):
-    """Results at many rows (r_nm [nm], wavelength [nm]) against one
-    :func:`transfer.prepare` that holds every row's wavelength: per row, a
-    dict orientation -> :class:`model.SpectroResult`, plus "average" when
-    both orientations are asked for.  Each batch of rows is closed and
-    observed in one array pass; each row's results are the ones a one-row
-    call returns."""
-    step = batch_size(prepared.l_max)
-    out = []
+def close_size(l_max, n_regions):
+    """Rows closed at once at this l_max, on a sphere of ``n_regions``."""
+    return max(1, _CLOSE_ENTRIES // ((l_max + 1) * n_regions))
+
+
+def join_columns(parts):
+    """The (names, columns) of consecutive runs of rows, each as
+    :func:`observe_rows` gives it, as one, the rows in order."""
+    (names, first), *_ = parts
+    return names, {f: np.concatenate([out[f] for _, out in parts], axis=1) for f in first}
+
+
+def observe_rows(prepared, rows, orientations):
+    """Every output of one or more rows (r_nm [nm], wavelength [nm])
+    against one :func:`transfer.prepare` that holds every row's wavelength:
+    the orientation names, with "average" when both orientations are asked
+    for, and per :class:`model.SpectroResult` field an (orientation, row)
+    array (:func:`_observe`).  Each batch of :func:`close_size` rows is
+    closed and observed in one array pass; each row's outputs are the ones
+    a one-row call gives."""
+    step = close_size(prepared.l_max, prepared.n_regions)
+    parts = []
     for lo in range(0, len(rows), step):
         # a batch's closure is freed only once the next one is built: freed
         # first, glibc handed its pages back to the system and the next
         # close faulted them in again, ~15% of a 401-row radial sweep
         closure = transfer.close(prepared, rows[lo:lo + step], orientations)
-        out += evaluate_from_coefficients(closure)
-    return out
+        parts.append(_observe(closure))
+    return join_columns(parts)
+
+
+def evaluate_rows(prepared, rows, orientations):
+    """Results at one or more rows (r_nm [nm], wavelength [nm]) against one
+    :func:`transfer.prepare` that holds every row's wavelength: per row, a
+    dict orientation -> :class:`model.SpectroResult`, plus "average" when
+    both orientations are asked for; the outputs of :func:`observe_rows`."""
+    return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
 
 
 def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):

@@ -11,10 +11,15 @@ The sphere is built once per sweep, when its config is read: building it is
 the check of the ``sphere`` entry.  Every block (a process-pool task when
 there are several) receives that sphere and evaluates its rows in runs of
 up to ``spectro.batch_size(l_max)`` distinct wavelengths: one prepare over a
-run's wavelengths, then all its rows closed against it.  A row's result
-does not depend on its block or on the wavelengths prepared with it, and
-rows are written in declared order, so output bytes are identical across
-runs and across worker counts.
+run's wavelengths, then its rows closed against it, as many at once as
+``spectro.close_size`` allows for the sphere's regions.  A block returns
+its outputs as (orientation, row) arrays, and the sweep keeps them as
+columns (:class:`ResultTable`): the CSV and plot files are written from
+them with one line format per row, and per-row result objects are built
+only when a caller reads ``.rows``.  A row's result does not depend on its
+block or on the wavelengths prepared with it, and rows are written in
+declared order, so output bytes are identical across runs and across
+worker counts.
 Every point of either sweep kind, an explicit grid point or a wavelength
 sweep's ``r_over_rs`` at each of its wavelengths, is checked once before any
 row (:func:`model.check_points`), and the first bad one raises; default and
@@ -23,12 +28,14 @@ can take.  Output is only written once the whole sweep has succeeded; a
 failure of a row names the first failing row.
 """
 
+import functools
+import itertools
 import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,34 +363,47 @@ class ResultRow:
     result: model.SpectroResult
 
 
-@dataclass
+# one CSV line, each number at 12 significant digits
+_CSV_LINE = "%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%s\n"
+_CSV_FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
+               "photostability")
+
+
+@dataclass(eq=False)
 class ResultTable:
-    rows: list = field(default_factory=list)
-    config: SweepConfig | None = None
+    """A sweep's results as columns: its points (r/r_s, wavelength [nm]) in
+    order, the orientation names closed and per :class:`model.SpectroResult`
+    field an (orientation, point) array (:func:`spectro.observe_rows`).  Its
+    rows are the points in order, each in the config's orientations."""
+
+    config: SweepConfig
+    points: list
+    names: tuple
+    columns: dict
+
+    @property
+    def n_rows(self):
+        return len(self.points) * len(self.config.orientations)
+
+    @functools.cached_property
+    def rows(self):
+        """The rows as :class:`ResultRow` objects, built on first use."""
+        results = spectro.as_results(self.names, self.columns, self.config.l_max)
+        return [ResultRow(r, wl, o, res[o]) for (r, wl), res in zip(self.points, results)
+                for o in self.config.orientations]
+
+    def _by_row(self, name):
+        """One field's values in row order."""
+        pick = [self.names.index(o) for o in self.config.orientations]
+        return self.columns[name][pick].T.ravel().tolist()
 
     def to_csv(self):
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            r = row.result
-            vals = (
-                _fmt(row.r_over_rs),
-                _fmt(row.wavelength_nm),
-                row.orientation,
-                _fmt(r.shift_norm),
-                _fmt(r.wt_norm),
-                _fmt(r.wrad_norm),
-                _fmt(r.wohm_norm),
-                _fmt(r.fluorescence_yield),
-                _fmt(r.photostability),
-                str(r.l_used),
-                "true" if r.converged else "false",
-            )
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(x):
-    return f"{x:.12g}"
+        cfg = self.config
+        r, wl = zip(*[point for point in self.points for _ in cfg.orientations])
+        rows = zip(r, wl, cfg.orientations * len(self.points), *map(self._by_row, _CSV_FIELDS),
+                   itertools.repeat(cfg.l_max),
+                   [("false", "true")[c] for c in self._by_row("converged")])
+        return ",".join(CSV_COLUMNS) + "\n" + "".join([_CSV_LINE % row for row in rows])
 
 
 def _wavelength_batches(rows, size):
@@ -401,24 +421,25 @@ def _wavelength_batches(rows, size):
 
 
 def _evaluate_block(sphere, rows, orientations, l_max):
-    """Results of contiguous rows (r_nm, wavelength), one prepare per
+    """The outputs of contiguous rows (r_nm, wavelength), as
+    :func:`spectro.observe_rows` gives them, one prepare per
     :func:`spectro.batch_size` distinct wavelengths.  After a failure the
     rows are redone one at a time, each with its own one-wavelength prepare,
     so that the error reported is the first failing row's, naming it."""
-    out = []
+    parts = []
     for batch in _wavelength_batches(rows, spectro.batch_size(l_max)):
         try:
             prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max)
-            out += spectro.evaluate_rows(prepared, batch, orientations)
+            parts.append(spectro.observe_rows(prepared, batch, orientations))
         except NanoshellError:
             for r, wl in batch:
                 try:
                     prepared = transfer.prepare(sphere, [wl], l_max)
-                    spectro.evaluate_rows(prepared, [(r, wl)], orientations)
+                    spectro.observe_rows(prepared, [(r, wl)], orientations)
                 except NanoshellError as exc:
                     raise annotate(exc, f"while evaluating row r={r:.6g} nm, lambda={wl:.6g} nm")
             raise
-    return out
+    return spectro.join_columns(parts)
 
 
 def _start_pool(n_workers):
@@ -463,14 +484,10 @@ def run_sweep(cfg):
         with _start_pool(n) as pool:
             done = pool.map(_evaluate_block, [sphere] * n, blocks, [orientations] * n,
                             [cfg.l_max] * n)
-            evaluated = [res for block in done for res in block]
+            names, columns = spectro.join_columns(list(done))
     else:
-        evaluated = _evaluate_block(sphere, rows, orientations, cfg.l_max)
-    table = ResultTable(config=cfg)
-    for (r_rs, _, wl), res in zip(points, evaluated):
-        for orientation in cfg.orientations:
-            table.rows.append(ResultRow(r_rs, wl, orientation, res[orientation]))
-    return table
+        names, columns = _evaluate_block(sphere, rows, orientations, cfg.l_max)
+    return ResultTable(cfg, [(r_rs, wl) for r_rs, _, wl in points], names, columns)
 
 
 def write_outputs(table, cfg):
@@ -507,19 +524,19 @@ _PLOT_QUANTITIES = {
 
 
 def write_plot_files(table, plot_dir):
-    """Two-column whitespace-separated files per quantity per orientation."""
+    """Two-column whitespace-separated files per quantity per orientation,
+    written from the table's columns; an orientation the config lists twice
+    has each of its rows twice, as in the CSV."""
     os.makedirs(plot_dir, exist_ok=True)
-    wavelength_sweep = table.config is not None and table.config.sweep == "wavelength"
-    by_orientation = {}
-    for row in table.rows:
-        by_orientation.setdefault(row.orientation, []).append(row)
-    for orientation, rows in by_orientation.items():
-        for name, attr in _PLOT_QUANTITIES.items():
+    cfg = table.config
+    x = [wl if cfg.sweep == "wavelength" else r for r, wl in table.points]
+    for orientation in dict.fromkeys(cfg.orientations):
+        times = cfg.orientations.count(orientation)
+        for name, field in _PLOT_QUANTITIES.items():
+            y = table.columns[field][table.names.index(orientation)].tolist()
             path = os.path.join(plot_dir, f"{name}_{orientation}.dat")
             with open(path, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    x = row.wavelength_nm if wavelength_sweep else row.r_over_rs
-                    fh.write(f"{_fmt(x)} {_fmt(getattr(row.result, attr))}\n")
+                fh.write("".join(("%.12g %.12g\n" % xy) * times for xy in zip(x, y)))
 
 
 @dataclass

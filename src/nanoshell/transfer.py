@@ -370,12 +370,13 @@ def _finite(x, context):
 
 
 def _collapse_channels(pol, degenerate, named):
-    """The named (channel, row, l) arrays, checked in one pass.  On failure,
-    what a close channel by channel would raise first is raised: for the
-    first failing channel, its first singular order, else its first
-    non-finite quantity in the order named, each at its first order."""
+    """The named (channel, row, l) arrays, checked array by array, with no
+    stacked copy.  On failure, what a close channel by channel would raise
+    first is raised: for the first failing channel, its first singular
+    order, else its first non-finite quantity in the order named, each at
+    its first order."""
     values = [x for x, _ in named]
-    if not degenerate.any() and np.isfinite(values).all():
+    if not degenerate.any() and all(np.isfinite(x).all() for x in values):
         return values
     bad = np.stack([np.broadcast_to(degenerate, values[0].shape),
                     *(~np.isfinite(x) for x in values)])

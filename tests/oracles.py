@@ -12,6 +12,9 @@
   the per-region amplitude pairs of a channel of a closure, the flux
   through one interface formed alone, and the non-retarded image-limit
   shift.
+* The j and h1 recurrences as per-order lists stacked at the end
+  (:func:`j_downward`, :func:`h1_upward`), the reference the engine's
+  in-place tables must match bit for bit.
 * Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
   :func:`riccati`) collapsed from the engine's own normalized Riccati
   table, taken into scaled pairs (:mod:`~nanoshell.scaledmath`), with y
@@ -30,6 +33,7 @@ from scipy.special import spherical_jn, spherical_yn
 from nanoshell import materials, model, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DomainError, NanoshellError, RangeError
+from nanoshell import specfun
 from nanoshell.specfun import riccati_scaled
 
 mp.mp.dps = 40
@@ -497,3 +501,55 @@ def riccati(l_max, z):
         dchi=sm.collapse(sm.scale(sm.sub(dxi, dpsi), 1j), "chi'"),
         dxi=sm.collapse(dxi, "xi'"),
     )
+
+
+def _renormalize(out, a, *fs):
+    """Divide each f by a where ``out`` is set; returns the divided fs and
+    the log of the divisor."""
+    s = np.where(out, a, 1.0)
+    return [f / s for f in fs], np.log(s)
+
+
+def j_downward(l_max, z, l_start, c):
+    """:func:`nanoshell.specfun._j_downward` as one new array per order,
+    stacked at the end: its mantissas, lower neighbours and block logs, each
+    as an (argument, l) table."""
+    starts = {l: l_start == l for l in set(l_start.ravel().tolist())}
+    f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
+    f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
+    mant = [None] * (l_max + 1)
+    lower = [f] * (l_max + 1)
+    logs = np.zeros(z.shape + (l_max + 1,))
+    for l in range(len(c) - 1, 0, -1):
+        if l in starts:
+            f = np.where(starts[l], 1.0 + 0j, f)
+        f, f_hi = c[l] * f - f_hi, f
+        if l <= l_max:
+            mant[l], lower[l] = f_hi, f
+        if l % specfun._CHECK_EVERY == 0:
+            a = np.abs(f)
+            if a.max() > specfun._RENORM:
+                (f, f_hi), lg = _renormalize(a > specfun._RENORM, a, f, f_hi)
+                logs[..., :l] += lg[..., None]
+    mant[0] = f
+    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs
+
+
+def h1_upward(l_max, z, h0, c):
+    """:func:`nanoshell.specfun._h1_upward` in the form of
+    :func:`j_downward`."""
+    m_prev, m = h0, h0 * (c[0] - 1j)
+    mant, lower = [m_prev, m], [np.zeros_like(h0), m_prev]
+    logs = np.zeros(z.shape + (l_max + 1,))
+    big = specfun._RENORM
+    for l in range(1, l_max):
+        m, m_prev = c[l] * m - m_prev, m
+        if l % specfun._CHECK_EVERY == 0:
+            a = np.abs(m)
+            if a.max() > big or a.min() < 1.0 / big:
+                out = (a > big) | ((a != 0.0) & (a < 1.0 / big))
+                (m, m_prev), lg = _renormalize(out, a, m, m_prev)
+                logs[..., l + 1:] += lg[..., None]
+        mant.append(m)
+        lower.append(m_prev)
+    return np.stack(mant, axis=-1), np.stack(lower, axis=-1), logs

@@ -233,3 +233,30 @@ def test_scaled_table_of_an_argument_does_not_depend_on_its_call():
                 want = b[f, i].tobytes()
                 assert s[f].tobytes() == want, (i, name)
                 assert o[f, 0].tobytes() == want, (i, name)
+
+
+def test_in_place_recurrences_match_the_per_order_reference():
+    # the j and h1 tables written in place hold the same bits as the
+    # reference's one new array per order, stacked: mantissas, lower
+    # neighbours and block logs, over |z| from 1e-7 to 1e3, |Im z| up to 50
+    # and l_max from 1 to 1000, through renormalizations of both
+    rng = np.random.default_rng(21)
+    renormalized = 0
+    for _ in range(150):
+        l_max = int(np.exp(rng.uniform(0.0, math.log(1000.0))))
+        z = np.exp(rng.uniform(math.log(1e-7), math.log(1e3), rng.integers(1, 5)))
+        z = z * np.exp(1j * rng.uniform(-math.pi, math.pi, z.size))
+        z = z.real + 1j * np.clip(z.imag, -50.0, 50.0)
+        z, start = specfun._validate(l_max, z)
+        c = specfun._ratios(int(start.max()), z)
+        h0 = -1j * np.exp(1j * z.real) / z
+        for new, ref in ((specfun._j_downward(l_max, z, start, c),
+                          oracles.j_downward(l_max, z, start, c)),
+                         (specfun._h1_upward(l_max, z, h0, c),
+                          oracles.h1_upward(l_max, z, h0, c))):
+            (mant, lower, logs), (ref_mant, ref_lower, ref_logs) = new, ref
+            assert mant.T.tobytes() == ref_mant.tobytes(), (l_max, z)
+            assert lower.T.tobytes() == ref_lower.tobytes(), (l_max, z)
+            assert logs.tobytes() == ref_logs.tobytes(), (l_max, z)
+            renormalized += bool(ref_logs.any())
+    assert renormalized > 20

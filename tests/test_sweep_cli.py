@@ -113,6 +113,41 @@ def test_radial_sweep_reference_rows():
     assert keys == sorted(keys, key=lambda t: (t[0], t[1] != "radial"))
 
 
+@pytest.mark.parametrize("raw", [
+    {"sphere": "A", "grid": {"linspace": [0.0, 2.0, 60]}},
+    {"sphere": "D", "grid": {"linspace": [0.0, 2.0, 100]},
+     "orientations": ["tangential", "average", "radial"]},
+    {"sphere": "C", "sweep": "wavelength", "r_over_rs": 0.45,
+     "wavelengths_nm": [450.0 + 10.0 * i for i in range(61)]},
+])
+def test_table_rows_are_built_on_demand_from_its_columns(raw, tmp_path, monkeypatch, capsys):
+    # a sweep's table keeps its results as columns and writes its CSV from
+    # them; its rows, built when first read, equal the library API's results
+    # field for field.  Each sweep closes more rows than one close takes,
+    # and the wavelength sweep prepares its wavelengths in two runs
+    cfg = sweep.config_from_dict(raw)
+    table = sweep.run_sweep(cfg)
+    table.to_csv()
+    assert "rows" not in vars(table)
+    sphere, rs = cfg.sphere, cfg.sphere.outer_radius_nm
+    rows = [(g * rs, wl) for g, wl in table.points]
+    assert len(rows) > spectro.close_size(cfg.l_max, sphere.n_regions)
+    wavelengths = [wl for _, wl in rows]
+    prepared = transfer.prepare(sphere, wavelengths, cfg.l_max)
+    results = spectro.evaluate_rows(prepared, rows, model.ORIENTATIONS)
+    assert [(row.r_over_rs, row.wavelength_nm, row.orientation, dataclasses.astuple(row.result))
+            for row in table.rows] == [
+        (g, wl, o, dataclasses.astuple(res[o]))
+        for (g, wl), res in zip(table.points, results) for o in cfg.orientations
+    ]
+    # `nanoshell run` counts the rows it wrote without building them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(raw, out="res.csv")))
+    assert cli.main(["run", "cfg.json"]) == 0
+    assert capsys.readouterr().out == f"wrote {len(table.rows)} rows to res.csv\n"
+    assert (tmp_path / "res.csv").read_text() == table.to_csv()
+
+
 def test_center_rows_match_for_both_orientations():
     cfg = sweep.config_from_dict(
         {"sphere": "A", "grid": [0.0], "orientations": ["radial", "tangential"]}
@@ -1313,7 +1348,7 @@ def test_benchmark_tracer_patches_names_that_exist_and_restores_them(monkeypatch
 
 @pytest.mark.xfail(raises=AttributeError, reason=(
     "the benchmark tracer counts len(result.channels) of solve_dipole_fields, "
-    "which returns a closure without channels (ROADMAP item 3)"))
+    "which returns a closure without channels (ROADMAP item 1)"))
 def test_benchmark_tracer_survives_a_convergence_report(monkeypatch):
     # nanoshell converge under the benchmark's tracer; this passes once the
     # tracer counts a closure's channels, and the marker comes off then
