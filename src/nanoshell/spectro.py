@@ -335,10 +335,12 @@ def observe_rows(prepared, rows, orientations):
 
 
 def evaluate_rows(prepared, rows, orientations):
-    """Results at one or more rows (r_nm [nm], wavelength [nm]) against one
+    """Results at many rows (r_nm [nm], wavelength [nm]) against one
     :func:`transfer.prepare` that holds every row's wavelength: per row, a
     dict orientation -> :class:`model.SpectroResult`, plus "average" when
     both orientations are asked for; the outputs of :func:`observe_rows`."""
+    if not rows:
+        return []
     return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
 
 
