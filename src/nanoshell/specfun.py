@@ -134,12 +134,7 @@ def _j_downward(l_max, z, l_start, c):
                     unscaled[l] = f.copy()
                 hi, lg = _renormalize(a > _RENORM, a, f, f_l)
                 logs[..., :l] += lg[..., None]  # orders already stored keep theirs
-    lower = np.empty((l_max + 1,) + z.shape, dtype=complex)
-    lower[0] = 0.0
-    lower[1:] = mant[:l_max]
-    for l, f in unscaled.items():
-        lower[l] = f
-    return mant[:l_max + 1], lower, logs
+    return mant[:l_max + 1], _lower(mant[:l_max + 1], unscaled), logs
 
 
 def _h1_upward(l_max, z, h0, c):
@@ -165,12 +160,18 @@ def _h1_upward(l_max, z, h0, c):
                 lo, lg = _renormalize(out, a, m, m_l)
                 scaled[l + 1] = lo
                 logs[..., l + 1:] += lg[..., None]
+    return mant, _lower(mant, scaled), logs
+
+
+def _lower(mant, kept):
+    """Each order's lower neighbour in its block: the stored order below it
+    (zero at l = 0), or at the orders ``kept`` holds, the value kept there."""
     lower = np.empty_like(mant)
     lower[0] = 0.0
     lower[1:] = mant[:-1]
-    for l, f in scaled.items():
+    for l, f in kept.items():
         lower[l] = f
-    return mant, lower, logs
+    return lower
 
 
 def _ratios(l_top, z):

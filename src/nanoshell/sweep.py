@@ -363,7 +363,8 @@ class ResultRow:
     result: model.SpectroResult
 
 
-# one CSV line, each number at 12 significant digits
+# one CSV line, each number at 12 significant digits, and the result fields
+# of its columns from shift_norm to photostability
 _CSV_LINE = "%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%s\n"
 _CSV_FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
                "photostability")
@@ -383,6 +384,7 @@ class ResultTable:
 
     @property
     def n_rows(self):
+        """The number of rows, counted without building them."""
         return len(self.points) * len(self.config.orientations)
 
     @functools.cached_property
