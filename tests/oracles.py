@@ -30,10 +30,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from nanoshell import materials, model, transfer
+from nanoshell import materials, model, specfun, transfer
 from nanoshell import scaledmath as sm
 from nanoshell.errors import DomainError, NanoshellError, RangeError
-from nanoshell import specfun
 from nanoshell.specfun import riccati_scaled
 
 mp.mp.dps = 40

@@ -140,7 +140,8 @@ def test_table_rows_are_built_on_demand_from_its_columns(raw, tmp_path, monkeypa
         (g, wl, o, dataclasses.astuple(res[o]))
         for (g, wl), res in zip(table.points, results) for o in cfg.orientations
     ]
-    # `nanoshell run` counts the rows it wrote without building them
+    # `nanoshell run`, which counts rows without building them, prints the
+    # same count and writes the same CSV
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(dict(raw, out="res.csv")))
     assert cli.main(["run", "cfg.json"]) == 0
