@@ -48,8 +48,10 @@ class DegenerateSystemError(NanoshellError):
         return (type(self), (self.l, self.pol, self.detail), self.__dict__)
 
 
-def annotate(exc, note):
-    """Attach context to an exception message (3.10-safe add_note)."""
+def at_row(exc, r_nm, wavelength_nm):
+    """``exc`` with a note (3.10-safe add_note) naming the row (r_nm [nm],
+    wavelength [nm]) that failed."""
+    note = f"while evaluating row r={r_nm:.6g} nm, lambda={wavelength_nm:.6g} nm"
     if hasattr(exc, "add_note"):
         exc.add_note(note)
     elif exc.args:

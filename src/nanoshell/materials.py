@@ -154,16 +154,26 @@ def refractive_index(material, wavelength_nm):
         im = np.interp(wavelength_nm, wl, [n.imag for n in ns])
         return complex(re, im)
     if material.kind == "drude_size_corrected":
-        eps = permittivity(material, wavelength_nm)
-        n = complex(np.sqrt(complex(eps * material.mu)))
-        if n.imag < 0:
-            n = -n
-        return n
+        return optical_constants(material, wavelength_nm)[0]
     raise DomainError(f"unknown material kind {material.kind!r}")
 
 
-def permittivity(material, wavelength_nm):
-    """Complex permittivity; raises on gain (Im eps < 0)."""
+def optical_constants(material, wavelength_nm):
+    """The index and the permittivity at one wavelength from one read of
+    the material's model: a Drude metal's index from its permittivity,
+    any other material's permittivity from its index."""
+    if material.kind == "drude_size_corrected":
+        eps = permittivity(material, wavelength_nm)
+        n = complex(np.sqrt(complex(eps * material.mu)))
+        return (-n if n.imag < 0 else n), eps
+    n = refractive_index(material, wavelength_nm)
+    return n, permittivity(material, wavelength_nm, n)
+
+
+def permittivity(material, wavelength_nm, n=None):
+    """Complex permittivity; raises on gain (Im eps < 0).  A material that
+    is not a Drude metal forms it from its index ``n`` at the wavelength,
+    read here unless given."""
     if material.kind == "drude_size_corrected":
         eps_b = permittivity(material.base, wavelength_nm)
         eps = size_corrected_permittivity(
@@ -176,7 +186,8 @@ def permittivity(material, wavelength_nm):
             material.geometry_factor,
         )
     else:
-        n = refractive_index(material, wavelength_nm)
+        if n is None:
+            n = refractive_index(material, wavelength_nm)
         eps = n * n / material.mu
     if eps.imag < -1e-9 * abs(eps):
         raise DomainError(f"passive media only: Im eps = {eps.imag} at {wavelength_nm} nm")

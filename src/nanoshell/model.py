@@ -150,22 +150,7 @@ def no_host(eps):
     return absorbs(eps) | (eps.real <= 0)
 
 
-def unhosted(sphere, host, wavelength_nm, first=False):
-    """Per point: whether its host region cannot host an emitter at its
-    wavelength (see :func:`no_host`).  Each distinct (host, wavelength) is
-    looked up once, in order of first appearance; with ``first``, only up
-    to the first that cannot, so that no lookup runs past the first bad
-    point."""
-    pairs = list(zip(host.tolist(), np.broadcast_to(wavelength_nm, host.shape).tolist()))
-    bad = {}
-    for h, wl in dict.fromkeys(pairs):
-        bad[h, wl] = no_host(materials.permittivity(sphere.region_material(h), wl))
-        if first and bad[h, wl]:
-            break
-    return np.array([bad.get(p, False) for p in pairs], dtype=bool)
-
-
-def check_points(sphere, r_nm, wavelength_nm, host_eps=None, grid=None, margin=0.0):
+def check_points(sphere, r_nm, wavelength_nm, host_eps, grid=None, margin=0.0):
     """Host region and interface distances (see :func:`locate`) of emitter
     points at radii r_nm [nm] and wavelengths wavelength_nm [nm], broadcast
     together, once every point is checked; the first bad point raises.
@@ -174,9 +159,9 @@ def check_points(sphere, r_nm, wavelength_nm, host_eps=None, grid=None, margin=0
     is negative or its wavelength not positive, it lies within
     INTERFACE_TOL r_s of an interface, or its host cannot host an emitter
     at its wavelength (:func:`no_host`), with the permittivities
-    ``host_eps(host)`` or else :func:`unhosted`'s lookups.  Sweep points
-    come with ``grid``, their r/r_s values, which word their errors: off
-    the origin they are also bad within ``margin`` r_s of an interface.
+    ``host_eps(host)`` the caller has read.  Sweep points come with
+    ``grid``, their r/r_s values, which word their errors: off the origin
+    they are also bad within ``margin`` r_s of an interface.
     """
     r, wl = np.broadcast_arrays(np.atleast_1d(np.asarray(r_nm, dtype=float)),
                                 np.asarray(wavelength_nm, dtype=float))
@@ -186,13 +171,10 @@ def check_points(sphere, r_nm, wavelength_nm, host_eps=None, grid=None, margin=0
     hit = off & (dist <= tol).any(axis=-1)
     near = off & (dist < margin * sphere.outer_radius_nm).any(axis=-1)
     bad = ~(np.isfinite(r) & np.isfinite(wl) & (wl > 0.0)) | (r < 0.0) | hit | near
-    if host_eps is not None:
-        bad |= no_host(host_eps(host))
-    n = int(np.argmax(bad)) if bad.any() else len(r)
-    if host_eps is None:
-        n = int(np.argmax(np.append(unhosted(sphere, host[:n], wl[:n], first=True), True)))
-    if n == len(r):
+    bad |= no_host(host_eps(host))
+    if not bad.any():
         return host, dist
+    n = int(np.argmax(bad))
     if grid is not None and r[n] < 0.0:
         raise ConfigError(f"grid point {grid[n]} is negative")
     DipoleSource(float(r[n]), RADIAL, float(wl[n]))  # raises for a bad radius or wavelength
@@ -212,8 +194,10 @@ def check_points(sphere, r_nm, wavelength_nm, host_eps=None, grid=None, margin=0
 
 def validate_dipole(sphere, dipole):
     """Host region of the dipole, checked as :func:`check_points` checks a
-    point."""
-    return int(check_points(sphere, dipole.radial_position_nm, dipole.wavelength_nm)[0][0])
+    point, with the permittivity of that region read here."""
+    r, wl = dipole.radial_position_nm, dipole.wavelength_nm
+    eps = materials.permittivity(sphere.region_material(int(locate(sphere, r)[0])), wl)
+    return int(check_points(sphere, r, wl, lambda host: eps)[0][0])
 
 
 @dataclass(frozen=True)

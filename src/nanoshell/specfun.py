@@ -81,6 +81,13 @@ def _validate(l_max, z):
     return z, start.astype(int)
 
 
+def outside_domain(l_max, z):
+    """Per argument of the array z: whether a table rejects it
+    (:func:`_validate`)."""
+    a = np.abs(z)
+    return (a < _MIN_ABS_Z) | ~(_start_order(l_max, a) <= _MAX_START_ORDER)
+
+
 def _renormalize(out, a, newest, other):
     """Divide ``newest`` in place, and ``other`` into a copy, by a where
     ``out`` is set; returns the copy and the log of the divisor."""

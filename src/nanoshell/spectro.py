@@ -16,19 +16,19 @@ sphere gives g = 0):
                     :func:`ohmic_rate_per_l`.
 
 Every output of a batch of rows is computed in one array pass,
-:func:`evaluate_from_coefficients`, over the (channel, row, l) arrays of the
-closure :func:`transfer.close` returns: the per-order terms,
-partial sums, spreads, shift tail, interface fluxes and convergence flags of
-every row and orientation at once, each operation elementwise in the rows,
-so a row's results are bit for bit those of the row evaluated alone.  A
-closure of any number of rows, one dipole's from
-:func:`transfer.solve_dipole_fields` among them, goes through the same pass.
+:func:`_observe`, over the (channel, row, l) arrays of the closure
+:func:`transfer.close` returns: the per-order terms, partial sums, spreads,
+shift tail, interface fluxes and convergence flags of every row and
+orientation at once, each operation elementwise in the rows, so a row's
+results are bit for bit those of the row evaluated alone.
 :func:`observe_rows` closes and observes many rows against one prepare, in
 closes sized by the sphere's regions (:func:`close_size`), and returns
-their outputs as (orientation, row) arrays, the columns a sweep writes from.
-:class:`model.SpectroResult` objects are built from those columns only for
-the library API (:func:`evaluate_rows`, :func:`evaluate`,
-:func:`evaluate_orientations`) and for a sweep table's rows on demand.
+their outputs as (orientation, row) arrays, the columns a sweep writes from;
+a numerical failure names its first failing row.  :class:`model.SpectroResult`
+objects are built from those columns only for the library API
+(:func:`evaluate_rows`, :func:`evaluate`, :func:`evaluate_orientations`),
+for a closure of any number of rows (:func:`evaluate_from_coefficients`)
+and for a sweep table's rows on demand.
 """
 
 import math
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import model, transfer
-from .errors import DomainError
+from .errors import DomainError, at_row
 
 # unused here; perfbench/tracing.py patches spectro.riccati_scaled by name
 from .specfun import riccati_scaled  # noqa: F401
@@ -146,13 +146,16 @@ def _geometric_tail(terms):
     )
 
 
-def fluorescence_yield(wt_norm, wrad_norm):
+def fluorescence_yield(wt_norm, wrad_norm, rows=None):
     """wrad/wt; an upper bound on the yield actually realized, since only
     the Ohmic channel of the nonradiative decay is modeled.  Takes numbers
-    or arrays; the first non-positive total rate raises."""
+    or arrays; the first non-positive total rate raises, naming its row
+    when ``rows`` gives the row (r_nm, wavelength) of each index along the
+    first axis."""
     bad = np.asarray(wt_norm) <= 0
     if bad.any():
-        raise DomainError(f"total rate must be positive, got {float(np.asarray(wt_norm)[bad][0])}")
+        exc = DomainError(f"total rate must be positive, got {float(np.asarray(wt_norm)[bad][0])}")
+        raise exc if rows is None else at_row(exc, *rows[int(np.argwhere(bad)[0][0])])
     return wrad_norm / wt_norm
 
 
@@ -250,7 +253,8 @@ def _observe(closure):
         out = {k: np.concatenate([v, _average(closure, k, v)[None]]) for k, v in out.items()}
         names = names + ("average",)
     # row-major, as the rows are evaluated one after another
-    out["fluorescence_yield"] = fluorescence_yield(out["wt_norm"].T, out["wrad_norm"].T).T
+    out["fluorescence_yield"] = fluorescence_yield(out["wt_norm"].T, out["wrad_norm"].T,
+                                                   closure.rows).T
     out["photostability"] = photostability_ratio(out["wrad_norm"])
     return names, out
 
@@ -320,9 +324,13 @@ def observe_rows(prepared, rows, orientations):
     against one :func:`transfer.prepare` that holds every row's wavelength:
     the orientation names, with "average" when both orientations are asked
     for, and per :class:`model.SpectroResult` field an (orientation, row)
-    array (:func:`_observe`).  Each batch of :func:`close_size` rows is
-    closed and observed in one array pass; each row's outputs are the ones
-    a one-row call gives."""
+    array (:func:`_observe`), empty for no rows.  Each batch of
+    :func:`close_size` rows is closed and observed in one array pass; each
+    row's outputs are the ones a one-row call gives."""
+    if not rows:
+        names = tuple(orientations) + ("average",) * (len(orientations) == 2)
+        return names, {f: np.zeros((len(names), 0), dtype=bool if f == "converged" else float)
+                       for f in _FIELDS}
     step = close_size(prepared.l_max, prepared.n_regions)
     parts = []
     for lo in range(0, len(rows), step):
@@ -339,8 +347,6 @@ def evaluate_rows(prepared, rows, orientations):
     :func:`transfer.prepare` that holds every row's wavelength: per row, a
     dict orientation -> :class:`model.SpectroResult`, plus "average" when
     both orientations are asked for; the outputs of :func:`observe_rows`."""
-    if not rows:
-        return []
     return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
 
 

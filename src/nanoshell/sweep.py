@@ -20,12 +20,15 @@ only when a caller reads ``.rows``.  A row's result does not depend on its
 block or on the wavelengths prepared with it, and rows are written in
 declared order, so output bytes are identical across runs and across
 worker counts.
-Every point of either sweep kind, an explicit grid point or a wavelength
-sweep's ``r_over_rs`` at each of its wavelengths, is checked once before any
-row (:func:`model.check_points`), and the first bad one raises; default and
-linspace grids are nudged off the interfaces and skip the points no host
-can take.  Output is only written once the whole sweep has succeeded; a
-failure of a row names the first failing row.
+Everything a sweep's rows depend on is read and checked once, before any
+row and before a pool starts, walking its distinct wavelengths in declared
+order (:func:`_check_points`): at each, every region's material is read,
+then the points are checked against that read (:func:`model.check_points`),
+then the Riccati arguments of their rows' tables; the first bad input
+raises.  Default and linspace grids are nudged off the interfaces and skip
+the points no host can take.  So a row can fail only numerically, and then
+names the first failing row.  Output is only written once the whole sweep
+has succeeded.
 """
 
 import functools
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import materials, model, spectro, transfer
-from .errors import ConfigError, DomainError, NanoshellError, annotate
+from . import materials, model, specfun, spectro, transfer
+from .errors import ConfigError, DomainError, NanoshellError
 
 CSV_COLUMNS = (
     "r_over_rs",
@@ -320,28 +323,50 @@ def default_grid(sphere, margin=MARGIN_FRACTION):
     return _linspace_grid(sphere, 0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS, margin).tolist()
 
 
+def _check_points(sphere, ctxs, grid, l_max, margin):
+    """Check the points at r/r_s values ``grid`` (a list) at the wavelength
+    of each layer context of ``ctxs`` in turn, against that read of every
+    region's material (:func:`transfer.layer_context`): at each, the points
+    as :func:`model.check_points` checks them with the read's host
+    permittivities, then the Riccati arguments of their rows
+    (:func:`transfer.table_arguments`).  The first bad one raises."""
+    r = np.tile(np.array(grid) * sphere.outer_radius_nm, len(ctxs))
+    w = np.repeat(np.arange(len(ctxs)), len(grid))
+    args, rejected = transfer.table_arguments(ctxs, l_max, model.locate(sphere, r)[0], r, w)
+    first = int(np.argmax(rejected))
+    # the points at every wavelength up to the first rejected row's come first
+    n = (w[first] + 1) * len(grid) if rejected[first] else len(r)
+    eps = np.array([c.eps for c in ctxs])
+    wavelengths = np.array([c.wavelength_nm for c in ctxs])
+    model.check_points(sphere, r[:n], wavelengths[w[:n]], lambda h: eps[w[:n], h - 1],
+                       grid=grid * len(ctxs), margin=margin)
+    if rejected[first]:
+        specfun._validate(l_max, args[first])
+
+
 def resolve_grid(cfg, sphere):
-    """r/r_s values of a radial sweep, checked before any row runs: an
-    explicit grid's first bad point raises (:func:`model.check_points`);
-    default and linspace grids skip, and count on stderr, the points no host
-    region can take at the sweep wavelength (:func:`model.unhosted`), and
+    """r/r_s values of a radial sweep, checked at the sweep wavelength
+    (:func:`_check_points`) before any row runs: an explicit grid's first
+    bad point raises; default and linspace grids skip, and count on stderr,
+    the points no host region can take there (:func:`model.no_host`), and
     then a kept point on an interface raises.  A grid with no point to
     evaluate, empty or every point skipped, raises."""
     grid = cfg.grid
-    rs = sphere.outer_radius_nm
     if isinstance(grid, (list, tuple)):
         if not grid:
             raise ConfigError("grid is empty: a radial sweep needs at least one point")
         vals = [float(v) for v in grid]
-        model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm,
-                           grid=vals, margin=cfg.interface_margin)
+        ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
+        _check_points(sphere, [ctx], vals, cfg.l_max, cfg.interface_margin)
         return vals
     if grid == "default" or grid is None:
         grid = {"linspace": [0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS]}
     if not (isinstance(grid, dict) and "linspace" in grid):
         raise ConfigError(f"cannot interpret grid {grid!r}")
     vals = _linspace_grid(sphere, *grid["linspace"], cfg.interface_margin)
-    skip = model.unhosted(sphere, model.locate(sphere, vals * rs)[0], cfg.wavelength_nm)
+    ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
+    host = model.locate(sphere, vals * sphere.outer_radius_nm)[0]
+    skip = model.no_host(np.array(ctx.eps)[host - 1])
     cause = (f"host region is absorbing, or lossless with Re eps <= 0, at "
              f"{cfg.wavelength_nm:g} nm")
     if skip.all():
@@ -351,7 +376,7 @@ def resolve_grid(cfg, sphere):
         print(f"note: skipped {skip.sum()} of {len(vals)} grid points whose {cause}",
               file=sys.stderr)
     vals = vals[~skip].tolist()
-    model.check_points(sphere, np.array(vals) * rs, cfg.wavelength_nm, grid=vals)
+    _check_points(sphere, [ctx], vals, cfg.l_max, 0.0)
     return vals
 
 
@@ -422,25 +447,18 @@ def _wavelength_batches(rows, size):
         yield batch
 
 
-def _evaluate_block(sphere, rows, orientations, l_max):
-    """The outputs of contiguous rows (r_nm, wavelength), as
-    :func:`spectro.observe_rows` gives them, one prepare per
-    :func:`spectro.batch_size` distinct wavelengths.  After a failure the
-    rows are redone one at a time, each with its own one-wavelength prepare,
-    so that the error reported is the first failing row's, naming it."""
+def _evaluate_block(sphere, rows, orientations, l_max, contexts):
+    """The outputs of contiguous rows (r_nm, wavelength), each checked
+    before any row (:func:`run_sweep`), as :func:`spectro.observe_rows`
+    gives them, one prepare per :func:`spectro.batch_size` distinct
+    wavelengths, with their layer ``contexts`` (wavelength -> context) when
+    given.  What can still fail is numerical, and names its first failing row."""
     parts = []
     for batch in _wavelength_batches(rows, spectro.batch_size(l_max)):
-        try:
-            prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max)
-            parts.append(spectro.observe_rows(prepared, batch, orientations))
-        except NanoshellError:
-            for r, wl in batch:
-                try:
-                    prepared = transfer.prepare(sphere, [wl], l_max)
-                    spectro.observe_rows(prepared, [(r, wl)], orientations)
-                except NanoshellError as exc:
-                    raise annotate(exc, f"while evaluating row r={r:.6g} nm, lambda={wl:.6g} nm")
-            raise
+        # the previous prepare is freed only once this one is built, as in
+        # spectro.observe_rows
+        prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max, contexts)
+        parts.append(spectro.observe_rows(prepared, batch, orientations))
     return spectro.join_columns(parts)
 
 
@@ -466,16 +484,29 @@ def block_cuts(n_rows, n_prepares, l_max, workers):
 def run_sweep(cfg):
     """One row per (point, orientation), ordered by point then orientation.
     The points of a radial sweep are its grid at ``wavelength_nm``, those of
-    a wavelength sweep its wavelengths at ``r_over_rs``; they are evaluated
-    in order, in the contiguous blocks of :func:`block_cuts`."""
+    a wavelength sweep its wavelengths at ``r_over_rs``; every point is
+    checked at each distinct wavelength in declared order
+    (:func:`_check_points`), and then they are evaluated in order, in the
+    contiguous blocks of :func:`block_cuts`."""
     sphere = cfg.sphere
     rs = sphere.outer_radius_nm
+    contexts = None  # a radial sweep's one prepare reads its wavelength again
     if cfg.sweep == "radial":
         points = [(g, g * rs, cfg.wavelength_nm) for g in resolve_grid(cfg, sphere)]
     else:
+        ctxs, failure = [], None
+        for wl in dict.fromkeys(cfg.wavelengths_nm):
+            try:
+                ctxs.append(transfer.layer_context(sphere, wl))
+            except NanoshellError as exc:  # raised once the wavelengths read are checked
+                failure = exc
+                break
+        if ctxs:
+            _check_points(sphere, ctxs, [cfg.r_over_rs], cfg.l_max, cfg.interface_margin)
+        if failure:
+            raise failure
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]
-        model.check_points(sphere, cfg.r_over_rs * rs, cfg.wavelengths_nm,
-                           grid=[cfg.r_over_rs] * len(points), margin=cfg.interface_margin)
+        contexts = {c.wavelength_nm: c for c in ctxs}
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
@@ -485,10 +516,10 @@ def run_sweep(cfg):
         blocks = [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with _start_pool(n) as pool:
             done = pool.map(_evaluate_block, [sphere] * n, blocks, [orientations] * n,
-                            [cfg.l_max] * n)
+                            [cfg.l_max] * n, [contexts] * n)
             names, columns = spectro.join_columns(list(done))
     else:
-        names, columns = _evaluate_block(sphere, rows, orientations, cfg.l_max)
+        names, columns = _evaluate_block(sphere, rows, orientations, cfg.l_max, contexts)
     return ResultTable(cfg, [(r_rs, wl) for r_rs, _, wl in points], names, columns)
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials, model
-from .errors import ConfigError, DegenerateSystemError, GeometryError, RangeError
-from .specfun import real_over, riccati_scaled
+from .errors import ConfigError, DegenerateSystemError, GeometryError, RangeError, at_row
+from .specfun import outside_domain, real_over, riccati_scaled
 
 TM = "TM"
 TE = "TE"
@@ -93,8 +93,7 @@ def layer_context(sphere, wavelength_nm):
     ks, mus, epss, absorbing = [], [], [], []
     for j in range(1, sphere.n_regions + 1):
         mat = sphere.region_material(j)
-        n = materials.refractive_index(mat, wavelength_nm)
-        eps = materials.permittivity(mat, wavelength_nm)
+        n, eps = materials.optical_constants(mat, wavelength_nm)
         ks.append(k0 * n)
         mus.append(mat.mu)
         epss.append(eps)
@@ -105,14 +104,33 @@ def layer_context(sphere, wavelength_nm):
                         wavelength_nm)
 
 
+def _interface_arguments(ctxs):
+    """The (region, interface) keys of both regions at every interface, and
+    the Riccati arguments k r there, over key and then context."""
+    keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
+    return keys, [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
+
+
+def table_arguments(ctxs, l_max, host, r, w):
+    """Per row, at radius r [nm] in the ``host`` region at the wavelength of
+    the context ``w``: the Riccati arguments of its prepare and close, the
+    interfaces' and then its own k r (at the origin, which has none, the
+    first interface's again), as a (row, argument) array; and whether a
+    table rejects one, ``specfun._validate`` of the row raising why."""
+    z = np.array(_interface_arguments(ctxs)[1]).reshape(-1, len(ctxs)).T[w]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite k r is rejected
+        rho = np.array([c.k for c in ctxs])[w, host - 1] * r
+    args = np.column_stack([z, np.where(r != 0.0, rho, z[:, 0])])
+    return args, outside_domain(l_max, args).any(axis=1)
+
+
 def _interface_tables(ctxs, l_max, rho=()):
     """Riccati tables (:func:`~nanoshell.specfun.riccati_scaled`) over l =
     1..l_max of both regions at every interface, one context per
     wavelength: the (region, interface) keys, the values and the log norms
     over key and the (wavelength, l) entries, flattened wavelength-major;
     and from the same Riccati call the tables at the extra arguments rho."""
-    keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
-    z = [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
+    keys, z = _interface_arguments(ctxs)
     values, logs = (x[..., 1:] for x in riccati_scaled(l_max, np.concatenate([z, rho])).table)
     n = len(z)
     return ((keys, values[:, :n].reshape(4, len(keys), -1), logs[:, :n].reshape(2, len(keys), -1)),
@@ -145,13 +163,14 @@ class Prepared:
     region h closes with u and v at h; the outward rows below h and the
     inward rows above it carry its fields there."""
 
-    def __init__(self, sphere, wavelengths_nm, l_max):
+    def __init__(self, sphere, wavelengths_nm, l_max, contexts=None):
         check_l_max(l_max)
         self.sphere = sphere
         self.wavelengths = tuple(dict.fromkeys(wavelengths_nm))
         self.index = {wl: w for w, wl in enumerate(self.wavelengths)}
         self.l_max = l_max
-        self.ctxs = [layer_context(sphere, wl) for wl in self.wavelengths]
+        self.ctxs = [contexts[wl] if contexts else layer_context(sphere, wl)
+                     for wl in self.wavelengths]
         self.ls = np.arange(1, l_max + 1)
         self.n_regions = n = sphere.n_regions
         self.mu = self.ctxs[0].mu  # per region
@@ -301,28 +320,30 @@ class Prepared:
         return self._view(self._rows)[:, interface - 1, inward.astype(int), pol, w]
 
 
-def prepare(sphere, wavelengths_nm, l_max):
+def prepare(sphere, wavelengths_nm, l_max, contexts=None):
     """What every dipole radius shares at each of the wavelengths
-    ``wavelengths_nm`` [nm]; see :class:`Prepared`."""
-    return Prepared(sphere, wavelengths_nm, l_max)
+    ``wavelengths_nm`` [nm], their layer contexts taken from ``contexts``
+    (wavelength -> :func:`layer_context`) when given; see
+    :class:`Prepared`."""
+    return Prepared(sphere, wavelengths_nm, l_max, contexts)
 
 
 class _Closure:
     """Rows closed together against one prepare, as (channel, row, l)
     arrays over l = 1..l_max: the channels of each orientation in the order
     asked for (``_KINDS``), TM first, ``pol`` their indices into ``POLS``;
-    row n at radius ``r[n]``, wavelength index ``w[n]``, host ``host[n]``
-    and distances ``dist[n]`` to the interfaces.  Beside the physical
-    amplitudes, ``a`` and ``b`` multiply the sweep rows ``prepared``
-    stores at the host's inner and outer interface (see
-    :meth:`Prepared.link`)."""
+    row n, ``rows[n]`` as given (r_nm, wavelength), at radius ``r[n]``,
+    wavelength index ``w[n]``, host ``host[n]`` and distances ``dist[n]``
+    to the interfaces.  Beside the physical amplitudes, ``a`` and ``b``
+    multiply the sweep rows ``prepared`` stores at the host's inner and
+    outer interface (see :meth:`Prepared.link`)."""
 
-    def __init__(self, prepared, orientations, kinds, r, w, host, dist,
+    def __init__(self, prepared, orientations, kinds, rows, r, w, host, dist,
                  weight, g, b_out, q_out, scat, a, b):
         self.prepared = prepared
         self.orientations = tuple(orientations)
         self.pol = _KIND_POL[kinds]
-        self.r, self.w, self.host, self.dist = r, w, host, dist
+        self.rows, self.r, self.w, self.host, self.dist = rows, r, w, host, dist
         self.weight = weight  # (channel, 1, l)
         self.g, self.b_out, self.q_out, self.scat = g, b_out, q_out, scat
         self.a, self.b = a, b
@@ -338,10 +359,10 @@ class _Closure:
         (ascending) per channel, row and order, s Im(conj(E_t) H_t) with s =
         +1 for TE and -1 for TM, up to a factor common to every channel, as
         an (interface, channel, row, l) array formed in one pass; an
-        overflow names the first interface in order.  Interface 0 is the
-        origin, where the flux vanishes; a source-free shell between
-        interfaces i-1 and i absorbs flux(i-1) - flux(i) (Poynting's
-        theorem)."""
+        overflow names the first row that has one, and in it the first
+        interface in order.  Interface 0 is the origin, where the flux
+        vanishes; a source-free shell between interfaces i-1 and i absorbs
+        flux(i-1) - flux(i) (Poynting's theorem)."""
         f = np.zeros((len(interfaces),) + self.g.shape)
         at = np.flatnonzero(interfaces)
         if at.size:
@@ -350,7 +371,11 @@ class _Closure:
             rows = self.prepared.rows(i, inward, self.pol[:, None], self.w)
             amp = np.where(inward[..., None], self.b, self.a)
             e, h = amp * self.prepared.link(i, self.host, self.w) * rows
-            p = _finite(np.conj(e) * h, "interface flux")
+            p = np.conj(e) * h
+            bad = ~np.isfinite(p)
+            if bad.any():
+                n = int(np.argmax(bad.any(axis=(0, 1, 3))))
+                raise at_row(_overflow(p[:, :, n], "interface flux"), *self.rows[n])
             f[at] = np.where(self.pol[:, None, None] == 1, p.imag, -p.imag)
         return f
 
@@ -359,20 +384,18 @@ class _Closure:
         return self.fluxes([interface])[0]
 
 
-def _finite(x, context):
-    """x, or RangeError naming ``context`` and the order of its first
-    non-finite entry, entry i along the last axis being order i + 1."""
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        l = bad[0] % x.shape[-1] + 1
-        raise RangeError(f"{context} overflows double precision at order l={l}")
-    return x
+def _overflow(x, context):
+    """RangeError naming ``context`` and the order of the first non-finite
+    entry of x, entry i along the last axis being order i + 1."""
+    l = np.flatnonzero(~np.isfinite(x))[0] % x.shape[-1] + 1
+    return RangeError(f"{context} overflows double precision at order l={l}")
 
 
-def _collapse_channels(pol, degenerate, named):
+def _collapse_channels(pol, degenerate, named, rows):
     """The named (channel, row, l) arrays, checked array by array, with no
-    stacked copy.  On failure, what a close channel by channel would raise
-    first is raised: for the first failing channel, its first singular
+    stacked copy.  On failure, the first failing row raises what a close of
+    it alone would raise first, with a note naming it (``rows`` as given to
+    :func:`close`): for its first failing channel, its first singular
     order, else its first non-finite quantity in the order named, each at
     its first order."""
     values = [x for x, _ in named]
@@ -380,12 +403,16 @@ def _collapse_channels(pol, degenerate, named):
         return values
     bad = np.stack([np.broadcast_to(degenerate, values[0].shape),
                     *(~np.isfinite(x) for x in values)])
-    c = int(np.argmax(bad.any(axis=(0, 2, 3))))
-    q = int(np.argmax(bad[:, c].any(axis=(1, 2))))
+    n = int(np.argmax(bad.any(axis=(0, 1, 3))))
+    bad = bad[:, :, n]
+    c = int(np.argmax(bad.any(axis=(0, 2))))
+    q = int(np.argmax(bad[:, c].any(axis=1)))
     if q == 0:
-        raise DegenerateSystemError(int(np.argwhere(bad[0, c])[0][-1]) + 1, POLS[pol[c]])
-    x, context = named[q - 1]
-    _finite(x[c], context)
+        exc = DegenerateSystemError(int(np.argmax(bad[0, c])) + 1, POLS[pol[c]])
+    else:
+        x, context = named[q - 1]
+        exc = _overflow(x[c, n], context)
+    raise at_row(exc, *rows[n])
 
 
 def _sources(prepared, kinds, r, w, host):
@@ -435,10 +462,10 @@ def close(prepared, rows, orientations):
     """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
     against one prepare that holds every row's wavelength, closed on
     (channel, row, l) arrays: one :class:`_Closure` with the rows in the
-    order given.  The rows are checked first (:func:`model.check_points`);
-    an error of the solve names its order and polarization, not its row.
-    Each channel gathers its host's sweep pairs by (host, wavelength),
-    scales them into fields at the dipole by one bounded factor each, and
+    order given.  The rows are checked first (:func:`model.check_points`),
+    with the host permittivities of the prepare; a numerical failure names
+    its first failing row (:func:`_collapse_channels`).  Each channel
+    gathers its host's sweep pairs by (host, wavelength), scales them into fields at the dipole by one bounded factor each, and
     closes them against the sources, which enter swapped (outgoing content
     above the source is proportional to the regular profile and vice
     versa).  A singular determinant is set to one: its rows raise before any
@@ -472,11 +499,11 @@ def close(prepared, rows, orientations):
         (b * np.exp(lp + ox + to_ambient), "ambient amplitude"),
         (q_out, "source amplitude"),
         (b_s * np.exp(lp), "scattered amplitude"),
-    ))
+    ), rows)
     ls = prepared.ls
     weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
     weight = weights[np.minimum(kinds, 1)][:, None, :]
-    return _Closure(prepared, orientations, kinds, r, w, host, dist, weight,
+    return _Closure(prepared, orientations, kinds, rows, r, w, host, dist, weight,
                     g, b_out, q_out, scat, a * np.exp(lx + ip), b * np.exp(lp + ox))
 
 

@@ -55,10 +55,11 @@ def test_locate_region():
     a = model.preset("A")
     assert model.locate(a, 90.0)[0] == 2
     assert model.locate(a, 200.0)[0] == 5
+    eps = np.array([materials.permittivity(a.region_material(j), 595.0) for j in range(1, 6)])
     with pytest.raises(GeometryError):
-        model.check_points(a, 107.0, 595.0)
+        model.check_points(a, 107.0, 595.0, lambda host: eps[host - 1])
     with pytest.raises(GeometryError):
-        model.check_points(a, -1.0, 595.0)
+        model.check_points(a, -1.0, 595.0, lambda host: eps[host - 1])
 
 
 @given(r=st.floats(min_value=0.001, max_value=400.0))

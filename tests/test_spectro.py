@@ -172,6 +172,27 @@ def test_quasistatic_shift_operation():
         oracles.quasistatic_shift(2.0, 1.0, 2.0, 2.0, "radial")
 
 
+def test_a_non_positive_total_rate_names_its_row():
+    # rows along the first axis, orientations along the second: the first
+    # non-positive rate in row order is named by its row
+    wt = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="got -1.0") as err:
+        spectro.fluorescence_yield(wt, np.ones(wt.shape), [(1.0, 595.0), (2.0, 600.0), (3.0, 0.5)])
+    assert err.value.__notes__ == ["while evaluating row r=2 nm, lambda=600 nm"]
+
+
+def test_no_rows_give_empty_columns_and_no_results():
+    # the names and columns of no rows are those of one row, with no entries
+    prepared = transfer.prepare(model.preset("D"), [595.0], 8)
+    for orientations in (("tangential",), model.ORIENTATIONS):
+        names, columns = spectro.observe_rows(prepared, [], orientations)
+        one_names, one = spectro.observe_rows(prepared, [(75.0, 595.0)], orientations)
+        assert names == one_names
+        assert {f: (x.shape, x.dtype) for f, x in columns.items()} == {
+            f: ((len(names), 0), x.dtype) for f, x in one.items()}
+        assert spectro.evaluate_rows(prepared, [], orientations) == []
+
+
 def test_yield_and_average_operations():
     assert spectro.fluorescence_yield(2.0, 1.0) == 0.5
     with pytest.raises(DomainError):

@@ -22,6 +22,7 @@ from nanoshell.errors import (
     GeometryError,
     MaterialRangeError,
     NanoshellError,
+    RangeError,
 )
 
 LAM = 595.0
@@ -761,15 +762,18 @@ def test_l_max_must_be_a_bounded_integer(tmp_path):
     ("converge", "D", "--r", "0.5", "--lambda", "0.01", "--l-max", "5"),
     ("preset", "D", "--grid", "1e6", "--l-max", "5"),
     ("converge", "D", "--r", "1e6", "--lambda", "1e-300", "--l-max", "1"),
+    ("preset", "D", "--grid", "1e6"),
+    ("preset", "D", "--lambda", "1e-300"),
 ])
 def test_huge_riccati_arguments_exit_2_up_front(tmp_path, args):
     # a tiny wavelength or a far dipole would start the j recurrence at an
-    # order of ~|z|; the first table rejects it, naming |z|
+    # order of ~|z|; the first table rejects it, naming |z|.  A sweep checks
+    # its rows' arguments before any row, so no row is named
     out = tmp_path / "out.csv"
     proc = _run_cli(*args, "--out", str(out)) if args[0] == "preset" else _run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: argument too large: |z| = "), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "while evaluating row" not in proc.stderr
     assert not out.exists()
 
 
@@ -786,22 +790,97 @@ def test_exit_code_mapping():
     assert cli._exit_code(DegenerateSystemError(3, "TM")) == 4
 
 
-def test_failing_row_is_named_on_the_error_line(tmp_path):
-    # gold's table ends at 1100 nm: 1200 nm is the first failing row
-    for workers in (1, 2):
-        proc, out = _run_config(
-            tmp_path,
-            sphere="A",
-            sweep="wavelength",
-            r_over_rs=1.3,
-            wavelengths_nm=[600.0, 1200.0, 1300.0],
-            orientation="radial",
-            workers=workers,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "lambda=1200 nm" in proc.stderr, proc.stderr
-        assert "lambda=1300" not in proc.stderr
-        assert not out.exists()
+# preset D's grid and the row whose dipole table gets a NaN: 0.7 r_s, a
+# middle row of the one in-process batch and of the second of two pool blocks
+PLANTED_GRID = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.5]
+PLANTED_NOTE = "while evaluating row r=105 nm, lambda=595 nm"
+
+
+def _plant_nan_at(monkeypatch, r_nm):
+    """Make the dipole table of every row at radius r_nm in preset D's core
+    hold NaN; pool workers inherit it when they fork."""
+    dipole_tables = transfer.Prepared.dipole_tables
+
+    def planted(self, rho):
+        values, logs = dipole_tables(self, rho)
+        hit = np.isclose(rho, self.k[0, 0] * r_nm, rtol=1e-12, atol=0.0)
+        values = values.copy()
+        values[:, hit] = np.nan
+        return values, logs
+
+    monkeypatch.setattr(transfer.Prepared, "dipole_tables", planted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_planted_non_finite_entry_names_its_row(monkeypatch, workers):
+    # every input is checked before any row, so what fails at a row is
+    # numerical, found in its batch's arrays and named by its row, in
+    # process and through a two-block pool
+    pools = _one_block_per_entry(monkeypatch)
+    _plant_nan_at(monkeypatch, 105.0)
+    cfg = _cfg(grid=PLANTED_GRID, orientations=["radial"], l_max=8, workers=workers)
+    with pytest.raises(RangeError, match="^g overflows double precision at order l=1") as err:
+        sweep.run_sweep(cfg)
+    assert err.value.__notes__ == [PLANTED_NOTE]
+    assert pools == [2] * (workers == 2)
+
+
+def test_failing_row_is_named_on_the_error_line(tmp_path, monkeypatch, capsys):
+    # a numerical failure exits 4 on one error line that names its row
+    _plant_nan_at(monkeypatch, 105.0)
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sphere": "D", "grid": PLANTED_GRID, "l_max": 8,
+                                    "out": str(out)}))
+    assert cli.main(["run", str(cfg_path)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: g overflows double precision at order l=1; {PLANTED_NOTE}\n")
+    assert not out.exists()
+
+
+def test_failing_row_is_named_through_a_pool(tmp_path, monkeypatch, capsys):
+    # the 7-row sweep is cut into two pool blocks; the annotated error of
+    # the second block crosses back to the parent with its row note
+    pools = _one_block_per_entry(monkeypatch)
+    _plant_nan_at(monkeypatch, 105.0)
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sphere": "D", "grid": PLANTED_GRID, "l_max": 8,
+                                    "workers": 2, "out": str(out)}))
+    assert cli.main(["run", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: g overflows") and err.endswith(f"; {PLANTED_NOTE}\n"), err
+    assert not out.exists()
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("raw, code, message", [
+    # gold's table ends at 1100 nm; the point is in preset A's silica core
+    ({"sphere": "A", "grid": [0.3], "wavelength_nm": 1200.0}, 3,
+     "error: wavelength 1200.0 nm outside table range"),
+    ({"sphere": "C", "sweep": "wavelength", "r_over_rs": 1.5,
+      "wavelengths_nm": [595.0, 700.0, 1200.0]}, 3,
+     "error: wavelength 1200.0 nm outside table range"),
+    # Riccati arguments a table rejects: k r of a dipole 1e-12 r_s from the
+    # origin or 1e6 r_s out, and k r of every interface at 1e-300 nm
+    ({"sphere": "D", "grid": [0.5, 1e-12]}, 2, "error: argument too close to zero: |z| = "),
+    ({"sphere": "D", "grid": [0.5, 1e6]}, 2, "error: argument too large: |z| = "),
+    ({"sphere": "D", "grid": [0.5], "wavelength_nm": 1e-300}, 2,
+     "error: argument too large: |z| = 1.367e+303 "),
+], ids=["A-table", "C-table", "near-origin", "far", "tiny-wavelength"])
+def test_bad_input_fails_before_any_row_and_starts_no_pool(tmp_path, monkeypatch, capsys, raw,
+                                                          code, message):
+    # with every sweep cut into a block per row, the check still stops the
+    # run before its pool starts, and names no row
+    pools = _one_block_per_entry(monkeypatch)
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "workers": 2, "out": str(out)}))
+    assert cli.main(["run", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "while evaluating row" not in err, err
+    assert not out.exists()
+    assert pools == []
 
 
 @pytest.mark.parametrize("sphere, grid, radius", [
@@ -825,56 +904,35 @@ def test_implicit_grid_point_on_an_interface_fails_before_any_row(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r_over_rs, code, message", [
+@pytest.mark.parametrize("r_over_rs, code, message, raw", [
     # 0.16 nm inside preset A's silica core
-    (0.50924, 2, "error: grid point r/r_s = 0.50924 violates the interface-exclusion margin"),
-    # inside the inner gold shell: the first bad wavelength is named, and
-    # the lookup of gold at 1200 nm, past its table, never runs
+    (0.50924, 2, "error: grid point r/r_s = 0.50924 violates the interface-exclusion margin",
+     {}),
+    # inside the inner gold shell: the point fails at 595 nm, before gold
+    # is read at 1200 nm, past its table
     (0.6, 2, "error: dipole host region 2 is absorbing, or lossless with Re eps <= 0, "
-             "at 595.0 nm;"),
+             "at 595.0 nm;", {}),
     # the origin is exempt from the margin, and its silica host takes every
-    # wavelength; gold's table ends at 1100 nm, so the 1200 nm row fails at
-    # that row
-    (0.0, 3, "error: wavelength 1200.0 nm outside table range"),
-], ids=["margin", "in-gold", "origin"])
+    # wavelength; gold's table ends at 1100 nm, so reading it at 1200 nm
+    # fails, before any row
+    (0.0, 3, "error: wavelength 1200.0 nm outside table range", {}),
+    # preset C from the ambient, its wavelengths in another order
+    (1.5, 3, "error: wavelength 1200.0 nm outside table range",
+     {"sphere": "C", "wavelengths_nm": [595.0, 700.0, 1200.0]}),
+], ids=["margin", "in-gold", "origin", "C-ambient"])
 def test_wavelength_sweep_checks_its_point_before_any_row(tmp_path, capsys, r_over_rs, code,
-                                                          message):
+                                                          message, raw):
     out = tmp_path / "out.csv"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "sphere": "A", "sweep": "wavelength", "r_over_rs": r_over_rs, "l_max": 8,
-        "wavelengths_nm": [595.0, 1200.0, 700.0], "out": str(out),
+        "wavelengths_nm": [595.0, 1200.0, 700.0], "out": str(out), **raw,
     }))
     assert cli.main(["run", str(cfg_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message), err
-    assert ("while evaluating row" in err) == (code == 3), err
+    assert "while evaluating row" not in err, err
     assert not out.exists()
-
-
-def test_failing_row_is_named_through_a_pool(tmp_path, monkeypatch, capsys):
-    # the 3-row sweep is cut into two pool blocks; the annotated error of
-    # the second block crosses back to the parent with its row note
-    pools = _one_block_per_entry(monkeypatch)
-    raw = {
-        "sphere": "A",
-        "sweep": "wavelength",
-        "r_over_rs": 1.3,
-        "wavelengths_nm": [600.0, 1200.0, 1300.0],
-        "orientation": "radial",
-        "workers": 2,
-    }
-    with pytest.raises(MaterialRangeError) as err:
-        sweep.run_sweep(sweep.config_from_dict(raw))
-    notes = " ".join(err.value.__notes__)
-    assert "lambda=1200 nm" in notes and "lambda=1300" not in notes
-    out = tmp_path / "out.csv"
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**raw, "out": str(out)}))
-    assert cli.main(["run", str(cfg_path)]) == 3
-    assert "lambda=1200 nm" in capsys.readouterr().err
-    assert not out.exists()
-    assert pools == [2, 2]
 
 
 @pytest.mark.parametrize(

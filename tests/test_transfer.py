@@ -305,22 +305,27 @@ def test_outgoing_amplitude_tail_decays():
 
 def test_closure_failures_are_raised_in_channel_order():
     # a batch closes every (channel, row, l) at once but raises what a close
-    # channel by channel would raise first: the first failing channel in
-    # order (TM before TE), its first singular order, else its first
-    # overflowing quantity, each at its first order
+    # of its first failing row alone would raise first, with a note naming
+    # that row: in it, the first failing channel in order (TM before TE),
+    # its first singular order, else its first overflowing quantity, each
+    # at its first order
     pol = np.array([0, 0, 1])
     shape = (3, 2, 5)
+    rows = [(10.0, 595.0), (20.5, 600.0)]
     ones = np.ones(shape, dtype=complex)
     degenerate = np.zeros(shape, dtype=bool)
     named = [(ones, "g"), (ones.copy(), "ambient amplitude")]
-    got = transfer._collapse_channels(pol, degenerate, named)
+    got = transfer._collapse_channels(pol, degenerate, named, rows)
     assert [x.tolist() for x in got] == [np.ones(shape, dtype=complex).tolist()] * 2
     degenerate[2, 1, 3] = degenerate[2, 0, 4] = True
-    with pytest.raises(DegenerateSystemError, match="l=5, pol=TE"):
-        transfer._collapse_channels(pol, degenerate, named)
     named[1][0][1, 1, 1] = np.inf
-    with pytest.raises(RangeError, match="ambient amplitude overflows .* at order l=2"):
-        transfer._collapse_channels(pol, degenerate, named)
+    with pytest.raises(DegenerateSystemError, match="l=5, pol=TE") as err:
+        transfer._collapse_channels(pol, degenerate, named, rows)
+    assert err.value.__notes__ == ["while evaluating row r=10 nm, lambda=595 nm"]
+    degenerate[2, 0, 4] = False
+    with pytest.raises(RangeError, match="ambient amplitude overflows .* at order l=2") as err:
+        transfer._collapse_channels(pol, degenerate, named, rows)
+    assert err.value.__notes__ == ["while evaluating row r=20.5 nm, lambda=600 nm"]
 
 
 @pytest.mark.parametrize("later", [math.nan, -1.0])
