@@ -332,7 +332,7 @@ def _check_points(sphere, ctxs, grid, l_max, margin):
     (:func:`transfer.table_arguments`).  The first bad one raises."""
     r = np.tile(np.array(grid) * sphere.outer_radius_nm, len(ctxs))
     w = np.repeat(np.arange(len(ctxs)), len(grid))
-    args, rejected = transfer.table_arguments(ctxs, l_max, model.locate(sphere, r)[0], r, w)
+    z, rho, rejected = transfer.table_arguments(ctxs, l_max, model.locate(sphere, r)[0], r, w)
     first = int(np.argmax(rejected))
     # the points at every wavelength up to the first rejected row's come first
     n = (w[first] + 1) * len(grid) if rejected[first] else len(r)
@@ -340,8 +340,8 @@ def _check_points(sphere, ctxs, grid, l_max, margin):
     wavelengths = np.array([c.wavelength_nm for c in ctxs])
     model.check_points(sphere, r[:n], wavelengths[w[:n]], lambda h: eps[w[:n], h - 1],
                        grid=grid * len(ctxs), margin=margin)
-    if rejected[first]:
-        specfun._validate(l_max, args[first])
+    if rejected[first]:  # the arguments of that row's own tables, with their error
+        specfun._validate(l_max, np.append(z[w[first]], rho[first] if r[first] else []))
 
 
 def resolve_grid(cfg, sphere):

@@ -112,16 +112,16 @@ def _interface_arguments(ctxs):
 
 
 def table_arguments(ctxs, l_max, host, r, w):
-    """Per row, at radius r [nm] in the ``host`` region at the wavelength of
-    the context ``w``: the Riccati arguments of its prepare and close, the
-    interfaces' and then its own k r (at the origin, which has none, the
-    first interface's again), as a (row, argument) array; and whether a
-    table rejects one, ``specfun._validate`` of the row raising why."""
-    z = np.array(_interface_arguments(ctxs)[1]).reshape(-1, len(ctxs)).T[w]
+    """The Riccati arguments of rows at radii r [nm] in the ``host``
+    regions at the wavelengths of the contexts ``w``: the interfaces', as a
+    (context, key) array, and each row's own k r, which a row at the origin
+    does not take; and per row whether a table rejects one of them
+    (:func:`~nanoshell.specfun.riccati_scaled`)."""
+    z = np.array(_interface_arguments(ctxs)[1]).reshape(-1, len(ctxs)).T
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite k r is rejected
         rho = np.array([c.k for c in ctxs])[w, host - 1] * r
-    args = np.column_stack([z, np.where(r != 0.0, rho, z[:, 0])])
-    return args, outside_domain(l_max, args).any(axis=1)
+    bad = outside_domain(l_max, z).any(axis=1)[w] | ((r != 0.0) & outside_domain(l_max, rho))
+    return z, rho, bad
 
 
 def _interface_tables(ctxs, l_max, rho=()):
