@@ -19,15 +19,8 @@ import functools
 import sys
 
 from . import model, sweep
-from .errors import (
-    ConfigError,
-    DegenerateSystemError,
-    DomainError,
-    GeometryError,
-    MaterialRangeError,
-    NanoshellError,
-    RangeError,
-)
+from .errors import (ConfigError, DegenerateSystemError, MaterialRangeError, NanoshellError,
+                     RangeError)
 
 EXIT_CONFIG = 2
 EXIT_MATERIAL = 3
@@ -35,8 +28,7 @@ EXIT_NUMERICAL = 4
 
 
 def _exit_code(exc):
-    if isinstance(exc, (ConfigError, GeometryError, DomainError)):
-        return EXIT_CONFIG
+    """Config, geometry and domain errors exit 2, as does any other."""
     if isinstance(exc, MaterialRangeError):
         return EXIT_MATERIAL
     if isinstance(exc, (DegenerateSystemError, RangeError)):
@@ -59,17 +51,19 @@ def _build_parser():
     run_p = sub.add_parser("run", help="execute a JSON sweep config")
     run_p.add_argument("config", help="path to the sweep config (JSON)")
 
+    defaults = {key: row.default for key, row in sweep.CONFIG_SCHEMA.items()}
     pre_p = sub.add_parser("preset", help="radial sweep over a built-in sphere")
     pre_p.add_argument("name", choices=model.preset_names())
-    pre_p.add_argument("--lambda", dest="wavelength", type=float, default=595.0,
-                       help="vacuum wavelength [nm] (default 595)")
+    pre_p.add_argument("--lambda", dest="wavelength", type=float,
+                       default=defaults["wavelength_nm"],
+                       help="vacuum wavelength [nm] (default %(default)s)")
     pre_p.add_argument("--grid", default="default",
                        help="'default' or comma-separated r/r_s values")
     pre_p.add_argument("--out", default="results.csv", help="output CSV path")
-    pre_p.add_argument("--orientations", default="radial,tangential,average",
+    pre_p.add_argument("--orientations", default=",".join(defaults["orientations"]),
                        help="comma-separated orientation list")
-    pre_p.add_argument("--l-max", type=int, default=60)
-    pre_p.add_argument("--workers", type=int, default=1)
+    pre_p.add_argument("--l-max", type=int, default=defaults["l_max"])
+    pre_p.add_argument("--workers", type=int, default=defaults["workers"])
     pre_p.add_argument("--plot-dir", default=None,
                        help="also write two-column plot files here")
 
@@ -79,8 +73,9 @@ def _build_parser():
     con_p.add_argument("name", choices=model.preset_names())
     con_p.add_argument("--r", type=float, required=True, help="dipole r/r_s")
     con_p.add_argument("--orientation", choices=model.ORIENTATIONS, default="radial")
-    con_p.add_argument("--lambda", dest="wavelength", type=float, default=595.0)
-    con_p.add_argument("--l-max", type=int, default=60)
+    con_p.add_argument("--lambda", dest="wavelength", type=float,
+                       default=defaults["wavelength_nm"])
+    con_p.add_argument("--l-max", type=int, default=defaults["l_max"])
     return p
 
 

@@ -11,6 +11,7 @@ loss is not modeled.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -52,6 +53,12 @@ class Material:
         # them complex
         if not self.mu > 0:
             raise DomainError(f"permeability must be positive, got mu = {self.mu!r}")
+
+    @functools.cached_property
+    def table(self):
+        """A table's wavelengths and Re n and Im n, as arrays made once."""
+        n = np.array(self.table_n, dtype=complex)
+        return np.array(self.table_wl), n.real.copy(), n.imag.copy()
 
 
 def constant_index(n, mu=1.0, name=""):
@@ -149,10 +156,8 @@ def refractive_index(material, wavelength_nm):
                 f"wavelength {wavelength_nm} nm outside table range "
                 f"[{wl[0]}, {wl[-1]}] nm for material {material.name or '?'}"
             )
-        ns = material.table_n
-        re = np.interp(wavelength_nm, wl, [n.real for n in ns])
-        im = np.interp(wavelength_nm, wl, [n.imag for n in ns])
-        return complex(re, im)
+        xp, re, im = material.table
+        return complex(np.interp(wavelength_nm, xp, re), np.interp(wavelength_nm, xp, im))
     if material.kind == "drude_size_corrected":
         return optical_constants(material, wavelength_nm)[0]
     raise DomainError(f"unknown material kind {material.kind!r}")

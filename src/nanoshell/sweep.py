@@ -1,34 +1,21 @@
 """Sweep runner: radial and wavelength scans with deterministic CSV output.
 
-Rows are split into at most ``workers`` contiguous blocks in declared order,
-no more than one per ``MIN_BLOCK_ENTRIES`` entries of work: (l_max + 1) per
-row and ``PREPARE_ROWS`` times that per prepared wavelength, so a
-wavelength sweep splits at about a quarter of the rows of a radial one.  A
-sweep too small for two such blocks runs in-process, and a process that
-runs only such sweeps never imports the pool machinery
-(``concurrent.futures``, ``multiprocessing``).
-The sphere is built once per sweep, when its config is read: building it is
-the check of the ``sphere`` entry.  Every block (a process-pool task when
-there are several) receives that sphere and evaluates its rows in runs of
-up to ``spectro.batch_size(l_max)`` distinct wavelengths: one prepare over a
-run's wavelengths, then its rows closed against it, as many at once as
-``spectro.close_size`` allows for the sphere's regions.  A block returns
-its outputs as (orientation, row) arrays, and the sweep keeps them as
-columns (:class:`ResultTable`): the CSV and plot files are written from
-them with one line format per row, and per-row result objects are built
-only when a caller reads ``.rows``.  A row's result does not depend on its
-block or on the wavelengths prepared with it, and rows are written in
-declared order, so output bytes are identical across runs and across
-worker counts.
-Everything a sweep's rows depend on is read and checked once, before any
-row and before a pool starts, walking its distinct wavelengths in declared
-order (:func:`_check_points`): at each, every region's material is read,
-then the points are checked against that read (:func:`model.check_points`),
-then the Riccati arguments of their rows' tables; the first bad input
-raises.  Default and linspace grids are nudged off the interfaces and skip
-the points no host can take.  So a row can fail only numerically, and then
-names the first failing row.  Output is only written once the whole sweep
-has succeeded.
+A config is checked when it is read: key by key against
+:data:`CONFIG_SCHEMA`, which holds each key's rule, default and meaning,
+then by the rules across keys; building its sphere is the check of the
+``sphere`` entry.  A sweep then reads and checks everything its rows
+depend on once, before any row and before a pool starts (see
+:func:`run_sweep`), and the prepares reuse those reads.  So a row can fail
+only numerically, and then names the first failing row.
+Rows are evaluated in the contiguous blocks of :func:`block_cuts`, on at
+most as many processes as the machine has CPUs, or in-process when there
+is one block; a process that runs only such sweeps never imports the pool
+machinery.  A block returns its outputs as (orientation, row) arrays,
+which the sweep keeps as columns (:class:`ResultTable`).  A row's result
+does not depend on its block or on the wavelengths prepared with it, and
+rows are written in declared order, so output bytes are identical across
+runs and worker counts.  Output is only written once the whole sweep has
+succeeded.
 """
 
 import functools
@@ -38,30 +25,19 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import materials, model, specfun, spectro, transfer
-from .errors import ConfigError, DomainError, NanoshellError
+from .errors import ConfigError, DomainError
 
-CSV_COLUMNS = (
-    "r_over_rs",
-    "wavelength_nm",
-    "orientation",
-    "shift_norm",
-    "wt_norm",
-    "wrad_norm",
-    "wohm_norm",
-    "yield",
-    "photostability",
-    "l_used",
-    "converged",
-)
+CSV_COLUMNS = ("r_over_rs", "wavelength_nm", "orientation", "shift_norm", "wt_norm", "wrad_norm",
+               "wohm_norm", "yield", "photostability", "l_used", "converged")
 
 DEFAULT_GRID_POINTS = 401
 DEFAULT_GRID_MAX = 2.01
-DEFAULT_ORIENTATIONS = (model.RADIAL, model.TANGENTIAL, "average")
 
 # grid points closer than this (times outer radius) to an interface are
 # nudged outward by NUDGE_FRACTION
@@ -91,126 +67,161 @@ MAX_GRID_POINTS = 10**6
 PREPARE_ROWS = 3
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    sphere: model.StratifiedSphere
-    sweep: str = "radial"
-    wavelength_nm: float = 595.0
-    grid: object = "default"
-    orientations: tuple = DEFAULT_ORIENTATIONS
-    r_over_rs: float | None = None
-    wavelengths_nm: tuple = ()
-    l_max: int = 60
-    interface_margin: float = MARGIN_FRACTION
-    out: str | None = None
-    format: str = "csv"
-    plot_dir: str | None = None
-    workers: int = 1
+class Number(NamedTuple):
+    """A finite real number, not a bool, at least ``lo`` (above it if ``strict``)."""
+    lo: float | None = None
+    strict: bool = False
+
+    def __str__(self):
+        bound = "" if self.lo is None else f" {'>' if self.strict else '>='} {self.lo:g}"
+        return "a real number" + bound
+
+    def check(self, key, value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key} is beyond double-precision range, got {value!r}")
+        if not math.isfinite(value):
+            raise DomainError(f"{key} must be finite, got {value!r}")
+        if self.lo is not None and (value < self.lo or (self.strict and value == self.lo)):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return float(value)
 
 
-_CONFIG_KEYS = {
-    "sphere",
-    "sweep",
-    "wavelength_nm",
-    "grid",
-    "orientations",
-    "r_over_rs",
-    "wavelengths_nm",
-    "orientation",
-    "l_max",
-    "quadrature_rtol",
-    "interface_margin",
-    "out",
-    "format",
-    "plot_dir",
-    "workers",
+class Integer(NamedTuple):
+    """An integer, not a bool, in lo..hi (unbounded above without ``hi``)."""
+    lo: int
+    hi: int | None = None
+
+    def __str__(self):
+        bound = f">= {self.lo}" if self.hi is None else f"in {self.lo}..{self.hi}"
+        return "an integer " + bound
+
+    def check(self, key, value):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < self.lo or (self.hi is not None and value > self.hi)):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return int(value)
+
+
+class Choice(NamedTuple):
+    """One of the strings ``options``."""
+    options: tuple
+
+    def __str__(self):
+        *rest, last = map(repr, self.options)
+        return f"{', '.join(rest)} or {last}"
+
+    def check(self, key, value):
+        if value not in self.options:
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return value
+
+
+class ListOf(NamedTuple):
+    """A list, non-empty if ``nonempty``, each entry as ``item`` checks it."""
+    item: object
+    nonempty: bool = False
+
+    def __str__(self):
+        return f"a {'non-empty ' * self.nonempty}list, each {self.item}"
+
+    def check(self, key, value):
+        if not isinstance(value, (list, tuple)) or (self.nonempty and not value):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return tuple(self.item.check(key, v) for v in value)
+
+
+class Key(NamedTuple):
+    rule: object  # a str where config_from_dict checks the key by its own code
+    default: object  # MISSING where the key is required
+    meaning: str
+
+
+_ORIENTATION = Choice((*model.ORIENTATIONS, "average"))
+_OWN = " (own rule, below)"
+
+# every key a sweep config may hold, in README's order: README's key table
+# is this table rendered (a test compares them)
+CONFIG_SCHEMA = {
+    "sphere": Key("a preset name or a shell spec" + _OWN, MISSING, "the stratified sphere"),
+    "sweep": Key(Choice(("radial", "wavelength")), "radial", "what varies along the sweep"),
+    "wavelength_nm": Key(Number(0.0, strict=True), 595.0, "a radial sweep's wavelength [nm]"),
+    "grid": Key('"default", a list of real numbers or {"linspace": [lo, hi, n]}' + _OWN,
+                "default", "a radial sweep's points, r/r_s"),
+    "orientations": Key(ListOf(_ORIENTATION, nonempty=True), _ORIENTATION.options,
+                        "dipole orientations: a row each per point"),
+    "orientation": Key(_ORIENTATION, None, "short for a one-entry `orientations`"),
+    "r_over_rs": Key(Number(0.0), None, "a wavelength sweep's point, r/r_s"),
+    "wavelengths_nm": Key(ListOf(Number(0.0, strict=True)), (),
+                          "a wavelength sweep's wavelengths [nm]"),
+    "l_max": Key(Integer(1, transfer.L_MAX_CEILING), 60, "the highest multipole order"),
+    "interface_margin": Key(Number(0.0), MARGIN_FRACTION,
+                            "least distance from a point to an interface [r_s]"),
+    "workers": Key(Integer(1), 1, "the most process-pool blocks a sweep is cut into"),
+    "quadrature_rtol": Key(Number(), None, "accepted for older configs, unused"),
+    "out": Key("a non-empty path string" + _OWN, None, "the CSV file"),
+    "format": Key(Choice(("csv", "plot")), "csv", "`plot`: plot files instead of a CSV file"),
+    "plot_dir": Key("a non-empty path string" + _OWN, None, "directory for plot files"),
 }
 
 
+# a checked config: CONFIG_SCHEMA's keys with ``sphere`` built, but
+# ``orientation``, folded into ``orientations``, and the unused
+# ``quadrature_rtol``
+SweepConfig = make_dataclass(
+    "SweepConfig", [k for k in CONFIG_SCHEMA if k not in ("orientation", "quadrature_rtol")],
+    frozen=True, namespace={"__module__": __name__})
+
+
 def config_from_dict(raw):
-    """Validate a JSON-shaped dict and build its sphere; unknown keys are
-    errors."""
+    """Check a JSON-shaped dict key by key against CONFIG_SCHEMA, then by
+    the rules across keys, and build its sphere; unknown keys are errors."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(CONFIG_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sweep = raw.get("sweep", "radial")
-    if sweep not in ("radial", "wavelength"):
-        raise ConfigError(f"sweep must be 'radial' or 'wavelength', got {sweep!r}")
     if "sphere" not in raw:
         raise ConfigError("config needs a 'sphere' entry (preset name or shell spec)")
-    sphere = sphere_from_spec(raw["sphere"])
-    orientations = raw.get("orientations")
-    if orientations is None:
-        single = raw.get("orientation")
-        orientations = (single,) if single else DEFAULT_ORIENTATIONS
-    if not isinstance(orientations, (list, tuple)) or not orientations:
-        raise ConfigError(f"orientations must be a non-empty list, got {orientations!r}")
-    for o in orientations:
-        if o not in (*model.ORIENTATIONS, "average"):
-            raise ConfigError(f"unknown orientation {o!r}")
-    if sweep == "wavelength":
-        if raw.get("r_over_rs") is None:
+    values = {}
+    for key, row in CONFIG_SCHEMA.items():
+        value = raw.get(key, row.default)
+        # a key whose default is null may be given as null
+        checked = not isinstance(row.rule, str) and (value is not None or row.default is not None)
+        values[key] = row.rule.check(key, value) if checked else value
+    values["sphere"] = sphere_from_spec(values["sphere"])
+    del values["quadrature_rtol"]  # the engine has no quadrature to tune
+    single = values.pop("orientation")
+    if single is not None:
+        if "orientations" in raw:
+            raise ConfigError("orientation and orientations cannot both be given")
+        values["orientations"] = (single,)
+    if values["sweep"] == "wavelength":
+        if values["r_over_rs"] is None:
             raise ConfigError("wavelength sweep needs 'r_over_rs'")
-        if not raw.get("wavelengths_nm"):
+        if not values["wavelengths_nm"]:
             raise ConfigError("wavelength sweep needs a 'wavelengths_nm' list")
-    l_max = raw.get("l_max", 60)
-    transfer.check_l_max(l_max)
-    workers = raw.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    wavelengths = raw.get("wavelengths_nm", ())
-    if not isinstance(wavelengths, (list, tuple)):
-        raise ConfigError(f"wavelengths_nm must be a list, got {wavelengths!r}")
-    wavelength_nm = raw.get("wavelength_nm", 595.0)
-    _require_finite("wavelength_nm", wavelength_nm, lo=0.0, strict=True)
-    _require_finite("wavelengths_nm", *wavelengths, lo=0.0, strict=True)
-    margin = raw.get("interface_margin", MARGIN_FRACTION)
-    _require_finite("interface_margin", margin, lo=0.0)
-    r_over_rs = raw.get("r_over_rs")
-    if r_over_rs is not None:
-        _require_finite("r_over_rs", r_over_rs, lo=0.0)
-    if "quadrature_rtol" in raw:  # accepted for older configs; the engine has no quadrature
-        _require_finite("quadrature_rtol", raw["quadrature_rtol"])
-    grid = raw.get("grid", "default")
+    grid = values["grid"]
     if isinstance(grid, dict) and "linspace" in grid:
         _check_linspace(grid["linspace"])
     elif isinstance(grid, (list, tuple)):
-        _require_finite("grid", *grid)
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "plot"):
-        raise ConfigError(f"format must be 'csv' or 'plot', got {fmt!r}")
-    for key in ("out", "plot_dir"):
-        path = raw.get(key)
-        if not isinstance(path, (str, type(None))) or "\0" in (path or ""):
-            raise ConfigError(f"{key} must be a path string or null, got {path!r}")
-    out = raw.get("out")
+        ListOf(Number()).check("grid", grid)
+    elif grid != "default":
+        raise ConfigError(f"cannot interpret grid {grid!r}")
+    out, fmt, plot_dir = values["out"], values["format"], values["plot_dir"]
+    for key, path in (("out", out), ("plot_dir", plot_dir)):
+        if not (path is None or isinstance(path, str) and path and "\0" not in path):
+            raise ConfigError(f"{key} must be a non-empty path string or null, got {path!r}")
     out_dir = os.path.dirname(out or "") or "."
     if fmt == "csv" and out and (os.path.isdir(out) or not os.path.isdir(out_dir)):
         raise ConfigError(f"out must be a file path in an existing directory, got {out!r}")
-    plot_dir = raw.get("plot_dir")
     plot_out = out if fmt == "plot" and not plot_dir else None  # see write_outputs
     for key, path in (("plot_dir", plot_dir), ("out", plot_out)):
         if path and not _makeable_dir(path):
-            raise ConfigError(
-                f"{key} must be a directory or a path that can become one, got {path!r}"
-            )
-    return SweepConfig(
-        sphere=sphere,
-        sweep=sweep,
-        wavelength_nm=float(wavelength_nm),
-        grid=grid,
-        orientations=tuple(orientations),
-        r_over_rs=None if r_over_rs is None else float(r_over_rs),
-        wavelengths_nm=tuple(float(w) for w in wavelengths),
-        l_max=l_max,
-        interface_margin=float(margin),
-        out=out,
-        format=fmt,
-        plot_dir=plot_dir,
-        workers=int(workers),
-    )
+            raise ConfigError(f"{key} must be a directory or a path that can become one, "
+                              f"got {path!r}")
+    return SweepConfig(**values)
 
 
 def _makeable_dir(path):
@@ -223,26 +234,11 @@ def _makeable_dir(path):
     return os.path.isdir(probe)
 
 
-def _require_finite(name, *values, lo=None, strict=False):
-    """Positions, wavelengths and margins must be finite real numbers (a
-    bool is not one), and at least ``lo`` (above it if ``strict``), before
-    any row runs."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConfigError(f"{name} must be a real number, got {v!r}")
-        if isinstance(v, int) and abs(v) > sys.float_info.max:
-            raise ConfigError(f"{name} is beyond double-precision range, got {v!r}")
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-        if lo is not None and (v < lo or (strict and v == lo)):
-            raise ConfigError(f"{name} must be {'>' if strict else '>='} {lo:g}, got {v!r}")
-
-
 def _check_linspace(spec):
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"linspace grid needs [lo, hi, n], got {spec!r}")
     lo, hi, n = spec
-    _require_finite("linspace bound", lo, hi, lo=0.0)
+    ListOf(Number(0.0)).check("linspace bound", [lo, hi])
     whole = isinstance(n, int) or (isinstance(n, float) and n.is_integer())
     if isinstance(n, bool) or not whole or not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(
@@ -268,10 +264,10 @@ def _material_from_spec(spec):
     if not (isinstance(spec, dict) and ("n" in spec or "table" in spec)):
         raise ConfigError(f"cannot interpret sphere material spec {spec!r}")
     mu = spec.get("mu", 1.0)
-    _require_finite("sphere material mu", mu)
+    Number().check("sphere material mu", mu)
     n = spec.get("n", 0.0)
     parts = n if isinstance(n, (list, tuple)) and len(n) == 2 else [n]
-    _require_finite("sphere material n", *parts)
+    ListOf(Number()).check("sphere material n", parts)
     path = spec.get("table", "")
     if not isinstance(path, str):
         raise ConfigError(f"sphere material table must be a path string, got {spec!r}")
@@ -301,7 +297,7 @@ def sphere_from_spec(spec):
         )
     built = []
     for radius, material in shells:
-        _require_finite("sphere shell radius", radius)
+        Number().check("sphere shell radius", radius)
         built.append((radius, _material_from_spec(material)))
     return model.build_sphere(built, _material_from_spec(spec.get("ambient", "water")))
 
@@ -345,12 +341,18 @@ def _check_points(sphere, ctxs, grid, l_max, margin):
 
 
 def resolve_grid(cfg, sphere):
-    """r/r_s values of a radial sweep, checked at the sweep wavelength
-    (:func:`_check_points`) before any row runs: an explicit grid's first
-    bad point raises; default and linspace grids skip, and count on stderr,
-    the points no host region can take there (:func:`model.no_host`), and
-    then a kept point on an interface raises.  A grid with no point to
-    evaluate, empty or every point skipped, raises."""
+    """r/r_s values of a radial sweep, as :func:`_radial_grid` checks them."""
+    return _radial_grid(cfg, sphere)[0]
+
+
+def _radial_grid(cfg, sphere):
+    """r/r_s values of a radial sweep, and the layer context it reads at
+    the sweep wavelength to check them before any row runs
+    (:func:`_check_points`): an explicit grid's first bad point raises;
+    default and linspace grids skip, and count on stderr, the points no
+    host region can take there (:func:`model.no_host`), and then a kept
+    point on an interface raises.  A grid with no point to evaluate, empty
+    or every point skipped, raises."""
     grid = cfg.grid
     if isinstance(grid, (list, tuple)):
         if not grid:
@@ -358,12 +360,10 @@ def resolve_grid(cfg, sphere):
         vals = [float(v) for v in grid]
         ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
         _check_points(sphere, [ctx], vals, cfg.l_max, cfg.interface_margin)
-        return vals
-    if grid == "default" or grid is None:
-        grid = {"linspace": [0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS]}
-    if not (isinstance(grid, dict) and "linspace" in grid):
-        raise ConfigError(f"cannot interpret grid {grid!r}")
-    vals = _linspace_grid(sphere, *grid["linspace"], cfg.interface_margin)
+        return vals, ctx
+    default = (0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
+    spec = grid["linspace"] if isinstance(grid, dict) else default
+    vals = _linspace_grid(sphere, *spec, cfg.interface_margin)
     ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
     host = model.locate(sphere, vals * sphere.outer_radius_nm)[0]
     skip = model.no_host(np.array(ctx.eps)[host - 1])
@@ -377,7 +377,7 @@ def resolve_grid(cfg, sphere):
               file=sys.stderr)
     vals = vals[~skip].tolist()
     _check_points(sphere, [ctx], vals, cfg.l_max, 0.0)
-    return vals
+    return vals, ctx
 
 
 @dataclass(frozen=True)
@@ -451,8 +451,8 @@ def _evaluate_block(sphere, rows, orientations, l_max, contexts):
     """The outputs of contiguous rows (r_nm, wavelength), each checked
     before any row (:func:`run_sweep`), as :func:`spectro.observe_rows`
     gives them, one prepare per :func:`spectro.batch_size` distinct
-    wavelengths, with their layer ``contexts`` (wavelength -> context) when
-    given.  What can still fail is numerical, and names its first failing row."""
+    wavelengths on their layer ``contexts`` (wavelength -> context).  What
+    can still fail is numerical, and names its first failing row."""
     parts = []
     for batch in _wavelength_batches(rows, spectro.batch_size(l_max)):
         # the previous prepare is freed only once this one is built, as in
@@ -462,13 +462,14 @@ def _evaluate_block(sphere, rows, orientations, l_max, contexts):
     return spectro.join_columns(parts)
 
 
-def _start_pool(n_workers):
-    """A process pool of ``n_workers``.  The pool machinery is imported here,
-    on the first pooled sweep of a process: it costs a fresh process about
-    30 ms, which a sweep that runs in-process never pays."""
+def _start_pool(n_blocks):
+    """A pool for ``n_blocks`` blocks of at most one process per CPU: under
+    the fork start method it starts them all at its first task.  The pool
+    machinery is imported here, on the first pooled sweep of a process: it
+    costs a fresh process ~30 ms, which a sweep run in-process never pays."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=n_workers)
+    return ProcessPoolExecutor(max_workers=min(n_blocks, os.cpu_count() or 1))
 
 
 def block_cuts(n_rows, n_prepares, l_max, workers):
@@ -484,29 +485,26 @@ def block_cuts(n_rows, n_prepares, l_max, workers):
 def run_sweep(cfg):
     """One row per (point, orientation), ordered by point then orientation.
     The points of a radial sweep are its grid at ``wavelength_nm``, those of
-    a wavelength sweep its wavelengths at ``r_over_rs``; every point is
-    checked at each distinct wavelength in declared order
-    (:func:`_check_points`), and then they are evaluated in order, in the
-    contiguous blocks of :func:`block_cuts`."""
+    a wavelength sweep its wavelengths at ``r_over_rs``.  At each distinct
+    wavelength in declared order every region's material is read once, and
+    every point checked against that read (:func:`_check_points`); then the
+    points are evaluated in order, in the contiguous blocks of
+    :func:`block_cuts`, whose prepares take those reads."""
     sphere = cfg.sphere
     rs = sphere.outer_radius_nm
-    contexts = None  # a radial sweep's one prepare reads its wavelength again
     if cfg.sweep == "radial":
-        points = [(g, g * rs, cfg.wavelength_nm) for g in resolve_grid(cfg, sphere)]
+        grid, ctx = _radial_grid(cfg, sphere)
+        points, ctxs = [(g, g * rs, cfg.wavelength_nm) for g in grid], [ctx]
     else:
-        ctxs, failure = [], None
-        for wl in dict.fromkeys(cfg.wavelengths_nm):
-            try:
+        ctxs = []
+        try:
+            for wl in dict.fromkeys(cfg.wavelengths_nm):
                 ctxs.append(transfer.layer_context(sphere, wl))
-            except NanoshellError as exc:  # raised once the wavelengths read are checked
-                failure = exc
-                break
-        if ctxs:
-            _check_points(sphere, ctxs, [cfg.r_over_rs], cfg.l_max, cfg.interface_margin)
-        if failure:
-            raise failure
+        finally:  # the wavelengths read are checked before a failed read raises
+            if ctxs:
+                _check_points(sphere, ctxs, [cfg.r_over_rs], cfg.l_max, cfg.interface_margin)
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]
-        contexts = {c.wavelength_nm: c for c in ctxs}
+    contexts = {c.wavelength_nm: c for c in ctxs}
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]

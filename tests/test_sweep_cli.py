@@ -935,6 +935,29 @@ def test_wavelength_sweep_checks_its_point_before_any_row(tmp_path, capsys, r_ov
     assert not out.exists()
 
 
+def _schema_breaking(bound):
+    """(key, value) for each key CONFIG_SCHEMA checks by a rule: a value of
+    the wrong type, or if ``bound`` one below the rule's lower bound (keys
+    whose rule has one).  A list rule's value breaks its one entry."""
+    cases = []
+    for key, row in sweep.CONFIG_SCHEMA.items():
+        item = row.rule.item if isinstance(row.rule, sweep.ListOf) else row.rule
+        if bound:
+            bad = None if getattr(item, "lo", None) is None else item.lo - 1
+        else:
+            bad = {sweep.Number: "1", sweep.Integer: 1.5, sweep.Choice: ""}.get(type(item))
+        if bad is not None:
+            cases.append((key, bad if item is row.rule else [bad]))
+    return cases
+
+
+def _overrides(key, value):
+    """``key`` set to ``value`` in a config of the sweep kind that reads it."""
+    if key in ("wavelengths_nm", "r_over_rs"):
+        return {"sweep": "wavelength", "r_over_rs": 1.2, "wavelengths_nm": [600.0], key: value}
+    return {key: value}
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [
@@ -945,6 +968,8 @@ def test_wavelength_sweep_checks_its_point_before_any_row(tmp_path, capsys, r_ov
         ("r_over_rs", {"sweep": "wavelength", "r_over_rs": -0.5, "wavelengths_nm": [600.0]}),
         ("interface_margin", {"interface_margin": -0.1}),
         ("linspace", {"grid": {"linspace": [-1, 2, 5]}}),
+        ("orientation", {"orientations": ["radial"], "orientation": "tangential"}),
+        *[(key, _overrides(key, bad)) for key, bad in _schema_breaking(bound=True)],
     ],
 )
 def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
@@ -976,6 +1001,10 @@ def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
         ("sphere", {"shells": [[150.0, {"n": "1.45"}]]}),
         ("out", "a\0.csv"),
         ("plot_dir", "a\0b"),
+        ("grid", "bogus"),
+        ("out", ""),
+        ("plot_dir", ""),
+        *_schema_breaking(bound=False),
     ],
 )
 def test_config_values_must_have_exact_types(key, bad):
@@ -998,6 +1027,20 @@ def test_config_type_error_exits_2_before_any_row(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "out" in proc.stderr and "Traceback" not in proc.stderr
     assert not any(os.path.exists(name) for name in ("5", "5.tmp"))
+
+
+def _schema_as_markdown():
+    """CONFIG_SCHEMA rendered as README's key table."""
+    lines = ["| key | value | default | meaning |", "|---|---|---|---|"]
+    for key, (rule, default, meaning) in sweep.CONFIG_SCHEMA.items():
+        shown = "required" if default is dataclasses.MISSING else f"`{json.dumps(default)}`"
+        lines.append(f"| `{key}` | {rule} | {shown} | {meaning} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_key_table_is_the_schema_rendered():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    assert _schema_as_markdown() in readme.read_text(encoding="utf-8")
 
 
 # JSON values: every type json.load can return, with numbers at and beyond
@@ -1380,6 +1423,49 @@ def test_wavelength_sweep_counts_one_prepare_per_row(monkeypatch):
     radial = {"sphere": "D", "grid": {"linspace": [0.05, 1.95, 135]}, "workers": 2}
     sweep.run_sweep(sweep.config_from_dict(radial))
     assert pools == [2]
+
+
+def test_a_pool_starts_at_most_one_process_per_cpu(monkeypatch):
+    # D's 2,000-point grid at 64 workers is cut into 8 blocks; an executor
+    # that maps in-process records the processes a pool would start, so
+    # none is started
+    import concurrent.futures
+
+    asked = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pools = _record_pools(monkeypatch)
+    raw = {"sphere": "D", "grid": {"linspace": [0, 2, 2000]}, "orientations": ["radial"]}
+    texts = {sweep.run_sweep(sweep.config_from_dict({**raw, "workers": w})).to_csv()
+             for w in (1, 64)}
+    assert len(texts) == 1
+    assert pools == [8] and asked == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    sweep._start_pool(100000)
+    assert asked == [3, 1]
+
+
+def test_a_radial_sweep_reads_its_wavelength_once(monkeypatch):
+    # the read that checks the points is the one the prepare takes
+    reads = []
+    read = transfer.layer_context
+    monkeypatch.setattr(transfer, "layer_context", lambda s, wl: reads.append(wl) or read(s, wl))
+    sweep.run_sweep(_cfg(grid="default", orientations=["radial"]))
+    assert reads == [LAM]
 
 
 def _benchmark_tracing(monkeypatch):
