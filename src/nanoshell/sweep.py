@@ -166,12 +166,11 @@ CONFIG_SCHEMA = {
 }
 
 
-# a checked config: CONFIG_SCHEMA's keys with ``sphere`` built, but
-# ``orientation``, folded into ``orientations``, and the unused
-# ``quadrature_rtol``
 SweepConfig = make_dataclass(
     "SweepConfig", [k for k in CONFIG_SCHEMA if k not in ("orientation", "quadrature_rtol")],
-    frozen=True, namespace={"__module__": __name__})
+    frozen=True, namespace={"__module__": __name__, "__doc__": (
+        "A checked config: CONFIG_SCHEMA's keys with ``sphere`` built, but "
+        "``orientation``, folded into ``orientations``, and the unused ``quadrature_rtol``.")})
 
 
 def config_from_dict(raw):
