@@ -26,7 +26,7 @@ class BenchmarkEntry:
     preset: str
     r_over_rs: float
     orientation: str  # radial | tangential | average
-    quantity: str  # shift | wt | wrad | wohm | yield
+    quantity: str  # a short name of model.QUANTITIES
     expected: float
     rtol: float
     kind: str = "value"  # value | lower_bound
@@ -88,15 +88,6 @@ ENTRIES = (
     BenchmarkEntry(6, "F", 2.0, "average", "yield", 0.93, 0.0, kind="lower_bound"),
 )
 
-_QUANTITY_ATTR = {
-    "shift": "shift_norm",
-    "wt": "wt_norm",
-    "wrad": "wrad_norm",
-    "wohm": "wohm_norm",
-    "yield": "fluorescence_yield",
-}
-
-
 @dataclass(frozen=True)
 class BenchmarkResult:
     entry: BenchmarkEntry
@@ -116,7 +107,7 @@ def run(entries=ENTRIES, l_max=L_MAX):
                 sphere, e.r_over_rs * sphere.outer_radius_nm, WAVELENGTH_NM, l_max
             )
         res = cache[key][e.orientation]
-        got = float(getattr(res, _QUANTITY_ATTR[e.quantity]))
+        got = float(getattr(res, model.QUANTITIES[e.quantity]))
         if e.kind == "lower_bound":
             passed = got > e.expected
         else:

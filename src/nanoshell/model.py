@@ -2,7 +2,8 @@
 the built-in benchmark geometries, and the one check of emitter points."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -200,29 +201,50 @@ def validate_dipole(sphere, dipole):
     return int(check_points(sphere, r, wl, lambda host: eps)[0][0])
 
 
-@dataclass(frozen=True)
-class SpectroResult:
-    """Normalized spectroscopic outputs for one (sphere, dipole) query.
+# Every output, in CSV column order: its SpectroResult field (None for a
+# column the row's point gives), CSV column and plot-file stem (None for
+# none), format, kind and meaning.  Kinds: "point", a CSV column that places
+# the row; "csv", a CSV column; "diagnostics", a convergence diagnostic and
+# "result", any other result field, neither in the CSV.  W_h is the radiative
+# rate of the same dipole in an unbounded medium equal to the one at its
+# position.  README's output table is this table rendered (a test compares)
+Output = namedtuple("Output", "field csv plot fmt kind meaning")
+BOOL, _G = "true/false", "%.12g"  # a bool is written as either word
+OUTPUTS = (
+    Output(None, "r_over_rs", None, _G, "point", "dipole radius / the outer radius r_s"),
+    Output(None, "wavelength_nm", None, _G, "point", "vacuum wavelength [nm]"),
+    Output("orientation", "orientation", None, "%s", "point", "radial, tangential or average"),
+    Output("shift_norm", "shift_norm", "shift", _G, "csv", "frequency shift / W_h, < 0 is red"),
+    Output("wt_norm", "wt_norm", "wt", _G, "csv", "total decay rate / W_h"),
+    Output("wrad_norm", "wrad_norm", "wrad", _G, "csv", "radiative decay rate / W_h"),
+    Output("wohm_norm", "wohm_norm", "wohm", _G, "csv", "Ohmic (absorption) rate / W_h"),
+    Output("fluorescence_yield", "yield", "yield", _G, "csv",
+           "wrad / wt: an upper bound, as only the Ohmic nonradiative channel is modeled"),
+    Output("photostability", "photostability", "photostability", _G, "csv",
+           "photons detected before photobleaching / the free emitter's; = wrad_norm"),
+    Output("l_used", "l_used", None, "%d", "csv", "highest multipole order summed, l_max"),
+    Output("converged", "converged", None, BOOL, "csv",
+           "every series settled by l_max, and no absorbing interface within 0.005 r_s"),
+    Output("wt_spread", "wt_spread", None, _G, "diagnostics",
+           "relative spread of wt's last 10 partial sums"),
+    Output("wrad_spread", "wrad_spread", None, _G, "diagnostics",
+           "relative spread of wrad's last 10 partial sums"),
+    Output("wohm_spread", "wohm_spread", None, _G, "diagnostics",
+           "relative spread of wohm's last 10 partial sums"),
+    Output("shift_tail", "shift_tail", None, _G, "diagnostics",
+           "geometric estimate of the shift's truncated tail / W_h"),
+    Output("quad_rel_err", None, None, _G, "result",
+           "always 0.0, kept for older callers: the Ohmic rate is no quadrature"),
+)
 
-    All rates are normalized to the radiative rate of the same dipole in an
-    unbounded medium equal to the one at the dipole position; the shift is
-    in the same units (negative = red).
-    """
+# a result holds the outputs with a field, its orientation last
+SpectroResult = make_dataclass("SpectroResult", [
+    (o.field, {_G: float, "%d": int, "%s": str, BOOL: bool}[o.fmt])
+    for o in sorted(OUTPUTS, key=lambda o: o.kind == "point") if o.field], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "The outputs of one query (OUTPUTS)."})
 
-    shift_norm: float
-    wt_norm: float
-    wrad_norm: float
-    wohm_norm: float
-    fluorescence_yield: float
-    photostability: float
-    l_used: int
-    converged: bool
-    wt_spread: float
-    wrad_spread: float
-    wohm_spread: float
-    shift_tail: float
-    quad_rel_err: float
-    orientation: str
+# each plotted quantity's short name, in plot files and benchmark entries
+QUANTITIES = {o.plot: o.field for o in OUTPUTS if o.plot}
 
 
 def interface_margin_nm(sphere, r_nm, absorbing_only=False, wavelength_nm=None):

@@ -222,9 +222,10 @@ def riccati_scaled(l_max, z):
     # sin z and cos z as mantissas at the common log |Im z|, from their
     # components, which do not cancel where sin z is small; exp(iz) at -Im z
     x, a = z.real, np.abs(z.imag)
+    sin_x, cos_x = np.sin(x), np.cos(x)
     cosh_m, sinh_m = 0.5 * (1.0 + np.exp(-2.0 * a)), -0.5 * np.sign(z.imag) * np.expm1(-2.0 * a)
-    sin_m = np.sin(x) * cosh_m + 1j * np.cos(x) * sinh_m
-    cos_m = np.cos(x) * cosh_m - 1j * np.sin(x) * sinh_m
+    sin_m = sin_x * cosh_m + 1j * cos_x * sinh_m
+    cos_m = cos_x * cosh_m - 1j * sin_x * sinh_m
     eix = np.exp(1j * x)
     zz, ls = z[:, None], np.arange(l_max + 1)
 

@@ -203,9 +203,9 @@ def ohmic_rate_per_l(closure):
     return _host_factors(closure)[1][:, None] * per_l
 
 
-_FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
-           "photostability", "converged", "wt_spread", "wrad_spread", "wohm_spread",
-           "shift_tail")
+# the fields _observe computes: every result field but the three as_results sets
+_FIELDS = tuple(o.field for o in model.OUTPUTS
+                if o.field not in (None, "l_used", "quad_rel_err", "orientation"))
 
 
 def _observe(closure):

@@ -33,9 +33,6 @@ import numpy as np
 from . import materials, model, specfun, spectro, transfer
 from .errors import ConfigError, DomainError
 
-CSV_COLUMNS = ("r_over_rs", "wavelength_nm", "orientation", "shift_norm", "wt_norm", "wrad_norm",
-               "wohm_norm", "yield", "photostability", "l_used", "converged")
-
 DEFAULT_GRID_POINTS = 401
 DEFAULT_GRID_MAX = 2.01
 
@@ -213,13 +210,20 @@ def config_from_dict(raw):
         if not (path is None or isinstance(path, str) and path and "\0" not in path):
             raise ConfigError(f"{key} must be a non-empty path string or null, got {path!r}")
     out_dir = os.path.dirname(out or "") or "."
-    if fmt == "csv" and out and (os.path.isdir(out) or not os.path.isdir(out_dir)):
+    csv_out = fmt == "csv" and out and os.path.abspath(out)
+    if csv_out and (os.path.isdir(out) or not os.path.isdir(out_dir)):
         raise ConfigError(f"out must be a file path in an existing directory, got {out!r}")
+    if fmt == "plot" and not (out or plot_dir):
+        raise ConfigError("format 'plot' needs out or plot_dir, a directory for its plot files")
     plot_out = out if fmt == "plot" and not plot_dir else None  # see write_outputs
     for key, path in (("plot_dir", plot_dir), ("out", plot_out)):
         if path and not _makeable_dir(path):
             raise ConfigError(f"{key} must be a directory or a path that can become one, "
                               f"got {path!r}")
+    plot_path = plot_dir and os.path.abspath(plot_dir)
+    if csv_out and plot_path and os.path.commonpath([csv_out, plot_path]) == csv_out:
+        raise ConfigError(f"plot_dir must not be out or lie under it, got out {out!r} and "
+                          f"plot_dir {plot_dir!r}")
     return SweepConfig(**values)
 
 
@@ -387,11 +391,11 @@ class ResultRow:
     result: model.SpectroResult
 
 
-# one CSV line, each number at 12 significant digits, and the result fields
-# of its columns from shift_norm to photostability
-_CSV_LINE = "%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%s\n"
-_CSV_FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
-               "photostability")
+# a CSV line holds the "point" and "csv" outputs, in table order, each in
+# its format (model.OUTPUTS)
+_CSV = [o for o in model.OUTPUTS if o.kind in ("point", "csv")]
+CSV_COLUMNS = tuple(o.csv for o in _CSV)
+_CSV_LINE = ",".join("%s" if o.fmt == model.BOOL else o.fmt for o in _CSV) + "\n"
 
 
 @dataclass(eq=False)
@@ -418,17 +422,18 @@ class ResultTable:
         return [ResultRow(r, wl, o, res[o]) for (r, wl), res in zip(self.points, results)
                 for o in self.config.orientations]
 
-    def _by_row(self, name):
-        """One field's values in row order."""
+    def _by_row(self, output):
+        """One output's values in row order, a bool as its word."""
         pick = [self.names.index(o) for o in self.config.orientations]
-        return self.columns[name][pick].T.ravel().tolist()
+        values = self.columns[output.field][pick].T.ravel().tolist()
+        return [("false", "true")[v] for v in values] if output.fmt == model.BOOL else values
 
     def to_csv(self):
         cfg = self.config
         r, wl = zip(*[point for point in self.points for _ in cfg.orientations])
-        rows = zip(r, wl, cfg.orientations * len(self.points), *map(self._by_row, _CSV_FIELDS),
-                   itertools.repeat(cfg.l_max),
-                   [("false", "true")[c] for c in self._by_row("converged")])
+        given = {"r_over_rs": r, "wavelength_nm": wl, "l_used": itertools.repeat(cfg.l_max),
+                 "orientation": cfg.orientations * len(self.points)}
+        rows = zip(*[given[o.csv] if o.csv in given else self._by_row(o) for o in _CSV])
         return ",".join(CSV_COLUMNS) + "\n" + "".join([_CSV_LINE % row for row in rows])
 
 
@@ -528,10 +533,8 @@ def write_outputs(table, cfg):
     format="plot" routes `out` to a plot directory instead of a CSV file.
     """
     if cfg.format == "plot":
-        target = cfg.plot_dir or cfg.out
-        if target:
-            write_plot_files(table, target)
-        return target
+        write_plot_files(table, cfg.plot_dir or cfg.out)
+        return cfg.plot_dir or cfg.out
     if cfg.out:
         text = table.to_csv()
         tmp = cfg.out + ".tmp"
@@ -543,16 +546,6 @@ def write_outputs(table, cfg):
     return cfg.out or cfg.plot_dir
 
 
-_PLOT_QUANTITIES = {
-    "shift": "shift_norm",
-    "wt": "wt_norm",
-    "wrad": "wrad_norm",
-    "wohm": "wohm_norm",
-    "yield": "fluorescence_yield",
-    "photostability": "photostability",
-}
-
-
 def write_plot_files(table, plot_dir):
     """Two-column whitespace-separated files per quantity per orientation,
     written from the table's columns; an orientation the config lists twice
@@ -562,7 +555,7 @@ def write_plot_files(table, plot_dir):
     x = [wl if cfg.sweep == "wavelength" else r for r, wl in table.points]
     for orientation in dict.fromkeys(cfg.orientations):
         times = cfg.orientations.count(orientation)
-        for name, field in _PLOT_QUANTITIES.items():
+        for name, field in model.QUANTITIES.items():
             y = table.columns[field][table.names.index(orientation)].tolist()
             path = os.path.join(plot_dir, f"{name}_{orientation}.dat")
             with open(path, "w", encoding="utf-8") as fh:

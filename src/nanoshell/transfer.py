@@ -171,7 +171,9 @@ class Prepared:
         self.l_max = l_max
         self.ctxs = [contexts[wl] if contexts else layer_context(sphere, wl)
                      for wl in self.wavelengths]
-        self.ls = np.arange(1, l_max + 1)
+        self.ls = ls = np.arange(1, l_max + 1)
+        # per (TM, TE) and l: a channel's m-summed weight
+        self.weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
         self.n_regions = n = sphere.n_regions
         self.mu = self.ctxs[0].mu  # per region
         # per (region, wavelength)
@@ -500,9 +502,7 @@ def close(prepared, rows, orientations):
         (q_out, "source amplitude"),
         (b_s * np.exp(lp), "scattered amplitude"),
     ), rows)
-    ls = prepared.ls
-    weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
-    weight = weights[np.minimum(kinds, 1)][:, None, :]
+    weight = prepared.weights[np.minimum(kinds, 1)][:, None, :]
     return _Closure(prepared, orientations, kinds, rows, r, w, host, dist, weight,
                     g, b_out, q_out, scat, a * np.exp(lx + ip), b * np.exp(lp + ox))
 

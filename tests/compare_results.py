@@ -14,10 +14,13 @@ benchmark inputs:
 * presets A, C and D at l_max 1000 and 4000 on grids that hold the origin,
   and for A the point of acceptance criterion 8.
 
-It prints, per :class:`model.SpectroResult` field, the largest |change| /
+It prints, per result field of this checkout's ``model.OUTPUTS`` (the
+orientation aside, which keys the result), the largest |change| /
 max(|value|, wt) against OTHER_SRC's value and the share of values that are
 bit-identical, then every golden cell that moved, with its relative change.
-pytest does not collect this file.
+Both trees are asked for this checkout's fields by name, so OTHER_SRC needs
+no ``OUTPUTS`` of its own.  It exits non-zero only when the two trees return
+different rows.  pytest does not collect this file.
 """
 
 import json
@@ -28,9 +31,6 @@ import subprocess
 import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
-FIELDS = ("shift_norm", "wt_norm", "wrad_norm", "wohm_norm", "fluorescence_yield",
-          "photostability", "wt_spread", "wrad_spread", "wohm_spread", "shift_tail",
-          "converged", "l_used")
 
 
 def _configs():
@@ -54,8 +54,9 @@ def _configs():
     return out
 
 
-def dump():
-    """Every result and golden text of the nanoshell on sys.path, as JSON."""
+def dump(fields):
+    """Every result, as its values of ``fields``, and golden text of the
+    nanoshell on sys.path, as JSON."""
     sys.path.insert(0, str(TESTS))
     import test_golden
     from nanoshell import sweep
@@ -64,15 +65,15 @@ def dump():
     for name, config in _configs():
         table = sweep.run_sweep(sweep.config_from_dict(config))
         for n, row in enumerate(table.rows):
-            rows[f"{name}/{n}/{row.orientation}"] = [getattr(row.result, f) for f in FIELDS]
+            rows[f"{name}/{n}/{row.orientation}"] = [getattr(row.result, f) for f in fields]
     golden = {name: test_golden._output(name).decode()
               for name in sorted(test_golden.CASES) + sorted(test_golden.CONVERGE)}
     json.dump({"rows": rows, "golden": golden}, sys.stdout)
 
 
-def _run(src):
+def _run(src, fields):
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
+    proc = subprocess.run([sys.executable, __file__, "--dump", *fields], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
 
@@ -88,13 +89,18 @@ def _cells(text):
 
 
 def main(other_src):
-    here, other = _run(TESTS.parent / "src"), _run(pathlib.Path(other_src).resolve())
+    sys.path.insert(0, str(TESTS.parent / "src"))
+    from nanoshell import model
+
+    fields = [o.field for o in model.OUTPUTS if o.field and o.kind != "point"]
+    here = _run(TESTS.parent / "src", fields)
+    other = _run(pathlib.Path(other_src).resolve(), fields)
     if here["rows"].keys() != other["rows"].keys():
         sys.exit("the two trees return different rows")
-    wt = FIELDS.index("wt_norm")
+    wt = fields.index("wt_norm")
     print(f"{len(here['rows'])} results; per field: largest |change| / max(|value|, wt), "
           "share bit-identical, count beyond 1e-12, the result with the largest change")
-    for k, field in enumerate(FIELDS):
+    for k, field in enumerate(fields):
         pairs = {key: (new[k], other["rows"][key][k], other["rows"][key][wt])
                  for key, new in here["rows"].items()}
         worst = max(pairs, key=lambda key: _relative(*pairs[key]))
@@ -119,8 +125,8 @@ def main(other_src):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--dump"]:
-        dump()
+    if sys.argv[1:2] == ["--dump"]:
+        dump(sys.argv[2:])
     elif len(sys.argv) == 2:
         main(sys.argv[1])
     else:

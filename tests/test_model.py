@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -112,3 +113,20 @@ def test_dipole_host_regions():
     assert model.validate_dipole(a, model.DipoleSource(40.0, "radial", 595.0)) == 1
     assert model.validate_dipole(a, model.DipoleSource(120.0, "radial", 595.0)) == 3
     assert model.validate_dipole(a, model.DipoleSource(200.0, "radial", 595.0)) == 5
+
+
+def test_spectro_result_keeps_its_fields_in_order_and_is_frozen():
+    # SpectroResult is made from model.OUTPUTS; its fields keep their names,
+    # order and types whatever order the table lists them in
+    fields = dataclasses.fields(model.SpectroResult)
+    assert [(f.name, f.type) for f in fields] == [
+        ("shift_norm", float), ("wt_norm", float), ("wrad_norm", float), ("wohm_norm", float),
+        ("fluorescence_yield", float), ("photostability", float), ("l_used", int),
+        ("converged", bool), ("wt_spread", float), ("wrad_spread", float),
+        ("wohm_spread", float), ("shift_tail", float), ("quad_rel_err", float),
+        ("orientation", str),
+    ]
+    res = model.SpectroResult(*range(13), "radial")
+    assert res == model.SpectroResult(*range(13), "radial") and hash(res) is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.wt_norm = 2.0

@@ -533,6 +533,20 @@ def test_cli_run_rejects_an_unusable_plot_dir_before_any_row(tmp_path):
     assert _cfg(format="plot", out=str(tmp_path / "afile"), plot_dir=deep).plot_dir == deep
 
 
+@pytest.mark.parametrize("out, plot_dir", [("same", "same"), ("sub/a.csv", "sub/a.csv/plots")])
+def test_cli_run_rejects_a_plot_dir_at_or_under_the_csv_before_any_row(tmp_path, out, plot_dir):
+    # neither path exists yet, so each passes its own check; written, the
+    # CSV would stand where the plot directory must be made
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"sphere": "D", "grid": [0.5], "out": out, "plot_dir": plot_dir}))
+    proc = _run_cli("run", "cfg.json", cwd=tmp_path)
+    _rejected_before_any_row(proc, "plot_dir", plot_dir)
+    assert repr(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "sub"]
+    assert os.listdir(tmp_path / "sub") == []
+
+
 def test_cli_run_names_the_plot_directory_when_it_writes_no_csv(tmp_path, monkeypatch, capsys):
     # a plot-format run writes no CSV, so its message names the directory
     # its plot files went to: plot_dir when given, else `out`; so does a
@@ -970,6 +984,8 @@ def _overrides(key, value):
         ("linspace", {"grid": {"linspace": [-1, 2, 5]}}),
         ("orientation", {"orientations": ["radial"], "orientation": "tangential"}),
         *[(key, _overrides(key, bad)) for key, bad in _schema_breaking(bound=True)],
+        # plot files with nowhere to go
+        ("plot_dir", {"format": "plot", "out": None}),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_row(tmp_path, key, overrides):
@@ -1041,6 +1057,21 @@ def _schema_as_markdown():
 def test_readme_key_table_is_the_schema_rendered():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     assert _schema_as_markdown() in readme.read_text(encoding="utf-8")
+
+
+def _outputs_as_markdown():
+    """model.OUTPUTS rendered as README's output table."""
+    lines = ["| field | CSV column | plot files | format | kind | meaning |",
+             "|---|---|---|---|---|---|"]
+    for field, csv, plot, fmt, kind, meaning in model.OUTPUTS:
+        cells = [f"`{v}`" if v else "-" for v in (field, csv, plot and f"{plot}_<orientation>.dat")]
+        lines.append("| " + " | ".join([*cells, f"`{fmt}`", kind, meaning]) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_output_table_is_the_outputs_rendered():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    assert _outputs_as_markdown() in readme.read_text(encoding="utf-8")
 
 
 # JSON values: every type json.load can return, with numbers at and beyond
