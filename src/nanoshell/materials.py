@@ -146,40 +146,36 @@ def omega_from_wavelength(wavelength_nm):
 
 
 def refractive_index(material, wavelength_nm):
-    """Complex refractive index n(lambda); branch with Im n >= 0."""
+    """Complex refractive index n(lambda); branch with Im n >= 0.  Takes one
+    wavelength [nm] or an array of them, where a table raises for the first
+    outside its range; a constant material gives its one index."""
     if material.kind == "constant":
         return material.index
     if material.kind == "tabulated":
-        wl = material.table_wl
-        if not (wl[0] <= wavelength_nm <= wl[-1]):
+        wl, w = material.table_wl, np.asarray(wavelength_nm)
+        outside = w[~((wl[0] <= w) & (w <= wl[-1]))]
+        if outside.size:
             raise MaterialRangeError(
-                f"wavelength {wavelength_nm} nm outside table range "
+                f"wavelength {outside[0]} nm outside table range "
                 f"[{wl[0]}, {wl[-1]}] nm for material {material.name or '?'}"
             )
         xp, re, im = material.table
-        return complex(np.interp(wavelength_nm, xp, re), np.interp(wavelength_nm, xp, im))
+        return np.interp(w, xp, re) + 1j * np.interp(w, xp, im)
     if material.kind == "drude_size_corrected":
-        return optical_constants(material, wavelength_nm)[0]
+        n = np.sqrt(permittivity(material, wavelength_nm) * material.mu)
+        return np.where(n.imag < 0, -n, n)[()]
     raise DomainError(f"unknown material kind {material.kind!r}")
 
 
-def optical_constants(material, wavelength_nm):
-    """The index and the permittivity at one wavelength from one read of
-    the material's model: a Drude metal's index from its permittivity,
-    any other material's permittivity from its index."""
-    if material.kind == "drude_size_corrected":
-        eps = permittivity(material, wavelength_nm)
-        n = complex(np.sqrt(complex(eps * material.mu)))
-        return (-n if n.imag < 0 else n), eps
-    n = refractive_index(material, wavelength_nm)
-    return n, permittivity(material, wavelength_nm, n)
-
-
 def permittivity(material, wavelength_nm, n=None):
-    """Complex permittivity; raises on gain (Im eps < 0).  A material that
-    is not a Drude metal forms it from its index ``n`` at the wavelength,
-    read here unless given."""
+    """Complex permittivity at one wavelength [nm] or an array of them;
+    raises on gain (Im eps < 0) at the first that has it.  A Drude metal
+    forms it one wavelength at a time; any other material from its index
+    ``n`` there, read here unless given, part by part as CPython forms n * n
+    / mu, which numpy's complex arithmetic rounds differently."""
     if material.kind == "drude_size_corrected":
+        if np.ndim(wavelength_nm):
+            return np.array([permittivity(material, wl) for wl in np.ravel(wavelength_nm).tolist()])
         eps_b = permittivity(material.base, wavelength_nm)
         eps = size_corrected_permittivity(
             eps_b,
@@ -193,9 +189,14 @@ def permittivity(material, wavelength_nm, n=None):
     else:
         if n is None:
             n = refractive_index(material, wavelength_nm)
-        eps = n * n / material.mu
-    if eps.imag < -1e-9 * abs(eps):
-        raise DomainError(f"passive media only: Im eps = {eps.imag} at {wavelength_nm} nm")
+        re, im, mu = np.real(n), np.imag(n), material.mu
+        eps = (re * re - im * im) / mu + 1j * ((re * im + im * re) / mu)
+    gain = eps.imag < -1e-9 * abs(eps)
+    if np.any(gain):
+        gain = np.broadcast_to(gain, np.shape(wavelength_nm))
+        eps, wl = (np.broadcast_to(x, gain.shape).flat[np.argmax(gain)]
+                   for x in (eps, wavelength_nm))
+        raise DomainError(f"passive media only: Im eps = {eps.imag} at {wl} nm")
     return eps
 
 

@@ -4,6 +4,7 @@ the built-in benchmark geometries, and the one check of emitter points."""
 import math
 from collections import namedtuple
 from dataclasses import dataclass, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,22 @@ ORIENTATIONS = (RADIAL, TANGENTIAL)
 
 # relative interface-hit tolerance for dipole/region placement
 INTERFACE_TOL = 1e-9
+
+
+class Integer(NamedTuple):
+    """An integer, not a bool, in lo..hi (unbounded above without ``hi``)."""
+    lo: int
+    hi: int | None = None
+
+    def __str__(self):
+        bound = f">= {self.lo}" if self.hi is None else f"in {self.lo}..{self.hi}"
+        return "an integer " + bound
+
+    def check(self, key, value):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < self.lo or (self.hi is not None and value > self.hi)):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return int(value)
 
 
 @dataclass(frozen=True)

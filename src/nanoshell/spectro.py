@@ -189,7 +189,7 @@ def ohmic_rate_per_l(closure):
     cancel.  The fluxes of every interface an absorbing shell touches are
     formed together, in one pass.
     """
-    shells = closure.prepared.absorbing[closure.w, :-1]
+    shells = closure.prepared.absorbing[:-1, closure.w].T
     per_l = np.zeros((len(closure.orientations),) + closure.g.shape[1:])
     absorbing = np.flatnonzero(shells.any(axis=0)) + 1
     # ascending; not np.union1d, which imports numpy.ma
@@ -214,7 +214,7 @@ def _observe(closure):
     the orientation average appended when both orientations were closed,
     and the orientation names in that order.  A failure raises before any
     result exists."""
-    absorbing = closure.prepared.absorbing[closure.w]
+    absorbing = closure.prepared.absorbing[:, closure.w].T
     shells = absorbing[:, :-1]
     any_absorbing = shells.any(axis=1)
     # within NEAR_METAL_FRACTION r_s of an interface touching a region that
@@ -346,7 +346,16 @@ def evaluate_rows(prepared, rows, orientations):
     """Results at many rows (r_nm [nm], wavelength [nm]) against one
     :func:`transfer.prepare` that holds every row's wavelength: per row, a
     dict orientation -> :class:`model.SpectroResult`, plus "average" when
-    both orientations are asked for; the outputs of :func:`observe_rows`."""
+    both orientations are asked for; the outputs of :func:`observe_rows`.
+    The orientations, then every point, are checked first, each point as
+    :func:`model.check_points` checks it with the prepare's host
+    permittivities; the first bad one raises."""
+    w = [prepared.index[wl] for _, wl in rows]
+    if rows and not set(orientations) <= set(model.ORIENTATIONS):
+        for o in orientations:  # every row is bad; the first raises as its dipoles do
+            model.DipoleSource(rows[0][0], o, rows[0][1])
+    model.check_points(prepared.sphere, [r for r, _ in rows], [wl for _, wl in rows],
+                       lambda host: prepared.eps[host - 1, w])
     return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
 
 

@@ -3,10 +3,12 @@
 A config is checked when it is read: key by key against
 :data:`CONFIG_SCHEMA`, which holds each key's rule, default and meaning,
 then by the rules across keys; building its sphere is the check of the
-``sphere`` entry.  A sweep then reads and checks everything its rows
-depend on once, before any row and before a pool starts (see
-:func:`run_sweep`), and the prepares reuse those reads.  So a row can fail
-only numerically, and then names the first failing row.
+``sphere`` entry.  A sweep then reads every region's material once over
+all its wavelengths (:func:`transfer.layer_context`) and checks everything
+its rows depend on against that read, before any row and before a pool
+starts (see :func:`run_sweep`); its prepares take their columns of the
+same read.  So a row can fail only numerically, and then names the first
+failing row.
 Rows are evaluated in the contiguous blocks of :func:`block_cuts`, on at
 most as many processes as the machine has CPUs, or in-process when there
 is one block; a process that runs only such sweeps never imports the pool
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials, model, specfun, spectro, transfer
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NanoshellError
 
 DEFAULT_GRID_POINTS = 401
 DEFAULT_GRID_MAX = 2.01
@@ -85,22 +87,6 @@ class Number(NamedTuple):
         return float(value)
 
 
-class Integer(NamedTuple):
-    """An integer, not a bool, in lo..hi (unbounded above without ``hi``)."""
-    lo: int
-    hi: int | None = None
-
-    def __str__(self):
-        bound = f">= {self.lo}" if self.hi is None else f"in {self.lo}..{self.hi}"
-        return "an integer " + bound
-
-    def check(self, key, value):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < self.lo or (self.hi is not None and value > self.hi)):
-            raise ConfigError(f"{key} must be {self}, got {value!r}")
-        return int(value)
-
-
 class Choice(NamedTuple):
     """One of the strings ``options``."""
     options: tuple
@@ -152,10 +138,10 @@ CONFIG_SCHEMA = {
     "r_over_rs": Key(Number(0.0), None, "a wavelength sweep's point, r/r_s"),
     "wavelengths_nm": Key(ListOf(Number(0.0, strict=True)), (),
                           "a wavelength sweep's wavelengths [nm]"),
-    "l_max": Key(Integer(1, transfer.L_MAX_CEILING), 60, "the highest multipole order"),
+    "l_max": Key(transfer.L_MAX, 60, "the highest multipole order"),
     "interface_margin": Key(Number(0.0), MARGIN_FRACTION,
                             "least distance from a point to an interface [r_s]"),
-    "workers": Key(Integer(1), 1, "the most process-pool blocks a sweep is cut into"),
+    "workers": Key(model.Integer(1), 1, "the most process-pool blocks a sweep is cut into"),
     "quadrature_rtol": Key(Number(), None, "accepted for older configs, unused"),
     "out": Key("a non-empty path string" + _OWN, None, "the CSV file"),
     "format": Key(Choice(("csv", "plot")), "csv", "`plot`: plot files instead of a CSV file"),
@@ -322,23 +308,23 @@ def default_grid(sphere, margin=MARGIN_FRACTION):
     return _linspace_grid(sphere, 0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS, margin).tolist()
 
 
-def _check_points(sphere, ctxs, grid, l_max, margin):
-    """Check the points at r/r_s values ``grid`` (a list) at the wavelength
-    of each layer context of ``ctxs`` in turn, against that read of every
-    region's material (:func:`transfer.layer_context`): at each, the points
-    as :func:`model.check_points` checks them with the read's host
+def _check_points(sphere, layers, grid, l_max, margin):
+    """Check the points at r/r_s values ``grid`` (a list) at each wavelength
+    of ``layers`` (:func:`transfer.layer_context`) in turn, against that
+    read of every region's material: at each, the points as
+    :func:`model.check_points` checks them with the read's host
     permittivities, then the Riccati arguments of their rows
     (:func:`transfer.table_arguments`).  The first bad one raises."""
-    r = np.tile(np.array(grid) * sphere.outer_radius_nm, len(ctxs))
-    w = np.repeat(np.arange(len(ctxs)), len(grid))
-    z, rho, rejected = transfer.table_arguments(ctxs, l_max, model.locate(sphere, r)[0], r, w)
+    n_wl = len(layers.wavelengths)
+    r = np.tile(np.array(grid) * sphere.outer_radius_nm, n_wl)
+    w = np.repeat(np.arange(n_wl), len(grid))
+    z, rho, rejected = transfer.table_arguments(sphere.radii, layers.k, l_max,
+                                                model.locate(sphere, r)[0], r, w)
     first = int(np.argmax(rejected))
     # the points at every wavelength up to the first rejected row's come first
     n = (w[first] + 1) * len(grid) if rejected[first] else len(r)
-    eps = np.array([c.eps for c in ctxs])
-    wavelengths = np.array([c.wavelength_nm for c in ctxs])
-    model.check_points(sphere, r[:n], wavelengths[w[:n]], lambda h: eps[w[:n], h - 1],
-                       grid=grid * len(ctxs), margin=margin)
+    model.check_points(sphere, r[:n], np.array(layers.wavelengths)[w[:n]],
+                       lambda h: layers.eps[h - 1, w[:n]], grid=grid * n_wl, margin=margin)
     if rejected[first]:  # the arguments of that row's own tables, with their error
         specfun._validate(l_max, np.append(z[w[first]], rho[first] if r[first] else []))
 
@@ -349,38 +335,38 @@ def resolve_grid(cfg, sphere):
 
 
 def _radial_grid(cfg, sphere):
-    """r/r_s values of a radial sweep, and the layer context it reads at
-    the sweep wavelength to check them before any row runs
-    (:func:`_check_points`): an explicit grid's first bad point raises;
-    default and linspace grids skip, and count on stderr, the points no
-    host region can take there (:func:`model.no_host`), and then a kept
-    point on an interface raises.  A grid with no point to evaluate, empty
-    or every point skipped, raises."""
-    grid = cfg.grid
-    if isinstance(grid, (list, tuple)):
-        if not grid:
-            raise ConfigError("grid is empty: a radial sweep needs at least one point")
+    """r/r_s values of a radial sweep, and the read of every region's
+    material at the sweep wavelength (:func:`transfer.layer_context`) that
+    checks them before any row runs (:func:`_check_points`): an explicit
+    grid's first bad point raises; default and linspace grids skip, and
+    count on stderr, the points no host region can take there
+    (:func:`model.no_host`), and then a kept point on an interface raises.
+    A grid with no point to evaluate, empty or every point skipped,
+    raises."""
+    grid, margin = cfg.grid, cfg.interface_margin
+    explicit = isinstance(grid, (list, tuple))
+    if explicit and not grid:
+        raise ConfigError("grid is empty: a radial sweep needs at least one point")
+    layers = transfer.layer_context(sphere, [cfg.wavelength_nm])
+    if explicit:
         vals = [float(v) for v in grid]
-        ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
-        _check_points(sphere, [ctx], vals, cfg.l_max, cfg.interface_margin)
-        return vals, ctx
-    default = (0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
-    spec = grid["linspace"] if isinstance(grid, dict) else default
-    vals = _linspace_grid(sphere, *spec, cfg.interface_margin)
-    ctx = transfer.layer_context(sphere, cfg.wavelength_nm)
-    host = model.locate(sphere, vals * sphere.outer_radius_nm)[0]
-    skip = model.no_host(np.array(ctx.eps)[host - 1])
-    cause = (f"host region is absorbing, or lossless with Re eps <= 0, at "
-             f"{cfg.wavelength_nm:g} nm")
-    if skip.all():
-        raise ConfigError(f"no grid point to evaluate: skipped all {len(vals)} grid points, "
-                          f"whose {cause}")
-    if skip.any():
-        print(f"note: skipped {skip.sum()} of {len(vals)} grid points whose {cause}",
-              file=sys.stderr)
-    vals = vals[~skip].tolist()
-    _check_points(sphere, [ctx], vals, cfg.l_max, 0.0)
-    return vals, ctx
+    else:
+        default = (0.0, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
+        spec = grid["linspace"] if isinstance(grid, dict) else default
+        vals = _linspace_grid(sphere, *spec, margin)
+        host = model.locate(sphere, vals * sphere.outer_radius_nm)[0]
+        skip = model.no_host(layers.eps[host - 1, 0])
+        cause = (f"host region is absorbing, or lossless with Re eps <= 0, at "
+                 f"{cfg.wavelength_nm:g} nm")
+        if skip.all():
+            raise ConfigError(f"no grid point to evaluate: skipped all {len(vals)} grid points, "
+                              f"whose {cause}")
+        if skip.any():
+            print(f"note: skipped {skip.sum()} of {len(vals)} grid points whose {cause}",
+                  file=sys.stderr)
+        vals, margin = vals[~skip].tolist(), 0.0
+    _check_points(sphere, layers, vals, cfg.l_max, margin)
+    return vals, layers
 
 
 @dataclass(frozen=True)
@@ -451,17 +437,17 @@ def _wavelength_batches(rows, size):
         yield batch
 
 
-def _evaluate_block(sphere, rows, orientations, l_max, contexts):
+def _evaluate_block(sphere, rows, orientations, l_max, layers):
     """The outputs of contiguous rows (r_nm, wavelength), each checked
     before any row (:func:`run_sweep`), as :func:`spectro.observe_rows`
     gives them, one prepare per :func:`spectro.batch_size` distinct
-    wavelengths on their layer ``contexts`` (wavelength -> context).  What
-    can still fail is numerical, and names its first failing row."""
+    wavelengths on their columns of the sweep's read ``layers``.  What can
+    still fail is numerical, and names its first failing row."""
     parts = []
     for batch in _wavelength_batches(rows, spectro.batch_size(l_max)):
         # the previous prepare is freed only once this one is built, as in
         # spectro.observe_rows
-        prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max, contexts)
+        prepared = transfer.prepare(sphere, [wl for _, wl in batch], l_max, layers)
         parts.append(spectro.observe_rows(prepared, batch, orientations))
     return spectro.join_columns(parts)
 
@@ -489,26 +475,32 @@ def block_cuts(n_rows, n_prepares, l_max, workers):
 def run_sweep(cfg):
     """One row per (point, orientation), ordered by point then orientation.
     The points of a radial sweep are its grid at ``wavelength_nm``, those of
-    a wavelength sweep its wavelengths at ``r_over_rs``.  At each distinct
-    wavelength in declared order every region's material is read once, and
-    every point checked against that read (:func:`_check_points`); then the
-    points are evaluated in order, in the contiguous blocks of
-    :func:`block_cuts`, whose prepares take those reads."""
+    a wavelength sweep its wavelengths at ``r_over_rs``.  Every region's
+    material is read once over the distinct wavelengths
+    (:func:`transfer.layer_context`), and every point checked against that
+    read at each wavelength in declared order (:func:`_check_points`).
+    Where a wavelength fails to read, the first that does raises what its
+    read alone raises, once the points at the wavelengths before it are
+    checked.  Then the points are evaluated in order, in the contiguous
+    blocks of :func:`block_cuts`, whose prepares take their columns of that
+    read."""
     sphere = cfg.sphere
     rs = sphere.outer_radius_nm
     if cfg.sweep == "radial":
-        grid, ctx = _radial_grid(cfg, sphere)
-        points, ctxs = [(g, g * rs, cfg.wavelength_nm) for g in grid], [ctx]
+        grid, layers = _radial_grid(cfg, sphere)
+        points = [(g, g * rs, cfg.wavelength_nm) for g in grid]
     else:
-        ctxs = []
+        wavelengths = list(dict.fromkeys(cfg.wavelengths_nm))
+        check = functools.partial(_check_points, sphere, grid=[cfg.r_over_rs], l_max=cfg.l_max,
+                                  margin=cfg.interface_margin)
         try:
-            for wl in dict.fromkeys(cfg.wavelengths_nm):
-                ctxs.append(transfer.layer_context(sphere, wl))
-        finally:  # the wavelengths read are checked before a failed read raises
-            if ctxs:
-                _check_points(sphere, ctxs, [cfg.r_over_rs], cfg.l_max, cfg.interface_margin)
+            layers = transfer.layer_context(sphere, wavelengths)
+        except NanoshellError:
+            for wl in wavelengths:  # read and check one at a time, up to the one that fails
+                check(transfer.layer_context(sphere, [wl]))
+            raise
+        check(layers)
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]
-    contexts = {c.wavelength_nm: c for c in ctxs}
     both = "average" in cfg.orientations or set(model.ORIENTATIONS) <= set(cfg.orientations)
     orientations = model.ORIENTATIONS if both else cfg.orientations[:1]
     rows = [(r_nm, wl) for _, r_nm, wl in points]
@@ -518,10 +510,10 @@ def run_sweep(cfg):
         blocks = [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with _start_pool(n) as pool:
             done = pool.map(_evaluate_block, [sphere] * n, blocks, [orientations] * n,
-                            [cfg.l_max] * n, [contexts] * n)
+                            [cfg.l_max] * n, [layers] * n)
             names, columns = spectro.join_columns(list(done))
     else:
-        names, columns = _evaluate_block(sphere, rows, orientations, cfg.l_max, contexts)
+        names, columns = _evaluate_block(sphere, rows, orientations, cfg.l_max, layers)
     return ResultTable(cfg, [(r_rs, wl) for r_rs, _, wl in points], names, columns)
 
 

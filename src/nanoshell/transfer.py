@@ -10,13 +10,17 @@ ambient inward and closes them with a single 2x2 solve per channel.
 
 Only the source jump depends on the dipole radius.  One
 :class:`Prepared` (:func:`prepare`) holds what a sphere, a set of
-wavelengths and l_max fix: the interface tables from one Riccati call, and
-per polarization an outward and an inward sweep over the (wavelength, l)
-entries, each started from its unit pair by the crossing every interface
-takes and extended on first use only as far as a close needs.  It holds no
-reference to what is closed against it, so it is freed by reference counting
-alone.  :func:`close` closes every channel of its rows at once on
-(channel, row, l) arrays, a row at the origin as the r -> 0 limit.  Every
+wavelengths and l_max fix: every region's material read once over all its
+wavelengths (:func:`layer_context`), as (region, wavelength) arrays, the
+interface tables from one Riccati call, and per polarization an outward and
+an inward sweep over the (wavelength, l) entries, each started from its unit
+pair by the crossing every interface takes and extended on first use only
+as far as a close needs.  A sweep makes that read once for all its
+wavelengths, and each of its prepares takes its own columns.  A prepare
+holds no reference to what is closed against it, so it is freed by
+reference counting alone.  :func:`close` closes every channel of its rows
+at once on (channel, row, l) arrays, a row at the origin as the r -> 0
+limit; it only locates its rows, which are checked before any close.  Every
 step is elementwise in the channels, rows and wavelengths, so a row's result
 does not depend on what shares its prepare and close.  The :class:`_Closure`
 is the one solved form; its interface fluxes give each shell's absorption.
@@ -34,12 +38,12 @@ channel carries an m-summed weight.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import materials, model
-from .errors import ConfigError, DegenerateSystemError, GeometryError, RangeError, at_row
+from .errors import DegenerateSystemError, GeometryError, RangeError, at_row
 from .specfun import outside_domain, real_over, riccati_scaled
 
 TM = "TM"
@@ -55,6 +59,8 @@ _OUTGOING = slice(None, None, 2)
 
 # largest accepted l_max; the log-norm tables hold well beyond it
 L_MAX_CEILING = 4000
+# the one l_max rule, of a prepare and of a sweep config
+L_MAX = model.Integer(1, L_MAX_CEILING)
 
 # channel kinds: 0 the radial dipole's TM channel, 1 and 2 the tangential
 # dipole's TM and TE channels; the ones each orientation drives
@@ -71,66 +77,74 @@ _KIND_POWER = np.array([2, 1, 1])
 _ORIGIN_REG = np.array([1.0 / 3.0, 2.0 / 3.0, 0.0])
 
 
-@dataclass(frozen=True)
-class LayerContext:
-    """Sphere geometry resolved at one wavelength (region index 1-based)."""
+class Layers(NamedTuple):
+    """Every region's material read once over distinct wavelengths
+    (:func:`layer_context`), regions 1-based and in order."""
 
-    radii: tuple  # interface radii [nm]
-    k: tuple  # complex wavenumber per region [1/nm]
-    mu: tuple
-    eps: tuple
-    absorbing: tuple
-    k0: float  # vacuum wavenumber [1/nm]
-    wavelength_nm: float
+    wavelengths: tuple  # [nm], in the order read
+    k: np.ndarray  # complex wavenumber [1/nm] per (region, wavelength)
+    eps: np.ndarray  # per (region, wavelength)
+    absorbing: np.ndarray  # per (region, wavelength)
+    mu: tuple  # per region
+    k0: np.ndarray  # vacuum wavenumber [1/nm] per wavelength
 
-    @property
-    def n_regions(self):
-        return len(self.k)
+    def at(self, wavelengths):
+        """The read at some of its wavelengths, in the order given."""
+        index = {wl: w for w, wl in enumerate(self.wavelengths)}
+        w = [index[wl] for wl in wavelengths]
+        return Layers(tuple(wavelengths), self.k[:, w], self.eps[:, w], self.absorbing[:, w],
+                      self.mu, self.k0[w])
 
 
-def layer_context(sphere, wavelength_nm):
-    k0 = 2.0 * math.pi / wavelength_nm
-    ks, mus, epss, absorbing = [], [], [], []
-    for j in range(1, sphere.n_regions + 1):
-        mat = sphere.region_material(j)
-        n, eps = materials.optical_constants(mat, wavelength_nm)
-        ks.append(k0 * n)
-        mus.append(mat.mu)
-        epss.append(eps)
-        absorbing.append(model.absorbs(eps))
-    if absorbing[-1]:
+def layer_context(sphere, wavelengths_nm):
+    """Every region's material read once over the distinct wavelengths
+    ``wavelengths_nm`` [nm], each index and then permittivity on the array,
+    as :class:`Layers`.  The first region in order that fails to read
+    raises, at its first wavelength that does; then an ambient that absorbs
+    at any wavelength raises."""
+    wl = np.array(wavelengths_nm, dtype=float)
+    mats = [sphere.region_material(j) for j in range(1, sphere.n_regions + 1)]
+    n, eps = np.empty((2, len(mats), wl.size), dtype=complex)
+    for j, m in enumerate(mats):  # a constant material reads one number
+        n[j] = x = materials.refractive_index(m, wl)
+        eps[j] = materials.permittivity(m, wl, x)
+    absorbing = model.absorbs(eps)
+    if absorbing[-1].any():
         raise GeometryError("ambient medium must be lossless at the queried wavelength")
-    return LayerContext(sphere.radii, tuple(ks), tuple(mus), tuple(epss), tuple(absorbing), k0,
-                        wavelength_nm)
+    k0 = 2.0 * math.pi / wl
+    return Layers(tuple(wavelengths_nm), k0 * n, eps, absorbing, tuple(m.mu for m in mats), k0)
 
 
-def _interface_arguments(ctxs):
-    """The (region, interface) keys of both regions at every interface, and
-    the Riccati arguments k r there, over key and then context."""
-    keys = [(j, i) for i in range(1, ctxs[0].n_regions) for j in (i, i + 1)]
-    return keys, [c.k[j - 1] * c.radii[i - 1] for j, i in keys for c in ctxs]
+def _interface_arguments(radii, k):
+    """The (region, interface) keys of both regions at every interface of
+    the radii [nm], and the Riccati arguments k r there, as a (key,
+    wavelength) array from the (region, wavelength) wavenumbers k."""
+    keys = [(j, i) for i in range(1, len(radii) + 1) for j in (i, i + 1)]
+    return keys, k[[j - 1 for j, _ in keys]] * np.array([radii[i - 1] for _, i in keys])[:, None]
 
 
-def table_arguments(ctxs, l_max, host, r, w):
+def table_arguments(radii, k, l_max, host, r, w):
     """The Riccati arguments of rows at radii r [nm] in the ``host``
-    regions at the wavelengths of the contexts ``w``: the interfaces', as a
-    (context, key) array, and each row's own k r, which a row at the origin
-    does not take; and per row whether a table rejects one of them
+    regions at wavelength indices ``w`` of the (region, wavelength)
+    wavenumbers k of a sphere with interface ``radii``: the interfaces', as
+    a (wavelength, key) array, and each row's own k r, which a row at the
+    origin does not take; and per row whether a table rejects one of them
     (:func:`~nanoshell.specfun.riccati_scaled`)."""
-    z = np.array(_interface_arguments(ctxs)[1]).reshape(-1, len(ctxs)).T
+    z = _interface_arguments(radii, k)[1].T
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite k r is rejected
-        rho = np.array([c.k for c in ctxs])[w, host - 1] * r
+        rho = k[host - 1, w] * r
     bad = outside_domain(l_max, z).any(axis=1)[w] | ((r != 0.0) & outside_domain(l_max, rho))
     return z, rho, bad
 
 
-def _interface_tables(ctxs, l_max, rho=()):
+def _interface_tables(radii, k, l_max, rho=()):
     """Riccati tables (:func:`~nanoshell.specfun.riccati_scaled`) over l =
-    1..l_max of both regions at every interface, one context per
-    wavelength: the (region, interface) keys, the values and the log norms
-    over key and the (wavelength, l) entries, flattened wavelength-major;
-    and from the same Riccati call the tables at the extra arguments rho."""
-    keys, z = _interface_arguments(ctxs)
+    1..l_max of both regions at every interface (:func:`_interface_arguments`):
+    the (region, interface) keys, the values and the log norms over key and
+    the (wavelength, l) entries, flattened wavelength-major; and from the
+    same Riccati call the tables at the extra arguments rho."""
+    keys, z = _interface_arguments(radii, k)
+    z = z.ravel()
     values, logs = (x[..., 1:] for x in riccati_scaled(l_max, np.concatenate([z, rho])).table)
     n = len(z)
     return ((keys, values[:, :n].reshape(4, len(keys), -1), logs[:, :n].reshape(2, len(keys), -1)),
@@ -151,40 +165,34 @@ def _cross(state, src, dst):
 
 class Prepared:
     """Everything a sphere, a set of wavelengths and l_max fix for every
-    dipole radius, over the (wavelength, l) entries: one layer context per
-    wavelength, the normalized Riccati tables at the interfaces, each
-    region's continuity-matrix entries, log norms and cross-radius factors,
-    built on first use; and per polarization the two sweeps.  These are
-    chains of pairs of local amplitudes (:meth:`entries`) carried from the
-    core outward (u, from (1, 0)) and from the ambient inward (v, from (0,
-    1)), and the (E_t, H_t) row each crossing forms.  A region's u pair is
-    local to its inner interface and its v pair to its outer one (the
-    core's u and the ambient's v to their one interface).  A dipole in
-    region h closes with u and v at h; the outward rows below h and the
-    inward rows above it carry its fields there."""
+    dipole radius, over the (wavelength, l) entries: its columns of a
+    :func:`layer_context` read, k, eps and the absorbing flags per (region,
+    wavelength), mu per region and k0 per wavelength, read for its own
+    wavelengths unless given; the normalized Riccati tables at the
+    interfaces, each region's continuity-matrix entries, log norms and
+    cross-radius factors, built on first use; and per polarization the two
+    sweeps.  These are chains of pairs of local amplitudes (:meth:`entries`)
+    carried from the core outward (u, from (1, 0)) and from the ambient
+    inward (v, from (0, 1)), and the (E_t, H_t) row each crossing forms.  A
+    region's u pair is local to its inner interface and its v pair to its
+    outer one (the core's u and the ambient's v to their one interface).  A
+    dipole in region h closes with u and v at h; the outward rows below h
+    and the inward rows above it carry its fields there."""
 
-    def __init__(self, sphere, wavelengths_nm, l_max, contexts=None):
-        check_l_max(l_max)
+    def __init__(self, sphere, wavelengths_nm, l_max, layers=None):
+        self.l_max = l_max = L_MAX.check("l_max", l_max)
         self.sphere = sphere
         self.wavelengths = tuple(dict.fromkeys(wavelengths_nm))
         self.index = {wl: w for w, wl in enumerate(self.wavelengths)}
-        self.l_max = l_max
-        self.ctxs = [contexts[wl] if contexts else layer_context(sphere, wl)
-                     for wl in self.wavelengths]
+        layers = (layer_context(sphere, self.wavelengths) if layers is None
+                  else layers.at(self.wavelengths))
+        _, self.k, self.eps, self.absorbing, self.mu, self.k0 = layers
         self.ls = ls = np.arange(1, l_max + 1)
         # per (TM, TE) and l: a channel's m-summed weight
         self.weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
         self.n_regions = n = sphere.n_regions
-        self.mu = self.ctxs[0].mu  # per region
-        # per (region, wavelength)
-        self.k = np.array([c.k for c in self.ctxs]).T
-        self.eps = np.array([c.eps for c in self.ctxs]).T
-        # per wavelength
-        self.k0 = np.array([c.k0 for c in self.ctxs])
-        # per (wavelength, region)
-        self.absorbing = np.array([c.absorbing for c in self.ctxs])
-        self._tables = self._scalars = self._derived = None
-        entries = len(self.ctxs) * l_max
+        self._tables = self._derived = None
+        entries = len(self.wavelengths) * l_max
         # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
         self._pairs = np.zeros((4, n, 2, entries), dtype=complex)
         self._pairs[0, 0] = self._pairs[3, n - 1] = 1.0
@@ -194,24 +202,23 @@ class Prepared:
         self.top, self.bottom = [1, 1], [n, n]
 
     def scalars(self):
-        """1/k, 1/mu and the TM and TE matching determinants per (region,
-        (wavelength, l) entry), each formed in Python complex arithmetic at
-        its own wavelength, as a one-wavelength prepare forms it, so no
-        wavelength's entries depend on the others."""
-        if self._scalars is None:
-            per_wavelength = [
-                [(1.0 / k, 1.0 / mu, -1j / (k * mu), 1j / (k * mu)) for k, mu in zip(c.k, c.mu)]
-                for c in self.ctxs
-            ]
-            # (region, quantity, (wavelength, l) entry)
-            cols = np.repeat(np.array(per_wavelength).transpose(1, 2, 0), self.l_max, axis=2)
-            self._scalars = cols[:, 0], cols[:, 1], cols[:, 2:]
-        return self._scalars
+        """1/k, 1/mu and the TM and TE matching determinants -i/(k mu) and
+        i/(k mu) per (region, (wavelength, l) entry), elementwise and each
+        divided as Python's complex division divides
+        (:func:`~nanoshell.specfun.real_over`), so no wavelength's entries
+        depend on the others."""
+        mu = np.array(self.mu)[:, None]
+        inv_k, inv_k_mu = real_over(1.0, np.stack([self.k, self.k * mu]))
+        # (region, quantity, wavelength), then each wavelength's l entries
+        cols = np.stack([inv_k, np.broadcast_to(1.0 / mu, self.k.shape),
+                         -1j * inv_k_mu, 1j * inv_k_mu], axis=1)
+        cols = np.repeat(cols, self.l_max, axis=2)
+        return cols[:, 0], cols[:, 1], cols[:, 2:]
 
     def _derive(self):
         if self._derived is None:
             if self._tables is None:
-                self._tables, _ = _interface_tables(self.ctxs, self.l_max)
+                self._tables, _ = _interface_tables(self.sphere.radii, self.k, self.l_max)
             keys, values, logs = self._tables
             inv_k, inv_mu, det = self.scalars()
             regions = [j - 1 for j, _ in keys]
@@ -265,7 +272,7 @@ class Prepared:
         """Per (interface, row, l): the product of the cross-radius factors
         of the regions strictly between an interface and a row's host, which
         carries the host's amplitude to the sweep row stored there."""
-        _, rho_p, rho_x = (x.reshape(-1, len(self.ctxs), self.l_max) for x in self.factors())
+        _, rho_p, rho_x = (self._view(x) for x in self.factors())
         out = np.ones(np.broadcast_shapes(np.shape(interface), host.shape) + (self.l_max,))
         for k in range(2, self.n_regions):
             for between, rho in (((host < k) & (k <= interface), rho_x),
@@ -280,12 +287,12 @@ class Prepared:
         interface tables are missing, built in the same call."""
         if self._tables is not None:
             return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
-        self._tables, tables = _interface_tables(self.ctxs, self.l_max, rho)
+        self._tables, tables = _interface_tables(self.sphere.radii, self.k, self.l_max, rho)
         return tables
 
     def _view(self, x):
         """Stored values, their entries split into (wavelength, l)."""
-        return x.reshape(x.shape[:-1] + (len(self.ctxs), self.l_max))
+        return x.reshape(x.shape[:-1] + (len(self.wavelengths), self.l_max))
 
     def reach(self, lo, hi, pols=(0, 1)):
         """Carry the outward sweep up to region ``hi`` and the inward sweep
@@ -322,12 +329,12 @@ class Prepared:
         return self._view(self._rows)[:, interface - 1, inward.astype(int), pol, w]
 
 
-def prepare(sphere, wavelengths_nm, l_max, contexts=None):
+def prepare(sphere, wavelengths_nm, l_max, layers=None):
     """What every dipole radius shares at each of the wavelengths
-    ``wavelengths_nm`` [nm], their layer contexts taken from ``contexts``
-    (wavelength -> :func:`layer_context`) when given; see
-    :class:`Prepared`."""
-    return Prepared(sphere, wavelengths_nm, l_max, contexts)
+    ``wavelengths_nm`` [nm]: their columns of ``layers``, a
+    :func:`layer_context` read that holds them, when given, else a read of
+    their own; see :class:`Prepared`."""
+    return Prepared(sphere, wavelengths_nm, l_max, layers)
 
 
 class _Closure:
@@ -437,7 +444,7 @@ def _sources(prepared, kinds, r, w, host):
             return s, logs, s[0] * np.exp(logs[0])
     s_all = np.zeros((2, len(kinds), len(r), prepared.l_max), dtype=complex)
     logs_all = np.empty((2, len(r), prepared.l_max))
-    logs_all[:, ~off] = prepared.norms()[1][:, 0].reshape(2, len(prepared.ctxs), -1)[:, w[~off]]
+    logs_all[:, ~off] = prepared._view(prepared.norms()[1][:, 0])[:, w[~off]]
     s_all[0][:, ~off, 0] = _ORIGIN_REG[kinds, None] * np.exp(-logs_all[0, ~off, 0])
     if off.any():
         s_all[:, :, off], logs_all[:, off] = s, logs
@@ -452,9 +459,7 @@ def _references(prepared, host, w, logs):
     pair is local, the dipole's ``logs`` standing in for the core's inner
     and the ambient's outer one; and the log of the ambient outgoing
     amplitude per unit of the host's local v amplitudes."""
-    shape = (len(prepared.ctxs), prepared.l_max)
-    inner, outer, to_ambient = (x.reshape(x.shape[:-1] + shape)[..., host - 1, w, :]
-                                for x in prepared.norms())
+    inner, outer, to_ambient = (prepared._view(x)[..., host - 1, w, :] for x in prepared.norms())
     ambient = host[:, None] == prepared.n_regions
     return (np.where(host[:, None] == 1, logs, inner), np.where(ambient, logs, outer),
             np.where(ambient, -logs[1], to_ambient))
@@ -464,9 +469,10 @@ def close(prepared, rows, orientations):
     """Every channel of dipoles at the rows (r_nm [nm], wavelength [nm])
     against one prepare that holds every row's wavelength, closed on
     (channel, row, l) arrays: one :class:`_Closure` with the rows in the
-    order given.  The rows are checked first (:func:`model.check_points`),
-    with the host permittivities of the prepare; a numerical failure names
-    its first failing row (:func:`_collapse_channels`).  Each channel
+    order given.  The rows are located, not checked: a sweep checks its
+    points before any row, and the library entry points check theirs
+    before they close them.  A numerical failure names its first failing
+    row (:func:`_collapse_channels`).  Each channel
     gathers its host's sweep pairs by (host, wavelength), scales them into fields at the dipole by one bounded factor each, and
     closes them against the sources, which enter swapped (outgoing content
     above the source is proportional to the regular profile and vice
@@ -474,11 +480,7 @@ def close(prepared, rows, orientations):
     result is used, and the others must not divide by zero first."""
     r = np.array([x for x, _ in rows], dtype=float)
     w = np.array([prepared.index[wl] for _, wl in rows], dtype=int)
-    if not set(orientations) <= set(model.ORIENTATIONS):
-        for o in orientations:  # every row is bad; the first raises as its dipoles do
-            model.DipoleSource(rows[0][0], o, rows[0][1])
-    host, dist = model.check_points(prepared.sphere, r, np.array(prepared.wavelengths)[w],
-                                    host_eps=lambda host: prepared.eps[host - 1, w])
+    host, dist = model.locate(prepared.sphere, r)
     kinds = np.array([k for o in orientations for k in _KINDS[o]])
     pol = _KIND_POL[kinds]
     (s_reg, s_out), (lp, lx), q_out = _sources(prepared, kinds, r, w, host)
@@ -507,17 +509,14 @@ def close(prepared, rows, orientations):
                     g, b_out, q_out, scat, a * np.exp(lx + ip), b * np.exp(lp + ox))
 
 
-def check_l_max(l_max):
-    """Reject an l_max that is not an integer in 1..L_MAX_CEILING."""
-    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or not (
-            1 <= l_max <= L_MAX_CEILING):
-        raise ConfigError(f"l_max must be an integer in 1..{L_MAX_CEILING}, got {l_max!r}")
-
-
 def solve_dipole_fields(sphere, dipole, l_max):
     """The :class:`_Closure` of one dipole, a single row holding each channel
-    its orientation drives, TM first: a prepare and a close of its own.  The
+    its orientation drives, TM first: a prepare, a check of the dipole's
+    point with its host permittivity there (:func:`model.check_points`)
+    and a close of its own.  The
     source normalization makes a contrast-free sphere return zero scattered
     amplitudes and unit normalized rates."""
-    row = (dipole.radial_position_nm, dipole.wavelength_nm)
-    return close(prepare(sphere, [row[1]], l_max), [row], (dipole.orientation,))
+    r, wl = dipole.radial_position_nm, dipole.wavelength_nm
+    prepared = prepare(sphere, [wl], l_max)
+    model.check_points(sphere, r, wl, lambda host: prepared.eps[host - 1, 0])
+    return close(prepared, [(r, wl)], (dipole.orientation,))

@@ -10,6 +10,10 @@ benchmark inputs:
 * the golden sweeps and ``converge`` reports of ``test_golden.py``;
 * the default radial grids of presets A-F;
 * preset C's wavelength sweep from 450 to 1050 nm at r/r_s 0.45;
+* CI's custom sphere, a {"n": 1.45, "mu": 1.3} core, gold and a lossless
+  {"table"} shell, here at mu 1.3, whose permittivity numpy's complex
+  quotient would round differently: the default radial grid at 650 nm, and
+  a wavelength sweep from 450 to 1050 nm in the table shell;
 * seeds 1-3 of every benchmark workload (one worker);
 * presets A, C and D at l_max 1000 and 4000 on grids that hold the origin,
   and for A the point of acceptance criterion 8.
@@ -29,8 +33,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 TESTS = pathlib.Path(__file__).resolve().parent
+# the lossless table shell of CI's custom sphere
+NK_TABLE = "400 1.50 0\n1100 1.70 0\n"
 
 
 def _configs():
@@ -42,6 +49,13 @@ def _configs():
     out.append(("wavelength_C_450_1050", {
         "sphere": "C", "sweep": "wavelength", "r_over_rs": 0.45,
         "wavelengths_nm": [450.0 + 2.0 * i for i in range(301)]}))
+    # the table is NK_TABLE, read from $NANOSHELL_MATERIAL_DIR (see _run)
+    custom = {"shells": [[100, {"n": 1.45, "mu": 1.3}], [130, "gold"],
+                         [160, {"table": "nk.txt", "mu": 1.3}]]}
+    out.append(("custom_mu_radial", {"sphere": custom, "wavelength_nm": 650.0}))
+    out.append(("custom_mu_wavelength", {
+        "sphere": custom, "sweep": "wavelength", "r_over_rs": 0.9,
+        "wavelengths_nm": [450.0 + 4.0 * i for i in range(151)]}))
     for name in inputs.WORKLOADS:
         for seed in (1, 2, 3):
             for k, s in enumerate(inputs.generate(name, seed).sweeps):
@@ -71,8 +85,8 @@ def dump(fields):
     json.dump({"rows": rows, "golden": golden}, sys.stdout)
 
 
-def _run(src, fields):
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _run(src, fields, tables):
+    env = dict(os.environ, PYTHONPATH=str(src), NANOSHELL_MATERIAL_DIR=tables)
     proc = subprocess.run([sys.executable, __file__, "--dump", *fields], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -93,8 +107,10 @@ def main(other_src):
     from nanoshell import model
 
     fields = [o.field for o in model.OUTPUTS if o.field and o.kind != "point"]
-    here = _run(TESTS.parent / "src", fields)
-    other = _run(pathlib.Path(other_src).resolve(), fields)
+    with tempfile.TemporaryDirectory() as tables:
+        pathlib.Path(tables, "nk.txt").write_text(NK_TABLE)
+        here = _run(TESTS.parent / "src", fields, tables)
+        other = _run(pathlib.Path(other_src).resolve(), fields, tables)
     if here["rows"].keys() != other["rows"].keys():
         sys.exit("the two trees return different rows")
     wt = fields.index("wt_norm")

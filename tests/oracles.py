@@ -235,7 +235,7 @@ def _region_integrand(closure, region):
     bilinears.  The integrand takes an array of radii and returns one row
     per radius, from one batched Riccati table.
     """
-    k = closure.prepared.ctxs[closure.w[0]].k[region - 1]
+    k = complex(closure.prepared.k[region - 1, closure.w[0]])
     abs_k2 = abs(k) ** 2
     l_max = closure.prepared.l_max
     parts = _region_channels(closure, region)
@@ -302,25 +302,26 @@ def quadrature_ohmic_per_l(closure, rtol=1e-7, metal_offset_nm=1.0, max_panels=4
     Returns (per_l array indexed 1..l_max, (worst relative error estimate,
     its region)); the region is None when no shell absorbs.
     """
-    ctx = closure.prepared.ctxs[closure.w[0]]
-    per_l = np.zeros(closure.prepared.l_max)
+    prepared, w = closure.prepared, closure.w[0]
+    radii, eps = prepared.sphere.radii, prepared.eps[:, w].tolist()
+    per_l = np.zeros(prepared.l_max)
     worst = (0.0, None)
-    for region in range(1, ctx.n_regions):
-        if not ctx.absorbing[region - 1]:
+    for region in range(1, prepared.n_regions):
+        if not prepared.absorbing[region - 1, w]:
             continue
-        a = ctx.radii[region - 2] if region >= 2 else 0.0
-        b = ctx.radii[region - 1]
+        a = radii[region - 2] if region >= 2 else 0.0
+        b = radii[region - 1]
         a = max(a, 1e-6 * b)  # keep the 1/r^2 factor finite; j_l kills it anyway
         breaks = [a + metal_offset_nm, b - metal_offset_nm]
         integral, rel = _adaptive_region_integral(
             _region_integrand(closure, region), a, b, breaks, rtol, max_panels
         )
-        per_l += ctx.eps[region - 1].imag * integral
+        per_l += eps[region - 1].imag * integral
         if rel > worst[0]:
             worst = (rel, region)
 
     n = closure.host[0]
-    pref = ctx.k0**3 * math.sqrt(ctx.eps[n - 1].real) * ctx.mu[n - 1] ** 1.5
+    pref = float(prepared.k0[w]) ** 3 * math.sqrt(eps[n - 1].real) * prepared.mu[n - 1] ** 1.5
     return pref * per_l, worst
 
 
@@ -372,7 +373,7 @@ def states(closure, c):
     # the dipole's log norms, which do not depend on the channel kind
     _, logs, _ = transfer._sources(prepared, np.array([0]), closure.r[:1], w, host)
     ref_in, ref_out, _ = transfer._references(prepared, host, w, logs)
-    inner, outer = (x.reshape(2, n, len(prepared.ctxs), -1)[:, :, w[0]]
+    inner, outer = (prepared._view(x)[:, :, w[0]]
                     for x in prepared.norms()[:2])
 
     def physical(amp, pair, ref):

@@ -62,9 +62,9 @@ def _build(edges, media):
 def _rows(sphere, wavelength_nm):
     """A radius midway through every lossless shell, and 1.3 r_s in the
     ambient."""
-    ctx = transfer.layer_context(sphere, wavelength_nm)
+    absorbing = transfer.layer_context(sphere, [wavelength_nm]).absorbing[:, 0]
     edges = (0.0, *sphere.radii)
-    mid = [0.5 * (a + b) for a, b, lossy in zip(edges, edges[1:], ctx.absorbing) if not lossy]
+    mid = [0.5 * (a + b) for a, b, lossy in zip(edges, edges[1:], absorbing) if not lossy]
     return mid + [1.3 * sphere.outer_radius_nm]
 
 

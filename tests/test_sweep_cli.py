@@ -949,6 +949,36 @@ def test_wavelength_sweep_checks_its_point_before_any_row(tmp_path, capsys, r_ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r_over_rs, code, message", [
+    # in the core, which absorbs at 780 nm.  At 520 nm the shell's table
+    # fails to read, the first wavelength at which any region fails; that
+    # read raises, not the core's, whose table fails only at 850 nm, and
+    # before the point is checked at 780 nm
+    (0.3, 3, "error: wavelength 520.0 nm outside table range [550.0, 900.0] nm"),
+    # 0.05 nm outside the core: the point fails at 600 nm, before the first
+    # wavelength that fails to read
+    (0.667, 2, "error: grid point r/r_s = 0.667 violates the interface-exclusion margin"),
+], ids=["read", "point"])
+def test_wavelength_sweep_raises_the_first_wavelength_that_fails_to_read(tmp_path, capsys,
+                                                                          r_over_rs, code,
+                                                                          message):
+    (tmp_path / "core.txt").write_text("500 1.5 0\n760 1.5 0\n800 1.5 0.5\n")
+    (tmp_path / "shell.txt").write_text("550 1.6 0\n900 1.6 0\n")
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sphere": {"shells": [[100.0, {"table": str(tmp_path / "core.txt")}],
+                              [150.0, {"table": str(tmp_path / "shell.txt")}]]},
+        "sweep": "wavelength", "r_over_rs": r_over_rs, "l_max": 8,
+        "wavelengths_nm": [600.0, 520.0, 780.0, 850.0], "out": str(out),
+    }))
+    assert cli.main(["run", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert "while evaluating row" not in err, err
+    assert not out.exists()
+
+
 def _schema_breaking(bound):
     """(key, value) for each key CONFIG_SCHEMA checks by a rule: a value of
     the wrong type, or if ``bound`` one below the rule's lower bound (keys
@@ -959,7 +989,7 @@ def _schema_breaking(bound):
         if bound:
             bad = None if getattr(item, "lo", None) is None else item.lo - 1
         else:
-            bad = {sweep.Number: "1", sweep.Integer: 1.5, sweep.Choice: ""}.get(type(item))
+            bad = {sweep.Number: "1", model.Integer: 1.5, sweep.Choice: ""}.get(type(item))
         if bad is not None:
             cases.append((key, bad if item is row.rule else [bad]))
     return cases
@@ -1383,8 +1413,8 @@ def test_batched_wavelengths_match_rows_prepared_alone(spec, r_over_rs):
     inv_k, inv_mu, det = prepared.scalars()
     for region in range(1, sphere.n_regions + 1):
         for pol, sign in enumerate((-1j, 1j)):  # TM, TE
-            for w, ctx in enumerate(prepared.ctxs):
-                k, mu = ctx.k[region - 1], ctx.mu[region - 1]
+            for w in range(len(prepared.wavelengths)):
+                k, mu = complex(prepared.k[region - 1, w]), prepared.mu[region - 1]
                 n = w * prepared.l_max  # order 1 of wavelength w
                 got = inv_k[region - 1, n], inv_mu[region - 1, n], det[region - 1, pol, n]
                 assert got == (1.0 / k, 1.0 / mu, sign / (k * mu))
@@ -1490,13 +1520,32 @@ def test_a_pool_starts_at_most_one_process_per_cpu(monkeypatch):
     assert asked == [3, 1]
 
 
-def test_a_radial_sweep_reads_its_wavelength_once(monkeypatch):
-    # the read that checks the points is the one the prepare takes
+def _record_reads(monkeypatch):
+    """The wavelengths of every transfer.layer_context call, in order."""
     reads = []
     read = transfer.layer_context
-    monkeypatch.setattr(transfer, "layer_context", lambda s, wl: reads.append(wl) or read(s, wl))
+    monkeypatch.setattr(transfer, "layer_context",
+                        lambda s, wls: reads.append(list(wls)) or read(s, wls))
+    return reads
+
+
+def test_a_radial_sweep_reads_its_wavelength_once(monkeypatch):
+    # the read that checks the points is the one the prepare takes
+    reads = _record_reads(monkeypatch)
     sweep.run_sweep(_cfg(grid="default", orientations=["radial"]))
-    assert reads == [LAM]
+    assert reads == [[LAM]]
+
+
+def test_a_wavelength_sweep_reads_its_wavelengths_once(monkeypatch):
+    # one read of every distinct wavelength, in declared order, checks the
+    # point and is shared by the prepares of the sweep's two wavelength
+    # batches (33 wavelengths each at l_max 60)
+    reads = _record_reads(monkeypatch)
+    wavelengths = [450.0 + 4.0 * i for i in range(40)]
+    sweep.run_sweep(sweep.config_from_dict({
+        "sphere": "C", "sweep": "wavelength", "r_over_rs": 0.45, "orientations": ["radial"],
+        "wavelengths_nm": wavelengths + wavelengths[:3]}))
+    assert reads == [wavelengths]
 
 
 def _benchmark_tracing(monkeypatch):

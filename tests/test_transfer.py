@@ -140,7 +140,7 @@ def test_source_jump_between_host_states():
     sph = model.preset("D")
     dip = model.DipoleSource(90.0, "tangential", LAM)
     closure = transfer.solve_dipole_fields(sph, dip, 20)
-    rho = closure.prepared.ctxs[0].k[0] * 90.0
+    rho = complex(closure.prepared.k[0, 0]) * 90.0
     tab = riccati(20, rho)
     l = closure.prepared.ls
     for c, pol in enumerate(closure.pol):
@@ -155,11 +155,12 @@ def test_source_jump_between_host_states():
         assert_allclose(d_out, s_reg, rtol=1e-9)
 
 
-def _tangential_pair(ctx, region, interface, l, pol, state):
-    """(E_t, H_t) continuity pair from one region's collapsed amplitudes."""
-    k = ctx.k[region - 1]
-    mu = ctx.mu[region - 1]
-    x = k * ctx.radii[interface - 1]
+def _tangential_pair(prepared, region, interface, l, pol, state):
+    """(E_t, H_t) continuity pair from one region's collapsed amplitudes at
+    the prepare's first wavelength."""
+    k = complex(prepared.k[region - 1, 0])
+    mu = prepared.mu[region - 1]
+    x = k * prepared.sphere.radii[interface - 1]
     tab = riccati(int(l.max()), x)
     c1 = sm.collapse(state[0])
     c2 = sm.collapse(state[1])
@@ -189,15 +190,15 @@ def test_tangential_continuity_across_interfaces(seed):
     r_d = float(rng.uniform(1.05, 1.6) * sph.outer_radius_nm)
     dip = model.DipoleSource(r_d, "tangential", LAM)
     closure = transfer.solve_dipole_fields(sph, dip, 20)
-    ctx, l = closure.prepared.ctxs[0], closure.prepared.ls
+    prepared, l = closure.prepared, closure.prepared.ls
     for c, pol in enumerate(closure.pol):
         states = oracles.states(closure, c)
         for i in range(1, sph.n_regions):
             # region i meets interface i on its outer side, region i+1 on its inner side
             st_in = states[i - 1][1]
             st_out = states[i][0]
-            a = _tangential_pair(ctx, i, i, l, transfer.POLS[pol], st_in)
-            b = _tangential_pair(ctx, i + 1, i, l, transfer.POLS[pol], st_out)
+            a = _tangential_pair(prepared, i, i, l, transfer.POLS[pol], st_in)
+            b = _tangential_pair(prepared, i + 1, i, l, transfer.POLS[pol], st_out)
             for va, vb in zip(a, b):
                 scale = np.maximum(np.abs(va), np.abs(vb))
                 keep = scale >= 1e-250
@@ -214,15 +215,15 @@ def test_interface_flux_conserved_through_lossless_shells():
             for orientation in model.ORIENTATIONS:
                 dip = model.DipoleSource(r_d, orientation, lam)
                 closure = transfer.solve_dipole_fields(sph, dip, 60)
-                ctx = closure.prepared.ctxs[0]
-                assert not ctx.absorbing[0]
+                absorbing = closure.prepared.absorbing[:, 0]
+                assert not absorbing[0]
                 for c, pol in enumerate(closure.pol):
-                    flux = [closure.flux(i)[c, 0] for i in range(ctx.n_regions)]
+                    flux = [closure.flux(i)[c, 0] for i in range(sph.n_regions)]
                     scale = np.max(np.abs(flux), axis=0)
                     assert np.all(flux[0] == 0.0)
-                    for j in range(1, ctx.n_regions):
+                    for j in range(1, sph.n_regions):
                         absorbed = flux[j - 1] - flux[j]
-                        if ctx.absorbing[j - 1]:
+                        if absorbing[j - 1]:
                             bad = absorbed < -1e-10 * scale
                         else:
                             bad = np.abs(absorbed) > 1e-10 * scale
@@ -236,9 +237,9 @@ def _lossless_host_rows(prepared):
     radii = (0.0, *prepared.sphere.radii, 1.6 * prepared.sphere.outer_radius_nm)
     return [
         (0.5 * (radii[j] + radii[j + 1]), wl)
-        for wl, ctx in zip(prepared.wavelengths, prepared.ctxs)
-        for j in range(ctx.n_regions)
-        if not ctx.absorbing[j]
+        for w, wl in enumerate(prepared.wavelengths)
+        for j in range(prepared.n_regions)
+        if not prepared.absorbing[j, w]
     ]
 
 
@@ -279,11 +280,11 @@ def test_lossless_far_field_power_equals_local_rate():
     for r_d, orientation in ((60.0, "radial"), (120.0, "tangential"), (210.0, "radial")):
         c = transfer.solve_dipole_fields(sph, model.DipoleSource(r_d, orientation, LAM), 50)
         wt = 1 + np.sum(1j * c.weight * c.g).imag
-        ctx, host = c.prepared.ctxs[0], c.host[0]
-        if host == ctx.n_regions:
+        eps, host = c.prepared.eps[:, 0].tolist(), c.host[0]
+        if host == sph.n_regions:
             wrad = 1 + np.sum(c.weight * (2 * (np.conj(c.q_out) * c.scat).real + np.abs(c.scat) ** 2))
         else:
-            ratio = math.sqrt(ctx.eps[host - 1].real / ctx.eps[-1].real)
+            ratio = math.sqrt(eps[host - 1].real / eps[-1].real)
             wrad = ratio * np.sum(c.weight * np.abs(c.b_out) ** 2)
         assert abs(wt - wrad) / wt < 1e-8
 
@@ -331,12 +332,14 @@ def test_closure_failures_are_raised_in_channel_order():
 @pytest.mark.parametrize("later", [math.nan, -1.0])
 def test_batched_close_raises_the_first_bad_row(later):
     # row 0 sits in preset A's inner gold shell; a later row that could not
-    # even be a dipole (NaN or negative radius) must not win over it
+    # even be a dipole (NaN or negative radius) must not win over it, nor
+    # over row 1 when row 0 is fine, in the one check before any close
     prepared = transfer.prepare(model.preset("A"), [LAM], 20)
     with pytest.raises(GeometryError, match="dipole host region 2 is absorbing"):
         spectro.evaluate_rows(prepared, [(94.2, LAM), (later, LAM)], ("radial",))
     with pytest.raises(GeometryError, match="dipole host region 2 is absorbing"):
-        transfer.close(prepared, [(40.0, LAM), (94.2, LAM), (later, LAM)], model.ORIENTATIONS)
+        spectro.evaluate_rows(prepared, [(40.0, LAM), (94.2, LAM), (later, LAM)],
+                              model.ORIENTATIONS)
 
 
 def test_degenerate_l_max_guard():
