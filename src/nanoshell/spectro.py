@@ -26,7 +26,8 @@ closes sized by the sphere's regions (:func:`close_size`), and returns
 their outputs as (orientation, row) arrays, the columns a sweep writes from;
 a numerical failure names its first failing row.  :class:`model.SpectroResult`
 objects are built from those columns only for the library API
-(:func:`evaluate_rows`, :func:`evaluate`, :func:`evaluate_orientations`),
+(:func:`evaluate_rows`, and :func:`evaluate` and
+:func:`evaluate_orientations`, whose single queries share prepares),
 for a closure of any number of rows (:func:`evaluate_from_coefficients`)
 and for a sweep table's rows on demand.
 """
@@ -49,14 +50,6 @@ NEAR_METAL_FRACTION = 0.005
 # 33 at l_max = 60, one at 2047 and above; that bounds the memory of a
 # prepare's (wavelength, l) arrays, and larger batches gain little
 _BATCH_ENTRIES = 2048
-# rows closed at once, times (l_max + 1) and the sphere's regions, are capped
-# at this many, which bounds a close's (channel, row, l) arrays and its
-# fluxes' (interface, channel, row, l) ones.  At l_max = 60 that is 33 rows
-# of a five-region sphere, as many as a cap of _BATCH_ENTRIES on rows times
-# (l_max + 1) allowed, and 83 of a core-and-ambient one, which that cap
-# closed in runs of 33; one row once (l_max + 1) times the regions passes
-# 5,120
-_CLOSE_ENTRIES = 5 * _BATCH_ENTRIES
 
 _SPREAD_ORDERS = 10
 _WT_SPREAD_TOL = 1e-8
@@ -295,11 +288,22 @@ def evaluate_from_coefficients(closure):
     return as_results(*_observe(closure), closure.prepared.l_max)
 
 
+def _evaluate_one(sphere, r_nm, wavelength_nm, l_max, orientations):
+    """The results of one row, as :func:`evaluate_rows` gives them, against
+    the prepare single queries share (:func:`transfer.shared_prepare`)."""
+    rows = [(r_nm, wavelength_nm)]
+    prepared = transfer.shared_prepare(sphere, wavelength_nm, l_max,
+                                       lambda p: _check_rows(p, rows, orientations))
+    return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)[0]
+
+
 def evaluate(sphere, dipole, l_max=60):
-    """One-stop evaluation of every normalized output for one query."""
-    prepared = transfer.prepare(sphere, [dipole.wavelength_nm], l_max)
-    row = (dipole.radial_position_nm, dipole.wavelength_nm)
-    return evaluate_rows(prepared, [row], (dipole.orientation,))[0][dipole.orientation]
+    """One-stop evaluation of every normalized output for one query.
+    Repeated queries at one sphere, wavelength and l_max share their
+    prepared state (:func:`transfer.shared_prepare`, which bounds what it
+    holds); the result equals a fresh prepare's."""
+    return _evaluate_one(sphere, dipole.radial_position_nm, dipole.wavelength_nm, l_max,
+                         (dipole.orientation,))[dipole.orientation]
 
 
 def batch_size(l_max):
@@ -308,8 +312,11 @@ def batch_size(l_max):
 
 
 def close_size(l_max, n_regions):
-    """Rows closed at once at this l_max, on a sphere of ``n_regions``."""
-    return max(1, _CLOSE_ENTRIES // ((l_max + 1) * n_regions))
+    """Rows closed at once at this l_max, on a sphere of ``n_regions``:
+    rows times (l_max + 1) and the regions are capped at
+    :data:`transfer.CLOSE_ENTRIES`, which bounds a close's (channel, row, l)
+    arrays and its fluxes' (interface, channel, row, l) ones."""
+    return max(1, transfer.CLOSE_ENTRIES // ((l_max + 1) * n_regions))
 
 
 def join_columns(parts):
@@ -346,8 +353,14 @@ def evaluate_rows(prepared, rows, orientations):
     """Results at many rows (r_nm [nm], wavelength [nm]) against one
     :func:`transfer.prepare` that holds every row's wavelength: per row, a
     dict orientation -> :class:`model.SpectroResult`, plus "average" when
-    both orientations are asked for; the outputs of :func:`observe_rows`.
-    The orientations, then every point, are checked first, each point as
+    both orientations are asked for; the outputs of :func:`observe_rows`,
+    once the rows are checked (:func:`_check_rows`)."""
+    _check_rows(prepared, rows, orientations)
+    return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
+
+
+def _check_rows(prepared, rows, orientations):
+    """Check the orientations, then every point of the rows, each as
     :func:`model.check_points` checks it with the prepare's host
     permittivities; the first bad one raises."""
     w = [prepared.index[wl] for _, wl in rows]
@@ -356,10 +369,11 @@ def evaluate_rows(prepared, rows, orientations):
             model.DipoleSource(rows[0][0], o, rows[0][1])
     model.check_points(prepared.sphere, [r for r, _ in rows], [wl for _, wl in rows],
                        lambda host: prepared.eps[host - 1, w])
-    return as_results(*observe_rows(prepared, rows, orientations), prepared.l_max)
 
 
 def evaluate_orientations(sphere, r_nm, wavelength_nm, l_max=60):
-    """Radial, tangential, and orientation-averaged results at one radius."""
-    prepared = transfer.prepare(sphere, [wavelength_nm], l_max)
-    return evaluate_rows(prepared, [(r_nm, wavelength_nm)], model.ORIENTATIONS)[0]
+    """Radial, tangential, and orientation-averaged results at one radius.
+    Repeated queries at one sphere, wavelength and l_max share their
+    prepared state, as :func:`evaluate`'s do; the results equal a fresh
+    prepare's."""
+    return _evaluate_one(sphere, r_nm, wavelength_nm, l_max, model.ORIENTATIONS)

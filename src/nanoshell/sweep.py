@@ -481,9 +481,10 @@ def run_sweep(cfg):
     read at each wavelength in declared order (:func:`_check_points`).
     Where a wavelength fails to read, the first that does raises what its
     read alone raises, once the points at the wavelengths before it are
-    checked.  Then the points are evaluated in order, in the contiguous
-    blocks of :func:`block_cuts`, whose prepares take their columns of that
-    read."""
+    checked: the wavelengths are read one at a time up to that one, and
+    the ones before it read and checked together.  Then the points are
+    evaluated in order, in the contiguous blocks of :func:`block_cuts`,
+    whose prepares take their columns of that read."""
     sphere = cfg.sphere
     rs = sphere.outer_radius_nm
     if cfg.sweep == "radial":
@@ -496,8 +497,13 @@ def run_sweep(cfg):
         try:
             layers = transfer.layer_context(sphere, wavelengths)
         except NanoshellError:
-            for wl in wavelengths:  # read and check one at a time, up to the one that fails
-                check(transfer.layer_context(sphere, [wl]))
+            for n, wl in enumerate(wavelengths):  # read one at a time, up to the one that fails
+                try:
+                    transfer.layer_context(sphere, [wl])
+                except NanoshellError:
+                    if n:  # its error, once the points at the wavelengths before it pass
+                        check(transfer.layer_context(sphere, wavelengths[:n]))
+                    raise
             raise
         check(layers)
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]

@@ -16,14 +16,17 @@ interface tables from one Riccati call, and per polarization an outward and
 an inward sweep over the (wavelength, l) entries, each started from its unit
 pair by the crossing every interface takes and extended on first use only
 as far as a close needs.  A sweep makes that read once for all its
-wavelengths, and each of its prepares takes its own columns.  A prepare
-holds no reference to what is closed against it, so it is freed by
-reference counting alone.  :func:`close` closes every channel of its rows
-at once on (channel, row, l) arrays, a row at the origin as the r -> 0
-limit; it only locates its rows, which are checked before any close.  Every
-step is elementwise in the channels, rows and wavelengths, so a row's result
-does not depend on what shares its prepare and close.  The :class:`_Closure`
-is the one solved form; its interface fluxes give each shell's absorption.
+wavelengths, and each of its prepares takes its own columns.  Single
+queries at one sphere, wavelength and l_max share one prepare
+(:func:`shared_prepare`, within a bound on what it holds); sweeps never
+do.  A prepare holds no reference to what is closed against it, so it is
+freed by reference counting alone.  :func:`close` closes every channel of
+its rows at once on (channel, row, l) arrays, a row at the origin as the
+r -> 0 limit; it only locates its rows, which are checked before any
+close.  Every step is elementwise in the channels, rows and wavelengths, so
+a row's result does not depend on what shares its prepare and close.  The
+:class:`_Closure` is the one solved form; its interface fluxes give each
+shell's absorption.
 
 The Riccati tables (:func:`~nanoshell.specfun.riccati_scaled`), whose
 magnitudes grow and decay like (2l-1)!!, come as plain complex values, each
@@ -38,6 +41,8 @@ channel carries an m-summed weight.
 """
 
 import math
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +66,14 @@ _OUTGOING = slice(None, None, 2)
 L_MAX_CEILING = 4000
 # the one l_max rule, of a prepare and of a sweep config
 L_MAX = model.Integer(1, L_MAX_CEILING)
+
+# (l_max + 1) times regions entries, a bound on memory: a close of many rows
+# holds at most this many per row it closes (spectro.close_size), and the
+# prepares single queries share (shared_prepare) at most this many in all.
+# At l_max = 60 that is 33 rows, or prepares, of a five-region sphere, and
+# 83 of a core-and-ambient one; one once (l_max + 1) times the regions
+# passes 10,240
+CLOSE_ENTRIES = 10240
 
 # channel kinds: 0 the radial dipole's TM channel, 1 and 2 the tangential
 # dipole's TM and TE channels; the ones each orientation drives
@@ -192,6 +205,8 @@ class Prepared:
         self.weights = np.stack([1.5 * ls * (ls + 1) * (2 * ls + 1), 0.75 * (2 * ls + 1)])
         self.n_regions = n = sphere.n_regions
         self._tables = self._derived = None
+        # held while the prepare is extended: by threads that share it too
+        self._lock = threading.RLock()
         entries = len(self.wavelengths) * l_max
         # ((u1, u2, v1, v2), region, polarization, (wavelength, l))
         self._pairs = np.zeros((4, n, 2, entries), dtype=complex)
@@ -216,30 +231,31 @@ class Prepared:
         return cols[:, 0], cols[:, 1], cols[:, 2:]
 
     def _derive(self):
-        if self._derived is None:
-            if self._tables is None:
-                self._tables, _ = _interface_tables(self.sphere.radii, self.k, self.l_max)
-            keys, values, logs = self._tables
-            inv_k, inv_mu, det = self.scalars()
-            regions = [j - 1 for j, _ in keys]
-            # (e_x, h_p, h_x, e_p) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
-            rows = np.array([[3, 2], [0, 1], [2, 3], [1, 0]])
-            factor = np.stack([inv_k[regions], inv_mu[regions]], axis=1)[:, [0, 1, 1, 0], None]
-            # (key, row, polarization, (wavelength, l) entry)
-            x = values.swapaxes(0, 1)[:, rows] * factor
-            d = det[regions] * np.exp(-(logs[0] + logs[1]))[:, None]
-            n = self.n_regions
-            inner, outer = np.full((2, 2, n, logs.shape[-1]), np.nan)
-            for key, (j, i) in enumerate(keys):
-                (outer if i == j else inner)[:, j - 1] = logs[:, key]
-            log_p, log_x = inner[0] - outer[0], outer[1] - inner[1]
-            to_ambient = np.empty(log_x.shape)
-            to_ambient[-2:] = -inner[1, -1]
-            for j in range(n - 3, -1, -1):
-                to_ambient[j] = to_ambient[j + 1] + log_x[j + 1]
-            self._derived = ({(j, i): (x[k], d[k]) for k, (j, i) in enumerate(keys)},
-                             (inner, outer, to_ambient),
-                             (np.exp(log_p + log_x), np.exp(log_p), np.exp(log_x)))
+        with self._lock:
+            if self._derived is None:
+                if self._tables is None:
+                    self._tables, _ = _interface_tables(self.sphere.radii, self.k, self.l_max)
+                keys, values, logs = self._tables
+                inv_k, inv_mu, det = self.scalars()
+                regions = [j - 1 for j, _ in keys]
+                # (e_x, h_p, h_x, e_p) rows of the (psi, dpsi, xi, dxi) stack, TM then TE
+                rows = np.array([[3, 2], [0, 1], [2, 3], [1, 0]])
+                factor = np.stack([inv_k[regions], inv_mu[regions]], axis=1)[:, [0, 1, 1, 0], None]
+                # (key, row, polarization, (wavelength, l) entry)
+                x = values.swapaxes(0, 1)[:, rows] * factor
+                d = det[regions] * np.exp(-(logs[0] + logs[1]))[:, None]
+                n = self.n_regions
+                inner, outer = np.full((2, 2, n, logs.shape[-1]), np.nan)
+                for key, (j, i) in enumerate(keys):
+                    (outer if i == j else inner)[:, j - 1] = logs[:, key]
+                log_p, log_x = inner[0] - outer[0], outer[1] - inner[1]
+                to_ambient = np.empty(log_x.shape)
+                to_ambient[-2:] = -inner[1, -1]
+                for j in range(n - 3, -1, -1):
+                    to_ambient[j] = to_ambient[j + 1] + log_x[j + 1]
+                self._derived = ({(j, i): (x[k], d[k]) for k, (j, i) in enumerate(keys)},
+                                 (inner, outer, to_ambient),
+                                 (np.exp(log_p + log_x), np.exp(log_p), np.exp(log_x)))
         return self._derived
 
     def entries(self, region, interface):
@@ -285,10 +301,12 @@ class Prepared:
         """Normalized (psi, dpsi, xi, dxi) over l = 1..l_max and their log
         norms at the dipole arguments rho, one table each; while the
         interface tables are missing, built in the same call."""
-        if self._tables is not None:
-            return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
-        self._tables, tables = _interface_tables(self.sphere.radii, self.k, self.l_max, rho)
-        return tables
+        with self._lock:
+            if self._tables is None:
+                self._tables, tables = _interface_tables(self.sphere.radii, self.k, self.l_max,
+                                                         rho)
+                return tables
+        return tuple(x[..., 1:] for x in riccati_scaled(self.l_max, rho).table)
 
     def _view(self, x):
         """Stored values, their entries split into (wavelength, l)."""
@@ -302,19 +320,20 @@ class Prepared:
         pairs are the unit pairs; polarizations that stand at the same
         region step together."""
         tau, n = self.factors()[0], self.n_regions
-        for inward, at, half in ((False, self.top, slice(0, 2)),
-                                 (True, self.bottom, slice(2, 4))):
-            while late := [q for q in pols if (lo < at[q] if inward else at[q] < hi)]:
-                src = (max if inward else min)(at[q] for q in late)  # the region left
-                q = [x for x in late if at[x] == src]
-                q, dst = slice(q[0], q[-1] + 1), src - 1 if inward else src + 1
-                i = min(src, dst)  # the interface crossed
-                t = tau[src - 1] if 1 < src < n else 1.0
-                a, b = self._pairs[half, src - 1, q]
-                (x, d), (y, e) = self.entries(src, i), self.entries(dst, i)
-                self._pairs[half, dst - 1, q], self._rows[:, i - 1, int(inward), q] = _cross(
-                    (a * t, b) if inward else (a, b * t), (x[:, q], d[q]), (y[:, q], e[q]))
-                at[q] = [dst] * len(at[q])
+        with self._lock:
+            for inward, at, half in ((False, self.top, slice(0, 2)),
+                                     (True, self.bottom, slice(2, 4))):
+                while late := [q for q in pols if (lo < at[q] if inward else at[q] < hi)]:
+                    src = (max if inward else min)(at[q] for q in late)  # the region left
+                    q = [x for x in late if at[x] == src]
+                    q, dst = slice(q[0], q[-1] + 1), src - 1 if inward else src + 1
+                    i = min(src, dst)  # the interface crossed
+                    t = tau[src - 1] if 1 < src < n else 1.0
+                    a, b = self._pairs[half, src - 1, q]
+                    (x, d), (y, e) = self.entries(src, i), self.entries(dst, i)
+                    self._pairs[half, dst - 1, q], self._rows[:, i - 1, int(inward), q] = _cross(
+                        (a * t, b) if inward else (a, b * t), (x[:, q], d[q]), (y[:, q], e[q]))
+                    at[q] = [dst] * len(at[q])
 
     def pairs(self, host, pol, w):
         """(u1, u2, v1, v2) at host regions, polarization indices and
@@ -335,6 +354,55 @@ def prepare(sphere, wavelengths_nm, l_max, layers=None):
     :func:`layer_context` read that holds them, when given, else a read of
     their own; see :class:`Prepared`."""
     return Prepared(sphere, wavelengths_nm, l_max, layers)
+
+
+# the prepares single queries share (shared_prepare) by (sphere, wavelength,
+# l_max), least recently used first; the lock guards the dict, and each
+# prepare its own extension
+_SHARED = OrderedDict()
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_prepare(sphere, wavelength_nm, l_max, check):
+    """The one-wavelength prepare of a single query at ``sphere``, compared
+    by value, ``wavelength_nm`` [nm] and ``l_max``, once ``check(prepared)``,
+    the query's point check, has passed: the one an earlier query at the
+    same three left, else a new one, kept unless its read or ``check``
+    raises.  l_max is checked before the lookup.  The least recently used
+    are dropped while the held (l_max + 1) x regions entries pass
+    CLOSE_ENTRIES, but never the newest: at l_max 60 that holds up to 33
+    five-region prepares, about 0.22 MB each once a query has read every
+    interface table, and at l_max 4000 one, about 14 MB for five regions.
+    A sphere that cannot be hashed gets a prepare of its own.
+
+    A result does not depend on whether its prepare is shared: every step
+    is elementwise in the rows, so what earlier queries added to a prepare
+    (the interface tables, beside which a dipole table is a Riccati call of
+    its own, the derived entries, sweeps carried further) holds the values
+    a fresh prepare would form.  Threads may share a prepare: each
+    extension runs under the prepare's lock, a stored value is never
+    changed, and a close reads only what its own extension reached."""
+    key = (sphere, wavelength_nm, L_MAX.check("l_max", l_max))
+    try:
+        with _SHARED_LOCK:
+            prepared = _SHARED.get(key)
+            if prepared is not None:
+                _SHARED.move_to_end(key)
+    except TypeError:  # an unhashable sphere, such as one built with lists
+        key = prepared = None
+    if prepared is not None:
+        check(prepared)
+        return prepared
+    prepared = prepare(sphere, [wavelength_nm], l_max)
+    check(prepared)
+    if key is not None:
+        with _SHARED_LOCK:
+            _SHARED[key] = prepared
+            held = sum((p.l_max + 1) * p.n_regions for p in _SHARED.values())
+            while held > CLOSE_ENTRIES and len(_SHARED) > 1:
+                _, old = _SHARED.popitem(last=False)
+                held -= (old.l_max + 1) * old.n_regions
+    return prepared
 
 
 class _Closure:
@@ -511,12 +579,14 @@ def close(prepared, rows, orientations):
 
 def solve_dipole_fields(sphere, dipole, l_max):
     """The :class:`_Closure` of one dipole, a single row holding each channel
-    its orientation drives, TM first: a prepare, a check of the dipole's
-    point with its host permittivity there (:func:`model.check_points`)
-    and a close of its own.  The
-    source normalization makes a contrast-free sphere return zero scattered
-    amplitudes and unit normalized rates."""
+    its orientation drives, TM first: a check of the dipole's point with its
+    host permittivity there (:func:`model.check_points`) and a close of its
+    own, against the prepare that single queries at its sphere, wavelength
+    and l_max share (:func:`shared_prepare`, which bounds what it holds);
+    the closure equals a fresh prepare's.  The source normalization makes a
+    contrast-free sphere return zero scattered amplitudes and unit
+    normalized rates."""
     r, wl = dipole.radial_position_nm, dipole.wavelength_nm
-    prepared = prepare(sphere, [wl], l_max)
-    model.check_points(sphere, r, wl, lambda host: prepared.eps[host - 1, 0])
+    prepared = shared_prepare(sphere, wl, l_max, lambda p: model.check_points(
+        sphere, r, wl, lambda host: p.eps[host - 1, 0]))
     return close(prepared, [(r, wl)], (dipole.orientation,))

@@ -16,7 +16,11 @@ benchmark inputs:
   a wavelength sweep from 450 to 1050 nm in the table shell;
 * seeds 1-3 of every benchmark workload (one worker);
 * presets A, C and D at l_max 1000 and 4000 on grids that hold the origin,
-  and for A the point of acceptance criterion 8.
+  and for A the point of acceptance criterion 8;
+* the single ``spectro.evaluate`` queries of seeds 1-3 of every benchmark
+  workload, each seed's in their seeded order, twice over in one process,
+  as the benchmark asks them: the second pass meets the prepares the first
+  left (``transfer.shared_prepare``).
 
 It prints, per result field of this checkout's ``model.OUTPUTS`` (the
 orientation aside, which keys the result), the largest |change| /
@@ -41,8 +45,8 @@ NK_TABLE = "400 1.50 0\n1100 1.70 0\n"
 
 
 def _configs():
-    """(name, sweep config) of every query set entry but the golden files."""
-    sys.path.insert(0, str(TESTS.parent / "perfbench"))
+    """(name, sweep config) of every query set entry but the golden files
+    and the single queries."""
     import inputs
 
     out = [(f"default_{p}", {"sphere": p}) for p in "ABCDEF"]
@@ -68,18 +72,39 @@ def _configs():
     return out
 
 
+def _queries():
+    """(name, sphere, dipole) of every benchmark workload's latency queries
+    at seeds 1-3, in seeded order, each seed's twice over."""
+    import inputs
+    from nanoshell import model
+
+    out = []
+    for name in inputs.WORKLOADS:
+        for seed in (1, 2, 3):
+            workload = inputs.generate(name, seed)
+            for round_ in (1, 2):
+                for k, (i, j, o) in enumerate(workload.latency_queries):
+                    r_nm, wl = workload.sweeps[i].query(j)
+                    out.append((f"query_{name}_seed{seed}_{k}_round{round_}",
+                                workload.sweeps[i].sphere, model.DipoleSource(r_nm, o, wl)))
+    return out
+
+
 def dump(fields):
     """Every result, as its values of ``fields``, and golden text of the
     nanoshell on sys.path, as JSON."""
-    sys.path.insert(0, str(TESTS))
+    sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]
     import test_golden
-    from nanoshell import sweep
+    from nanoshell import spectro, sweep
 
     rows = {}
     for name, config in _configs():
         table = sweep.run_sweep(sweep.config_from_dict(config))
         for n, row in enumerate(table.rows):
             rows[f"{name}/{n}/{row.orientation}"] = [getattr(row.result, f) for f in fields]
+    for name, sphere, dipole in _queries():
+        result = spectro.evaluate(sphere, dipole)
+        rows[f"{name}/{dipole.orientation}"] = [getattr(result, f) for f in fields]
     golden = {name: test_golden._output(name).decode()
               for name in sorted(test_golden.CASES) + sorted(test_golden.CONVERGE)}
     json.dump({"rows": rows, "golden": golden}, sys.stdout)

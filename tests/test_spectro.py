@@ -1,10 +1,20 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn
 
-from nanoshell import model, spectro, sweep, transfer
-from nanoshell.errors import DomainError, GeometryError
+from nanoshell import materials, model, spectro, sweep, transfer
+from nanoshell.errors import (
+    ConfigError,
+    DomainError,
+    GeometryError,
+    MaterialRangeError,
+    NanoshellError,
+)
 
 import oracles
 
@@ -291,3 +301,179 @@ def test_near_gold_series_matches_readme_table():
         assert round(res.wt_norm) == wt, (l_max, res.wt_norm)
         balance = abs(res.wt_norm - res.wrad_norm - res.wohm_norm)
         assert balance <= 1e-10 * res.wt_norm, (l_max, balance)
+
+
+# ---------------------------------------------------------------------------
+# single queries share one prepare per (sphere, wavelength, l_max)
+
+
+def _five_region_dielectric():
+    return model.build_sphere(
+        [(40.0, materials.constant_index(1.6)), (70.0, materials.constant_index(2.1)),
+         (95.0, "silica"), (120.0, materials.constant_index(1.9))], materials.water())
+
+
+def _hosts(sphere):
+    """Radii [nm] at the origin, in the core, in the spacer (region 3, of a
+    five-region sphere) and in the ambient."""
+    radii = sphere.radii
+    spacer = [0.5 * (radii[1] + radii[2])] if len(radii) == 4 else []
+    return [0.0, 0.5 * radii[0], *spacer, 1.3 * radii[-1]]
+
+
+def _outcome(call):
+    """What ``call()`` returns, as exact text, or the error it raises."""
+    try:
+        out = call()
+    except NanoshellError as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "__notes__", None)
+    if isinstance(out, transfer._Closure):
+        return [np.asarray(x).tobytes() for x in (out.g, out.b_out, out.q_out, out.scat,
+                                                   out.a, out.b)]
+    return repr(out)
+
+
+def _memo_call(sphere, r, wl, l_max, kind):
+    if kind == "both":
+        return lambda: spectro.evaluate_orientations(sphere, r, wl, l_max)
+    orientation, how = kind.split("-")
+    dipole = model.DipoleSource(r, orientation, wl)
+    if how == "fields":
+        return lambda: transfer.solve_dipole_fields(sphere, dipole, l_max)
+    return lambda: spectro.evaluate(sphere, dipole, l_max)
+
+
+def _fresh_call(sphere, r, wl, l_max, kind):
+    """The query on a prepare of its own, through spectro.evaluate_rows."""
+    def call():
+        prepared = transfer.prepare(sphere, [wl], l_max)
+        if kind == "both":
+            return spectro.evaluate_rows(prepared, [(r, wl)], model.ORIENTATIONS)[0]
+        orientation, how = kind.split("-")
+        result = spectro.evaluate_rows(prepared, [(r, wl)], (orientation,))[0][orientation]
+        return transfer.close(prepared, [(r, wl)], (orientation,)) if how == "fields" else result
+    return call
+
+
+_KINDS = ("radial-evaluate", "tangential-evaluate", "both", "radial-fields", "tangential-fields")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_prepares_give_a_fresh_prepares_results_in_any_order(seed):
+    # shuffled single queries over presets A-F and a five-region dielectric
+    # sphere, at the origin and in core, spacer and ambient, at two
+    # wavelengths and l_max 8 and 60, each query twice: every result, and
+    # every error (the gold cores of E and F host none), is bit for bit
+    # that of a fresh prepare, whether its prepare was new or shared
+    rng = random.Random(seed)
+    spheres = [model.preset(p) for p in "ABCDEF"] + [_five_region_dielectric()]
+    queries = [(sphere, r, wl, l_max, rng.choice(_KINDS))
+               for sphere in spheres for r in _hosts(sphere)
+               for wl in (LAM, 800.0) for l_max in (8, 60)]
+    queries = queries * 2
+    rng.shuffle(queries)
+    fresh = {}
+    for n, query in enumerate(queries):
+        key = (id(query[0]),) + query[1:]
+        if key not in fresh:
+            fresh[key] = _outcome(_fresh_call(*query))
+        assert _outcome(_memo_call(*query)) == fresh[key], (n, query[1:])
+    assert any(outcome[0] == "raised" for outcome in fresh.values())
+
+
+def test_a_failing_query_raises_alike_and_keeps_no_prepare():
+    # a prepare whose read or point check raises is not held; a point that
+    # fails against a held prepare raises what it raises against a new one
+    sphere = model.preset("A")
+    outside = model.DipoleSource(150.0, "radial", 1200.0)  # past the gold table
+    in_gold = model.DipoleSource(95.0, "radial", LAM)  # an absorbing host
+    on_shell = model.DipoleSource(107.0, "radial", LAM)  # on an interface
+    fine = model.DipoleSource(50.0, "radial", LAM)
+    for dipole, error in ((outside, MaterialRangeError), (in_gold, GeometryError),
+                          (on_shell, GeometryError)):
+        with pytest.raises(error) as miss:
+            spectro.evaluate(sphere, dipole)
+        assert not transfer._SHARED
+        spectro.evaluate(sphere, fine)
+        with pytest.raises(error) as hit:
+            spectro.evaluate(sphere, dipole)
+        assert str(hit.value) == str(miss.value)
+        transfer._SHARED.clear()
+    for call in (lambda: transfer.solve_dipole_fields(sphere, in_gold, 60),
+                 lambda: spectro.evaluate_orientations(sphere, 107.0, LAM)):
+        with pytest.raises(GeometryError):
+            call()
+        assert not transfer._SHARED
+
+
+def test_l_max_is_checked_before_a_held_prepare_is_looked_up():
+    sphere = model.preset("D")
+    dipole = model.DipoleSource(50.0, "radial", LAM)
+    for held, bad in ((1, True), (60, 60.0)):
+        spectro.evaluate(sphere, dipole, held)
+        for call in (lambda: spectro.evaluate(sphere, dipole, bad),
+                     lambda: spectro.evaluate_orientations(sphere, 50.0, LAM, bad),
+                     lambda: transfer.solve_dipole_fields(sphere, dipole, bad)):
+            with pytest.raises(ConfigError, match=rf"^l_max must be an integer in 1\.\.4000, "
+                                                  rf"got {bad!r}$"):
+                call()
+
+
+def test_held_prepares_stay_within_the_entry_budget():
+    # at l_max 60, 33 five-region prepares fit (61 x 5 entries each); a
+    # 34th drops the least recently used.  At l_max 4000 a core-and-ambient
+    # prepare holds 8,002 entries, so only the newest is held
+    sphere = model.preset("A")
+    wavelengths = [500.0 + 2.0 * i for i in range(34)]
+    for wl in wavelengths[:33]:
+        spectro.evaluate(sphere, model.DipoleSource(50.0, "radial", wl))
+    spectro.evaluate(sphere, model.DipoleSource(50.0, "radial", wavelengths[0]))  # a hit
+    spectro.evaluate(sphere, model.DipoleSource(50.0, "radial", wavelengths[33]))
+    held = [wl for _, wl, _ in transfer._SHARED]
+    assert held == wavelengths[2:33] + wavelengths[:1] + wavelengths[33:]
+    assert sum((p.l_max + 1) * p.n_regions
+               for p in transfer._SHARED.values()) <= transfer.CLOSE_ENTRIES
+    d = model.preset("D")
+    for wl in (LAM, 800.0):
+        spectro.evaluate(d, model.DipoleSource(50.0, "radial", wl), transfer.L_MAX_CEILING)
+    assert list(transfer._SHARED) == [(d, 800.0, transfer.L_MAX_CEILING)]
+    assert 2 * (transfer.L_MAX_CEILING + 1) <= transfer.CLOSE_ENTRIES
+
+
+def test_a_sphere_that_cannot_be_hashed_gets_a_prepare_of_its_own():
+    d = model.preset("D")
+    listed = model.StratifiedSphere(list(d.shells), d.ambient)
+    dipole = model.DipoleSource(50.0, "tangential", LAM)
+    assert repr(spectro.evaluate(listed, dipole)) == repr(spectro.evaluate(d, dipole))
+    assert list(transfer._SHARED) == [(d, LAM, 60)]
+
+
+def test_threads_sharing_prepares_get_a_fresh_prepares_results():
+    # more threads than cores extend the same few held prepares at once,
+    # with a short switch interval; each result must equal a fresh
+    # prepare's
+    rng = random.Random(3)
+    spheres = [model.preset("A"), _five_region_dielectric()]
+    queries = [(sphere, r, wl, 60, kind) for sphere in spheres for r in _hosts(sphere)
+               for wl in (LAM, 800.0) for kind in ("radial-evaluate", "both")]
+    want = [_outcome(_fresh_call(*q)) for q in queries]
+    for sphere in spheres:  # held, and extended by nothing yet
+        for wl in (LAM, 800.0):
+            transfer.shared_prepare(sphere, wl, 60, lambda prepared: None)
+    got, workers = {}, []
+    for t in range(6):
+        order = list(range(len(queries)))
+        rng.shuffle(order)
+        workers.append(threading.Thread(target=lambda order=order, t=t: got.update(
+            {(t, n): _outcome(_memo_call(*queries[n])) for n in order})))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == {(t, n): want[n] for t in range(6) for n in range(len(queries))}

@@ -1548,6 +1548,25 @@ def test_a_wavelength_sweep_reads_its_wavelengths_once(monkeypatch):
     assert reads == [wavelengths]
 
 
+def test_a_failing_wavelength_sweep_reads_up_to_its_bad_wavelength_and_checks_once(monkeypatch):
+    # the joint read fails at 1200 nm, past the gold table: the wavelengths
+    # are read one at a time up to that one and no further, the ones before
+    # it are read together and checked in one call, then 1200 nm raises
+    reads = _record_reads(monkeypatch)
+    checks = []
+    check = sweep._check_points
+    monkeypatch.setattr(sweep, "_check_points", lambda s, layers, **kw: (
+        checks.append(list(layers.wavelengths)) or check(s, layers, **kw)))
+    wavelengths = [450.0 + 4.0 * i for i in range(10)]
+    declared = wavelengths + [1200.0, 600.0, 1300.0]
+    with pytest.raises(MaterialRangeError, match="^wavelength 1200.0 nm outside table range"):
+        sweep.run_sweep(sweep.config_from_dict({
+            "sphere": "C", "sweep": "wavelength", "r_over_rs": 0.45, "orientations": ["radial"],
+            "wavelengths_nm": declared}))
+    assert reads == [declared, *([wl] for wl in wavelengths), [1200.0], wavelengths]
+    assert checks == [wavelengths]
+
+
 def _benchmark_tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
     return importlib.import_module("tracing")
