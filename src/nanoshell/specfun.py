@@ -19,9 +19,11 @@ multilayer recursion on such bounded values).  It is formed from the
 recurrences' mantissas and per-block logs: the trig seeds share one
 exponent per argument, each derivative comes from neighbouring mantissas of
 one block, and the Miller normalization is a unit phase times a log, so no
-two large logs are subtracted at low orders.  Only the sequential j and h1
-recurrences step through the orders, elementwise across the arguments of a
-call, each from its own start order and with its own renormalizations, so
+two large logs are subtracted at low orders.  Only the j and h1
+recurrences step through the orders, side by side in one pass, one numpy
+product and one difference per order for both families and every argument
+of a call; each argument runs from its own start order, and each family
+and argument has its own renormalizations, which divide nothing else, so
 an argument's table is the same whatever else shares the call.  Plain
 complex j/y/h1 and psi/chi/xi tables built on this table are test oracles
 (``tests/oracles.py``).
@@ -88,12 +90,16 @@ def outside_domain(l_max, z):
     return (a < _MIN_ABS_Z) | ~(_start_order(l_max, a) <= _MAX_START_ORDER)
 
 
-def _renormalize(out, a, newest, other):
-    """Divide ``newest`` in place, and ``other`` into a copy, by a where
-    ``out`` is set; returns the copy and the log of the divisor."""
-    s = np.where(out, a, 1.0)
-    np.divide(newest, s, out=newest)
-    return other / s, np.log(s)
+def _renormalize(rows, s, f, out, a):
+    """Divide family f of table rows s + 1 and s + 2 in place by a where
+    ``out`` is set, and nowhere else; returns row s + 1's entry as it was
+    and the log of the divisor."""
+    d = np.where(out, a, 1.0)
+    above, newest = rows[s + 1, f], rows[s + 2, f]
+    stored = above.copy()
+    np.divide(newest, d, out=newest, where=out)
+    np.divide(above, d, out=above, where=out)
+    return stored, np.log(d)
 
 
 def _start_order(l_max, a):
@@ -102,83 +108,85 @@ def _start_order(l_max, a):
     return np.maximum(l_max, np.ceil(a)) + pad
 
 
-def _j_downward(l_max, z, l_start, c):
-    """j_l up to one factor per argument, by downward (Miller) recurrence on
-    the ratios c = (2l + 1)/z: per order l = 0..l_max its mantissa, the
+def _recurrences(l_max, z, l_start, c, h0):
+    """j_l up to one factor per argument, by downward (Miller) recurrence,
+    and h1_l up to exp(-Im z), by upward recurrence from h_0 = h0 and h_1 =
+    h0 (1/z - i), both on the ratios c = (2l + 1)/z of the arguments z (one
+    axis): per family (j, h1) and order l = 0..l_max its mantissa, the
     mantissa of order l - 1 in the same block (zero at l = 0) and the block
-    log, j_l being the mantissa times exp(block log) times that factor: the
-    mantissas and lower neighbours as (l, argument) tables, the logs as an
-    (argument, l) one.
+    log, f_l being the mantissa times exp(block log), each as a (family,
+    argument, l) table.
 
-    Each argument starts at its own order ``l_start``, above both l_max and
-    the turning point l ~ |z|; the pad grows like |z|^(1/3) so the admixture
-    of the upward-dominant solution is suppressed below 1e-12 even deep in
-    the oscillatory regime.  Until its start order an argument's recurrence
-    holds zeros, and renormalization is per argument at fixed orders, so no
-    entry depends on the other arguments of the call.  Each order is
-    formed in place in its row of one table; a renormalization divides the
-    newest order there, while the order above it keeps its stored mantissa
-    and the recurrence goes on from a divided copy.
+    Each argument's j recurrence starts at its own order ``l_start``, above
+    both l_max and the turning point l ~ |z|; the pad grows like |z|^(1/3)
+    so the admixture of the upward-dominant solution is suppressed below
+    1e-12 even deep in the oscillatory regime.  Until its start order an
+    argument's recurrence holds zeros, and renormalization is per family
+    and argument at fixed orders, so no entry depends on the other
+    arguments of the call.  Row k of one (row, family, argument) table
+    holds (f_{top+1-k}, m_{k-lag}), lag = top - l_max + 1, so step s forms
+    row s + 2 of both families from rows s + 1 and s: j alone for its first
+    lag steps, then h1 from its two seed rows.  A renormalization divides
+    the entries of the family's two newest rows that left range, in place,
+    and no other (a division by 1 can flip the sign of a zero); the upper
+    row keeps its stored mantissa, and for j the lower one its value as the
+    lower neighbour.
     """
-    # a plain set, not np.unique: numpy's set routines import numpy.ma
-    starts = {l: l_start == l for l in set(l_start.ravel().tolist())}
     top = len(c) - 1
-    mant = np.zeros((top + 2,) + z.shape, dtype=complex)  # unnormalized f_l at row l
-    logs = np.zeros(z.shape + (l_max + 1,))
-    unscaled = {}  # f_{l-1} as formed, at the orders l whose block it ends
-    hi = mant[top + 1]
-    for l, c_l in zip(range(top, 0, -1), c[top:0:-1]):
-        f, f_l = mant[l - 1], mant[l]
-        if l in starts:  # above l_max, so no stored lower neighbour sees it
-            f_l[starts[l]] = 1.0
-        np.multiply(c_l, f_l, out=f)
-        np.subtract(f, hi, out=f)
-        hi = f_l
-        if l % _CHECK_EVERY == 0:
-            a = np.abs(f)
-            if _most(a, axis=None) > _RENORM:
-                if l <= l_max:
-                    unscaled[l] = f.copy()
-                hi, lg = _renormalize(a > _RENORM, a, f, f_l)
-                logs[..., :l] += lg[..., None]  # orders already stored keep theirs
-    return mant[:l_max + 1], _lower(mant[:l_max + 1], unscaled), logs
-
-
-def _h1_upward(l_max, z, h0, c):
-    """h1_l up to exp(-Im z) by upward recurrence on the ratios c from h_0 =
-    h0 and h_1 = h0 (1/z - i), in the form of :func:`_j_downward`; here the
-    divided copy of the order below a renormalization is also the newest
-    order's lower neighbour."""
-    mant = np.empty((l_max + 1,) + z.shape, dtype=complex)
-    mant[0] = h0
-    mant[1] = h0 * (c[0] - 1j)  # c[0] = 1/z
-    logs = np.zeros(z.shape + (l_max + 1,))
-    scaled = {}  # f_{l-1} divided, at the orders l whose block it starts
-    lo = mant[0]
-    for l, c_l in zip(range(1, l_max), c[1:l_max]):
-        m, m_l = mant[l + 1], mant[l]
-        np.multiply(c_l, m_l, out=m)
-        np.subtract(m, lo, out=m)
-        lo = m_l
-        if l % _CHECK_EVERY == 0:
-            a = np.abs(m)
-            if _most(a, axis=None) > _RENORM or _least(a, axis=None) < 1.0 / _RENORM:
-                out = (a > _RENORM) | ((a != 0.0) & (a < 1.0 / _RENORM))
-                lo, lg = _renormalize(out, a, m, m_l)
-                scaled[l + 1] = lo
-                logs[..., l + 1:] += lg[..., None]
-    return mant, _lower(mant, scaled), logs
-
-
-def _lower(mant, kept):
-    """Each order's lower neighbour in its block: the stored order below it
-    (zero at l = 0), or at the orders ``kept`` holds, the value kept there."""
+    lag = top - l_max + 1
+    rows = np.zeros((top + 2, 2, z.size), dtype=complex)
+    rows[lag, 1] = h0
+    rows[lag + 1, 1] = h0 * (c[0] - 1j)  # c[0] = 1/z
+    coef = np.empty((top, 2, z.size), dtype=complex)
+    coef[:, 0] = c[top:0:-1]
+    coef[lag:, 1] = c[1:l_max]
+    logs = np.zeros((2, z.size, l_max + 1))
+    stored, kept = {}, {}  # (family, l): mantissas and lower neighbours
+    # the step before which each start order is set; a plain set, not
+    # np.unique: numpy's set routines import numpy.ma
+    starts = {top - l: l_start == l for l in set(l_start.tolist())}
+    j_due = range(top % _CHECK_EVERY, top, _CHECK_EVERY)  # order top - s
+    h_due = range(lag + _CHECK_EVERY - 1, top, _CHECK_EVERY)  # order s + 1 - lag
+    due = {*j_due, *h_due, lag - 1, *(s - 1 for s in starts)}
+    lo, mid = rows[0, 0], rows[1, 0]
+    mid[starts[0]] = 1.0
+    mul, sub = np.multiply, np.subtract  # a step is ~1 us, nearly all numpy's call cost
+    for s, (cf, new) in enumerate([*zip(coef[:lag, 0], rows[2:lag + 2, 0]),
+                                   *zip(coef[lag:], rows[lag + 2:])]):
+        mul(cf, mid, new)
+        sub(new, lo, new)
+        lo, mid = mid, new
+        if s not in due:
+            continue
+        a = np.abs(rows[s + 2])  # one abs for both families where both are checked
+        most = _most(a, axis=1)
+        if s in j_due and most[0] > _RENORM:
+            l = top - s
+            kept[0, l] = rows[s + 2, 0].copy()  # f_{l-1} as formed
+            stored[0, l], lg = _renormalize(rows, s, 0, a[0] > _RENORM, a[0])
+            logs[0, :, :l] += lg[:, None]  # orders already stored keep theirs
+        if s in h_due and (most[1] > _RENORM or _least(a[1], axis=None) < 1.0 / _RENORM):
+            l, h = s + 1 - lag, a[1]
+            out = (h > _RENORM) | ((h != 0.0) & (h < 1.0 / _RENORM))
+            stored[1, l], lg = _renormalize(rows, s, 1, out, h)
+            kept[1, l + 1] = rows[s + 1, 1].copy()
+            logs[1, :, l + 1:] += lg[:, None]
+        if s + 1 in starts:  # above l_max, so no stored lower neighbour sees it
+            mid[starts[s + 1]] = 1.0
+        if s + 1 == lag:
+            lo, mid = rows[lag], rows[lag + 1]
+    mant = np.empty(logs.shape, dtype=complex)
+    mant[0], mant[1] = rows[lag:][::-1, 0].T, rows[lag:, 1].T
+    for (f, l), m in stored.items():
+        if l <= l_max:
+            mant[f, :, l] = m
     lower = np.empty_like(mant)
-    lower[0] = 0.0
-    lower[1:] = mant[:-1]
-    for l, f in kept.items():
-        lower[l] = f
-    return lower
+    lower[..., 0] = 0.0
+    lower[..., 1:] = mant[..., :-1]
+    for (f, l), m in kept.items():
+        if l <= l_max:
+            lower[f, :, l] = m
+    return mant, lower, logs
 
 
 def _ratios(l_top, z):
@@ -229,34 +237,25 @@ def riccati_scaled(l_max, z):
     eix = np.exp(1j * x)
     zz, ls = z[:, None], np.arange(l_max + 1)
 
-    # psi = z j, the recurrence normalized against whichever closed form is
-    # larger (j0 can sit on a zero); orders 0 and 1 share a block.  The
-    # normalization n exp(|Im z| - block log) is a unit phase times a log
-    mant, lower, block = _j_downward(l_max, z, l_start, c)
-    mant, lower = mant.T, lower.T
+    # psi = z j, the j recurrence normalized against whichever closed form
+    # is larger (j0 can sit on a zero); orders 0 and 1 share a block.  The
+    # normalization n exp(|Im z| - block log) is a unit phase times a log.
+    # xi = z h1 from exp(iz)
+    mant, lower, block = _recurrences(l_max, z, l_start, c, -1j * eix / z)
     j0 = sin_m / z
     j1 = (j0 - cos_m) / z
     ref = np.abs(j0) < np.abs(j1)
-    n = np.where(ref, j1, j0) / np.where(ref, mant[:, 1], mant[:, 0])
-    d = zz * lower - ls * mant  # psi'_l = z j_{l-1} - l j_l
-    d[:, 0] = cos_m / n
-    psi, dpsi, log_psi = _over_norm(zz * mant, d)
+    n = np.where(ref, j1, j0) / np.where(ref, mant[0, :, 1], mant[0, :, 0])
+    d = zz * lower - ls * mant  # f'_l = z f_{l-1} - l f_l for psi and xi
+    d[0, :, 0], d[1, :, 0] = cos_m / n, eix
+    f, df, log_f = _over_norm(zz * mant, d)
     phase = (n / np.abs(n))[:, None]
-    log_psi = ((block - block[:, :1]) + log_psi) + (a + np.log(np.abs(n)))[:, None]
-
-    # xi = z h1 from exp(iz)
-    mant, lower, block = _h1_upward(l_max, z, -1j * eix / z, c)
-    mant, lower = mant.T, lower.T
-    d = zz * lower - ls * mant
-    d[:, 0] = eix
-    xi, dxi, log_xi = _over_norm(zz * mant, d)
-    log_xi = (block + log_xi) - z.imag[:, None]
-
-    logs = np.stack([log_psi, log_xi])
+    logs = np.stack([((block[0] - block[0, :, :1]) + log_f[0]) + (a + np.log(np.abs(n)))[:, None],
+                     (block[1] + log_f[1]) - z.imag[:, None]])
     bad = ~np.isfinite(logs).all(axis=(0, 1))
     if bad.any():
         l = int(np.flatnonzero(bad)[0])
         raise RangeError(f"Riccati table overflows double precision at order l={l}")
-    values = np.stack([psi * phase, dpsi * phase, xi, dxi])
+    values = np.stack([f[0] * phase, df[0] * phase, f[1], df[1]])
     return ScaledRiccati(l_max, (values.reshape(4, *shape, l_max + 1),
                                  logs.reshape(2, *shape, l_max + 1)))

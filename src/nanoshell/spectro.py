@@ -321,7 +321,10 @@ def close_size(l_max, n_regions):
 
 def join_columns(parts):
     """The (names, columns) of consecutive runs of rows, each as
-    :func:`observe_rows` gives it, as one, the rows in order."""
+    :func:`observe_rows` gives it, as one, the rows in order; a lone run as
+    it is."""
+    if len(parts) == 1:
+        return parts[0]
     (names, first), *_ = parts
     return names, {f: np.concatenate([out[f] for _, out in parts], axis=1) for f in first}
 

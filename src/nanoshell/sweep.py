@@ -481,8 +481,8 @@ def run_sweep(cfg):
     read at each wavelength in declared order (:func:`_check_points`).
     Where a wavelength fails to read, the first that does raises what its
     read alone raises, once the points at the wavelengths before it are
-    checked: the wavelengths are read one at a time up to that one, and
-    the ones before it read and checked together.  Then the points are
+    checked together: it is found by bisecting on joint reads of prefixes,
+    and the longest prefix that reads is the one checked.  Then the points are
     evaluated in order, in the contiguous blocks of :func:`block_cuts`,
     whose prepares take their columns of that read."""
     sphere = cfg.sphere
@@ -497,13 +497,18 @@ def run_sweep(cfg):
         try:
             layers = transfer.layer_context(sphere, wavelengths)
         except NanoshellError:
-            for n, wl in enumerate(wavelengths):  # read one at a time, up to the one that fails
+            # bisect on prefixes, which fail to read exactly when one of
+            # their wavelengths does: the first n read, the first bad fail
+            n, bad, passed = 0, len(wavelengths), None
+            while bad - n > 1:
+                mid = (n + bad) // 2
                 try:
-                    transfer.layer_context(sphere, [wl])
+                    passed, n = transfer.layer_context(sphere, wavelengths[:mid]), mid
                 except NanoshellError:
-                    if n:  # its error, once the points at the wavelengths before it pass
-                        check(transfer.layer_context(sphere, wavelengths[:n]))
-                    raise
+                    bad = mid
+            if passed is not None:
+                check(passed)
+            transfer.layer_context(sphere, [wavelengths[bad - 1]])  # raises its own error
             raise
         check(layers)
         points = [(cfg.r_over_rs, cfg.r_over_rs * rs, wl) for wl in cfg.wavelengths_nm]

@@ -16,11 +16,14 @@ benchmark inputs:
   a wavelength sweep from 450 to 1050 nm in the table shell;
 * seeds 1-3 of every benchmark workload (one worker);
 * presets A, C and D at l_max 1000 and 4000 on grids that hold the origin,
-  and for A the point of acceptance criterion 8;
+  and for A the point of acceptance criterion 8, and on shorter grids at
+  l_max 61 and 63, which 4 does not divide (the Riccati recurrences check
+  j and h1 at different orders then);
 * the single ``spectro.evaluate`` queries of seeds 1-3 of every benchmark
   workload, each seed's in their seeded order, twice over in one process,
   as the benchmark asks them: the second pass meets the prepares the first
-  left (``transfer.shared_prepare``).
+  left (``transfer.shared_prepare``); and seed 1's once more at l_max 61
+  and at 63.
 
 It prints, per result field of this checkout's ``model.OUTPUTS`` (the
 orientation aside, which keys the result), the largest |change| /
@@ -69,24 +72,30 @@ def _configs():
     for l_max in (1000, 4000):
         for p, grid in grids.items():
             out.append((f"{p}_l{l_max}", {"sphere": p, "grid": grid, "l_max": l_max}))
+    short = {"A": [0.0, 0.3, 0.8542, 1.5], "C": [0.0, 0.45, 1.01], "D": [0.0, 0.5, 1.2]}
+    for l_max in (61, 63):
+        for p, grid in short.items():
+            out.append((f"{p}_l{l_max}", {"sphere": p, "grid": grid, "l_max": l_max}))
     return out
 
 
 def _queries():
-    """(name, sphere, dipole) of every benchmark workload's latency queries
-    at seeds 1-3, in seeded order, each seed's twice over."""
+    """(name, sphere, dipole, l_max) of every benchmark workload's latency
+    queries at seeds 1-3, in seeded order, each seed's twice over at l_max
+    60, then seed 1's at l_max 61 and 63."""
     import inputs
     from nanoshell import model
 
+    passes = [(seed, f"round{round_}", 60) for seed in (1, 2, 3) for round_ in (1, 2)]
+    passes += [(1, f"l{l_max}", l_max) for l_max in (61, 63)]
     out = []
     for name in inputs.WORKLOADS:
-        for seed in (1, 2, 3):
+        for seed, tag, l_max in passes:
             workload = inputs.generate(name, seed)
-            for round_ in (1, 2):
-                for k, (i, j, o) in enumerate(workload.latency_queries):
-                    r_nm, wl = workload.sweeps[i].query(j)
-                    out.append((f"query_{name}_seed{seed}_{k}_round{round_}",
-                                workload.sweeps[i].sphere, model.DipoleSource(r_nm, o, wl)))
+            for k, (i, j, o) in enumerate(workload.latency_queries):
+                r_nm, wl = workload.sweeps[i].query(j)
+                out.append((f"query_{name}_seed{seed}_{k}_{tag}",
+                            workload.sweeps[i].sphere, model.DipoleSource(r_nm, o, wl), l_max))
     return out
 
 
@@ -102,8 +111,8 @@ def dump(fields):
         table = sweep.run_sweep(sweep.config_from_dict(config))
         for n, row in enumerate(table.rows):
             rows[f"{name}/{n}/{row.orientation}"] = [getattr(row.result, f) for f in fields]
-    for name, sphere, dipole in _queries():
-        result = spectro.evaluate(sphere, dipole)
+    for name, sphere, dipole, l_max in _queries():
+        result = spectro.evaluate(sphere, dipole, l_max)
         rows[f"{name}/{dipole.orientation}"] = [getattr(result, f) for f in fields]
     golden = {name: test_golden._output(name).decode()
               for name in sorted(test_golden.CASES) + sorted(test_golden.CONVERGE)}

@@ -12,9 +12,9 @@
   the per-region amplitude pairs of a channel of a closure, the flux
   through one interface formed alone, and the non-retarded image-limit
   shift.
-* The j and h1 recurrences as per-order lists stacked at the end
-  (:func:`j_downward`, :func:`h1_upward`), the reference the engine's
-  in-place tables must match bit for bit.
+* The j and h1 recurrences, each alone, as per-order lists stacked at the
+  end (:func:`j_downward`, :func:`h1_upward`), the reference the two
+  families of the engine's one in-place pass must match bit for bit.
 * Plain complex j/y/h1 and psi/chi/xi tables (:func:`bessel_table`,
   :func:`riccati`) collapsed from the engine's own normalized Riccati
   table, taken into scaled pairs (:mod:`~nanoshell.scaledmath`), with y
@@ -504,16 +504,16 @@ def riccati(l_max, z):
 
 
 def _renormalize(out, a, *fs):
-    """Divide each f by a where ``out`` is set; returns the divided fs and
-    the log of the divisor."""
+    """Divide each f by a where ``out`` is set, leaving its other entries as
+    they are; returns the divided fs and the log of the divisor."""
     s = np.where(out, a, 1.0)
-    return [f / s for f in fs], np.log(s)
+    return [np.where(out, f / s, f) for f in fs], np.log(s)
 
 
 def j_downward(l_max, z, l_start, c):
-    """:func:`nanoshell.specfun._j_downward` as one new array per order,
-    stacked at the end: its mantissas, lower neighbours and block logs, each
-    as an (argument, l) table."""
+    """The j family of :func:`nanoshell.specfun._recurrences` alone, as one
+    new array per order, stacked at the end: its mantissas, lower neighbours
+    and block logs, each as an (argument, l) table."""
     starts = {l: l_start == l for l in set(l_start.ravel().tolist())}
     f_hi = np.zeros(z.shape, dtype=complex)  # unnormalized f_{l+1}
     f = np.zeros(z.shape, dtype=complex)  # unnormalized f_l
@@ -536,8 +536,8 @@ def j_downward(l_max, z, l_start, c):
 
 
 def h1_upward(l_max, z, h0, c):
-    """:func:`nanoshell.specfun._h1_upward` in the form of
-    :func:`j_downward`."""
+    """The h1 family of :func:`nanoshell.specfun._recurrences` in the form
+    of :func:`j_downward`."""
     m_prev, m = h0, h0 * (c[0] - 1j)
     mant, lower = [m_prev, m], [np.zeros_like(h0), m_prev]
     logs = np.zeros(z.shape + (l_max + 1,))

@@ -220,43 +220,56 @@ def test_tables_finite_over_spec_domain():
 
 
 def test_scaled_table_of_an_argument_does_not_depend_on_its_call():
-    # a scalar, a one-element array and the same argument inside a batch of
-    # 30 give the same bits in every value and log norm
-    z = (0.1 + 0.05j) * np.linspace(1.0, 40.0, 30)
-    batch = riccati_scaled(60, z).table
-    for i in range(len(z)):
-        scalar = riccati_scaled(60, z[i]).table
-        single = riccati_scaled(60, z[i:i + 1]).table
-        for names, b, s, o in zip((("psi", "dpsi", "xi", "dxi"), ("log psi", "log xi")),
-                                  batch, scalar, single):
-            for f, name in enumerate(names):
-                want = b[f, i].tobytes()
-                assert s[f].tobytes() == want, (i, name)
-                assert o[f, 0].tobytes() == want, (i, name)
+    # a scalar, a one-element array and the same argument inside a batch
+    # give the same bits in every value and log norm: a batch of 30 at
+    # l_max 60, where j and h1 are checked at the same steps, and at 61,
+    # where they are not, and at 61 a batch whose |z| from 3e-7 to 900 sets
+    # several start orders in one call
+    line = (0.1 + 0.05j) * np.linspace(1.0, 40.0, 30)
+    mixed = np.concatenate([line[::3], [3e-7 + 1e-7j, 2e-6j, 250.0 + 40.0j, 900.0 + 5.0j]])
+    for l_max, z in ((60, line), (61, line), (61, mixed)):
+        batch = riccati_scaled(l_max, z).table
+        for i in range(len(z)):
+            scalar = riccati_scaled(l_max, z[i]).table
+            single = riccati_scaled(l_max, z[i:i + 1]).table
+            for names, b, s, o in zip((("psi", "dpsi", "xi", "dxi"), ("log psi", "log xi")),
+                                      batch, scalar, single):
+                for f, name in enumerate(names):
+                    want = b[f, i].tobytes()
+                    assert s[f].tobytes() == want, (l_max, i, name)
+                    assert o[f, 0].tobytes() == want, (l_max, i, name)
 
 
 def test_in_place_recurrences_match_the_per_order_reference():
-    # the j and h1 tables written in place hold the same bits as the
-    # reference's one new array per order, stacked: mantissas, lower
+    # the one pass's j and h1 tables hold the same bits as each family's
+    # reference, one new array per order, stacked: mantissas, lower
     # neighbours and block logs, over |z| from 1e-7 to 1e3, |Im z| up to 50
-    # and l_max from 1 to 1000, through renormalizations of both
+    # and l_max from 1 to 1000, through renormalizations of both.  The draws
+    # hold every l_max mod 4 (the families are checked at the same steps
+    # only when 4 divides l_max), l_max 1 to 8 (h1 takes at most a few
+    # steps) and calls that mix |z| ~ 1e-7 with ~ 1e3, which set several
+    # start orders in one call
     rng = np.random.default_rng(21)
-    renormalized = 0
-    for _ in range(150):
-        l_max = int(np.exp(rng.uniform(0.0, math.log(1000.0))))
-        z = np.exp(rng.uniform(math.log(1e-7), math.log(1e3), rng.integers(1, 5)))
-        z = z * np.exp(1j * rng.uniform(-math.pi, math.pi, z.size))
+    renormalized = several = 0
+    residues = set()
+    for k in range(150):
+        l_max = k + 1 if k < 8 else int(np.exp(rng.uniform(0.0, math.log(1000.0))))
+        logs_z = rng.uniform(math.log(1e-7), math.log(1e3), rng.integers(1, 5))
+        if k % 3 == 0:
+            logs_z = np.concatenate([logs_z, [rng.uniform(math.log(1e-7), math.log(1e-6)),
+                                              rng.uniform(math.log(3e2), math.log(1e3))]])
+        z = np.exp(logs_z) * np.exp(1j * rng.uniform(-math.pi, math.pi, logs_z.size))
         z = z.real + 1j * np.clip(z.imag, -50.0, 50.0)
         z, start = specfun._validate(l_max, z)
         c = specfun._ratios(int(start.max()), z)
         h0 = -1j * np.exp(1j * z.real) / z
-        for new, ref in ((specfun._j_downward(l_max, z, start, c),
-                          oracles.j_downward(l_max, z, start, c)),
-                         (specfun._h1_upward(l_max, z, h0, c),
-                          oracles.h1_upward(l_max, z, h0, c))):
-            (mant, lower, logs), (ref_mant, ref_lower, ref_logs) = new, ref
-            assert mant.T.tobytes() == ref_mant.tobytes(), (l_max, z)
-            assert lower.T.tobytes() == ref_lower.tobytes(), (l_max, z)
-            assert logs.tobytes() == ref_logs.tobytes(), (l_max, z)
-            renormalized += bool(ref_logs.any())
+        tables = specfun._recurrences(l_max, z, start, c, h0)
+        for f, ref in enumerate((oracles.j_downward(l_max, z, start, c),
+                                 oracles.h1_upward(l_max, z, h0, c))):
+            for name, new, want in zip(("mantissa", "lower", "log"), tables, ref):
+                assert new[f].tobytes() == want.tobytes(), (f, name, l_max, z)
+            renormalized += bool(ref[2].any())
+        residues.add(l_max % 4)
+        several += len(set(start.tolist())) > 2
     assert renormalized > 20
+    assert residues == {0, 1, 2, 3} and several > 20

@@ -1549,9 +1549,10 @@ def test_a_wavelength_sweep_reads_its_wavelengths_once(monkeypatch):
 
 
 def test_a_failing_wavelength_sweep_reads_up_to_its_bad_wavelength_and_checks_once(monkeypatch):
-    # the joint read fails at 1200 nm, past the gold table: the wavelengths
-    # are read one at a time up to that one and no further, the ones before
-    # it are read together and checked in one call, then 1200 nm raises
+    # the joint read fails at 1200 nm, past the gold table: bisecting on
+    # prefixes of the 13 distinct wavelengths reads the first 6, 9, 11 and
+    # 10, the 10 before 1200 nm pass and are checked in one call, then
+    # 1200 nm's read alone raises
     reads = _record_reads(monkeypatch)
     checks = []
     check = sweep._check_points
@@ -1563,7 +1564,7 @@ def test_a_failing_wavelength_sweep_reads_up_to_its_bad_wavelength_and_checks_on
         sweep.run_sweep(sweep.config_from_dict({
             "sphere": "C", "sweep": "wavelength", "r_over_rs": 0.45, "orientations": ["radial"],
             "wavelengths_nm": declared}))
-    assert reads == [declared, *([wl] for wl in wavelengths), [1200.0], wavelengths]
+    assert reads == [declared, declared[:6], declared[:9], declared[:11], wavelengths, [1200.0]]
     assert checks == [wavelengths]
 
 
